@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from .engine import (BasicFunctionTable, BorelRoute, PPRoute, SmoothRoute,
                      TransportRoute, basic_function_borel, basic_function_pp,
-                     basic_function_smooth, basic_function_transport,
-                     transport_height)
+                     basic_function_smooth, basic_function_transport)
 from .geometry import Cone, LatticeMap
 from .rootdata import RootDatum, product_datum, root_datum
 from .spherical import ColoredCone, SphericalDatum, antidominant_cochar_chamber
@@ -410,10 +409,8 @@ def basic_table(entry, height: int) -> BasicFunctionTable:
     if isinstance(route, PPRoute):
         return basic_function_pp(entry.datum, route, height)
     if isinstance(route, TransportRoute):
-        partner = load(route.partner)
-        need = transport_height(entry.datum, route, height)
-        ptable = basic_table(partner, need)
-        return basic_function_transport(entry.datum, route, ptable, height)
+        return basic_function_transport(
+            entry.datum, route, lambda h: basic_table(route.partner, h), height)
     raise ValueError("no route for %s" % entry.key)
 
 

@@ -2,15 +2,16 @@
 
 QLaurent is a Laurent polynomial in q^(1/2) with integer coefficients,
 stored sparsely by exponent. WeightChar is a finitely supported integer
-multiplicity map on a fixed lattice Z^n; symmetric and exterior powers go
-through Newton's identities on Adams operations, and irreducible characters
-through Freudenthal's recursion with the sum-over-positive-coroots form.
+multiplicity map on a fixed lattice Z^n; symmetric and exterior powers are
+the coefficients of truncated integer generating-function products, and
+irreducible characters come from Freudenthal's recursion with the
+sum-over-positive-coroots form.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import isqrt
 
 from .rootdata import RootDatum, _idot
 
@@ -128,11 +129,8 @@ def _exact_sqrt(x: Fraction) -> Fraction:
 
 
 def _isqrt_exact(n: int):
-    r = int(n ** 0.5)
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c == n:
-            return c
-    return None
+    r = isqrt(n)
+    return r if r * r == n else None
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +187,6 @@ class WeightChar:
     def scale(self, c: int) -> "WeightChar":
         return WeightChar.of({w: c * m for w, m in self.weights})
 
-    def adams(self, k: int) -> "WeightChar":
-        """psi^k: weight w goes to k*w, multiplicities unchanged."""
-        return WeightChar.of({tuple(k * x for x in w): m for w, m in self.weights})
-
     def mult(self, w) -> int:
         w = tuple(int(x) for x in w)
         return self.as_dict().get(w, 0)
@@ -201,48 +195,52 @@ class WeightChar:
         return not self.weights
 
 
-def _newton_powers(chi: WeightChar, imax: int, signed: bool):
-    """h_0..h_imax (signed=False) or e_0..e_imax (signed=True) by Newton."""
+def _graded_powers(chi: WeightChar, imax: int, sign: int):
+    """Coefficients of t^0..t^imax in prod_w (1 + sign*x^w*t)^(sign*m_w).
+
+    sign=-1 gives Sym^0..Sym^imax, sign=+1 gives Ext^0..Ext^imax (Macdonald,
+    Symmetric Functions, I.2). A negative multiplicity inverts its factor,
+    which is the lambda-ring extension to virtual characters. The factor
+    coefficients are the generalized binomials sign^k * C(sign*m, k).
+    """
     if imax < 0:
         raise ValueError("power index must be >= 0")
     n = len(chi.weights[0][0]) if chi.weights else 0
-    # intermediate coefficients are fractions; integrality is restored at the end
-    out = [{(0,) * n: Fraction(1)}]
-    psis = [None] + [chi.adams(k) for k in range(1, imax + 1)]
-    for i in range(1, imax + 1):
-        acc = {}
-        for k in range(1, i + 1):
-            sgn = (-1) ** (k - 1) if signed else 1
-            for w1, m1 in psis[k].weights:
-                for w2, m2 in out[i - k].items():
-                    w = tuple(a + b for a, b in zip(w1, w2))
-                    acc[w] = acc.get(w, Fraction(0)) + sgn * m1 * m2
-        out.append({w: v / i for w, v in acc.items() if v != 0})
-    result = []
-    for d in out:
-        ints = {}
-        for w, v in d.items():
-            assert v.denominator == 1, "Newton identity produced a non-integer"
-            if v != 0:
-                ints[w] = int(v)
-        result.append(WeightChar.of(ints))
-    return result
+    series = [{(0,) * n: 1}] + [{} for _ in range(imax)]
+    for w, m in chi.weights:
+        e = sign * m
+        coeffs = [1]
+        for k in range(1, imax + 1):
+            # exact: the product is k * C(e, k)
+            coeffs.append(coeffs[-1] * (e - k + 1) // k * sign)
+        nxt = [{} for _ in range(imax + 1)]
+        for i, terms in enumerate(series):
+            for k in range(imax + 1 - i):
+                c = coeffs[k]
+                if c == 0:  # C(e, k) vanishes for every k > e >= 0
+                    break
+                acc = nxt[i + k]
+                for u, v in terms.items():
+                    u = tuple(a + k * b for a, b in zip(u, w))
+                    acc[u] = acc.get(u, 0) + c * v
+        series = nxt
+    return [WeightChar.of(d) for d in series]
 
 
 def sym_power(chi: WeightChar, i: int) -> WeightChar:
     if i < 0:
         raise ValueError("symmetric power index must be >= 0")
-    return _newton_powers(chi, i, signed=False)[i]
+    return _graded_powers(chi, i, -1)[i]
 
 
 def ext_power(chi: WeightChar, i: int) -> WeightChar:
     if i < 0:
         raise ValueError("exterior power index must be >= 0")
-    return _newton_powers(chi, i, signed=True)[i]
+    return _graded_powers(chi, i, 1)[i]
 
 
 def sym_powers_upto(chi: WeightChar, imax: int):
-    return _newton_powers(chi, imax, signed=False)
+    return _graded_powers(chi, imax, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -66,11 +66,24 @@ def _imat(m, what):
     return tuple(_ivec(r, what + " row") for r in m)
 
 
+def _int(x, what):
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise InputError("%s must be an integer, got %r" % (what, x))
+
+
+def _list(v, what):
+    if not isinstance(v, (list, tuple)):
+        raise InputError("%s must be a list, got %r" % (what, v))
+    return v
+
+
 def parse_group(obj) -> RootDatum:
     if not isinstance(obj, dict):
         raise InputError("group must be an object")
     if "factors" in obj:
-        factors = obj["factors"]
+        factors = _list(obj["factors"], "group.factors")
         if not factors:
             raise InputError("group.factors must be nonempty")
         return product_datum(*(parse_group(f) for f in factors))
@@ -79,11 +92,11 @@ def parse_group(obj) -> RootDatum:
             return RootDatum(str(obj.get("name", "custom")), int(obj["rank"]),
                              _imat(obj["simple_roots"], "simple_roots"),
                              _imat(obj["simple_coroots"], "simple_coroots"))
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise InputError("bad group: %s" % e)
     try:
         return root_datum(str(obj["type"]), int(obj["rank"]))
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise InputError("bad group: %s" % e)
 
 
@@ -96,7 +109,7 @@ def render_group(rd: RootDatum) -> dict:
 def _parse_cone(obj, rank, what) -> Cone:
     if not isinstance(obj, dict):
         raise InputError("%s must be an object" % what)
-    n = int(obj.get("dim", rank))
+    n = _int(obj.get("dim", rank), what + ".dim")
     try:
         if "inequalities" in obj:
             return Cone.from_inequalities(
@@ -115,19 +128,21 @@ def parse_document(obj) -> SphericalDatum:
     for key in ("name", "group", "rank", "lattice_map", "valuation_cone"):
         if key not in obj:
             raise InputError("document is missing %r" % key)
-    rank = int(obj["rank"])
+    rank = _int(obj["rank"], "rank")
     colors = []
-    for c in obj.get("colors", ()):
+    for c in _list(obj.get("colors", ()), "colors"):
         if not isinstance(c, dict) or "label" not in c or "rho" not in c:
             raise InputError("colors entries need label and rho")
         colors.append((str(c["label"]), _ivec(c["rho"], "rho")))
     lw = obj.get("little_weyl")
     if lw is not None:
-        lw = tuple(_imat(m, "little_weyl matrix") for m in lw)
+        lw = tuple(_imat(m, "little_weyl matrix")
+                   for m in _list(lw, "little_weyl"))
     cc = obj.get("colored_cone")
     if cc is not None:
         cc = ColoredCone(_parse_cone(cc, rank, "colored_cone"),
-                         tuple(str(x) for x in cc.get("colors", ())))
+                         tuple(str(x) for x in _list(cc.get("colors", ()),
+                                                     "colored_cone.colors")))
     try:
         return SphericalDatum(
             name=str(obj["name"]),
@@ -240,10 +255,6 @@ def _parse_q(text):
     return q0
 
 
-def _fmt_frac(x) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -328,7 +339,7 @@ def _specialized_rows(table, q0):
             rows.append((l, str(v)))
             continue
         try:
-            rows.append((l, _fmt_frac(v.specialize(q0))))
+            rows.append((l, str(v.specialize(q0))))
         except ValueError as e:
             raise InputError(str(e))
     return rows
@@ -403,7 +414,7 @@ def cmd_lf(args) -> int:
     except ValueError as e:
         raise InputError(str(e))
     for c, e in lf.monomials:
-        print("monomial\t%s\t%s" % (_fmt_frac(c), _fmt_frac(e)))
+        print("monomial\t%s\t%s" % (c, e))
     if args.expand is not None:
         q0 = _parse_q(args.q)
         if q0 is None:
@@ -413,7 +424,7 @@ def cmd_lf(args) -> int:
         except ValueError as e:
             raise InputError(str(e))
         for k, c in enumerate(series):
-            print("T^%d\t%s" % (k, _fmt_frac(c)))
+            print("T^%d\t%s" % (k, c))
     return 0
 
 

@@ -25,6 +25,7 @@ from .geometry import (Cone, GE, GT, LatticeMap, LinearSystem, as_vec, feasible,
                        hilbert_basis_pointed, int_vec, inverse_unimodular,
                        lattice_points, primitive, saturation_quotient, vdot)
 from .rootdata import ParabolicDatum, RootDatum, dual_datum, levi_datum
+from .spherical import enumerate_orbits
 
 KAPPA = 1
 
@@ -169,18 +170,13 @@ class BasicFunctionTable:
         vals = tuple(sorted((tuple(int(x) for x in l), v) for l, v in items
                             if not v.is_zero()))
         for l, _ in vals:
-            assert len(l) == rank, "label %r has wrong rank" % (l,)
+            if len(l) != rank:
+                raise ValueError("label %r has wrong rank" % (l,))
         return BasicFunctionTable(datum_name, case, rank, vals, truncation, height)
 
     def value(self, label) -> QLaurent:
-        label = tuple(int(x) for x in label)
-        for l, v in self.values:
-            if l == label:
-                return v
-        return QLaurent.zero()
-
-    def rows(self):
-        return self.values
+        return dict(self.values).get(tuple(int(x) for x in label),
+                                     QLaurent.zero())
 
     def support(self):
         return [l for l, _ in self.values]
@@ -288,38 +284,37 @@ def basic_function_pp(datum, route: PPRoute, height: int,
 
 def basic_function_smooth(datum, height: int) -> BasicFunctionTable:
     """Indicator of the integral strata: 1 on lattice points of V cap C(X)."""
-    if datum.colored_cone is None:
-        raise ValueError("smooth rule needs a colored cone on %s" % datum.name)
-    inside = datum.valuation_cone.intersect(datum.colored_cone.cone)
-    table = {tuple(l): QLaurent.one() for l in lattice_points(inside, height)}
+    table = {l: QLaurent.one()
+             for l in enumerate_orbits(datum, height, integral_only=True)}
     return BasicFunctionTable.of(datum.name, "smooth", datum.rank, table, 0, height)
+
+
+def _transport_images(datum, route: TransportRoute, height: int):
+    """([(label, iota(label))] over the integral strata up to the height,
+    the partner height that tabulates every image)."""
+    pairs = [(l, route.iota.apply(l))
+             for l in enumerate_orbits(datum, height, integral_only=True)]
+    return pairs, max((sum(abs(x) for x in m) for _, m in pairs), default=0)
 
 
 def transport_height(datum, route: TransportRoute, height: int) -> int:
     """Partner height needed so every transported label is tabulated."""
-    if datum.colored_cone is None:
-        raise ValueError("transport needs a colored cone on %s" % datum.name)
-    inside = datum.valuation_cone.intersect(datum.colored_cone.cone)
-    best = 0
-    for l in lattice_points(inside, height):
-        best = max(best, sum(abs(x) for x in route.iota.apply(l)))
-    return best
+    return _transport_images(datum, route, height)[1]
 
 
-def basic_function_transport(datum, route: TransportRoute,
-                             partner_table: BasicFunctionTable,
+def basic_function_transport(datum, route: TransportRoute, partner,
                              height: int) -> BasicFunctionTable:
-    """Pull the partner's table back along the label identification iota."""
-    if datum.colored_cone is None:
-        raise ValueError("transport needs a colored cone on %s" % datum.name)
-    if transport_height(datum, route, height) > partner_table.height:
+    """Pull the partner's table back along the label identification iota.
+
+    partner(h) returns the partner's table at height h; it is called once,
+    at the least height that tabulates every transported label.
+    """
+    pairs, need = _transport_images(datum, route, height)
+    partner_table = partner(need)
+    if need > partner_table.height:
         raise ValueError("partner table of %s is too short" % route.partner)
-    inside = datum.valuation_cone.intersect(datum.colored_cone.cone)
-    table = {}
-    for l in lattice_points(inside, height):
-        v = partner_table.value(route.iota.apply(l))
-        if not v.is_zero():
-            table[tuple(l)] = v
+    values = dict(partner_table.values)
+    table = {l: values[m] for l, m in pairs if m in values}
     return BasicFunctionTable.of(datum.name, "transport", datum.rank, table,
                                  partner_table.truncation, height)
 
@@ -482,7 +477,7 @@ def growth_certificate(table: BasicFunctionTable, hints=()):
     """A rational chi with deg_q Phi0(l) <= <chi, l> on every tabulated
     stratum, or None when the linear program is infeasible (inconclusive
     at finite height)."""
-    rows = [(l, v.degree()) for l, v in table.rows()]
+    rows = [(l, v.degree()) for l, v in table.values]
     r = table.rank
     for chi in [(0,) * r] + [tuple(Fraction(x) for x in h) for h in hints]:
         if all(vdot(as_vec(chi), as_vec(l)) >= d for l, d in rows):

@@ -18,20 +18,12 @@ from math import gcd
 Vec = tuple  # tuple of Fraction, fixed length
 
 
-def vec(*entries) -> Vec:
-    return tuple(Fraction(x) for x in entries)
-
-
 def as_vec(entries) -> Vec:
     return tuple(Fraction(x) for x in entries)
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vneg(u: Vec) -> Vec:
@@ -329,18 +321,6 @@ class Cone:
     def rays_and_lineality(self):
         """Minimal description: extreme rays mod lineality, lineality basis."""
         return _halfspace_gens(self.dual_generators(), self.n)
-
-
-def dual_cone(c: Cone) -> Cone:
-    return c.dual()
-
-
-def is_strictly_convex(c: Cone) -> bool:
-    return c.is_strictly_convex()
-
-
-def relative_interior_contains(c: Cone, v) -> bool:
-    return c.relative_interior_contains(v)
 
 
 def lattice_points(c: Cone, height: int):

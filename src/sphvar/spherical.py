@@ -78,6 +78,9 @@ class SphericalDatum:
         if not self.valuation_cone.contains_cone(img):
             raise ValueError("valuation cone misses the antidominant chamber image")
         if self.little_weyl is not None:
+            if any(len(m) != self.rank or any(len(r) != self.rank for r in m)
+                   for m in self.little_weyl):
+                raise ValueError("little Weyl generators must be rank x rank matrices")
             self._check_fundamental_domain()
 
     def _check_fundamental_domain(self):
@@ -122,7 +125,8 @@ def _matrix_orbit(v, mats):
                     seen.add(u)
                     nxt.append(u)
         frontier = nxt
-        assert len(seen) <= 1024, "little Weyl orbit does not close"
+        if len(seen) > 1024:
+            raise ValueError("little Weyl orbit does not close")
     return seen
 
 

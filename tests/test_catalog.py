@@ -156,6 +156,30 @@ def test_transport_table_is_sparse_and_trivial():
     assert all(str(v) == "1" for _, v in t.values)
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """Heights of the lattice-point scans made by the table layer."""
+    from sphvar import engine, geometry, spherical
+    seen = []
+
+    def counting(cone, height):
+        seen.append(height)
+        return geometry.lattice_points(cone, height)
+    for mod in (engine, spherical):
+        monkeypatch.setattr(mod, "lattice_points", counting)
+    return seen
+
+
+@pytest.mark.parametrize("key", [k for k in ALL_KEYS if load(k).routes])
+def test_each_table_scans_at_most_once(scans, key):
+    basic_table(key, 6)
+    want = {"pp-gl3": 0, "siegel-gsp6": 0, "triple-product": 1}
+    if key in want:
+        assert len(scans) == want[key]
+    else:
+        assert len(scans) <= 1
+
+
 def test_transport_coincidence():
     ok, diag = transport_coincidence("triple-product")
     assert ok, diag

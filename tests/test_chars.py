@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sphvar.rootdata import root_datum
 from sphvar.chars import (QLaurent, WeightChar, sym_power, ext_power,
@@ -44,6 +44,17 @@ def test_qlaurent_half_exponents():
         h.specialize(2)  # 2 is not a square
     with pytest.raises(ValueError):
         QLaurent.of({Fraction(1, 3): 1})
+
+
+def test_half_power_specializes_at_large_square_q():
+    # a float square root misjudges both of these
+    r = 10 ** 20 + 39
+    half = QLaurent.q_pow(Fraction(1, 2))
+    assert half.specialize(r * r) == r
+    assert half.specialize(10 ** 400) == 10 ** 200
+    assert half.specialize(Fraction(10 ** 400, r * r)) == Fraction(10 ** 200, r)
+    with pytest.raises(ValueError, match="square"):
+        half.specialize(r * r + 1)
 
 
 def test_qlaurent_degree():
@@ -113,6 +124,24 @@ def test_ext_sym_alternating_identity(chi, j):
         term = ext_power(chi, i) * sym_power(chi, j - i)
         acc = acc + (term if i % 2 == 0 else term.scale(-1))
     assert acc.is_zero()
+
+
+virtual_pairs = st.integers(1, 3).flatmap(lambda n: st.tuples(*[st.lists(
+    st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.integers(1, 2)),
+    min_size=1, max_size=3).map(WeightChar.of)] * 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(virtual_pairs, st.integers(0, 4))
+def test_powers_of_virtual_characters(pair, j):
+    # lambda-ring rules: Sym(a - b) * Sym(b) = Sym(a), Ext(a - b) * Ext(b) = Ext(a)
+    a, b = pair
+    assume(a != b)  # the zero character carries no lattice dimension
+    for power in (sym_power, ext_power):
+        acc = WeightChar.of({})
+        for i in range(j + 1):
+            acc = acc + power(a - b, i) * power(b, j - i)
+        assert acc == power(a, j)
 
 
 def test_power_errors():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -71,6 +74,42 @@ def test_parse_document_rejects_bad_shapes():
     bad["lattice_map"] = [["x"]]
     with pytest.raises(InputError):
         parse_document(bad)
+
+
+MALFORMED = (
+    {"rank": "two"},
+    {"little_weyl": 5},
+    {"colors": 5},
+    {"colored_cone": {"colors": 5, "generators": [[1]]}},
+    {"little_weyl": [[[2]]]},  # its orbit never closes
+    {"little_weyl": [[[1, 0]]]},
+    {"colored_cone": {"dim": "one", "generators": [[1]], "colors": []}},
+    {"group": {"type": "GL", "rank": [2]}},
+    {"group": {"factors": 5}},
+)
+COMMANDS = (["describe"], ["check", "--which", "wavefront"],
+            ["basicfn", "--case", "pp", "--height", "2"])
+
+
+@pytest.mark.parametrize("cmd", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("bad", MALFORMED, ids=lambda b: json.dumps(b))
+def test_malformed_document_is_bad_input(tmp_path, capsys, bad, cmd):
+    p = doc_path(tmp_path, "a2-sl2", **bad)
+    code, out, err = run(capsys, [cmd[0], p] + cmd[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_closing_orbit_fails_fast_under_optimize(tmp_path):
+    p = doc_path(tmp_path, "a2-sl2", little_weyl=[[[2]]])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-m", "sphvar.cli",
+                           "describe", p], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_parse_document_reports_inconsistency():

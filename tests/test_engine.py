@@ -247,7 +247,7 @@ def test_borel_a2_all_ones_to_height_ten():
     route, _ = a2_routes()
     tb = basic_function_borel(a2_datum(), route, 10)
     assert tb.support() == [(n,) for n in range(11)]
-    assert all(v == ONE for _, v in tb.rows())
+    assert all(v == ONE for _, v in tb.values)
     assert tb.value((-1,)).is_zero()
     assert tb.case == "UP-Borel"
 
@@ -255,7 +255,7 @@ def test_borel_a2_all_ones_to_height_ten():
 def test_borel_gl2_ray():
     tb = basic_function_borel(borel_gl2_datum(), borel_gl2_route(), 6)
     assert tb.support() == [(a, 0) for a in range(7)]
-    assert all(v == ONE for _, v in tb.rows())
+    assert all(v == ONE for _, v in tb.values)
 
 
 def test_borel_sl3_values():
@@ -312,7 +312,7 @@ def test_pp_gl3_sign_dependence():
     plus = basic_function_pp(d, route, 4, kappa=1)
     minus = basic_function_pp(d, route, 4, kappa=-1)
     assert plus.support() == [(n, 0) for n in range(5)]
-    assert all(v == ONE for _, v in plus.rows())
+    assert all(v == ONE for _, v in plus.values)
     for n in range(5):
         assert minus.value((n, 0)) == QLaurent.q_pow(n)
 
@@ -324,7 +324,7 @@ def test_pp_rejects_other_kappa():
 
 def test_pp_siegel_values():
     tb = basic_function_pp(siegel_datum(), siegel_route(), 4)
-    assert [(l, str(v)) for l, v in tb.rows()] == [
+    assert [(l, str(v)) for l, v in tb.values] == [
         ((0, 0), "1"), ((1, 0), "1"), ((2, 0), "q^2 + 1"),
         ((3, 0), "q^2 + 1"), ((4, 0), "q^4 + q^2 + 1")]
 
@@ -348,13 +348,13 @@ def test_pp_rejects_non_monotone_labels():
 
 def test_smooth_hecke_is_origin_only():
     tb = basic_function_smooth(hecke_datum(), 6)
-    assert tb.rows() == (((0, 0), ONE),)
+    assert tb.values == (((0, 0), ONE),)
 
 
 def test_smooth_gj2_support():
     tb = basic_function_smooth(gj2_datum(), 4)
     assert tb.support() == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3)]
-    assert all(v == ONE for _, v in tb.rows())
+    assert all(v == ONE for _, v in tb.values)
 
 
 def test_smooth_needs_colored_cone():
@@ -369,10 +369,15 @@ def test_transport_height_is_small():
 def test_transport_pulls_back_partner_values():
     d = triple_datum()
     route = triple_route()
-    partner = basic_function_pp(siegel_datum(), siegel_route(), 2)
+    asked = []
+
+    def partner(h):
+        asked.append(h)
+        return basic_function_pp(siegel_datum(), siegel_route(), h)
     tb = basic_function_transport(d, route, partner, 6)
-    assert len(tb.rows()) == 5
-    assert all(v == ONE for _, v in tb.rows())
+    assert asked == [transport_height(d, route, 6)]
+    assert len(tb.values) == 5
+    assert all(v == ONE for _, v in tb.values)
     assert tb.value((0, 0, 0, 0, 0)) == ONE
     assert tb.case == "transport"
 
@@ -380,7 +385,8 @@ def test_transport_pulls_back_partner_values():
 def test_transport_rejects_short_partner():
     partner = basic_function_pp(siegel_datum(), siegel_route(), 0)
     with pytest.raises(ValueError, match="too short"):
-        basic_function_transport(triple_datum(), triple_route(), partner, 6)
+        basic_function_transport(triple_datum(), triple_route(),
+                                 lambda h: partner, 6)
 
 
 def test_table_mechanics():
@@ -390,6 +396,11 @@ def test_table_mechanics():
     assert tb.value((1,)).is_zero()
     sp = basic_function_borel(borel_sl3_datum(), borel_sl3_routes()[0], 3).specialize(2)
     assert sp[(1, 1)] == 3
+
+
+def test_table_rejects_labels_of_the_wrong_rank():
+    with pytest.raises(ValueError, match="wrong rank"):
+        BasicFunctionTable.of("toy", "smooth", 2, {(0,): ONE}, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +585,7 @@ def test_growth_certificate_searches():
     tb = basic_function_borel(borel_sl3_datum(), borel_sl3_routes()[0], 6)
     chi = growth_certificate(tb)
     assert chi is not None
-    for l, v in tb.rows():
+    for l, v in tb.values:
         assert sum(c * x for c, x in zip(chi, l)) >= v.degree()
 
 

@@ -14,9 +14,9 @@ from sphvar.geometry import (
     GE, GT, EQ, LE, LT,
     Cone, Constraint, LatticeMap, LinearSystem,
     as_vec, elementary_divisors, feasible, hilbert_basis_pointed,
-    inverse_unimodular, is_strictly_convex, kernel_basis, lattice_points,
+    inverse_unimodular, kernel_basis, lattice_points,
     matrix_rank, primitive, saturation_quotient, smith_normal_form,
-    torsion_order, vdot, vec,
+    torsion_order, vdot,
 )
 
 
@@ -61,10 +61,10 @@ def test_halfplane():
 
 
 def test_strict_convexity():
-    assert is_strictly_convex(Cone.orthant(3))
-    assert is_strictly_convex(Cone(2, [(1, 0), (1, 1), (-1, -2)]))
-    assert not is_strictly_convex(Cone(2, [(1, 0), (-1, 0), (0, 1)]))
-    assert is_strictly_convex(Cone.zero(4))
+    assert Cone.orthant(3).is_strictly_convex()
+    assert Cone(2, [(1, 0), (1, 1), (-1, -2)]).is_strictly_convex()
+    assert not Cone(2, [(1, 0), (-1, 0), (0, 1)]).is_strictly_convex()
+    assert Cone.zero(4).is_strictly_convex()
 
 
 def test_relative_interior():
@@ -102,9 +102,9 @@ def test_contains_cone_and_eq():
 
 
 def test_primitive():
-    assert primitive(vec(Fraction(2, 3), Fraction(-4, 3))) == vec(1, -2)
-    assert primitive(vec(0, 0)) == vec(0, 0)
-    assert primitive(vec(-2, -4)) == vec(-1, -2)  # direction preserved
+    assert primitive(as_vec((Fraction(2, 3), Fraction(-4, 3)))) == as_vec((1, -2))
+    assert primitive(as_vec((0, 0))) == as_vec((0, 0))
+    assert primitive(as_vec((-2, -4))) == as_vec((-1, -2))  # direction preserved
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +265,9 @@ def test_feasible_matches_oracle(items):
 
 
 def test_constraint_holds():
-    c = Constraint(vec(1, -1), GT)
-    assert c.holds(vec(2, 1))
-    assert not c.holds(vec(1, 1))
+    c = Constraint(as_vec((1, -1)), GT)
+    assert c.holds(as_vec((2, 1)))
+    assert not c.holds(as_vec((1, 1)))
 
 
 # ---------------------------------------------------------------------------
