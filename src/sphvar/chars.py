@@ -177,6 +177,15 @@ class WeightChar:
         return WeightChar.of(d)
 
     def __mul__(self, other: "WeightChar") -> "WeightChar":
+        # weights in Z^0 (powers of the zero character) are scalars
+        n1 = len(self.weights[0][0]) if self.weights else 0
+        n2 = len(other.weights[0][0]) if other.weights else 0
+        if not n1:
+            return other.scale(sum(m for _, m in self.weights))
+        if not n2:
+            return self.scale(sum(m for _, m in other.weights))
+        if n1 != n2:
+            raise ValueError("weight dimension mismatch: %d vs %d" % (n1, n2))
         d = {}
         for w1, m1 in self.weights:
             for w2, m2 in other.weights:

@@ -54,10 +54,13 @@ class InputError(Exception):
 # documents
 
 def _ivec(v, what):
+    # int() would truncate floats and accept booleans
     try:
-        return tuple(int(x) for x in v)
+        if not any(isinstance(x, (bool, float)) for x in v):
+            return tuple(int(x) for x in v)
     except (TypeError, ValueError):
-        raise InputError("%s must be a list of integers, got %r" % (what, v))
+        pass
+    raise InputError("%s must be a list of integers, got %r" % (what, v))
 
 
 def _imat(m, what):
@@ -68,9 +71,11 @@ def _imat(m, what):
 
 def _int(x, what):
     try:
-        return int(x)
+        if not isinstance(x, (bool, float)):
+            return int(x)
     except (TypeError, ValueError):
-        raise InputError("%s must be an integer, got %r" % (what, x))
+        pass
+    raise InputError("%s must be an integer, got %r" % (what, x))
 
 
 def _list(v, what):
@@ -89,13 +94,14 @@ def parse_group(obj) -> RootDatum:
         return product_datum(*(parse_group(f) for f in factors))
     if "simple_roots" in obj:
         try:
-            return RootDatum(str(obj.get("name", "custom")), int(obj["rank"]),
+            return RootDatum(str(obj.get("name", "custom")),
+                             _int(obj["rank"], "group.rank"),
                              _imat(obj["simple_roots"], "simple_roots"),
                              _imat(obj["simple_coroots"], "simple_coroots"))
         except (KeyError, TypeError, ValueError) as e:
             raise InputError("bad group: %s" % e)
     try:
-        return root_datum(str(obj["type"]), int(obj["rank"]))
+        return root_datum(str(obj["type"]), _int(obj["rank"], "group.rank"))
     except (KeyError, TypeError, ValueError) as e:
         raise InputError("bad group: %s" % e)
 

@@ -2,20 +2,26 @@
 
 Vectors are tuples of fractions.Fraction, cones are stored by finite
 generator lists in Q^n, and every decision procedure here is exact: no
-floating point anywhere. The facet description of a cone is obtained by a
-subset-kernel enumeration over the constraint rows; at the dimensions this
-package works in (n <= 7, generator counts in the teens) that is both exact
-and fast, and it sidesteps the adjacency bookkeeping of incremental double
-description.
+floating point anywhere. Linear algebra runs on integer rows: one
+fraction-free Gauss-Jordan elimination (Bareiss 1968) gives ranks, kernels
+and, after one division by the common pivot, the reduced row echelon form.
+The facet description of a cone is obtained by a subset-kernel enumeration
+over the integer constraint rows; at the dimensions this package works in
+(n <= 7, generator counts in the teens) that is both exact and fast, and it
+sidesteps the adjacency bookkeeping of incremental double description.
+Lattice points are enumerated depth first, dropping every coordinate prefix
+that no completion within the l1 budget can bring into the cone, so the
+work follows the points kept rather than the size of the l1 ball.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple  # tuple of Fraction, fixed length
+_ZERO = Fraction(0)
 
 
 def as_vec(entries) -> Vec:
@@ -49,21 +55,24 @@ def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
 
 
+def _int_row(row):
+    """The row times the lcm of its denominators: a positive multiple in Z^n."""
+    row = [a if isinstance(a, (int, Fraction)) else Fraction(a) for a in row]
+    den = lcm(*(a.denominator for a in row))
+    return [a.numerator * (den // a.denominator) for a in row]
+
+
+def _int_primitive(v):
+    g = gcd(*v)
+    return tuple(a // g for a in v) if g > 1 else tuple(v)
+
+
 def primitive(v: Vec) -> Vec:
     """Scale by a positive rational so entries are coprime integers.
 
     Direction is preserved (rays must not flip). Zero maps to zero.
     """
-    if is_zero_vec(v):
-        return tuple(Fraction(0) for _ in v)
-    den = 1
-    for a in v:
-        den = den * a.denominator // gcd(den, a.denominator)
-    ints = [int(a * den) for a in v]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    return tuple(Fraction(a // g) for a in ints)
+    return as_vec(_int_primitive(_int_row(v)))
 
 
 def int_vec(v: Vec) -> tuple:
@@ -76,32 +85,67 @@ def int_vec(v: Vec) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Rational matrix routines (rows are tuples of Fraction)
+# Matrix routines: one fraction-free Gauss-Jordan core on integer rows
 
-def row_echelon(rows):
-    """Reduced row echelon form. Returns (rows, pivot_columns)."""
-    work = [list(map(Fraction, r)) for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
+def _gauss_jordan(rows, ncols: int):
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss 1968).
+
+    Returns (rows, pivot_columns): the nonzero rows of d * RREF in pivot
+    order, where every pivot entry equals the same positive integer d. Each
+    step replaces a row by (p * row - f * pivot_row) / prev, which is exact
+    because every entry is a signed minor of the input (Sylvester's identity).
+    """
+    work = [list(r) for r in rows]
+    m = len(work)
     pivots = []
-    r = 0
+    prev = 1
     for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        r = len(pivots)
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if work[i][c]), None)
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        prow = work[r]
+        p = prow[c]
+        for i in range(m):
+            f = work[i][c]
+            if i != r and (f or p != prev):  # otherwise the row is unchanged
+                work[i] = [(p * x - f * y) // prev for x, y in zip(work[i], prow)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]], pivots
+    sign = -1 if prev < 0 else 1
+    return [[sign * a for a in row] for row in work[:len(pivots)]], pivots
+
+
+def _int_kernel(ech, pivots, n: int):
+    """Kernel basis from _gauss_jordan output, as integer vectors.
+
+    Each vector is d > 0 times the RREF kernel vector of its free column
+    (the one with a 1 there), in free-column order.
+    """
+    d = ech[-1][pivots[-1]] if pivots else 1
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        x = [0] * n
+        x[fc] = d
+        for row, pc in zip(ech, pivots):
+            x[pc] = -row[fc]
+        basis.append(x)
+    return basis
+
+
+def row_echelon(rows):
+    """Reduced row echelon form. Returns (rows, pivot_columns)."""
+    if not rows:
+        return [], []
+    ints = [_int_row(r) for r in rows]
+    ech, piv = _gauss_jordan(ints, len(ints[0]))
+    d = ech[-1][piv[-1]] if piv else 1
+    return [tuple(Fraction(x, d) if x else _ZERO for x in row) for row in ech], piv
 
 
 def matrix_rank(rows) -> int:
@@ -109,17 +153,10 @@ def matrix_rank(rows) -> int:
 
 
 def kernel_basis(rows, n: int):
-    """Basis of {x in Q^n : <row, x> = 0 for every row}."""
-    ech, piv = row_echelon(rows)
-    free = [c for c in range(n) if c not in piv]
-    basis = []
-    for fc in free:
-        x = [Fraction(0)] * n
-        x[fc] = Fraction(1)
-        for r, pc in enumerate(piv):
-            x[pc] = -ech[r][fc]
-        basis.append(tuple(x))
-    return basis
+    """Basis of {x in Q^n : <row, x> = 0 for every row}, from the RREF."""
+    ech, piv = _gauss_jordan([_int_row(r) for r in rows], n)
+    d = ech[-1][piv[-1]] if piv else 1
+    return [tuple(Fraction(a, d) for a in x) for x in _int_kernel(ech, piv, n)]
 
 
 def solve_linear(rows, rhs):
@@ -129,24 +166,12 @@ def solve_linear(rows, rhs):
     n = len(rows[0])
     aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
     ech, piv = row_echelon(aug)
-    for r in ech:
-        if all(a == 0 for a in r[:n]) and r[n] != 0:
-            return None
     x = [Fraction(0)] * n
     for r, pc in enumerate(piv):
         if pc == n:
             return None
         x[pc] = ech[r][n]
     return tuple(x)
-
-
-def reduce_mod_rowspace(v: Vec, ech_rows, pivots) -> Vec:
-    out = list(v)
-    for r, pc in enumerate(pivots):
-        if out[pc] != 0:
-            f = out[pc]
-            out = [x - f * y for x, y in zip(out, ech_rows[r])]
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -158,45 +183,53 @@ def _halfspace_gens(rows, n: int):
     Returns (rays, lineality_basis). Every extreme ray modulo the lineality
     space lies on a face cut out by a rank-(d-1) subset of the rows, where
     d is the codimension of the lineality; enumerating those subsets is
-    exhaustive and exact.
+    exhaustive and exact. All the work is integer: each subset is eliminated
+    once for its rank and kernel, and kernel vectors are reduced modulo the
+    lineality by positive integer combinations, which keep every sign.
     """
-    rows = [primitive(as_vec(r)) for r in rows]
-    rows = [r for r in rows if not is_zero_vec(r)]
-    seen = set()
     arows = []
+    seen = set()
     for r in rows:
-        if r not in seen:
-            seen.add(r)
-            arows.append(r)
-    lin = kernel_basis(arows, n)
+        r = _int_row(r)
+        if any(r):
+            r = _int_primitive(r)
+            if r not in seen:
+                seen.add(r)
+                arows.append(r)
+    lin_ech, lin_piv = _gauss_jordan(arows, n)
+    lin = _int_kernel(lin_ech, lin_piv, n)
+    lin_out = [as_vec(_int_primitive(b)) for b in lin]
     d = n - len(lin)
     if d == 0:
-        return [], [primitive(b) for b in lin]
-    lin_ech, lin_piv = row_echelon(lin)
+        return [], lin_out
+    red, red_piv = _gauss_jordan(lin, n)
+    e = red[-1][red_piv[-1]] if red else 1
     rays = []
     rayset = set()
-    for sub in itertools.combinations(range(len(arows)), d - 1):
-        subrows = [arows[i] for i in sub]
-        if matrix_rank(subrows) != d - 1:
+    for sub in itertools.combinations(arows, d - 1):
+        ech, piv = _gauss_jordan(sub, n)
+        if len(piv) != d - 1:
             continue
-        ker = kernel_basis(subrows, n)
-        # pick a kernel vector independent from the lineality space
-        y = None
-        for k in ker:
-            rem = reduce_mod_rowspace(k, lin_ech, lin_piv)
-            if not is_zero_vec(rem):
-                y = rem
+        # pick a kernel vector independent from the lineality space; y is
+        # e > 0 times its remainder modulo the RREF of the lineality
+        for k in _int_kernel(ech, piv, n):
+            y = [e * a for a in k]
+            for row, pc in zip(red, red_piv):
+                f = k[pc]
+                if f:
+                    y = [a - f * b for a, b in zip(y, row)]
+            if any(y):
                 break
-        if y is None:
+        else:
             continue
-        for cand in (y, vneg(y)):
-            if all(vdot(a, cand) >= 0 for a in arows):
-                p = primitive(cand)
+        for cand in (y, [-a for a in y]):
+            if all(sum(a * b for a, b in zip(row, cand)) >= 0 for row in arows):
+                p = _int_primitive(cand)
                 if p not in rayset:
                     rayset.add(p)
                     rays.append(p)
                 break
-    return rays, [primitive(b) for b in lin]
+    return [as_vec(p) for p in rays], lin_out
 
 
 class Cone:
@@ -324,25 +357,36 @@ class Cone:
 
 
 def lattice_points(c: Cone, height: int):
-    """All integer points of c with l1 norm <= height, lexicographic order."""
+    """All integer points of c with l1 norm <= height, lexicographic order.
+
+    Depth-first over the coordinates, carrying <y, prefix> for every integer
+    dual row y. A prefix with l1 budget `rest` left is dropped as soon as
+    <y, prefix> + rest * max_{j>i} |y_j| < 0 for some y: no completion can
+    then reach <y, v> >= 0, so no cone point is lost, and at the last
+    coordinate the test is membership itself.
+    """
     if height < 0:
         raise ValueError("height must be >= 0")
     n = c.n
+    rows = [int_vec(y) for y in c.dual_generators()]
+    cols = [[y[i] for y in rows] for i in range(n)]
+    tails = [[max(map(abs, y[i + 1:]), default=0) for y in rows] for i in range(n)]
     out = []
     point = [0] * n
 
-    def rec(i, budget):
+    def rec(i, budget, sums):
         if i == n:
-            if c.contains(tuple(Fraction(x) for x in point)):
-                out.append(tuple(point))
+            out.append(tuple(point))
             return
+        col, tail = cols[i], tails[i]
         for x in range(-budget, budget + 1):
-            point[i] = x
-            rec(i + 1, budget - abs(x))
-        point[i] = 0
+            rest = budget - abs(x)
+            nxt = [s + a * x for s, a in zip(sums, col)]
+            if all(s + rest * t >= 0 for s, t in zip(nxt, tail)):
+                point[i] = x
+                rec(i + 1, rest, nxt)
 
-    rec(0, height)
-    out.sort()
+    rec(0, height, [0] * len(rows))
     return out
 
 
@@ -477,8 +521,9 @@ def feasible_ge(cons, n):
             if lo[0] < hi[0]:
                 x.append((lo[0] + hi[0]) / 2)
             else:
-                assert lo[0] == hi[0] and not lo[1] and not hi[1], \
-                    "Fourier-Motzkin feasibility contradicted at back substitution"
+                if lo[0] > hi[0] or lo[1] or hi[1]:
+                    raise RuntimeError(
+                        "Fourier-Motzkin feasibility contradicted at back substitution")
                 x.append(lo[0])
     return tuple(x)
 
@@ -495,12 +540,10 @@ def feasible(sys: LinearSystem):
     w = feasible_ge(_to_ge_form(sys), n)
     if w is None:
         return None
-    den = 1
-    for a in w:
-        den = den * a.denominator // gcd(den, a.denominator)
-    w = tuple(int(a * den) for a in w)
+    w = tuple(_int_row(w))
     for c in sys.constraints:
-        assert c.holds(w), "witness fails %r" % (c,)
+        if not c.holds(w):
+            raise RuntimeError("witness %r fails %r" % (w, c))
     return w
 
 
@@ -694,13 +737,12 @@ def hilbert_basis_pointed(c: Cone, max_rank: int = 4):
     maximal linearly independent subsets of the extreme rays (Caratheodory),
     pruned to irreducible elements.
     """
-    if not c.is_strictly_convex():
+    rays, lin = c.rays_and_lineality()
+    if lin:
         raise ValueError("cone has lineality; Hilbert basis undefined")
     d = c.dim()
     if d > max_rank:
         raise ValueError("unsupported rank %d for Hilbert basis" % d)
-    rays, lin = c.rays_and_lineality()
-    assert not lin
     rays = [int_vec(r) for r in rays]
     if not rays:
         return []

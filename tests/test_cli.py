@@ -86,6 +86,13 @@ MALFORMED = (
     {"colored_cone": {"dim": "one", "generators": [[1]], "colors": []}},
     {"group": {"type": "GL", "rank": [2]}},
     {"group": {"factors": 5}},
+    {"rank": 1.5},
+    {"rank": True},
+    {"lattice_map": [[1.9], [-1.2]]},
+    {"colors": [{"label": "D", "rho": [True]}]},
+    {"valuation_cone": {"generators": [[-1.0], [1.0]]}},
+    {"group": {"name": "t1xsl2", "rank": 2.0, "simple_roots": [[0, 2]],
+               "simple_coroots": [[0, 1]]}},
 )
 COMMANDS = (["describe"], ["check", "--which", "wavefront"],
             ["basicfn", "--case", "pp", "--height", "2"])

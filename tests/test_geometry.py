@@ -4,19 +4,26 @@ Frozen examples were checked by hand; the property tests compare the cone
 and elimination routines against independent brute-force oracles (subset
 enumeration for feasibility, direct grid scans for lattice points).
 """
+import ast
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sphvar import geometry
 from sphvar.geometry import (
     GE, GT, EQ, LE, LT,
     Cone, Constraint, LatticeMap, LinearSystem,
     as_vec, elementary_divisors, feasible, hilbert_basis_pointed,
     inverse_unimodular, kernel_basis, lattice_points,
-    matrix_rank, primitive, saturation_quotient, smith_normal_form,
-    torsion_order, vdot,
+    matrix_rank, primitive, row_echelon, saturation_quotient,
+    smith_normal_form, torsion_order, vdot,
 )
 
 
@@ -181,6 +188,41 @@ def test_lattice_points_match_grid_scan(c, h):
     assert pts == brute
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+@given(data=st.data(), h=st.integers(min_value=0, max_value=6))
+@settings(max_examples=8, deadline=None)
+def test_lattice_points_match_l1_ball_filter(n, data, h):
+    c = data.draw(small_cones(n=n))
+    # n <= 3: the independent FM oracle, asked once per direction since
+    # membership is scale invariant; n = 4, 5: the cone's own dual
+    member = {}
+
+    def inside(p):
+        if c.n > 3:
+            return c.contains(p)
+        g = gcd(*p) or 1
+        d = tuple(a // g for a in p)
+        if d not in member:
+            member[d] = member_via_fm(c, d)
+        return member[d]
+
+    brute = [p for p in product(range(-h, h + 1), repeat=c.n)
+             if sum(map(abs, p)) <= h and inside(p)]
+    assert lattice_points(c, h) == brute
+
+
+def test_lattice_points_is_output_sensitive():
+    # the l1 ball of radius 60 in Z^6 has about 4.4e9 points; the ray has 11
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geometry.__file__)))
+    code = ("from sphvar.geometry import Cone, lattice_points; "
+            "print(lattice_points(Cone(6, [(1,) * 6]), 60))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr([(k,) * 6 for k in range(11)])
+
+
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin
 
@@ -192,6 +234,13 @@ def test_feasible_basic():
     # strict inequality on a line
     w = feasible(LinearSystem.of([((2, -1), LT)]))
     assert 2 * w[0] - w[1] < 0
+
+
+def test_feasible_rejects_a_wrong_witness(monkeypatch):
+    monkeypatch.setattr(geometry, "feasible_ge",
+                        lambda cons, n: (Fraction(-1),) * n)
+    with pytest.raises(RuntimeError, match="witness"):
+        feasible(LinearSystem.of([((1, 0), GT)]))
 
 
 def test_feasible_needs_all_relations():
@@ -469,3 +518,43 @@ def test_hilbert_basis_rank4():
     cube = [(a, b, c, 1) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
     hb = hilbert_basis_pointed(Cone(4, cube))
     assert sorted(cube) == hb
+
+
+# ---------------------------------------------------------------------------
+# linear algebra against sympy, and -O safety
+
+def test_linear_algebra_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+
+    def frac(x):
+        return Fraction(int(x.p), int(x.q))
+
+    for t in range(240):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4) if t % 2 else 1)
+                 for _ in range(n)] for _ in range(m)]
+        if m > 2 and t % 3 == 0:
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+        M = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator)
+                           for a in r] for r in rows])
+        assert matrix_rank(rows) == M.rank()
+        R, piv = M.rref()
+        ech, mine = row_echelon(rows)
+        assert tuple(mine) == piv
+        assert ech == [tuple(frac(x) for x in R.row(i)) for i in range(len(piv))]
+        ker = kernel_basis(rows, n)
+        ns = M.nullspace()
+        assert len(ker) == len(ns)
+        if ker:
+            K = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator)
+                               for a in k] for k in ker])
+            assert (M * K.T).is_zero_matrix
+            assert sympy.Matrix.vstack(K, *[v.T for v in ns]).rank() == len(ns)
+
+
+def test_geometry_has_no_assert():
+    with open(geometry.__file__) as f:
+        tree = ast.parse(f.read())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)] == []
