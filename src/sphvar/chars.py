@@ -361,9 +361,11 @@ def freudenthal_multiplicity(rd: RootDatum, lam, mu) -> int:
         lhs = tuple(x + y for x, y in zip(lhs, rho2))
         diff = tuple(a - b for a, b in zip(lam, wd))
         den = B(lhs, diff)
-        assert den > 0, "Freudenthal denominator must be positive"
+        if den <= 0:
+            raise RuntimeError("Freudenthal denominator must be positive")
         val = Fraction(2 * num, den)
-        assert val.denominator == 1 and val >= 0
+        if val.denominator != 1 or val < 0:
+            raise RuntimeError("multiplicity of %r in V(%r) is %s" % (wd, lam, val))
         memo[wd] = int(val)
         return memo[wd]
 
@@ -381,7 +383,8 @@ def weyl_dim(rd: RootDatum, lam) -> int:
     if not rd.positive_pairs:
         return 1
     v = num / den
-    assert v.denominator == 1 and v > 0
+    if v.denominator != 1 or v <= 0:
+        raise RuntimeError("Weyl dimension of %r is %s" % (lam, v))
     return int(v)
 
 
@@ -392,7 +395,9 @@ def irrep_char(rd: RootDatum, lam) -> WeightChar:
         raise ValueError("highest weight %r is not dominant" % (lam,))
     lowest = tuple(-x for x in rd.dominant_char(tuple(-x for x in lam)))
     span = _nat_root_expansion(rd, tuple(a - b for a, b in zip(lam, lowest)))
-    assert span is not None
+    if span is None:
+        raise RuntimeError("lowest weight of V(%r) is not below it in the root order"
+                           % (lam,))
     total = sum(span)
     k = rd.nsimple
     out = {}
@@ -410,7 +415,8 @@ def irrep_char(rd: RootDatum, lam) -> WeightChar:
 
     scan(0, total, (0,) * rd.rank)
     chi = WeightChar.of(out)
-    assert chi.dim() == weyl_dim(rd, lam), "character misses the Weyl dimension"
+    if chi.dim() != weyl_dim(rd, lam):
+        raise RuntimeError("character of V(%r) misses the Weyl dimension" % (lam,))
     return chi
 
 

@@ -168,15 +168,10 @@ def parse_document(obj) -> SphericalDatum:
         raise InputError("inconsistent document: %s" % e)
 
 
-def _cone_rows(cone: Cone):
-    # generators are primitive, so integral even when Fraction-typed
-    return [[int(x) for x in g] for g in cone.generators]
-
-
 def render_document(d: SphericalDatum) -> dict:
     cc = None
     if d.colored_cone is not None:
-        cc = {"generators": _cone_rows(d.colored_cone.cone),
+        cc = {"generators": [list(g) for g in d.colored_cone.cone.generators],
               "colors": list(d.colored_cone.colors)}
     return {
         "schema": SCHEMA,
@@ -184,7 +179,7 @@ def render_document(d: SphericalDatum) -> dict:
         "group": render_group(d.ambient),
         "rank": d.rank,
         "lattice_map": [list(r) for r in d.lattice_map.rows],
-        "valuation_cone": {"generators": _cone_rows(d.valuation_cone)},
+        "valuation_cone": {"generators": [list(g) for g in d.valuation_cone.generators]},
         "colors": [{"label": lbl, "rho": list(rho)} for lbl, rho in d.colors],
         "levi_roots": list(d.levi_roots),
         "spherical_roots": [list(g) for g in d.spherical_roots],
@@ -516,6 +511,8 @@ def cmd_catalog(args) -> int:
                                        else ""))
         return 0
     if args.action == "test":
+        if args.height < 0:
+            raise InputError("--height must be >= 0")
         rows = _catalog_checks(entry, height=args.height)
         for name, status, detail in rows:
             print("%s\t%s\t%s" % (name, status, detail))

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chars import QLaurent, WeightChar, decompose, kostant_counts, sym_powers_upto
-from .geometry import (Cone, GE, GT, LatticeMap, LinearSystem, as_vec, feasible,
-                       hilbert_basis_pointed, int_vec, inverse_unimodular,
+from .geometry import (Cone, GE, GT, LatticeMap, LinearSystem, _idot, feasible,
+                       hilbert_basis_pointed, inverse_unimodular,
                        lattice_points, primitive, saturation_quotient, vdot)
 from .rootdata import ParabolicDatum, RootDatum, dual_datum, levi_datum
 from .spherical import enumerate_orbits
@@ -188,7 +188,7 @@ class BasicFunctionTable:
 def _truncation_default(group: RootDatum, lifted_gens, height: int) -> int:
     m = 1
     for g in lifted_gens:
-        e = abs(vdot(group.rho, as_vec(g)))
+        e = abs(vdot(group.rho, g))
         m = max(m, int(e) + (0 if e.denominator == 1 else 1))
     return height * m + 2
 
@@ -213,7 +213,7 @@ def basic_function_borel(datum, route: BorelRoute, height: int) -> BasicFunction
                                 tuple(-x for x in lam))
         if not counts:
             continue
-        e = -vdot(g.rho, as_vec(lam))
+        e = -vdot(g.rho, lam)
         table[label] = QLaurent.of({e - i: c for i, c in counts.items()})
     trunc = _truncation_default(g, coroots, height)
     return BasicFunctionTable.of(datum.name, "UP-Borel", g.rank, table, trunc, height)
@@ -330,9 +330,9 @@ def minuscule_satake(rd: RootDatum, mu) -> dict:
     """
     dom = rd.dominant_cochar(mu)
     for a, _ in rd.positive_pairs:
-        if vdot(as_vec(a), as_vec(dom)) > 1:
+        if vdot(a, dom) > 1:
             raise ValueError("coweight %r is neither minuscule nor central" % (mu,))
-    e = vdot(rd.rho, as_vec(dom))
+    e = vdot(rd.rho, dom)
     return {lam: QLaurent.q_pow(e) for lam in rd.weyl_orbit_cochar(dom)}
 
 
@@ -341,7 +341,7 @@ def borel_shifts(route: BorelRoute, satake: dict):
     (h*f)(l) = sum coeff * f(l + shift)."""
     out = []
     for lam, c in sorted(satake.items()):
-        e = vdot(route.group.rho, as_vec(lam))
+        e = vdot(route.group.rho, lam)
         out.append((route.label_map.apply(lam), c * QLaurent.q_pow(e)))
     return out
 
@@ -353,7 +353,7 @@ def pp_shifts(route: PPRoute, satake: dict, kappa: int = KAPPA):
     by = {}
     for lam, c in satake.items():
         tb = p.pi(lam)
-        e = kappa * vdot(p.rho_m, as_vec(lam))
+        e = kappa * vdot(p.rho_m, lam)
         by[tb] = by.get(tb, QLaurent.zero()) + c * QLaurent.q_pow(e)
     out = []
     for tb in sorted(by):
@@ -480,7 +480,7 @@ def growth_certificate(table: BasicFunctionTable, hints=()):
     rows = [(l, v.degree()) for l, v in table.values]
     r = table.rank
     for chi in [(0,) * r] + [tuple(Fraction(x) for x in h) for h in hints]:
-        if all(vdot(as_vec(chi), as_vec(l)) >= d for l, d in rows):
+        if all(vdot(chi, l) >= d for l, d in rows):
             return tuple(Fraction(x) for x in chi)
     if not rows:
         return (Fraction(0),) * r
@@ -492,7 +492,8 @@ def growth_certificate(table: BasicFunctionTable, hints=()):
     if w is None:
         return None
     chi = tuple(Fraction(w[i], w[r]) for i in range(r))
-    assert all(vdot(as_vec(chi), as_vec(l)) >= d for l, d in rows)
+    if not all(vdot(chi, l) >= d for l, d in rows):
+        raise RuntimeError("growth certificate %r fails a tabulated stratum" % (chi,))
     return chi
 
 
@@ -503,11 +504,11 @@ def toric_distance(datum, label, q0) -> Fraction:
     if datum.colored_cone is None:
         raise ValueError("no colored cone on %s" % datum.name)
     c = datum.colored_cone.cone
-    lab = as_vec(tuple(int(x) for x in label))
+    lab = tuple(int(x) for x in label)
     if not c.contains(lab):
         raise ValueError("label %r is outside the embedding cone" % (label,))
     dual = c.dual()
-    lin = [int_vec(primitive(v)) for v in dual.lineality_basis()]
+    lin = [primitive(v) for v in dual.lineality_basis()]
     proj, sect = saturation_quotient(lin, c.n)
     img = proj.image_cone(dual)
     basis = hilbert_basis_pointed(img, max_rank=4)
@@ -515,8 +516,8 @@ def toric_distance(datum, label, q0) -> Fraction:
         return Fraction(1)
     best = None
     for h in basis:
-        chi = sect.apply(h)
-        e = vdot(as_vec(chi), lab)
-        assert e.denominator == 1 and e >= 0
-        best = int(e) if best is None else min(best, int(e))
+        e = _idot(sect.apply(h), lab)
+        if e < 0:
+            raise RuntimeError("boundary character %r is negative on %r" % (h, label))
+        best = e if best is None else min(best, e)
     return Fraction(q0) ** (-best)

@@ -1,10 +1,12 @@
 """Exact rational polyhedral geometry.
 
-Vectors are tuples of fractions.Fraction, cones are stored by finite
-generator lists in Q^n, and every decision procedure here is exact: no
-floating point anywhere. Linear algebra runs on integer rows: one
-fraction-free Gauss-Jordan elimination (Bareiss 1968) gives ranks, kernels
-and, after one division by the common pivot, the reduced row echelon form.
+A cone vector is a primitive integer tuple: cones store their generators
+and dual rows that way, so membership is an integer dot product, and a
+rational point is first scaled by the positive lcm of its denominators,
+which keeps every sign. Every decision procedure here is exact: no floating
+point anywhere. Linear algebra runs on integer rows: one fraction-free
+Gauss-Jordan elimination (Bareiss 1968) gives ranks, kernels and, after one
+division by the common pivot, the reduced row echelon form in Fractions.
 The facet description of a cone is obtained by a subset-kernel enumeration
 over the integer constraint rows; at the dimensions this package works in
 (n <= 7, generator counts in the teens) that is both exact and fast, and it
@@ -20,39 +22,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-Vec = tuple  # tuple of Fraction, fixed length
 _ZERO = Fraction(0)
 
 
-def as_vec(entries) -> Vec:
+def as_vec(entries) -> tuple:
     return tuple(Fraction(x) for x in entries)
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vneg(u: Vec) -> Vec:
+def vneg(u) -> tuple:
     return tuple(-a for a in u)
 
 
-def vscale(c, u: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
-def vdot(u: Vec, v: Vec) -> Fraction:
+def vdot(u, v) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dimension mismatch: %d vs %d" % (len(u), len(v)))
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def is_zero_vec(u: Vec) -> bool:
-    return all(a == 0 for a in u)
-
-
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
+def _idot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def _int_row(row):
@@ -67,21 +55,12 @@ def _int_primitive(v):
     return tuple(a // g for a in v) if g > 1 else tuple(v)
 
 
-def primitive(v: Vec) -> Vec:
+def primitive(v) -> tuple:
     """Scale by a positive rational so entries are coprime integers.
 
     Direction is preserved (rays must not flip). Zero maps to zero.
     """
-    return as_vec(_int_primitive(_int_row(v)))
-
-
-def int_vec(v: Vec) -> tuple:
-    out = []
-    for a in v:
-        if a.denominator != 1:
-            raise ValueError("not an integer vector: %r" % (v,))
-        out.append(int(a))
-    return tuple(out)
+    return _int_primitive(_int_row(v))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +141,7 @@ def kernel_basis(rows, n: int):
 def solve_linear(rows, rhs):
     """One exact solution x of rows . x = rhs, or None if inconsistent."""
     if not rows:
-        return zero_vec(0)
+        return ()
     n = len(rows[0])
     aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
     ech, piv = row_echelon(aug)
@@ -198,7 +177,7 @@ def _halfspace_gens(rows, n: int):
                 arows.append(r)
     lin_ech, lin_piv = _gauss_jordan(arows, n)
     lin = _int_kernel(lin_ech, lin_piv, n)
-    lin_out = [as_vec(_int_primitive(b)) for b in lin]
+    lin_out = [_int_primitive(b) for b in lin]
     d = n - len(lin)
     if d == 0:
         return [], lin_out
@@ -223,17 +202,17 @@ def _halfspace_gens(rows, n: int):
         else:
             continue
         for cand in (y, [-a for a in y]):
-            if all(sum(a * b for a, b in zip(row, cand)) >= 0 for row in arows):
+            if all(_idot(row, cand) >= 0 for row in arows):
                 p = _int_primitive(cand)
                 if p not in rayset:
                     rayset.add(p)
                     rays.append(p)
                 break
-    return [as_vec(p) for p in rays], lin_out
+    return rays, lin_out
 
 
 class Cone:
-    """Rational polyhedral cone, stored by generators in Q^n."""
+    """Rational polyhedral cone, stored by primitive integer generators."""
 
     __slots__ = ("n", "generators", "_dual_gens")
 
@@ -241,11 +220,10 @@ class Cone:
         gens = []
         seen = set()
         for g in generators:
-            g = as_vec(g)
-            if len(g) != n:
-                raise ValueError("generator dimension %d != ambient %d" % (len(g), n))
             p = primitive(g)
-            if is_zero_vec(p) or p in seen:
+            if len(p) != n:
+                raise ValueError("generator dimension %d != ambient %d" % (len(p), n))
+            if not any(p) or p in seen:
                 continue
             seen.add(p)
             gens.append(p)
@@ -303,10 +281,10 @@ class Cone:
         return Cone(self.n, self.dual_generators())
 
     def contains(self, v) -> bool:
-        v = as_vec(v)
+        v = _int_row(v)
         if len(v) != self.n:
             raise ValueError("point dimension %d != ambient %d" % (len(v), self.n))
-        return all(vdot(y, v) >= 0 for y in self.dual_generators())
+        return all(_idot(y, v) >= 0 for y in self.dual_generators())
 
     def contains_cone(self, other: "Cone") -> bool:
         return all(self.contains(g) for g in other.generators)
@@ -317,7 +295,7 @@ class Cone:
         return self.contains_cone(other) and other.contains_cone(self)
 
     def __repr__(self):
-        return "Cone(%d, %s)" % (self.n, [tuple(map(int, map(Fraction, g))) if all(a.denominator == 1 for a in g) else g for g in self.generators])
+        return "Cone(%d, %s)" % (self.n, list(self.generators))
 
     def dim(self) -> int:
         if not self.generators:
@@ -335,13 +313,13 @@ class Cone:
         return self.lineality_rank() == 0
 
     def relative_interior_contains(self, v) -> bool:
-        v = as_vec(v)
+        v = _int_row(v)
         if not self.contains(v):
             return False
         for y in self.dual_generators():
-            if vdot(y, v) == 0:
+            if _idot(y, v) == 0:
                 # a dual generator vanishing at v must vanish on the cone
-                if any(vdot(y, g) != 0 for g in self.generators):
+                if any(_idot(y, g) for g in self.generators):
                     return False
         return True
 
@@ -368,7 +346,7 @@ def lattice_points(c: Cone, height: int):
     if height < 0:
         raise ValueError("height must be >= 0")
     n = c.n
-    rows = [int_vec(y) for y in c.dual_generators()]
+    rows = c.dual_generators()
     cols = [[y[i] for y in rows] for i in range(n)]
     tails = [[max(map(abs, y[i + 1:]), default=0) for y in rows] for i in range(n)]
     out = []
@@ -399,7 +377,7 @@ _RELATIONS = (GE, GT, EQ, LT, LE)
 
 @dataclass(frozen=True)
 class Constraint:
-    normal: Vec
+    normal: tuple
     relation: str
 
     def holds(self, x) -> bool:
@@ -448,28 +426,30 @@ def _to_ge_form(sys: LinearSystem):
 
 
 def _fm_filter(cons):
-    """Drop trivial rows; return None if an all-zero strict row appears."""
+    """Primitive integer rows, deduplicated, trivial rows dropped; None if
+    an all-zero strict row appears."""
     kept = []
     seen = set()
     for a, s in cons:
-        if is_zero_vec(a):
+        key = (primitive(a), s)
+        if not any(key[0]):
             if s:
                 return None
             continue
-        key = (primitive(a), s)
         if key in seen:
             continue
         seen.add(key)
-        kept.append((key[0], s))
+        kept.append(key)
     return kept
 
 
 def feasible_ge(cons, n):
     """Witness for a system of homogeneous >=/>-constraints, or None.
 
-    Fourier-Motzkin elimination with strict flags carried symbolically; the
-    witness is rebuilt by back substitution, choosing midpoints or unit
-    offsets inside each one-dimensional feasibility interval.
+    Fourier-Motzkin elimination on primitive integer rows with strict flags
+    carried symbolically; the witness is rebuilt in Fractions by back
+    substitution, choosing midpoints or unit offsets inside each
+    one-dimensional feasibility interval.
     """
     levels = []
     cur = _fm_filter(cons)
@@ -488,7 +468,7 @@ def feasible_ge(cons, n):
             else:
                 neg.append((a, s))
         for (p, sp), (q, sq) in itertools.product(pos, neg):
-            comb = vadd(vscale(p[k], q), vscale(-q[k], p))
+            comb = [p[k] * a - q[k] * b for a, b in zip(q, p)]
             nxt.append((comb[:k] + comb[k + 1:], sp or sq))
         cur = _fm_filter(nxt)
         if cur is None:
@@ -655,13 +635,6 @@ class LatticeMap:
             raise ValueError("bad vector length")
         return tuple(sum(r[j] * v[j] for j in range(self.n)) for r in self.rows)
 
-    def apply_frac(self, v) -> Vec:
-        v = as_vec(v)
-        if self.rows and len(v) != self.n:
-            raise ValueError("bad vector length")
-        return tuple(sum((Fraction(r[j]) * v[j] for j in range(self.n)), Fraction(0))
-                     for r in self.rows)
-
     def transpose(self) -> "LatticeMap":
         return LatticeMap.of(list(zip(*self.rows))) if self.rows else LatticeMap.of([])
 
@@ -673,13 +646,13 @@ class LatticeMap:
             for i in range(self.m)])
 
     def rank(self) -> int:
-        return matrix_rank([as_vec(r) for r in self.rows])
+        return matrix_rank(self.rows)
 
     def is_injective(self) -> bool:
         return self.rank() == self.n
 
     def image_cone(self, c: Cone) -> Cone:
-        return Cone(self.m, [self.apply_frac(g) for g in c.generators])
+        return Cone(self.m, [self.apply(g) for g in c.generators])
 
 
 def torsion_order(m: LatticeMap) -> int:
@@ -695,8 +668,7 @@ def torsion_order(m: LatticeMap) -> int:
 def inverse_unimodular(mat):
     """Exact inverse of a square integer matrix with det +-1, as int rows."""
     n = len(mat)
-    aug = [list(map(Fraction, mat[i])) + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
+    aug = [list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     ech, piv = row_echelon(aug)
     if piv != list(range(n)):
         raise ValueError("matrix is singular")
@@ -743,14 +715,12 @@ def hilbert_basis_pointed(c: Cone, max_rank: int = 4):
     d = c.dim()
     if d > max_rank:
         raise ValueError("unsupported rank %d for Hilbert basis" % d)
-    rays = [int_vec(r) for r in rays]
     if not rays:
         return []
     n = c.n
     cands = set(rays)
     for sub in itertools.combinations(rays, d):
-        subf = [as_vec(s) for s in sub]
-        if matrix_rank(subf) != d:
+        if matrix_rank(sub) != d:
             continue
         # bounding box of the parallelepiped {sum t_i r_i : 0 <= t_i <= 1}
         lo = [0] * n
@@ -761,17 +731,17 @@ def hilbert_basis_pointed(c: Cone, max_rank: int = 4):
                     lo[i] += s[i]
                 else:
                     hi[i] += s[i]
-        cols = list(zip(*subf))  # n rows of length d
+        cols = list(zip(*sub))  # n rows of length d
 
         def inside(pt):
-            coeffs = solve_linear(cols, as_vec(pt))
+            coeffs = solve_linear(cols, pt)
             if coeffs is None:
                 return False
             if any(t < 0 or t > 1 for t in coeffs):
                 return False
             # pt must equal sum t_i r_i exactly (cols may be rank d < n rows)
             for i in range(n):
-                if sum((coeffs[j] * subf[j][i] for j in range(d)), Fraction(0)) != pt[i]:
+                if sum(coeffs[j] * sub[j][i] for j in range(d)) != pt[i]:
                     return False
             return True
 
@@ -797,7 +767,7 @@ def hilbert_basis_pointed(c: Cone, max_rank: int = 4):
             diff = tuple(a - b for a, b in zip(x, y))
             if all(a == 0 for a in diff):
                 continue
-            if c.contains(tuple(Fraction(a) for a in diff)):
+            if c.contains(diff):
                 reducible = True
                 break
         if not reducible:

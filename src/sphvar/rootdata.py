@@ -12,17 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .geometry import (
-    as_vec, kernel_basis, matrix_rank, primitive, saturation_quotient,
-    solve_linear, vdot,
+    _idot, kernel_basis, matrix_rank, primitive, row_echelon,
+    saturation_quotient, vdot,
 )
 
 _CLOSURE_CAP = 4096  # plenty for rank <= 7; guards non-crystallographic input
-
-
-def _idot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,7 @@ class RootDatum:
         for a, av in zip(roots, coroots):
             if _idot(a, av) != 2:
                 raise ValueError("<alpha, alpha^> != 2 for %r / %r" % (a, av))
-        if roots and matrix_rank([as_vec(a) for a in roots]) != len(roots):
+        if roots and matrix_rank(roots) != len(roots):
             raise ValueError("simple roots are linearly dependent")
 
     @property
@@ -75,27 +72,34 @@ class RootDatum:
             frontier = nxt
         return pairs
 
+    @cached_property
+    def _expansion_rows(self):
+        """(d, top, bottom): the rows of d * E, where E.[A | I] = [R | E] is the
+        RREF and the columns of A are the simple roots. They are independent,
+        so R is the identity over zero rows: v lies in their span iff
+        bottom.v = 0, and then its coefficients are top.v / d."""
+        k, n = self.nsimple, self.rank
+        aug = [tuple(a[i] for a in self.simple_roots)
+               + tuple(int(i == j) for j in range(n)) for i in range(n)]
+        inv = [row[k:] for row in row_echelon(aug)[0]]
+        d = lcm(*(x.denominator for row in inv for x in row))
+        inv = [tuple(int(x * d) for x in row) for row in inv]
+        return d, inv[:k], inv[k:]
+
     def simple_root_expansion(self, v):
         """Coefficients of v in the simple roots, or None if outside the span."""
-        v = as_vec(v)
-        if not self.simple_roots:
-            return () if all(x == 0 for x in v) else None
-        cols = [as_vec(col) for col in zip(*self.simple_roots)]
-        sol = solve_linear(cols, v)
-        if sol is None:
+        d, top, bottom = self._expansion_rows
+        if any(_idot(row, v) for row in bottom):
             return None
-        # simple roots are independent, so the solution is the expansion
-        for i in range(self.rank):
-            if sum(sol[j] * self.simple_roots[j][i] for j in range(self.nsimple)) != v[i]:
-                return None
-        return sol
+        return tuple(Fraction(_idot(row, v), d) for row in top)
 
     @cached_property
     def positive_pairs(self):
         out = []
         for b, bv in sorted(self._all_pairs):
             exp = self.simple_root_expansion(b)
-            assert exp is not None, "root outside simple-root span"
+            if exp is None:
+                raise RuntimeError("root %r outside the simple-root span" % (b,))
             if all(c >= 0 for c in exp):
                 out.append((b, bv))
         return tuple(out)
@@ -176,10 +180,10 @@ class RootDatum:
 
     # -- dominance -------------------------------------------------------
     def is_dominant_char(self, v) -> bool:
-        return all(vdot(as_vec(v), as_vec(av)) >= 0 for av in self.simple_coroots)
+        return all(vdot(v, av) >= 0 for av in self.simple_coroots)
 
     def is_dominant_cochar(self, v) -> bool:
-        return all(vdot(as_vec(a), as_vec(v)) >= 0 for a in self.simple_roots)
+        return all(vdot(a, v) >= 0 for a in self.simple_roots)
 
     def dominant_cochar(self, v):
         """The dominant Weyl-chamber representative of a cocharacter."""
@@ -206,8 +210,7 @@ class RootDatum:
 
     def central_cochar_basis(self):
         """Basis of the cocharacters killed by every root (the center rank)."""
-        basis = kernel_basis([as_vec(a) for a in self.simple_roots], self.rank)
-        return tuple(tuple(int(x) for x in primitive(b)) for b in basis)
+        return tuple(primitive(b) for b in kernel_basis(self.simple_roots, self.rank))
 
 
 def _orbit(v, pairs, side):
@@ -380,7 +383,8 @@ class ParabolicDatum:
     def rho_p(self):
         rp = tuple(a - b for a, b in zip(self.datum.rho, self.levi.rho))
         for av in self.levi.simple_coroots:
-            assert vdot(rp, as_vec(av)) == 0, "rho_P not orthogonal to Levi coroots"
+            if vdot(rp, av) != 0:
+                raise RuntimeError("rho_P not orthogonal to Levi coroots")
         return rp
 
     @cached_property
@@ -401,13 +405,14 @@ class ParabolicDatum:
         return self.quotient[1].apply(tuple(int(x) for x in theta))
 
     def grade(self, coroot) -> int:
-        g = 2 * vdot(self.rho_m, as_vec(coroot))
-        assert g.denominator == 1
+        g = 2 * vdot(self.rho_m, coroot)
+        if g.denominator != 1:
+            raise RuntimeError("2<rho_M, %r> is not an integer" % (coroot,))
         return int(g)
 
     def rho_p_pair(self, theta) -> Fraction:
         """<rho_P, lift(theta)>; independent of the choice of lift."""
-        return vdot(self.rho_p, as_vec(self.lift(theta)))
+        return vdot(self.rho_p, self.lift(theta))
 
     @cached_property
     def monoid_generators(self):

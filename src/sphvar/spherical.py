@@ -70,7 +70,7 @@ class SphericalDatum:
             if len(g) != self.rank:
                 raise ValueError("spherical root %r has a bad length" % (g,))
             for v in self.valuation_cone.generators:
-                if vdot([int(x) for x in g], v) > 0:
+                if vdot(g, v) > 0:
                     raise ValueError(
                         "spherical root %r pairs > 0 with a valuation generator" % (g,))
         chamber = antidominant_cochar_chamber(self.ambient)
@@ -146,8 +146,7 @@ def validate_colored_cone(d: SphericalDatum, cc: ColoredCone):
     rho_f = d.rho_image(cc.colors)
     if not cc.cone.is_strictly_convex():
         return False, "condition (i): cone contains a line"
-    hull = Cone(d.rank, tuple(tuple(v) for v in
-                              list(rho_f) + list(d.valuation_cone.generators)))
+    hull = Cone(d.rank, rho_f + list(d.valuation_cone.generators))
     for g in cc.cone.generators:
         if not hull.contains(g):
             return False, "condition (i): generator outside cone(rho(F) + V)"
@@ -320,6 +319,6 @@ def aut_lineality(d: SphericalDatum):
     rank = len(lin)
     if d.colored_cone is None:
         return rank, None
-    gens = [tuple(int(x) for x in primitive(v)) for v in lin]
+    gens = [primitive(v) for v in lin]
     lin_cone = Cone(d.rank, tuple(gens + [tuple(-x for x in g) for g in gens]))
     return rank, lin_cone.intersect(d.colored_cone.cone)

@@ -66,6 +66,17 @@ def test_colored_cone_is_valid(key):
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
+def test_cone_vectors_are_ints(key):
+    d = load(key).datum
+    cones = [d.valuation_cone, d.colored_cone.cone,
+             d.valuation_cone.intersect(d.colored_cone.cone),
+             affine_closure_data(d).cone]
+    for c in cones:
+        for v in c.generators + c.dual_generators():
+            assert all(type(a) is int for a in v), (c, v)
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
 def test_wavefront_flag_matches(key):
     e = load(key)
     assert is_wavefront(e.datum) == e.wavefront_expected

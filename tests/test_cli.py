@@ -119,6 +119,22 @@ def test_non_closing_orbit_fails_fast_under_optimize(tmp_path):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+def test_optimize_changes_no_output(tmp_path):
+    # -O strips assert statements, so no check a result depends on may be one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    doc = doc_path(tmp_path, "pp-gl3")
+    for argv in (["catalog", "test", "borel-sl3"],
+                 ["basicfn", doc, "--case", "graded", "--height", "4"]):
+        plain, optimized = [
+            subprocess.run([sys.executable] + flags + ["-m", "sphvar.cli"] + argv,
+                           capture_output=True, env=env, timeout=60)
+            for flags in ([], ["-O"])]
+        assert plain.returncode == 0 and plain.stdout, argv
+        assert (optimized.returncode, optimized.stdout, optimized.stderr) == \
+            (plain.returncode, plain.stdout, plain.stderr), argv
+
+
 def test_parse_document_reports_inconsistency():
     doc = render_document(load("a2-sl2").datum)
     doc["rank"] = 2
@@ -406,6 +422,10 @@ def test_catalog_bad_requests(capsys):
     assert run(capsys, ["catalog", "show", "nope"])[0] == 2
     assert run(capsys, ["catalog", "show"])[0] == 2
     assert run(capsys, ["catalog", "test"])[0] == 2
+    for key in ("borel-sl3", "hecke-gl2", "tensor-4"):
+        code, out, err = run(capsys, ["catalog", "test", key, "--height", "-1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphvar import geometry
+from sphvar import chars, engine, geometry, rootdata
 from sphvar.geometry import (
     GE, GT, EQ, LE, LT,
     Cone, Constraint, LatticeMap, LinearSystem,
@@ -114,6 +114,13 @@ def test_primitive():
     assert primitive(as_vec((-2, -4))) == as_vec((-1, -2))  # direction preserved
 
 
+def test_cone_vectors_are_ints():
+    c = Cone(2, [(Fraction(1, 2), 1)])
+    assert c.generators == ((1, 2),)
+    assert all(type(a) is int for v in c.generators + c.dual_generators() for a in v)
+    assert repr(c) == "Cone(2, [(1, 2)])"
+
+
 # ---------------------------------------------------------------------------
 # lattice points
 
@@ -175,6 +182,33 @@ def member_via_fm(c, v):
 @settings(max_examples=40, deadline=None)
 def test_membership_matches_fm_oracle(c, v):
     assert c.contains(v) == member_via_fm(c, v)
+
+
+def frac_dot(u, v):
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_membership_matches_fraction_dot_products(data):
+    n = data.draw(st.integers(1, 4))
+    c = data.draw(small_cones(n=n))
+    if c.generators and data.draw(st.booleans()):
+        # a rational point of the cone, on a face when some weight is 0
+        ts = data.draw(st.lists(st.fractions(0, 2, max_denominator=5),
+                                min_size=len(c.generators), max_size=len(c.generators)))
+        v = tuple(sum((t * g[i] for t, g in zip(ts, c.generators)), Fraction(0))
+                  for i in range(n))
+    else:
+        v = tuple(data.draw(st.lists(st.fractions(-3, 3, max_denominator=6),
+                                     min_size=n, max_size=n)))
+    duals = c.dual_generators()
+    inside = all(frac_dot(y, v) >= 0 for y in duals)
+    assert c.contains(v) == inside
+    relint = inside and all(frac_dot(y, v) > 0 or
+                            all(frac_dot(y, g) == 0 for g in c.generators)
+                            for y in duals)
+    assert c.relative_interior_contains(v) == relint
 
 
 @given(small_cones(n=2), st.integers(min_value=0, max_value=3))
@@ -311,6 +345,86 @@ def test_feasible_matches_oracle(items):
     if w is not None:
         for c in sys.constraints:
             assert c.holds(w)
+
+
+def fm_fraction_reference(sys):
+    """Fourier-Motzkin elimination on Fraction rows, each scaled to coprime
+    integer entries, with the back substitution of `feasible_ge`; the
+    witness is scaled by the lcm of its denominators."""
+    n = sys.dim
+    rows = []
+    for c in sys.constraints:
+        a = tuple(Fraction(x) for x in c.normal)
+        neg = tuple(-x for x in a)
+        rows += {GE: [(a, False)], GT: [(a, True)], LE: [(neg, False)],
+                 LT: [(neg, True)], EQ: [(a, False), (neg, False)]}[c.relation]
+
+    def prim(a):
+        den = lcm(*(x.denominator for x in a))
+        g = gcd(*(int(x * den) for x in a))
+        return tuple(x * den / g for x in a)
+
+    def filt(cons):
+        kept, seen = [], set()
+        for a, s in cons:
+            if not any(a):
+                if s:
+                    return None
+                continue
+            key = (prim(a), s)
+            if key not in seen:
+                seen.add(key)
+                kept.append(key)
+        return kept
+
+    levels = []
+    cur = filt(rows)
+    for k in reversed(range(n)):
+        if cur is None:
+            return None
+        levels.append(cur)
+        nxt = [(a[:k] + a[k + 1:], s) for a, s in cur if a[k] == 0]
+        pos = [(a, s) for a, s in cur if a[k] > 0]
+        neg = [(a, s) for a, s in cur if a[k] < 0]
+        for (p, sp), (q, sq) in product(pos, neg):
+            comb = tuple(p[k] * x - q[k] * y for x, y in zip(q, p))
+            nxt.append((comb[:k] + comb[k + 1:], sp or sq))
+        cur = filt(nxt)
+    if cur is None:
+        return None
+    x = []
+    for cons in reversed(levels):
+        j = len(x)
+        lo = hi = None
+        for a, s in cons:
+            if a[j] == 0:
+                continue
+            bound = -sum((a[i] * x[i] for i in range(j)), Fraction(0)) / a[j]
+            if a[j] > 0:
+                if lo is None or bound > lo[0] or (bound == lo[0] and s):
+                    lo = (bound, s)
+            elif hi is None or bound < hi[0] or (bound == hi[0] and s):
+                hi = (bound, s)
+        if lo is None and hi is None:
+            x.append(Fraction(0))
+        elif hi is None:
+            x.append(lo[0] + 1 if lo[1] else lo[0])
+        elif lo is None:
+            x.append(hi[0] - 1 if hi[1] else hi[0])
+        else:
+            x.append((lo[0] + hi[0]) / 2 if lo[0] < hi[0] else lo[0])
+    den = lcm(*(v.denominator for v in x))
+    return tuple(int(v * den) for v in x)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(st.tuples(*[st.integers(-3, 3)] * n),
+              st.sampled_from([GE, GT, EQ, LE, LT])),
+    min_size=1, max_size=7)))
+@settings(max_examples=120, deadline=None)
+def test_feasible_matches_fraction_fm_reference(items):
+    sys = LinearSystem.of(items)
+    assert feasible(sys) == fm_fraction_reference(sys)
 
 
 def test_constraint_holds():
@@ -553,8 +667,10 @@ def test_linear_algebra_matches_sympy():
             assert sympy.Matrix.vstack(K, *[v.T for v in ns]).rank() == len(ns)
 
 
-def test_geometry_has_no_assert():
-    with open(geometry.__file__) as f:
+@pytest.mark.parametrize("module", (geometry, rootdata, engine, chars),
+                         ids=lambda m: m.__name__.split(".")[-1])
+def test_module_has_no_assert(module):
+    with open(module.__file__) as f:
         tree = ast.parse(f.read())
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert)] == []
