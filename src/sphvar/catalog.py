@@ -367,10 +367,11 @@ def _entries():
         routes=(SmoothRoute(),))
 
     for entry in out.values():
-        assert entry.preflag_case in _CASES
+        if entry.preflag_case not in _CASES:
+            raise RuntimeError("%s: unknown preflag case" % entry.key)
         # a reductive generic stabilizer leaves nothing to induce from
-        assert not (entry.reductive_stabilizer
-                    and entry.datum.levi_roots)
+        if entry.reductive_stabilizer and entry.datum.levi_roots:
+            raise RuntimeError("%s: reductive stabilizer with Levi roots" % entry.key)
     return out
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from .geometry import span_coordinates
 from .rootdata import RootDatum, _idot
 
 
@@ -255,6 +256,21 @@ def sym_powers_upto(chi: WeightChar, imax: int):
 # ---------------------------------------------------------------------------
 # Kostant counts
 
+def _nat_coordinates(span, v):
+    """Coefficients of v in a basis given by its span_coordinates, if they
+    are all nonnegative integers; else None."""
+    d, top, bottom = span
+    if any(_idot(row, v) for row in bottom):
+        return None
+    out = []
+    for row in top:
+        c, r = divmod(_idot(row, v), d)
+        if r or c < 0:
+            return None
+        out.append(c)
+    return tuple(out)
+
+
 def kostant_counts(simple_coroots, coroots, target):
     """{number of parts i: #multisets of i positive coroots summing to target}.
 
@@ -263,19 +279,13 @@ def kostant_counts(simple_coroots, coroots, target):
     nonnegative integer combination of the simple coroots, which also bounds
     the recursion depth by the coroot height of the target.
     """
-    from .geometry import solve_linear
-
     simple_coroots = [tuple(int(x) for x in c) for c in simple_coroots]
     coroots = [tuple(int(x) for x in c) for c in coroots]
     target = tuple(int(x) for x in target)
-    n = len(target)
-    rows = [[c[j] for c in simple_coroots] for j in range(n)]
+    span = span_coordinates(simple_coroots, len(target))
 
     def viable(v):
-        sol = solve_linear(rows, list(v))
-        if sol is None:
-            return False
-        return all(x.denominator == 1 and x >= 0 for x in sol)
+        return _nat_coordinates(span, v) is not None
 
     if not viable(target):
         return {}
@@ -314,15 +324,7 @@ def _bform(rd: RootDatum):
 
 def _nat_root_expansion(rd: RootDatum, v):
     """Coefficients of v in simple roots if all are nonnegative integers."""
-    exp = rd.simple_root_expansion(v)
-    if exp is None:
-        return None
-    out = []
-    for c in exp:
-        if c.denominator != 1 or c < 0:
-            return None
-        out.append(int(c))
-    return tuple(out)
+    return _nat_coordinates(rd._expansion_rows, v)
 
 
 def freudenthal_multiplicity(rd: RootDatum, lam, mu) -> int:

@@ -717,8 +717,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "catalog" and args.action in ("show", "test") \
             and not args.key:
         print("error: catalog %s needs a key" % args.action, file=sys.stderr)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .chars import QLaurent, WeightChar, decompose, kostant_counts, sym_powers_upto
 from .geometry import (Cone, GE, GT, LatticeMap, LinearSystem, _idot, feasible,
                        hilbert_basis_pointed, inverse_unimodular,
-                       lattice_points, primitive, saturation_quotient, vdot)
+                       lattice_points, saturation_quotient, vdot)
 from .rootdata import ParabolicDatum, RootDatum, dual_datum, levi_datum
 from .spherical import enumerate_orbits
 
@@ -201,10 +201,9 @@ def basic_function_borel(datum, route: BorelRoute, height: int) -> BasicFunction
     per stratum.
     """
     g = route.group
-    mat = [list(r) for r in route.label_map.rows]
     if route.label_map.m != route.label_map.n or route.label_map.n != g.rank:
         raise ValueError("label map is not square of the group rank")
-    minv = LatticeMap.of(inverse_unimodular(mat))
+    minv = LatticeMap.of(inverse_unimodular(route.label_map.rows))
     coroots = [bv for _, bv in g.positive_pairs]
     table = {}
     for label in lattice_points(Cone.full(g.rank), height):
@@ -508,8 +507,7 @@ def toric_distance(datum, label, q0) -> Fraction:
     if not c.contains(lab):
         raise ValueError("label %r is outside the embedding cone" % (label,))
     dual = c.dual()
-    lin = [primitive(v) for v in dual.lineality_basis()]
-    proj, sect = saturation_quotient(lin, c.n)
+    proj, sect = saturation_quotient(dual.lineality_basis(), c.n)
     img = proj.image_cone(dual)
     basis = hilbert_basis_pointed(img, max_rank=4)
     if not basis:

@@ -5,8 +5,11 @@ and dual rows that way, so membership is an integer dot product, and a
 rational point is first scaled by the positive lcm of its denominators,
 which keeps every sign. Every decision procedure here is exact: no floating
 point anywhere. Linear algebra runs on integer rows: one fraction-free
-Gauss-Jordan elimination (Bareiss 1968) gives ranks, kernels and, after one
-division by the common pivot, the reduced row echelon form in Fractions.
+Gauss-Jordan elimination (Bareiss 1968) gives ranks, primitive integer
+kernels, span coordinates (a common denominator d with integer rows, so a
+coefficient is an integer dot product over d) and unimodular inverses.
+These answers are integer; Fractions appear only in the public rational
+API `row_echelon` and `solve_linear`, and in Fourier-Motzkin witnesses.
 The facet description of a cone is obtained by a subset-kernel enumeration
 over the integer constraint rows; at the dimensions this package works in
 (n <= 7, generator counts in the teens) that is both exact and fast, and it
@@ -69,10 +72,11 @@ def primitive(v) -> tuple:
 def _gauss_jordan(rows, ncols: int):
     """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss 1968).
 
-    Returns (rows, pivot_columns): the nonzero rows of d * RREF in pivot
-    order, where every pivot entry equals the same positive integer d. Each
-    step replaces a row by (p * row - f * pivot_row) / prev, which is exact
-    because every entry is a signed minor of the input (Sylvester's identity).
+    Returns (rows, pivot_columns, d): the nonzero rows of d * RREF in pivot
+    order, where every pivot entry equals the same positive integer d (1 if
+    there is no pivot). Each step replaces a row by
+    (p * row - f * pivot_row) / prev, which is exact because every entry is
+    a signed minor of the input (Sylvester's identity).
     """
     work = [list(r) for r in rows]
     m = len(work)
@@ -95,16 +99,15 @@ def _gauss_jordan(rows, ncols: int):
         prev = p
         pivots.append(c)
     sign = -1 if prev < 0 else 1
-    return [[sign * a for a in row] for row in work[:len(pivots)]], pivots
+    return [[sign * a for a in row] for row in work[:len(pivots)]], pivots, abs(prev)
 
 
-def _int_kernel(ech, pivots, n: int):
+def _int_kernel(ech, pivots, d, n: int):
     """Kernel basis from _gauss_jordan output, as integer vectors.
 
     Each vector is d > 0 times the RREF kernel vector of its free column
     (the one with a 1 there), in free-column order.
     """
-    d = ech[-1][pivots[-1]] if pivots else 1
     basis = []
     for fc in range(n):
         if fc in pivots:
@@ -122,20 +125,39 @@ def row_echelon(rows):
     if not rows:
         return [], []
     ints = [_int_row(r) for r in rows]
-    ech, piv = _gauss_jordan(ints, len(ints[0]))
-    d = ech[-1][piv[-1]] if piv else 1
+    ech, piv, d = _gauss_jordan(ints, len(ints[0]))
     return [tuple(Fraction(x, d) if x else _ZERO for x in row) for row in ech], piv
 
 
 def matrix_rank(rows) -> int:
-    return len(row_echelon(rows)[1])
+    ncols = len(rows[0]) if rows else 0
+    return len(_gauss_jordan([_int_row(r) for r in rows], ncols)[1])
 
 
 def kernel_basis(rows, n: int):
-    """Basis of {x in Q^n : <row, x> = 0 for every row}, from the RREF."""
-    ech, piv = _gauss_jordan([_int_row(r) for r in rows], n)
-    d = ech[-1][piv[-1]] if piv else 1
-    return [tuple(Fraction(a, d) for a in x) for x in _int_kernel(ech, piv, n)]
+    """Basis of {x in Q^n : <row, x> = 0 for every row}, as primitive int
+    tuples, one per free column of the RREF."""
+    ints = [_int_row(r) for r in rows]
+    return [_int_primitive(x) for x in _int_kernel(*_gauss_jordan(ints, n), n)]
+
+
+def span_coordinates(basis, n: int):
+    """(d, top, bottom) for linearly independent integer vectors in Z^n.
+
+    One elimination of [B | I], B having the basis vectors as columns,
+    gives E.[B | I] = [R | E] in RREF; independence makes R the identity
+    over zero rows. top and bottom are the rows of d * E split there: v
+    lies in the span iff bottom.v = 0, and then its coefficients are
+    top.v / d. Raises ValueError if the vectors are dependent.
+    """
+    k = len(basis)
+    aug = [[b[i] for b in basis] + [int(i == j) for j in range(n)]
+           for i in range(n)]
+    ech, piv, d = _gauss_jordan(aug, k + n)
+    if piv[:k] != list(range(k)):
+        raise ValueError("basis vectors are linearly dependent")
+    inv = [tuple(row[k:]) for row in ech]
+    return d, inv[:k], inv[k:]
 
 
 def solve_linear(rows, rhs):
@@ -175,23 +197,20 @@ def _halfspace_gens(rows, n: int):
             if r not in seen:
                 seen.add(r)
                 arows.append(r)
-    lin_ech, lin_piv = _gauss_jordan(arows, n)
-    lin = _int_kernel(lin_ech, lin_piv, n)
-    lin_out = [_int_primitive(b) for b in lin]
+    lin = kernel_basis(arows, n)
     d = n - len(lin)
     if d == 0:
-        return [], lin_out
-    red, red_piv = _gauss_jordan(lin, n)
-    e = red[-1][red_piv[-1]] if red else 1
+        return [], lin
+    red, red_piv, e = _gauss_jordan(lin, n)
     rays = []
     rayset = set()
     for sub in itertools.combinations(arows, d - 1):
-        ech, piv = _gauss_jordan(sub, n)
+        ech, piv, dd = _gauss_jordan(sub, n)
         if len(piv) != d - 1:
             continue
         # pick a kernel vector independent from the lineality space; y is
         # e > 0 times its remainder modulo the RREF of the lineality
-        for k in _int_kernel(ech, piv, n):
+        for k in _int_kernel(ech, piv, dd, n):
             y = [e * a for a in k]
             for row, pc in zip(red, red_piv):
                 f = k[pc]
@@ -208,7 +227,7 @@ def _halfspace_gens(rows, n: int):
                     rayset.add(p)
                     rays.append(p)
                 break
-    return rays, lin_out
+    return rays, lin
 
 
 class Cone:
@@ -668,17 +687,15 @@ def torsion_order(m: LatticeMap) -> int:
 def inverse_unimodular(mat):
     """Exact inverse of a square integer matrix with det +-1, as int rows."""
     n = len(mat)
-    aug = [list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    ech, piv = row_echelon(aug)
-    if piv != list(range(n)):
-        raise ValueError("matrix is singular")
-    inv = []
-    for i in range(n):
-        row = ech[i][n:]
-        if any(a.denominator != 1 for a in row):
-            raise ValueError("matrix is not unimodular")
-        inv.append(tuple(int(a) for a in row))
-    return inv
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix is not square")
+    try:
+        d, top, _ = span_coordinates(list(zip(*mat)), n)
+    except ValueError:
+        raise ValueError("matrix is singular") from None
+    if any(x % d for row in top for x in row):
+        raise ValueError("matrix is not unimodular")
+    return [tuple(x // d for x in row) for row in top]
 
 
 def saturation_quotient(vectors, n: int):
@@ -720,56 +737,21 @@ def hilbert_basis_pointed(c: Cone, max_rank: int = 4):
     n = c.n
     cands = set(rays)
     for sub in itertools.combinations(rays, d):
-        if matrix_rank(sub) != d:
+        try:
+            e, top, bottom = span_coordinates(sub, n)
+        except ValueError:
             continue
-        # bounding box of the parallelepiped {sum t_i r_i : 0 <= t_i <= 1}
-        lo = [0] * n
-        hi = [0] * n
-        for i in range(n):
-            for s in sub:
-                if s[i] < 0:
-                    lo[i] += s[i]
-                else:
-                    hi[i] += s[i]
-        cols = list(zip(*sub))  # n rows of length d
-
-        def inside(pt):
-            coeffs = solve_linear(cols, pt)
-            if coeffs is None:
-                return False
-            if any(t < 0 or t > 1 for t in coeffs):
-                return False
-            # pt must equal sum t_i r_i exactly (cols may be rank d < n rows)
-            for i in range(n):
-                if sum(coeffs[j] * sub[j][i] for j in range(d)) != pt[i]:
-                    return False
-            return True
-
-        def scan(i, pt):
-            if i == n:
-                t = tuple(pt)
-                if any(t) and inside(t):
-                    cands.add(t)
-                return
-            for x in range(lo[i], hi[i] + 1):
-                pt.append(x)
-                scan(i + 1, pt)
-                pt.pop()
-
-        scan(0, [])
+        # scan the bounding box of the parallelepiped of sub: a point is in
+        # the parallelepiped iff it lies in the span (bottom.pt = 0) and
+        # every coefficient top.pt / e lies in [0, 1]
+        box = [range(sum(min(r[i], 0) for r in sub),
+                     sum(max(r[i], 0) for r in sub) + 1) for i in range(n)]
+        for pt in itertools.product(*box):
+            if (any(pt) and not any(_idot(row, pt) for row in bottom)
+                    and all(0 <= _idot(row, pt) <= e for row in top)):
+                cands.add(pt)
+    # x is reducible iff x - y lies in c for another candidate y
     cand_list = sorted(cands)
-    basis = []
-    for x in cand_list:
-        reducible = False
-        for y in cand_list:
-            if y == x:
-                continue
-            diff = tuple(a - b for a, b in zip(x, y))
-            if all(a == 0 for a in diff):
-                continue
-            if c.contains(diff):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(x)
-    return basis
+    return [x for x in cand_list
+            if not any(y != x and c.contains(tuple(a - b for a, b in zip(x, y)))
+                       for y in cand_list)]

@@ -4,7 +4,7 @@ Everything here is enumerated over F = F_p((t)) for a small prime p: matrices
 have truncated-series entries, orbit labels are read off valuations, and
 Hecke operators act through explicit left-coset lists.  The enumeration core
 is independent of the symbolic engine; only the Satake comparison at the
-bottom imports it, and that comparison is the point of the module.
+bottom uses it, and that comparison is the point of the module.
 
 Precision policy: callers pass prec = 2 * height + 4 (plus the operator
 degree when convolving repeatedly).  All valuations and elementary divisors
@@ -17,6 +17,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+# the symbolic side, used only by the Satake comparison at the bottom
+from .engine import (KAPPA, BorelRoute, PPRoute, borel_shifts,
+                     minuscule_satake, pp_shifts)
+from .geometry import LatticeMap
+from .rootdata import root_datum
 
 
 class PrecisionError(ArithmeticError):
@@ -65,7 +71,8 @@ class TruncSeries:
         return self.terms[0][0] if self.terms else self.prec
 
     def __add__(self, other):
-        assert self.p == other.p
+        if self.p != other.p:
+            raise ValueError("series over F_%d and F_%d" % (self.p, other.p))
         prec = min(self.prec, other.prec)
         return TruncSeries.of(self.p, prec,
                               list(self.terms) + list(other.terms))
@@ -78,7 +85,8 @@ class TruncSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        assert self.p == other.p
+        if self.p != other.p:
+            raise ValueError("series over F_%d and F_%d" % (self.p, other.p))
         prec = min(self.prec + other._lead(), other.prec + self._lead())
         acc = {}
         for e1, c1 in self.terms:
@@ -108,7 +116,8 @@ class TruncSeries:
 
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
+    if len(a[0]) != k:
+        raise ValueError("cannot multiply %dx%d by %dx%d" % (n, len(a[0]), k, m))
     out = []
     for i in range(n):
         row = []
@@ -190,7 +199,8 @@ def stratum_point(space, label, p, prec):
         return LatticePoint("UGL2", (zero, t(a), t(b)))
     if space == "MAT2":
         a, k = label
-        assert 2 * a <= k, "min valuation exceeds the complementary divisor"
+        if 2 * a > k:
+            raise ValueError("min valuation exceeds the complementary divisor")
         return LatticePoint("MAT2", (t(a), zero, zero, t(k - a)))
     if space == "PPGL3":
         n, m = label
@@ -247,7 +257,8 @@ def right_translate(x: LatticePoint, g):
 
 
 def left_translate(x: LatticePoint, g):
-    assert x.space == "MAT2", "only the matrix space carries a left action"
+    if x.space != "MAT2":
+        raise ValueError("only the matrix space carries a left action")
     m = mat_mul(g, [[x.coords[0], x.coords[1]],
                     [x.coords[2], x.coords[3]]])
     return LatticePoint("MAT2", (m[0][0], m[0][1], m[1][0], m[1][1]))
@@ -323,7 +334,8 @@ def transition_counts(space, reps, labels, p, prec, inverse=False):
     out = {}
     for l in labels:
         x = stratum_point(space, l, p, prec)
-        assert orbit_invariant(x) == tuple(l)
+        if orbit_invariant(x) != tuple(l):
+            raise RuntimeError("representative of %r has another label" % (l,))
         for g in gs:
             mu = orbit_invariant(right_translate(x, g))
             key = (tuple(l), mu)
@@ -409,7 +421,8 @@ def integral_table(space, height, p, prec):
         raise ValueError("no integral model for %r" % (space,))
     out = {}
     for l in labs:
-        assert orbit_invariant(stratum_point(space, l, p, prec)) == l
+        if orbit_invariant(stratum_point(space, l, p, prec)) != l:
+            raise RuntimeError("representative of %r has another label" % (l,))
         out[l] = 1
     return out
 
@@ -418,13 +431,16 @@ def integral_table(space, height, p, prec):
 # randomized well-definedness and interpolation checks
 
 def random_unimodular(rng, p, prec, n):
+    """A uniformly drawn element of GL_n(o) mod t^prec, by rejection: a
+    matrix is unimodular iff its residue matrix is invertible mod p."""
+    if prec < 1:
+        raise ValueError("precision must be >= 1")
     while True:
-        m = [[TruncSeries.of(p, prec,
-                             {e: rng.randrange(p) for e in range(prec)})
-              for _ in range(n)] for _ in range(n)]
-        d = mat_det(m)
-        if d.terms and d.val() == 0:
-            return m
+        coeffs = [[[rng.randrange(p) for _ in range(prec)] for _ in range(n)]
+                  for _ in range(n)]
+        if mat_det([[c[0] for c in row] for row in coeffs]) % p:
+            return [[TruncSeries.of(p, prec, enumerate(c)) for c in row]
+                    for row in coeffs]
 
 
 def translate_invariance_mismatches(space, label, p, prec, trials, seed=0):
@@ -472,15 +488,10 @@ _OPS = {
 }
 
 
-def satake_mismatches(op, space, height, q):
+def satake_mismatches(op, space, height, q, kappa=KAPPA):
     """Coset-sum counts vs the symbolic shift action on every stratum pair
-    in the window; an empty list means the two sides agree exactly."""
-    # the symbolic side, kept out of the enumeration core above
-    from .engine import (BorelRoute, PPRoute, borel_shifts, minuscule_satake,
-                         pp_shifts)
-    from .geometry import LatticeMap
-    from .rootdata import root_datum
-
+    in the window (PPGL3 shifts under the sign kappa); an empty list means
+    the two sides agree exactly."""
     if space not in _OPS:
         raise ValueError("unknown space %r" % (space,))
     if op not in _OPS[space]:
@@ -496,7 +507,7 @@ def satake_mismatches(op, space, height, q):
                         LatticeMap.of([(0, 0, 1), (1, 1, 1)]))
         mu = {"unit": (0, 0, 0), "t1": (1, 0, 0), "wedge": (1, 1, 0),
               "central": (1, 1, 1)}[op]
-        shifts = pp_shifts(route, minuscule_satake(route.group, mu))
+        shifts = pp_shifts(route, minuscule_satake(route.group, mu), kappa)
         reps = coset_reps("GL3", op, q, prec)
 
     window = [l for l in itertools.product(range(-height, height + 1), repeat=2)

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .geometry import (
-    _idot, kernel_basis, matrix_rank, primitive, row_echelon,
-    saturation_quotient, vdot,
+    _idot, kernel_basis, matrix_rank, saturation_quotient, span_coordinates,
+    vdot,
 )
 
 _CLOSURE_CAP = 4096  # plenty for rank <= 7; guards non-crystallographic input
@@ -74,17 +73,8 @@ class RootDatum:
 
     @cached_property
     def _expansion_rows(self):
-        """(d, top, bottom): the rows of d * E, where E.[A | I] = [R | E] is the
-        RREF and the columns of A are the simple roots. They are independent,
-        so R is the identity over zero rows: v lies in their span iff
-        bottom.v = 0, and then its coefficients are top.v / d."""
-        k, n = self.nsimple, self.rank
-        aug = [tuple(a[i] for a in self.simple_roots)
-               + tuple(int(i == j) for j in range(n)) for i in range(n)]
-        inv = [row[k:] for row in row_echelon(aug)[0]]
-        d = lcm(*(x.denominator for row in inv for x in row))
-        inv = [tuple(int(x * d) for x in row) for row in inv]
-        return d, inv[:k], inv[k:]
+        """geometry.span_coordinates of the simple roots: (d, top, bottom)."""
+        return span_coordinates(self.simple_roots, self.rank)
 
     def simple_root_expansion(self, v):
         """Coefficients of v in the simple roots, or None if outside the span."""
@@ -210,7 +200,7 @@ class RootDatum:
 
     def central_cochar_basis(self):
         """Basis of the cocharacters killed by every root (the center rank)."""
-        return tuple(primitive(b) for b in kernel_basis(self.simple_roots, self.rank))
+        return tuple(kernel_basis(self.simple_roots, self.rank))
 
 
 def _orbit(v, pairs, side):

@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .geometry import (Cone, EQ, GE, GT, LT, LatticeMap, LinearSystem,
-                       feasible, lattice_points, matrix_rank, primitive,
-                       torsion_order, vdot)
+                       feasible, lattice_points, matrix_rank, torsion_order,
+                       vdot)
 from .rootdata import RootDatum
 
 
@@ -294,10 +294,8 @@ def negligible_orbit_check(d: SphericalDatum):
         raise ValueError("hypothesis not met: datum is not wavefront")
     central = _central_image_rows(d)
     lin = d.valuation_cone.lineality_basis()
-    base_rank = matrix_rank(central)
-    for v in lin:
-        if matrix_rank(central + [v]) != base_rank:
-            raise ValueError("hypothesis not met: non-central lineality in V")
+    if matrix_rank(central + lin) != matrix_rank(central):
+        raise ValueError("hypothesis not met: non-central lineality in V")
     gammas = d.ambient_spherical_roots()
     nroots = len(gammas)
     levi = set(d.levi_roots)
@@ -319,6 +317,5 @@ def aut_lineality(d: SphericalDatum):
     rank = len(lin)
     if d.colored_cone is None:
         return rank, None
-    gens = [primitive(v) for v in lin]
-    lin_cone = Cone(d.rank, tuple(gens + [tuple(-x for x in g) for g in gens]))
+    lin_cone = Cone(d.rank, tuple(lin + [tuple(-x for x in g) for g in lin]))
     return rank, lin_cone.intersect(d.colored_cone.cone)

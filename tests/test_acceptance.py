@@ -11,13 +11,12 @@ from sphvar.catalog import (basic_table, list_entries, load,
 from sphvar.chars import (QLaurent, WeightChar, ext_power,
                           freudenthal_multiplicity, sym_power)
 from sphvar.engine import (LFactor, basic_function_borel, basic_function_pp,
-                           growth_certificate, minuscule_satake, pp_shifts,
-                           toric_distance)
+                           growth_certificate, toric_distance)
 from sphvar.geometry import (Cone, EQ, GE, GT, LinearSystem, feasible,
                              lattice_points)
-from sphvar.oracle import (coset_reps, gj_recursion_mismatches,
-                           integral_table, mat2_coset_label_counts,
-                           satake_compatibility_check, transition_counts)
+from sphvar.oracle import (gj_recursion_mismatches, integral_table,
+                           mat2_coset_label_counts,
+                           satake_compatibility_check, satake_mismatches)
 from sphvar.rootdata import root_datum
 from sphvar.spherical import (arithmetic_multiplicity, enumerate_orbits,
                               is_wavefront, negligible_orbit_check,
@@ -128,27 +127,8 @@ def _kappa_passes(k):
         sp = t3.specialize(q)
         if any(sp[l] != 1 for l in strata):
             return False
-    window = [l for l in itertools.product(range(-height, height + 1),
-                                           repeat=2)
-              if abs(l[0]) + abs(l[1]) <= height]
-    mus = {"unit": (0, 0, 0), "t1": (1, 0, 0), "wedge": (1, 1, 0),
-           "central": (1, 1, 1)}
-    for q in (2, 3):
-        for op, mu in mus.items():
-            shifts = pp_shifts(route, minuscule_satake(route.group, mu),
-                               kappa=k)
-            reps = coset_reps("GL3", op, q, prec)
-            counts = transition_counts("PPGL3", reps, window, q, prec)
-            for l in window:
-                want = {}
-                for s, c in shifts:
-                    tgt = tuple(a + b for a, b in zip(l, s))
-                    want[tgt] = want.get(tgt, 0) + c.specialize(q)
-                want = {m: v for m, v in want.items() if v}
-                got = {m: c for (l2, m), c in counts.items() if l2 == l}
-                if got != want:
-                    return False
-    return True
+    return not any(satake_mismatches(op, "PPGL3", height, q, kappa=k)
+                   for q in (2, 3) for op in ("unit", "t1", "wedge", "central"))
 
 
 def test_06_sign_pinning():

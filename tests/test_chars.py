@@ -1,6 +1,7 @@
 """Character arithmetic against brute-force expansions."""
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sphvar.geometry import solve_linear
 from sphvar.rootdata import root_datum
 from sphvar.chars import (QLaurent, WeightChar, sym_power, ext_power,
                           sym_powers_upto, kostant_counts,
@@ -193,6 +195,48 @@ def test_kostant_counts_gl2():
     scr, pcr = gl2.simple_coroots, gl2.positive_coroots()
     assert kostant_counts(scr, pcr, (3, -3)) == {3: 1}
     assert kostant_counts(scr, pcr, (1, 0)) == {}
+
+
+def _kostant_reference(simple_coroots, coroots, target):
+    # the same recursion, with viability decided by a rational solve
+    rows = [[c[j] for c in simple_coroots] for j in range(len(target))]
+
+    def viable(v):
+        sol = solve_linear(rows, list(v))
+        return sol is not None and all(x.denominator == 1 and x >= 0
+                                       for x in sol)
+
+    @functools.lru_cache(maxsize=None)
+    def rec(idx, rem):
+        if not any(rem):
+            return {0: 1}
+        if idx == len(coroots):
+            return {}
+        out = dict(rec(idx + 1, rem))
+        nrem = tuple(a - b for a, b in zip(rem, coroots[idx]))
+        if viable(nrem):
+            for parts, cnt in rec(idx, nrem).items():
+                out[parts + 1] = out.get(parts + 1, 0) + cnt
+        return out
+
+    return rec(0, tuple(target)) if viable(target) else {}
+
+
+@pytest.mark.parametrize("kind,n,h", [("SL", 3, 5), ("SL", 4, 3), ("B", 2, 5),
+                                      ("G", 2, 5), ("C", 3, 3)])
+def test_kostant_counts_match_rational_viability(kind, n, h):
+    rd = root_datum(kind, n)
+    scr, pcr = rd.simple_coroots, rd.positive_coroots()
+    targets = set(itertools.product(range(-h, h + 1), repeat=rd.rank))
+    targets = {t for t in targets if sum(map(abs, t)) <= h}
+    for combo in itertools.combinations_with_replacement(pcr, 2):
+        targets.add(tuple(map(sum, zip(*combo))))
+    nonempty = 0
+    for t in sorted(targets):
+        got = kostant_counts(scr, pcr, t)
+        assert got == _kostant_reference(scr, pcr, t), t
+        nonempty += bool(got)
+    assert nonempty > len(pcr)
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,9 @@ def test_optimize_changes_no_output(tmp_path):
     env = dict(os.environ, PYTHONPATH=src)
     doc = doc_path(tmp_path, "pp-gl3")
     for argv in (["catalog", "test", "borel-sl3"],
-                 ["basicfn", doc, "--case", "graded", "--height", "4"]):
+                 ["basicfn", doc, "--case", "graded", "--height", "4"],
+                 ["oracle", "run", "representatives", "--q", "2",
+                  "--height", "2"]):
         plain, optimized = [
             subprocess.run([sys.executable] + flags + ["-m", "sphvar.cli"] + argv,
                            capture_output=True, env=env, timeout=60)

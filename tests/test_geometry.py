@@ -5,7 +5,9 @@ and elimination routines against independent brute-force oracles (subset
 enumeration for feasibility, direct grid scans for lattice points).
 """
 import ast
+import importlib
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -16,14 +18,15 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphvar import chars, engine, geometry, rootdata
+import sphvar
+from sphvar import geometry
 from sphvar.geometry import (
     GE, GT, EQ, LE, LT,
     Cone, Constraint, LatticeMap, LinearSystem,
     as_vec, elementary_divisors, feasible, hilbert_basis_pointed,
     inverse_unimodular, kernel_basis, lattice_points,
     matrix_rank, primitive, row_echelon, saturation_quotient,
-    smith_normal_form, torsion_order, vdot,
+    smith_normal_form, solve_linear, span_coordinates, torsion_order, vdot,
 )
 
 
@@ -520,10 +523,69 @@ def test_torsion_invariant_under_unimodular(n, data):
 
 def test_inverse_unimodular():
     assert inverse_unimodular([[1, 2], [0, 1]]) == [(1, -2), (0, 1)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not unimodular"):
         inverse_unimodular([[2, 0], [0, 1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular"):
         inverse_unimodular([[1, 1], [1, 1]])
+    with pytest.raises(ValueError, match="not square"):
+        inverse_unimodular([[1, 0], [0, 1], [1, 1]])
+
+
+def test_inverse_unimodular_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(3)
+    for t in range(120):
+        n = rng.randint(1, 5)
+        ops = [(rng.randrange(n), rng.randrange(n), rng.randint(-3, 3))
+               for _ in range(rng.randint(0, 8))]
+        M = unimodular_from_ops(ops, n)
+        if t % 2:  # a row swap keeps det = +-1
+            M.reverse()
+        want = sympy.Matrix(M).inv()
+        assert inverse_unimodular(M) == \
+            [tuple(int(x) for x in want.row(i)) for i in range(n)]
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_span_coordinates_matches_rational_solve(n, data):
+    k = data.draw(st.integers(0, n))
+    basis = [tuple(data.draw(st.integers(-4, 4)) for _ in range(n))
+             for _ in range(k)]
+    if k and data.draw(st.booleans()):
+        # force a dependency half the time
+        c = data.draw(st.integers(-2, 2))
+        basis[-1] = tuple(c * a for a in basis[0])
+    if matrix_rank(basis) < k:
+        with pytest.raises(ValueError, match="dependent"):
+            span_coordinates(basis, n)
+        return
+    d, top, bottom = span_coordinates(basis, n)
+    assert d > 0 and len(top) == k and len(bottom) == n - k
+    cols = [[b[i] for b in basis] for i in range(n)]
+    for _ in range(4):
+        v = tuple(data.draw(st.integers(-6, 6)) for _ in range(n))
+        if data.draw(st.booleans()):  # a lattice point of the span
+            v = tuple(sum(data.draw(st.integers(-3, 3)) * b[i] for b in basis)
+                      for i in range(n)) if basis else (0,) * n
+        inside = not any(vdot(row, v) for row in bottom)
+        assert inside == (matrix_rank(basis + [v]) == k)
+        sol = solve_linear(cols, v)
+        assert inside == (sol is not None)
+        if inside:
+            assert tuple(Fraction(vdot(row, v), d) for row in top) == sol
+
+
+def test_kernel_basis_is_primitive_int():
+    rng = random.Random(8)
+    for _ in range(60):
+        m, n = rng.randint(0, 4), rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(n)] for _ in range(m)]
+        for k in kernel_basis(rows, n):
+            assert all(type(a) is int for a in k)
+            assert gcd(*k) == 1
+            assert all(vdot(r, k) == 0 for r in rows)
 
 
 def test_lattice_map_basics():
@@ -667,10 +729,10 @@ def test_linear_algebra_matches_sympy():
             assert sympy.Matrix.vstack(K, *[v.T for v in ns]).rank() == len(ns)
 
 
-@pytest.mark.parametrize("module", (geometry, rootdata, engine, chars),
-                         ids=lambda m: m.__name__.split(".")[-1])
+@pytest.mark.parametrize(
+    "module", sorted(m.name for m in pkgutil.iter_modules(sphvar.__path__)))
 def test_module_has_no_assert(module):
-    with open(module.__file__) as f:
+    with open(importlib.import_module("sphvar." + module).__file__) as f:
         tree = ast.parse(f.read())
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Assert)] == []

@@ -157,6 +157,31 @@ def test_random_unimodular_is_unimodular():
         assert mat_det(g).val() == 0
 
 
+def _series_det_sampler(rng, p, prec, n):
+    # reference: the same draws, accepted on the determinant of the series
+    while True:
+        m = [[TruncSeries.of(p, prec,
+                             {e: rng.randrange(p) for e in range(prec)})
+              for _ in range(n)] for _ in range(n)]
+        d = mat_det(m)
+        if d.terms and d.val() == 0:
+            return m
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("n", (2, 3))
+def test_random_unimodular_matches_series_determinant_sampler(p, n):
+    mine, ref = random.Random(17 * p + n), random.Random(17 * p + n)
+    for _ in range(200):
+        assert random_unimodular(mine, p, 6, n) == \
+            _series_det_sampler(ref, p, 6, n)
+
+
+def test_random_unimodular_needs_a_residue():
+    with pytest.raises(ValueError, match="precision"):
+        random_unimodular(random.Random(0), 2, 0, 2)
+
+
 # --- orbit labels ----------------------------------------------------------
 
 def test_orbit_invariant_examples():
@@ -186,8 +211,26 @@ def test_unknown_space_rejected():
 
 
 def test_stratum_point_guards():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="complementary divisor"):
         stratum_point("MAT2", (2, 3), P, PREC)
+
+
+def test_mismatched_inputs_raise():
+    with pytest.raises(ValueError, match="F_2 and F_3"):
+        ts({0: 1}, p=2) + ts({0: 1}, p=3)
+    with pytest.raises(ValueError, match="F_2 and F_3"):
+        ts({0: 1}, p=2) * ts({0: 1}, p=3)
+    with pytest.raises(ValueError, match="cannot multiply 2x2 by 3x3"):
+        mat_mul(mat_id(P, PREC, 2), mat_id(P, PREC, 3))
+
+
+def test_wrong_representative_is_an_internal_error(monkeypatch):
+    import sphvar.oracle as oracle
+    monkeypatch.setattr(oracle, "orbit_invariant", lambda x: (-1,))
+    with pytest.raises(RuntimeError, match="representative"):
+        integral_table("A2", 1, P, PREC)
+    with pytest.raises(RuntimeError, match="representative"):
+        transition_counts("A2", [mat_id(P, PREC, 2)], [(0,)], P, PREC)
 
 
 def test_representatives_hit_their_labels():
@@ -358,7 +401,7 @@ def test_matrix_labels_survive_two_sided_translation():
 
 def test_left_translate_guard():
     x = stratum_point("UGL2", (0, 0), 2, 8)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="left action"):
         left_translate(x, mat_id(2, 8, 2))
 
 
