@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -523,22 +524,6 @@ def cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 # oracle checks
 
-def _sample_labels(space, height):
-    out = []
-    if space == "A2":
-        return [(n,) for n in range(height + 1)]
-    if space in ("UGL2", "PPGL3"):
-        return [(a, b) for a in range(height + 1)
-                for b in range(height + 1 - a)]
-    if space == "MAT2":
-        for k in range(height + 1):
-            for a in range(k // 2 + 1):
-                if a + k <= height:
-                    out.append((a, k))
-        return out
-    raise InputError("unknown space %r" % space)
-
-
 def _check_orbit_invariance(qs, height, trials):
     h = min(height, 3)
     out = []
@@ -546,7 +531,7 @@ def _check_orbit_invariance(qs, height, trials):
         prec = 2 * h + 8
         mism = []
         for space in _oracle.SPACES:
-            for i, lab in enumerate(_sample_labels(space, h)):
+            for i, lab in enumerate(_oracle.stratum_labels(space, h)):
                 bad = _oracle.translate_invariance_mismatches(
                     space, lab, q, prec, trials, seed=31 * i + q)
                 mism.extend((space, lab, got) for _, got in bad)
@@ -560,7 +545,7 @@ def _check_representatives(qs, height, trials):
         prec = 2 * height + 4
         mism = []
         for space in _oracle.SPACES:
-            for lab in _sample_labels(space, height):
+            for lab in _oracle.stratum_labels(space, height):
                 got = _oracle.orbit_invariant(
                     _oracle.stratum_point(space, lab, q, prec))
                 if got != lab:
@@ -569,14 +554,11 @@ def _check_representatives(qs, height, trials):
     return out
 
 
-def _check_satake(space, ops):
+def _check_satake(space):
     def run(qs, height, trials):
-        out = []
-        for q in qs:
-            for op in ops:
-                mism = _oracle.satake_mismatches(op, space, height, q)
-                out.append(("q=%d op=%s" % (q, op), mism))
-        return out
+        return [("q=%d op=%s" % (q, op),
+                 _oracle.satake_mismatches(op, space, height, q))
+                for q in qs for op in _oracle.hecke_operators(space)]
     return run
 
 
@@ -587,38 +569,32 @@ def _check_gj(qs, height, trials):
 
 def _check_interpolation(qs, height, trials):
     panel = (2, 3, 5, 7)
-    prec = 10
-    cases = []
-    counts = {q: _oracle.transition_counts(
-        "UGL2", _oracle.coset_reps("GL2", "t1", q, prec), [(0, 0)], q, prec)
-        for q in panel}
-    cases.append(("gl2-t1", {q: c[((0, 0), (0, 1))]
-                             for q, c in counts.items()}, 1))
-    counts = {q: _oracle.transition_counts(
-        "PPGL3", _oracle.coset_reps("GL3", "t1", q, prec), [(0, 0)], q, prec)
-        for q in panel}
-    cases.append(("gl3-t1", {q: c[((0, 0), (0, 1))]
-                             for q, c in counts.items()}, 2))
-    counts = {q: _oracle.transition_counts(
-        "PPGL3", _oracle.coset_reps("GL3", "wedge", q, prec), [(0, 0)], q,
-        prec) for q in panel}
-    cases.append(("gl3-wedge-long", {q: c[((0, 0), (0, 2))]
-                                     for q, c in counts.items()}, 2))
-    cases.append(("gl3-wedge-short", {q: c[((0, 0), (1, 2))]
-                                      for q, c in counts.items()}, 1))
+
+    def counts(space, group, op):
+        return {q: _oracle.transition_counts(
+            space, _oracle.coset_reps(group, op, q, 10), [(0, 0)], q, 10)
+            for q in panel}
+
+    wedge = counts("PPGL3", "GL3", "wedge")
     herm = {q: _oracle.mat2_coset_label_counts(q, 12, 2) for q in panel}
-    cases.append(("mat2-cosets", {q: h[(0, 2)] for q, h in herm.items()}, 2))
-    mism = [(name, values, deg) for name, values, deg in cases
-            if not _oracle.interpolates(values, deg)]
+    mism = []
+    for name, table, key, deg in (
+            ("gl2-t1", counts("UGL2", "GL2", "t1"), ((0, 0), (0, 1)), 1),
+            ("gl3-t1", counts("PPGL3", "GL3", "t1"), ((0, 0), (0, 1)), 2),
+            ("gl3-wedge-long", wedge, ((0, 0), (0, 2)), 2),
+            ("gl3-wedge-short", wedge, ((0, 0), (1, 2)), 1),
+            ("mat2-cosets", herm, (0, 2), 2)):
+        values = {q: c[key] for q, c in table.items()}
+        if not _oracle.interpolates(values, deg):
+            mism.append((name, values, deg))
     return [("q=%s" % ",".join(str(q) for q in panel), mism)]
 
 
 ORACLE_CHECKS = {
     "orbit-invariance": (_check_orbit_invariance, 3),
     "representatives": (_check_representatives, 4),
-    "satake-ugl2": (_check_satake("UGL2", ("unit", "t1", "central")), 4),
-    "satake-ppgl3": (_check_satake("PPGL3",
-                                   ("unit", "t1", "wedge", "central")), 2),
+    "satake-ugl2": (_check_satake("UGL2"), 4),
+    "satake-ppgl3": (_check_satake("PPGL3"), 2),
     "gj-recursion": (_check_gj, 4),
     "interpolation": (_check_interpolation, 4),
 }
@@ -633,7 +609,7 @@ def cmd_oracle(args) -> int:
     except ValueError:
         raise InputError("--q must be comma-joined primes, got %r" % args.q)
     for q in qs:
-        if q < 2 or any(q % k == 0 for k in range(2, q)):
+        if q < 2 or any(q % k == 0 for k in range(2, math.isqrt(q) + 1)):
             raise InputError("--q entries must be primes, got %d" % q)
     fn, default_height = ORACLE_CHECKS[args.name]
     height = args.height if args.height is not None else default_height

@@ -53,6 +53,13 @@ def _int_row(row):
     return [a.numerator * (den // a.denominator) for a in row]
 
 
+def _exact_int(x) -> int:
+    i = int(x)
+    if i != x:
+        raise ValueError("non-integral entry %r" % (x,))
+    return i
+
+
 def _int_primitive(v):
     g = gcd(*v)
     return tuple(a // g for a in v) if g > 1 else tuple(v)
@@ -551,7 +558,7 @@ def feasible(sys: LinearSystem):
 
 def smith_normal_form(mat):
     """U, D, V with U*mat*V = D diagonal, U and V unimodular, ints only."""
-    A = [list(map(int, row)) for row in mat]
+    A = [list(map(_exact_int, row)) for row in mat]
     m = len(A)
     n = len(A[0]) if m else 0
     U = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -630,7 +637,7 @@ class LatticeMap:
 
     @staticmethod
     def of(rows) -> "LatticeMap":
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(_exact_int(x) for x in r) for r in rows)
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
@@ -704,7 +711,7 @@ def saturation_quotient(vectors, n: int):
     Returns (proj, section): proj is a LatticeMap Z^n -> Z^(n-r) whose kernel
     is the saturation of the integer span, and section is a right inverse.
     """
-    vecs = [tuple(int(x) for x in v) for v in vectors if not all(c == 0 for c in v)]
+    vecs = [v for v in LatticeMap.of(vectors).rows if any(v)]
     if not vecs:
         return LatticeMap.identity(n), LatticeMap.identity(n)
     U, D, V = smith_normal_form(vecs)

@@ -173,7 +173,36 @@ def mat_id(p, prec, n):
 # ---------------------------------------------------------------------------
 # lattice points of the model spaces and their orbit labels
 
-SPACES = ("A2", "UGL2", "MAT2", "PPGL3")
+@dataclass(frozen=True)
+class _Shape:
+    """One model space: a row vector in F^n under GL_n on the right, then,
+    if twisted, a scalar multiplied by det; or, if two_sided, the 2 x 2
+    matrices under GL_2 x GL_2.  The Satake comparison covers the operators
+    ops, the k-th with cocharacter (1^k, 0^(n-k)), on the PP route with this
+    Levi (the Borel route if None)."""
+
+    n: int
+    twisted: bool = False
+    two_sided: bool = False
+    ops: tuple = ()
+    levi: tuple = None
+
+
+_SHAPES = {
+    "A2": _Shape(2),
+    "UGL2": _Shape(2, twisted=True, ops=("unit", "t1", "central")),
+    "MAT2": _Shape(2, two_sided=True),
+    "PPGL3": _Shape(3, twisted=True, ops=("unit", "t1", "wedge", "central"),
+                    levi=(0,)),
+}
+SPACES = tuple(_SHAPES)
+
+
+def _shape(space, error="unknown space %r"):
+    try:
+        return _SHAPES[space]
+    except (KeyError, TypeError):
+        raise ValueError(error % (space,)) from None
 
 
 @dataclass(frozen=True)
@@ -184,28 +213,39 @@ class LatticePoint:
     coords: tuple
 
 
+def stratum_labels(space, height, integral=False):
+    """The stratum labels with nonnegative entries summing to at most height,
+    in the order the checks visit them; integral keeps those of the smooth
+    integral model, where the twisting scalar is a unit.  A matrix label
+    (a, k) also needs 2a <= k, and is counted at height a + k."""
+    shape = _shape(space, "no integral model for %r" if integral
+                   else "unknown space %r")
+    if shape.two_sided:
+        return [(a, k) for k in range(height + 1) for a in range(k // 2 + 1)
+                if a + k <= height]
+    if not shape.twisted:
+        return [(v,) for v in range(height + 1)]
+    return [(v, s) for v in range(height + 1)
+            for s in range(1 if integral else height + 1 - v)]
+
+
 def stratum_point(space, label, p, prec):
     """An explicit representative of the stratum with the given label."""
+    shape = _shape(space)
+    if len(label) != (2 if shape.twisted or shape.two_sided else 1):
+        raise ValueError("%r is not a label of %s" % (label, space))
     zero = TruncSeries.of(p, prec, {})
 
     def t(e):
         return TruncSeries.t_pow(p, prec, e)
 
-    if space == "A2":
-        (n,) = label
-        return LatticePoint("A2", (zero, t(n)))
-    if space == "UGL2":
-        a, b = label
-        return LatticePoint("UGL2", (zero, t(a), t(b)))
-    if space == "MAT2":
-        a, k = label
-        if 2 * a > k:
-            raise ValueError("min valuation exceeds the complementary divisor")
-        return LatticePoint("MAT2", (t(a), zero, zero, t(k - a)))
-    if space == "PPGL3":
-        n, m = label
-        return LatticePoint("PPGL3", (zero, zero, t(n), t(m)))
-    raise ValueError("unknown space %r" % (space,))
+    if not shape.two_sided:
+        return LatticePoint(space, (zero,) * (shape.n - 1)
+                            + tuple(t(e) for e in label))
+    a, k = label
+    if 2 * a > k:
+        raise ValueError("min valuation exceeds the complementary divisor")
+    return LatticePoint(space, (t(a), zero, zero, t(k - a)))
 
 
 def _vec_val(entries):
@@ -222,60 +262,40 @@ def _vec_val(entries):
 def orbit_invariant(x: LatticePoint):
     """The stratum label: valuation data separating hyperspecial orbits.
 
-    A2: minimal coordinate valuation.  UGL2 and PPGL3: (minimal valuation of
-    the row vector, valuation of the twisting scalar).  MAT2: (minimal entry
-    valuation, determinant valuation), an equivalent encoding of the
-    elementary divisors.
+    Row vectors: the minimal coordinate valuation, then the valuation of
+    the twisting scalar, if any.  Matrices: (minimal entry valuation,
+    determinant valuation), an equivalent encoding of the elementary
+    divisors.
     """
+    shape = _shape(x.space)
     c = x.coords
-    if x.space == "A2":
-        return (_vec_val(c),)
-    if x.space == "UGL2":
-        return (_vec_val(c[:2]), c[2].val())
-    if x.space == "MAT2":
-        det = c[0] * c[3] - c[1] * c[2]
-        return (_vec_val(c), det.val())
-    if x.space == "PPGL3":
-        return (_vec_val(c[:3]), c[3].val())
-    raise ValueError("unknown space %r" % (x.space,))
+    if shape.two_sided:
+        return (_vec_val(c), (c[0] * c[3] - c[1] * c[2]).val())
+    v = _vec_val(c[:shape.n])
+    return (v, c[shape.n].val()) if shape.twisted else (v,)
 
 
 def right_translate(x: LatticePoint, g):
-    if x.space == "A2":
-        return LatticePoint("A2", vec_mat(x.coords, g))
-    if x.space == "UGL2":
-        v = vec_mat(x.coords[:2], g)
-        return LatticePoint("UGL2", v + (x.coords[2] * mat_det(g),))
-    if x.space == "MAT2":
-        m = mat_mul([[x.coords[0], x.coords[1]],
-                     [x.coords[2], x.coords[3]]], g)
-        return LatticePoint("MAT2", (m[0][0], m[0][1], m[1][0], m[1][1]))
-    if x.space == "PPGL3":
-        v = vec_mat(x.coords[:3], g)
-        return LatticePoint("PPGL3", v + (x.coords[3] * mat_det(g),))
-    raise ValueError("unknown space %r" % (x.space,))
+    shape = _shape(x.space)
+    c = x.coords
+    if shape.two_sided:
+        m = mat_mul([list(c[:2]), list(c[2:])], g)
+        return LatticePoint(x.space, tuple(m[0] + m[1]))
+    v = vec_mat(c[:shape.n], g)
+    if shape.twisted:
+        v += (c[shape.n] * mat_det(g),)
+    return LatticePoint(x.space, v)
 
 
 def left_translate(x: LatticePoint, g):
-    if x.space != "MAT2":
+    if not getattr(_SHAPES.get(x.space), "two_sided", False):
         raise ValueError("only the matrix space carries a left action")
-    m = mat_mul(g, [[x.coords[0], x.coords[1]],
-                    [x.coords[2], x.coords[3]]])
-    return LatticePoint("MAT2", (m[0][0], m[0][1], m[1][0], m[1][1]))
+    m = mat_mul(g, [list(x.coords[:2]), list(x.coords[2:])])
+    return LatticePoint(x.space, tuple(m[0] + m[1]))
 
 
 # ---------------------------------------------------------------------------
 # coset lists for the supported bi-invariant operators
-
-def _proj_points(p, n):
-    # normalized representatives: first nonzero coordinate equals 1
-    pts = []
-    for v in itertools.product(range(p), repeat=n):
-        nz = [i for i, c in enumerate(v) if c]
-        if nz and v[nz[0]] == 1:
-            pts.append(v)
-    return pts
-
 
 def coset_reps(group, op, p, prec):
     """Left-coset representatives g_i with K g K = union of g_i K.
@@ -285,42 +305,32 @@ def coset_reps(group, op, p, prec):
     (1,1,0) operator, inverses of the t1 list times the uniformizer),
     central.
     """
+    n = {"GL2": 2, "GL3": 3}.get(group)
     one = TruncSeries.const(p, prec, 1)
     zero = TruncSeries.of(p, prec, {})
     pi = TruncSeries.t_pow(p, prec, 1)
-    if group == "GL2":
-        if op == "unit":
-            return [mat_id(p, prec, 2)]
+    if n and op == "unit":
+        return [mat_id(p, prec, n)]
+    if n and op == "central":
+        return [[[pi if i == j else zero for j in range(n)] for i in range(n)]]
+    if n == 2 and op == "t1":
+        return [[[pi, TruncSeries.const(p, prec, j)], [zero, one]]
+                for j in range(p)] + [[[one, zero], [zero, pi]]]
+    if n == 3 and op in ("t1", "wedge"):
+        reps = []
+        for phi in itertools.product(range(p), repeat=3):
+            if next((c for c in phi if c), 0) != 1:
+                continue  # not the normalized representative of a P^2 point
+            # row piv is pi e_piv, every other row i is e_i - phi_i e_piv
+            piv = phi.index(1)
+            rows = mat_id(p, prec, 3)
+            for i in range(3):
+                rows[i][piv] = (pi if i == piv
+                                else TruncSeries.const(p, prec, -phi[i]))
+            reps.append(rows)
         if op == "t1":
-            reps = [[[pi, TruncSeries.const(p, prec, j)], [zero, one]]
-                    for j in range(p)]
-            reps.append([[one, zero], [zero, pi]])
             return reps
-        if op == "central":
-            return [[[pi, zero], [zero, pi]]]
-    if group == "GL3":
-        if op == "unit":
-            return [mat_id(p, prec, 3)]
-        if op in ("t1", "wedge"):
-            reps = []
-            for phi in _proj_points(p, 3):
-                piv = next(i for i, c in enumerate(phi) if c)
-                rows = []
-                for i in range(3):
-                    if i == piv:
-                        rows.append([pi if j == piv else zero for j in range(3)])
-                    else:
-                        row = [zero] * 3
-                        row[i] = row[i] + one
-                        row[piv] = row[piv] - TruncSeries.const(p, prec, phi[i])
-                        rows.append(row)
-                reps.append(rows)
-            if op == "t1":
-                return reps
-            return [[[pi * e for e in row] for row in mat_inv(b)] for b in reps]
-        if op == "central":
-            return [[[pi if i == j else zero for j in range(3)]
-                     for i in range(3)]]
+        return [[[pi * e for e in row] for row in mat_inv(b)] for b in reps]
     raise ValueError("unknown operator %r for %s" % (op, group))
 
 
@@ -362,7 +372,9 @@ def gj_recursion_mismatches(p, height=4, degree=4):
     prec = 2 * (height + degree) + 4
     t1 = coset_reps("GL2", "t1", p, prec)
     z = coset_reps("GL2", "central", p, prec)
-    labels = [(a, k) for k in range(degree + 1) for a in range(k // 2 + 1)]
+    # every label with k <= degree has a <= degree // 2
+    labels = [l for l in stratum_labels("MAT2", degree + degree // 2)
+              if l[1] <= degree]
     fs = [{(0, 0): 1}]
     bad = []
     for i in range(1, degree + 1):
@@ -408,19 +420,8 @@ def det_count_series(p, prec, kmax):
 def integral_table(space, height, p, prec):
     """All-ones table on the integral strata of a smooth closure, each
     stratum witnessed by an explicit representative."""
-    if space == "A2":
-        labs = [(n,) for n in range(height + 1)]
-    elif space == "UGL2":
-        labs = [(a, 0) for a in range(height + 1)]
-    elif space == "PPGL3":
-        labs = [(n, 0) for n in range(height + 1)]
-    elif space == "MAT2":
-        labs = [(a, k) for k in range(height + 1)
-                for a in range(k // 2 + 1) if a + k <= height]
-    else:
-        raise ValueError("no integral model for %r" % (space,))
     out = {}
-    for l in labs:
+    for l in stratum_labels(space, height, integral=True):
         if orbit_invariant(stratum_point(space, l, p, prec)) != l:
             raise RuntimeError("representative of %r has another label" % (l,))
         out[l] = 1
@@ -448,12 +449,12 @@ def translate_invariance_mismatches(space, label, p, prec, trials, seed=0):
     the matrix space is checked on both sides."""
     rng = random.Random(seed)
     x = stratum_point(space, label, p, prec)
-    n = 3 if space == "PPGL3" else 2
+    shape = _SHAPES[space]
     bad = []
     for i in range(trials):
-        y = right_translate(x, random_unimodular(rng, p, prec, n))
-        if space == "MAT2":
-            y = left_translate(y, random_unimodular(rng, p, prec, 2))
+        y = right_translate(x, random_unimodular(rng, p, prec, shape.n))
+        if shape.two_sided:
+            y = left_translate(y, random_unimodular(rng, p, prec, shape.n))
         got = orbit_invariant(y)
         if got != tuple(label):
             bad.append((i, got))
@@ -482,33 +483,39 @@ def interpolates(values, degree):
 # ---------------------------------------------------------------------------
 # comparison against the symbolic engine
 
-_OPS = {
-    "UGL2": ("unit", "t1", "central"),
-    "PPGL3": ("unit", "t1", "wedge", "central"),
-}
+def hecke_operators(space):
+    """The operators the Satake comparison covers on space."""
+    ops = _shape(space).ops
+    if not ops:
+        raise ValueError("unknown space %r" % (space,))
+    return ops
 
 
 def satake_mismatches(op, space, height, q, kappa=KAPPA):
     """Coset-sum counts vs the symbolic shift action on every stratum pair
-    in the window (PPGL3 shifts under the sign kappa); an empty list means
-    the two sides agree exactly."""
-    if space not in _OPS:
-        raise ValueError("unknown space %r" % (space,))
-    if op not in _OPS[space]:
+    in the window (PP route shifts under the sign kappa); an empty list
+    means the two sides agree exactly.
+
+    The comparison cannot see the sign of kappa: on PPGL3 the Levi-Weyl
+    orbit sums of the shifts are symmetric under kappa -> -kappa, so
+    kappa = -1 passes too.  The sign is fixed by the catalog tables.
+    """
+    ops = hecke_operators(space)
+    if op not in ops:
         raise ValueError("unknown operator %r for %s" % (op, space))
+    shape = _SHAPES[space]
+    n, k = shape.n, ops.index(op)
     prec = 2 * height + 4
-    if space == "UGL2":
-        route = BorelRoute(root_datum("GL", 2), LatticeMap.of([(0, 1), (1, 1)]))
-        mu = {"unit": (0, 0), "t1": (1, 0), "central": (1, 1)}[op]
-        shifts = borel_shifts(route, minuscule_satake(route.group, mu))
-        reps = coset_reps("GL2", op, q, prec)
+    group = root_datum("GL", n)
+    # the label reads the last coordinate and the determinant
+    functionals = LatticeMap.of([(0,) * (n - 1) + (1,), (1,) * n])
+    satake = minuscule_satake(group, (1,) * k + (0,) * (n - k))
+    if shape.levi is None:
+        shifts = borel_shifts(BorelRoute(group, functionals), satake)
     else:
-        route = PPRoute(root_datum("GL", 3), (0,),
-                        LatticeMap.of([(0, 0, 1), (1, 1, 1)]))
-        mu = {"unit": (0, 0, 0), "t1": (1, 0, 0), "wedge": (1, 1, 0),
-              "central": (1, 1, 1)}[op]
-        shifts = pp_shifts(route, minuscule_satake(route.group, mu), kappa)
-        reps = coset_reps("GL3", op, q, prec)
+        shifts = pp_shifts(PPRoute(group, shape.levi, functionals), satake,
+                           kappa)
+    reps = coset_reps("GL%d" % n, op, q, prec)
 
     window = [l for l in itertools.product(range(-height, height + 1), repeat=2)
               if abs(l[0]) + abs(l[1]) <= height]

@@ -58,6 +58,8 @@ class SphericalDatum:
                                      for m in self.little_weyl))
         if self.lattice_map.m != self.ambient.rank or self.lattice_map.n != self.rank:
             raise ValueError("lattice map must be (ambient rank) x (rank)")
+        if not self.lattice_map.is_injective():
+            raise ValueError("lattice map must be injective")
         if self.valuation_cone.n != self.rank:
             raise ValueError("valuation cone lives in the wrong dimension")
         for lbl, rho in colors:
@@ -77,6 +79,10 @@ class SphericalDatum:
         img = self.lattice_map.transpose().image_cone(chamber)
         if not self.valuation_cone.contains_cone(img):
             raise ValueError("valuation cone misses the antidominant chamber image")
+        if self.colored_cone is not None:
+            if self.colored_cone.cone.n != self.rank:
+                raise ValueError("colored cone lives in the wrong dimension")
+            self.rho_image(self.colored_cone.colors)  # unknown labels raise
         if self.little_weyl is not None:
             if any(len(m) != self.rank or any(len(r) != self.rank for r in m)
                    for m in self.little_weyl):

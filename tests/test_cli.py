@@ -1,9 +1,14 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphvar import cli
 from sphvar.catalog import basic_table, list_entries, load
@@ -93,6 +98,9 @@ MALFORMED = (
     {"valuation_cone": {"generators": [[-1.0], [1.0]]}},
     {"group": {"name": "t1xsl2", "rank": 2.0, "simple_roots": [[0, 2]],
                "simple_coroots": [[0, 1]]}},
+    {"colored_cone": {"generators": [[1]], "colors": ["E"]}},
+    {"colored_cone": {"dim": 2, "generators": [[1, 0]], "colors": ["D"]}},
+    {"lattice_map": [[0], [0]]},
 )
 COMMANDS = (["describe"], ["check", "--which", "wavefront"],
             ["basicfn", "--case", "pp", "--height", "2"])
@@ -106,6 +114,79 @@ def test_malformed_document_is_bad_input(tmp_path, capsys, bad, cmd):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", (
+    ["describe"], ["check", "--which", "colored-cone"],
+    ["check", "--which", "affine"], ["orbits", "--height", "2", "--integral"],
+    ["basicfn", "--case", "borel", "--height", "2"]), ids=" ".join)
+def test_colored_cone_with_an_unknown_color_is_bad_input(tmp_path, capsys,
+                                                        argv):
+    doc = render_document(load("borel-sl3").datum)
+    doc["colors"] = doc["colors"][:1]
+    p = tmp_path / "one-color.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, [argv[0], str(p)] + argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unknown color label 'D2'" in err
+
+
+def _nodes(obj, path=()):
+    yield path
+    if isinstance(obj, (dict, list)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        for k, v in items:
+            yield from _nodes(v, path + (k,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A catalog document with one to three nodes replaced by junk, nudged
+    by a small integer, deleted or duplicated."""
+    doc = render_document(load(draw(st.sampled_from(ALL_KEYS))).datum)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_nodes(doc))[1:]))
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        last, node = path[-1], parent[path[-1]]
+        kind = draw(st.sampled_from(("junk", "nudge", "drop", "copy")))
+        if kind == "drop":
+            del parent[last]
+        elif kind == "copy" and isinstance(parent, list):
+            parent.insert(last, copy.deepcopy(node))
+        elif kind == "nudge" and type(node) is int:
+            parent[last] = node + draw(st.sampled_from((-2, -1, 1, 2)))
+        else:
+            parent[last] = copy.deepcopy(draw(st.sampled_from(
+                (None, "x", "D", 1.5, True, [], {}, [[]], [0], -1, 0, 1, 2))))
+    return doc
+
+
+@given(mutated_documents(), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_mutated_documents_fail_cleanly(tmp_path_factory, doc, data):
+    # exit 0, 1 or 2, at most one error line, never a traceback
+    path = str(tmp_path_factory.mktemp("fuzz") / "doc.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    for argv in (
+            ["describe"],
+            ["check", "--which", data.draw(st.sampled_from(
+                ("colored-cone", "affine", "wavefront", "induced",
+                 "negligible")))],
+            ["orbits", "--height", "2"]
+            + data.draw(st.sampled_from(([], ["--integral"]))),
+            ["basicfn", "--case", data.draw(st.sampled_from(
+                ("borel", "pp", "graded"))), "--height", "2"],
+            ["lf", "--rep", data.draw(st.sampled_from(("u_P", "u_P_f")))]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], path] + argv[1:])
+        assert code in (0, 1, 2), argv
+        assert err.getvalue().count("error:") <= 1, argv
+        assert "Traceback" not in err.getvalue(), argv
 
 
 def test_non_closing_orbit_fails_fast_under_optimize(tmp_path):
@@ -457,6 +538,19 @@ def test_oracle_bad_requests(capsys):
     assert run(capsys, ["oracle", "run", "gj-recursion", "--q", "x"])[0] == 2
     assert run(capsys, ["oracle", "run", "gj-recursion", "--q", "2",
                         "--height", "-1"])[0] == 2
+    for q in ("1", "49", "121", "3000000021"):  # 3 * 1000000007
+        code, _, err = run(capsys, ["oracle", "run", "gj-recursion", "--q", q])
+        assert code == 2
+        assert err == "error: --q entries must be primes, got %s\n" % q
+
+
+def test_oracle_prime_check_is_fast(capsys):
+    # trial division stops at the square root of q
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["oracle", "run", "representatives",
+                                "--q", "1000000007", "--height", "0"])
+    assert time.perf_counter() - start < 5
+    assert code == 0 and out.startswith("representatives\tq=1000000007\tpass")
 
 
 # ---------------------------------------------------------------------------

@@ -489,6 +489,22 @@ def test_snf_properties(m, n, data):
             assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
 
 
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_snf_matches_sympy(m, n, data):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices import normalforms
+    A = [[data.draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(m)]
+    M = sympy.Matrix(A)
+    want = normalforms.smith_normal_form(M, domain=sympy.ZZ)
+    _, D, _ = smith_normal_form(A)
+    assert [D[i][i] for i in range(min(m, n))] == \
+        [abs(int(want[i, i])) for i in range(min(m, n))]
+    assert elementary_divisors(A) == [
+        abs(int(d)) for d in normalforms.invariant_factors(M, domain=sympy.ZZ)
+        if d != 0]
+
+
 def test_torsion_order():
     assert torsion_order(LatticeMap.of([[1, 0], [0, 6]])) == 6
     assert torsion_order(LatticeMap.identity(3)) == 1
@@ -600,6 +616,32 @@ def test_lattice_map_basics():
     assert img.contains((1, 3, 5)) and img.contains((2, 4, 6))
     with pytest.raises(ValueError):
         LatticeMap.of([[1, 2], [3]])
+
+
+def test_lattice_map_rejects_non_integral_entries():
+    for bad in ([[1, Fraction(1, 2)]], [[1.5]], [[0], [Fraction(-1, 3)]]):
+        with pytest.raises(ValueError, match="non-integral"):
+            LatticeMap.of(bad)
+    f = LatticeMap.of([[Fraction(4, 2), 1.0], [-3, 0]])
+    assert f.rows == ((2, 1), (-3, 0))
+    assert all(type(a) is int for r in f.rows for a in r)
+
+
+def test_saturation_quotient_rejects_non_integral_entries():
+    # int() used to truncate (1/2, 1) to (0, 1), the wrong line
+    with pytest.raises(ValueError, match="non-integral"):
+        saturation_quotient([(Fraction(1, 2), 1)], 2)
+    assert saturation_quotient([(Fraction(2), Fraction(8, 2))], 2) == \
+        saturation_quotient([(2, 4)], 2)
+
+
+def test_snf_rejects_non_integral_entries():
+    # int() used to truncate [[1/2]] to [[0]], which has no divisors
+    with pytest.raises(ValueError, match="non-integral"):
+        elementary_divisors([[Fraction(1, 2)]])
+    with pytest.raises(ValueError, match="non-integral"):
+        smith_normal_form([[1, 0], [0, 1.5]])
+    assert elementary_divisors([[Fraction(4, 2), 0], [0, 3]]) == [1, 6]
 
 
 def test_saturation_quotient_plane():

@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -6,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphvar.engine import PPRoute, minuscule_satake, pp_shifts
+from sphvar.geometry import LatticeMap
 from sphvar.oracle import (
+    SPACES,
     LatticePoint,
     PrecisionError,
     TruncSeries,
@@ -14,6 +19,7 @@ from sphvar.oracle import (
     det_count_series,
     gj_recursion_mismatches,
     hecke_convolve,
+    hecke_operators,
     integral_table,
     interpolates,
     left_translate,
@@ -27,11 +33,13 @@ from sphvar.oracle import (
     right_translate,
     satake_compatibility_check,
     satake_mismatches,
+    stratum_labels,
     stratum_point,
     transition_counts,
     translate_invariance_mismatches,
     vec_mat,
 )
+from sphvar.rootdata import root_datum
 
 P, PREC = 2, 12
 
@@ -213,6 +221,52 @@ def test_unknown_space_rejected():
 def test_stratum_point_guards():
     with pytest.raises(ValueError, match="complementary divisor"):
         stratum_point("MAT2", (2, 3), P, PREC)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_stratum_point_rejects_labels_of_the_wrong_length(space):
+    size = {"A2": 1, "UGL2": 2, "MAT2": 2, "PPGL3": 2}[space]
+    assert len(stratum_point(space, (0,) * size, P, PREC).coords) > size
+    for length in range(4):
+        if length != size:
+            with pytest.raises(ValueError):
+                stratum_point(space, (0,) * length, P, PREC)
+
+
+def test_stratum_labels():
+    assert stratum_labels("A2", 2) == [(0,), (1,), (2,)]
+    assert stratum_labels("UGL2", 2) == [(0, 0), (0, 1), (0, 2), (1, 0),
+                                         (1, 1), (2, 0)]
+    assert stratum_labels("PPGL3", 2, integral=True) == [(0, 0), (1, 0),
+                                                         (2, 0)]
+    assert stratum_labels("A2", 2, integral=True) == stratum_labels("A2", 2)
+    # 2a <= k and a + k <= height, ordered by k
+    assert stratum_labels("MAT2", 4) == [(0, 0), (0, 1), (0, 2), (1, 2),
+                                         (0, 3), (1, 3), (0, 4)]
+    assert stratum_labels("MAT2", 4, integral=True) == \
+        stratum_labels("MAT2", 4)
+    with pytest.raises(ValueError, match="unknown space"):
+        stratum_labels("B7", 2)
+    with pytest.raises(ValueError, match="no integral model"):
+        stratum_labels("B7", 2, integral=True)
+
+
+def _benchmark_ops():
+    # the benchmark keeps its own copy of the labels; load it without
+    # putting perfbench on sys.path
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "ops.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_ops", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_stratum_labels_match_the_benchmark_copy():
+    ops = _benchmark_ops()
+    for space in SPACES:
+        for h in range(7):
+            assert stratum_labels(space, h) == ops.translate_labels(space, h)
 
 
 def test_mismatched_inputs_raise():
@@ -435,6 +489,26 @@ def test_satake_compatibility_ppgl3():
     for op in ("unit", "t1", "wedge", "central"):
         assert satake_compatibility_check(op, "PPGL3", 2, 2)
     assert satake_compatibility_check("t1", "PPGL3", 2, 3)
+
+
+def test_satake_comparison_cannot_see_the_sign_of_kappa():
+    # the PPGL3 shifts are the same under kappa -> -kappa, so kappa = -1
+    # passes as well; the catalog tables are what fix the sign
+    route = PPRoute(root_datum("GL", 3), (0,),
+                    LatticeMap.of([(0, 0, 1), (1, 1, 1)]))
+    for op in hecke_operators("PPGL3"):
+        assert satake_mismatches(op, "PPGL3", 2, 2, kappa=-1) == []
+    for k in range(4):
+        satake = minuscule_satake(route.group, (1,) * k + (0,) * (3 - k))
+        assert pp_shifts(route, satake, -1) == pp_shifts(route, satake, 1)
+
+
+def test_hecke_operators():
+    assert hecke_operators("UGL2") == ("unit", "t1", "central")
+    assert hecke_operators("PPGL3") == ("unit", "t1", "wedge", "central")
+    for space in ("A2", "MAT2", "B7"):
+        with pytest.raises(ValueError, match="unknown space"):
+            hecke_operators(space)
 
 
 def test_satake_mismatch_reporting():
