@@ -615,8 +615,12 @@ def cmd_oracle(args) -> int:
     height = args.height if args.height is not None else default_height
     if height < 0:
         raise InputError("--height must be >= 0")
+    try:
+        results = fn(qs, height, args.trials)
+    except ValueError as e:  # a request too large to enumerate
+        raise InputError(str(e)) from None
     failed = False
-    for unit, mism in fn(qs, height, args.trials):
+    for unit, mism in results:
         status = "pass" if not mism else "fail"
         failed = failed or bool(mism)
         print("%s\t%s\t%s" % (args.name, unit, status))

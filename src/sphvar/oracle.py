@@ -10,11 +10,20 @@ Precision policy: callers pass prec = 2 * height + 4 (plus the operator
 degree when convolving repeatedly).  All valuations and elementary divisors
 appearing at a given height are bounded by height + degree, so this leaves
 room for one inversion, which costs twice the valuation.
+
+Series are packed: the coefficients of a TruncSeries are the fixed-width
+slots of one Python int, starting at its valuation (Kronecker substitution,
+Schoenhage 1982).  A product is one big-int multiplication and one unpack
+and reduce mod p; a sum is reduced mod p inside the int.  Random unimodular
+matrices are drawn residues first: whether a matrix is unimodular depends
+only on its residues, so they are redrawn until their determinant is a unit,
+and only then are the higher digits of each entry drawn, all at once.
 """
 from __future__ import annotations
 
 import itertools
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,82 +42,218 @@ def _inv_mod(c, p):
     return pow(c, p - 2, p)
 
 
-@dataclass(frozen=True)
-class TruncSeries:
-    """Laurent series over F_p with all coefficients known below t^prec."""
+# struct codes of the slot widths it packs; wider slots are packed by hand
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# every slot width holds the products of series of up to _SPAN slots
+_SPAN = 16
 
-    p: int
-    prec: int
-    terms: tuple  # ((exp, coeff), ...) sorted, 0 < coeff < p, exp < prec
+
+def _slot_bytes(bound):
+    """The slot width, in bytes, for values up to bound: 1, 2, 4, or a
+    multiple of 8."""
+    b = (bound.bit_length() + 7) // 8
+    return b if b <= 2 else 4 if b <= 4 else -(-b // 8) * 8
+
+
+def _width(p):
+    return _slot_bytes((p - 1) ** 2 * _SPAN)
+
+
+def _ones(n, w):
+    """1 in each of n slots of w bytes."""
+    return ((1 << 8 * w * n) - 1) // ((1 << 8 * w) - 1)
+
+
+def _unpack(x, n, w):
+    """Slots 0 .. n-1 of x, lowest first, w bytes each."""
+    b = (x & ~(-1 << 8 * w * n)).to_bytes(n * w, "little")
+    code = _CODES.get(w)
+    if code:
+        return struct.unpack("<%d%s" % (n, code), b)
+    return [int.from_bytes(b[i:i + w], "little") for i in range(0, n * w, w)]
+
+
+def _pack(slots, w):
+    code = _CODES.get(w)
+    if code:
+        b = struct.pack("<%d%s" % (len(slots), code), *slots)
+    else:
+        b = b"".join(c.to_bytes(w, "little") for c in slots)
+    return int.from_bytes(b, "little")
+
+
+class TruncSeries:
+    """Laurent series over F_p with all coefficients known below t^prec.
+
+    Packed (Kronecker substitution): slot i of the int _x, _w bytes wide,
+    holds the coefficient of t^(_v + i), reduced mod p.  Slot 0 is nonzero;
+    the zero series has _x = 0 and _v = prec.  The width depends on p only
+    and holds a sum of _SPAN products of residues, so a sum is reduced slot
+    by slot without unpacking, and a product is one big-int multiplication
+    followed by one unpack and reduce.  p, prec and terms are read-only.
+    """
+
+    __slots__ = ("_p", "_prec", "_v", "_x", "_w")
+
+    def __init__(self, p, prec, v, x, w):
+        self._p, self._prec, self._v, self._x, self._w = p, prec, v, x, w
+
+    @property
+    def p(self):
+        return self._p
+
+    @property
+    def prec(self):
+        return self._prec
+
+    @property
+    def terms(self):
+        """((exp, coeff), ...) sorted, 0 < coeff < p, exp < prec."""
+        return tuple((self._v + i, c) for i, c in enumerate(self._slots())
+                     if c)
+
+    def __eq__(self, other):
+        if type(other) is not TruncSeries:
+            return NotImplemented
+        return (self._p == other._p and self._prec == other._prec
+                and self._v == other._v and self._x == other._x)
+
+    def __hash__(self):
+        return hash((self._p, self._prec, self._v, self._x))
+
+    def __repr__(self):
+        return "TruncSeries(p=%r, prec=%r, terms=%r)" % (self._p, self._prec,
+                                                          self.terms)
+
+    def _slots(self):
+        x, w = self._x, self._w
+        return _unpack(x, -(-x.bit_length() // (8 * w)), w)
+
+    @staticmethod
+    def _make(p, prec, v, x, w):
+        """The series with packed reduced slots x from t^v on, leading zero
+        slots dropped; x must end below t^prec."""
+        if not x:
+            return TruncSeries(p, prec, prec, 0, w)
+        bits = 8 * w
+        if not x & ~(-1 << bits):
+            k = ((x & -x).bit_length() - 1) // bits
+            x >>= bits * k
+            v += k
+        return TruncSeries(p, prec, v, x, w)
 
     @staticmethod
     def of(p, prec, items):
-        acc = {}
-        for e, c in (items.items() if isinstance(items, dict) else items):
-            acc[int(e)] = (acc.get(int(e), 0) + int(c)) % p
-        return TruncSeries(p, int(prec),
-                           tuple(sorted((e, c) for e, c in acc.items()
-                                        if c and e < prec)))
+        prec = int(prec)
+        items = [(int(e), int(c)) for e, c in
+                 (items.items() if isinstance(items, dict) else items)]
+        items = [(e, c) for e, c in items if e < prec]
+        w = _width(p)
+        if not items:
+            return TruncSeries(p, prec, prec, 0, w)
+        lo = min(e for e, _ in items)
+        slots = [0] * (max(e for e, _ in items) - lo + 1)
+        for e, c in items:
+            slots[e - lo] += c
+        return TruncSeries._make(p, prec, lo, _pack([c % p for c in slots], w),
+                                 w)
 
     @staticmethod
     def const(p, prec, c):
-        return TruncSeries.of(p, prec, {0: c})
+        return TruncSeries.t_pow(p, prec, 0, c)
 
     @staticmethod
     def t_pow(p, prec, e, c=1):
-        return TruncSeries.of(p, prec, {e: c})
+        prec, e, c = int(prec), int(e), int(c) % p
+        if not c or e >= prec:
+            return TruncSeries(p, prec, prec, 0, _width(p))
+        return TruncSeries(p, prec, e, c, _width(p))
 
     def is_zero(self):
         # zero to the stated precision; exact zeroness is not decidable
-        return not self.terms
+        return not self._x
 
     def val(self):
-        if not self.terms:
-            raise PrecisionError("series is 0 mod t^%d" % self.prec)
-        return self.terms[0][0]
+        if not self._x:
+            raise PrecisionError("series is 0 mod t^%d" % self._prec)
+        return self._v
 
-    def _lead(self):
-        return self.terms[0][0] if self.terms else self.prec
+    def _fold(self, s, ones):
+        """s, its slots (1 in ones) each below 2p, with p subtracted from
+        every slot >= p: a slot is >= p iff adding 2^(bits-1) - p sets its
+        top bit."""
+        p, bits = self._p, 8 * self._w
+        return s - ((s + ((1 << bits - 1) - p) * ones) >> bits - 1 & ones) * p
 
     def __add__(self, other):
-        if self.p != other.p:
-            raise ValueError("series over F_%d and F_%d" % (self.p, other.p))
-        prec = min(self.prec, other.prec)
-        return TruncSeries.of(self.p, prec,
-                              list(self.terms) + list(other.terms))
+        p = self._p
+        if p != other._p:
+            raise ValueError("series over F_%d and F_%d" % (p, other._p))
+        x, y = self._x, other._x
+        if not y and other._prec >= self._prec:
+            return self
+        if not x and self._prec >= other._prec:
+            return other
+        prec = min(self._prec, other._prec)
+        va, vb, w = self._v, other._v, self._w
+        if va > vb:
+            x, y, va, vb = y, x, vb, va
+        n = prec - va
+        if n <= 0:
+            return TruncSeries(p, prec, prec, 0, w)
+        bits = 8 * w
+        s = (x + (y << bits * (vb - va))) & ~(-1 << bits * n)
+        return TruncSeries._make(p, prec, va, self._fold(s, _ones(n, w)), w)
 
     def __neg__(self):
-        return TruncSeries(self.p, self.prec,
-                           tuple((e, self.p - c) for e, c in self.terms))
+        x, w = self._x, self._w
+        if not x:
+            return self
+        ones = _ones(-(-x.bit_length() // (8 * w)), w)
+        # p - c in every slot, then p -> 0 in the slots that held 0
+        return TruncSeries(self._p, self._prec, self._v,
+                           self._fold(self._p * ones - x, ones), w)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if self.p != other.p:
-            raise ValueError("series over F_%d and F_%d" % (self.p, other.p))
-        prec = min(self.prec + other._lead(), other.prec + self._lead())
-        acc = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                if e1 + e2 < prec:
-                    acc[e1 + e2] = (acc.get(e1 + e2, 0) + c1 * c2) % self.p
-        return TruncSeries(self.p, prec,
-                           tuple(sorted((e, c) for e, c in acc.items() if c)))
+        p = self._p
+        if p != other._p:
+            raise ValueError("series over F_%d and F_%d" % (p, other._p))
+        va, vb = self._v, other._v
+        prec = min(self._prec + vb, other._prec + va)
+        x, y, w = self._x, other._x, self._w
+        v = va + vb
+        if not x or not y or v >= prec:
+            return TruncSeries(p, prec, prec, 0, w)
+        bits = 8 * w
+        na, nb = -(-x.bit_length() // bits), -(-y.bit_length() // bits)
+        wide = w
+        if min(na, nb) > _SPAN:
+            # a product slot sums min(na, nb) products of residues
+            wide = _slot_bytes((p - 1) ** 2 * min(na, nb))
+            x, y = (_pack(_unpack(x, na, w), wide),
+                    _pack(_unpack(y, nb, w), wide))
+        slots = _unpack(x * y, min(na + nb - 1, prec - v), wide)
+        return TruncSeries._make(p, prec, v, _pack([c % p for c in slots], w),
+                                 w)
 
     def inverse(self):
         v = self.val()
-        n = self.prec - v
+        n = self._prec - v
         if n <= v:
             raise PrecisionError("no room to invert at valuation %d" % v)
-        c = {e - v: x for e, x in self.terms}
-        u = _inv_mod(c[0], self.p)
-        out = {0: u}
+        p = self._p
+        c = list(self._slots())
+        c += [0] * (n - len(c))
+        u = _inv_mod(c[0], p)
+        out = [u]
         for k in range(1, n):
-            s = sum(c.get(i, 0) * out[k - i] for i in range(1, k + 1)) % self.p
-            out[k] = (-u * s) % self.p
-        return TruncSeries.of(self.p, self.prec - 2 * v,
-                              {e - v: x for e, x in out.items()})
+            s = sum(c[i] * out[k - i] for i in range(1, k + 1)) % p
+            out.append((-u * s) % p)
+        return TruncSeries._make(p, self._prec - 2 * v, -v,
+                                 _pack(out, self._w), self._w)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +394,8 @@ def stratum_point(space, label, p, prec):
 
 
 def _vec_val(entries):
-    vals = [e.val() for e in entries if e.terms]
-    floor = min((e.prec for e in entries if not e.terms), default=None)
+    vals = [e._v for e in entries if e._x]
+    floor = min((e._prec for e in entries if not e._x), default=None)
     if not vals:
         raise PrecisionError("vector is 0 mod t^%d" % floor)
     v = min(vals)
@@ -277,13 +422,18 @@ def orbit_invariant(x: LatticePoint):
 
 def right_translate(x: LatticePoint, g):
     shape = _shape(x.space)
+    return _right_translate(shape, x, g, mat_det(g) if shape.twisted else None)
+
+
+def _right_translate(shape, x, g, det):
+    """x g, with det = det(g) given for a twisted space."""
     c = x.coords
     if shape.two_sided:
         m = mat_mul([list(c[:2]), list(c[2:])], g)
         return LatticePoint(x.space, tuple(m[0] + m[1]))
     v = vec_mat(c[:shape.n], g)
     if shape.twisted:
-        v += (c[shape.n] * mat_det(g),)
+        v += (c[shape.n] * det,)
     return LatticePoint(x.space, v)
 
 
@@ -297,6 +447,11 @@ def left_translate(x: LatticePoint, g):
 # ---------------------------------------------------------------------------
 # coset lists for the supported bi-invariant operators
 
+# The longest coset list built: gj-recursion at q = 4999 (5,000 cosets) runs
+# for about 10 s at its default height.
+MAX_COSETS = 5000
+
+
 def coset_reps(group, op, p, prec):
     """Left-coset representatives g_i with K g K = union of g_i K.
 
@@ -306,6 +461,11 @@ def coset_reps(group, op, p, prec):
     central.
     """
     n = {"GL2": 2, "GL3": 3}.get(group)
+    if n and op == "t1" or n == 3 and op == "wedge":
+        count = sum(p ** i for i in range(n))  # the points of P^(n-1)(F_p)
+        if count > MAX_COSETS:
+            raise ValueError("%s %s has %d cosets at p = %d; at most %d are "
+                             "enumerated" % (group, op, count, p, MAX_COSETS))
     one = TruncSeries.const(p, prec, 1)
     zero = TruncSeries.of(p, prec, {})
     pi = TruncSeries.t_pow(p, prec, 1)
@@ -318,16 +478,17 @@ def coset_reps(group, op, p, prec):
                 for j in range(p)] + [[[one, zero], [zero, pi]]]
     if n == 3 and op in ("t1", "wedge"):
         reps = []
-        for phi in itertools.product(range(p), repeat=3):
-            if next((c for c in phi if c), 0) != 1:
-                continue  # not the normalized representative of a P^2 point
-            # row piv is pi e_piv, every other row i is e_i - phi_i e_piv
-            piv = phi.index(1)
-            rows = mat_id(p, prec, 3)
-            for i in range(3):
-                rows[i][piv] = (pi if i == piv
-                                else TruncSeries.const(p, prec, -phi[i]))
-            reps.append(rows)
+        # one point phi of P^2 per coset, normalized: its first nonzero
+        # entry phi_piv is 1; listed in lexicographic order
+        for piv in (2, 1, 0):
+            for rest in itertools.product(range(p), repeat=2 - piv):
+                phi = (0,) * piv + (1,) + rest
+                # row piv is pi e_piv, every other row i is e_i - phi_i e_piv
+                rows = mat_id(p, prec, 3)
+                for i in range(3):
+                    rows[i][piv] = (pi if i == piv
+                                    else TruncSeries.const(p, prec, -phi[i]))
+                reps.append(rows)
         if op == "t1":
             return reps
         return [[[pi * e for e in row] for row in mat_inv(b)] for b in reps]
@@ -340,14 +501,17 @@ def coset_reps(group, op, p, prec):
 def transition_counts(space, reps, labels, p, prec, inverse=False):
     """{(source label, target label): multiplicity} under x -> x g_i,
     or x -> x g_i^{-1} with inverse set."""
+    shape = _shape(space)
     gs = [mat_inv(g) for g in reps] if inverse else reps
+    # one determinant per coset, shared by every label
+    dets = [mat_det(g) if shape.twisted else None for g in gs]
     out = {}
     for l in labels:
         x = stratum_point(space, l, p, prec)
         if orbit_invariant(x) != tuple(l):
             raise RuntimeError("representative of %r has another label" % (l,))
-        for g in gs:
-            mu = orbit_invariant(right_translate(x, g))
+        for g, det in zip(gs, dets):
+            mu = orbit_invariant(_right_translate(shape, x, g, det))
             key = (tuple(l), mu)
             out[key] = out.get(key, 0) + 1
     return out
@@ -432,16 +596,28 @@ def integral_table(space, height, p, prec):
 # randomized well-definedness and interpolation checks
 
 def random_unimodular(rng, p, prec, n):
-    """A uniformly drawn element of GL_n(o) mod t^prec, by rejection: a
-    matrix is unimodular iff its residue matrix is invertible mod p."""
+    """A uniformly drawn element of GL_n(o) mod t^prec.  The residues are
+    redrawn until their determinant is a unit mod p, which is exactly when
+    the matrix is unimodular; then the digits of t^1 .. t^(prec-1) of each
+    entry are read off one draw below p^(prec-1)."""
     if prec < 1:
         raise ValueError("precision must be >= 1")
     while True:
-        coeffs = [[[rng.randrange(p) for _ in range(prec)] for _ in range(n)]
-                  for _ in range(n)]
-        if mat_det([[c[0] for c in row] for row in coeffs]) % p:
-            return [[TruncSeries.of(p, prec, enumerate(c)) for c in row]
-                    for row in coeffs]
+        residues = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if mat_det(residues) % p:
+            break
+    w = _width(p)
+    high = p ** (prec - 1)
+    out = []
+    for row in residues:
+        out.append([])
+        for r in row:
+            x, d = r, rng.randrange(high)
+            for shift in range(8 * w, 8 * w * prec, 8 * w):
+                d, c = divmod(d, p)
+                x |= c << shift
+            out[-1].append(TruncSeries._make(p, prec, 0, x, w))
+    return out
 
 
 def translate_invariance_mismatches(space, label, p, prec, trials, seed=0):

@@ -553,6 +553,27 @@ def test_oracle_prime_check_is_fast(capsys):
     assert code == 0 and out.startswith("representatives\tq=1000000007\tpass")
 
 
+@pytest.mark.parametrize("check, group, count", [
+    ("gj-recursion", "GL2 t1", 1000000008),
+    ("satake-ugl2", "GL2 t1", 1000000008),
+    ("satake-ppgl3", "GL3 t1", 1000000015000000057)])
+def test_oracle_refuses_huge_coset_lists(capsys, check, group, count):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["oracle", "run", check,
+                                  "--q", "1000000007"])
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err == ("error: %s has %d cosets at p = 1000000007; at most 5000 "
+                   "are enumerated\n" % (group, count))
+
+
+@pytest.mark.parametrize("check", ["representatives", "orbit-invariance"])
+def test_oracle_checks_without_cosets_take_huge_primes(capsys, check):
+    code, out, _ = run(capsys, ["oracle", "run", check, "--q", "1000000007",
+                                "--height", "1", "--trials", "20"])
+    assert code == 0 and out == "%s\tq=1000000007\tpass\n" % check
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import operator
 import os
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from sphvar.engine import PPRoute, minuscule_satake, pp_shifts
 from sphvar.geometry import LatticeMap
 from sphvar.oracle import (
+    MAX_COSETS,
     SPACES,
     LatticePoint,
     PrecisionError,
@@ -126,6 +128,172 @@ def test_series_inverse_is_inverse(v, tail):
     assert prod.terms == ((0, 1),)
 
 
+def test_series_are_read_only_values():
+    s = ts({0: 1, 3: 1})
+    for name in ("p", "prec", "terms", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 3)
+    assert repr(s) == "TruncSeries(p=2, prec=12, terms=((0, 1), (3, 1)))"
+    assert {s: 1}[ts([(3, 1), (0, 3)])] == 1
+    assert s != ts({0: 1, 3: 1}, prec=11) and s != s.terms
+
+
+class _SparseSeries:
+    """The sparse series the packed one replaced, kept as the reference:
+    terms are ((exp, coeff), ...) sorted, 0 < coeff < p, exp < prec."""
+
+    def __init__(self, p, prec, terms):
+        self.p, self.prec, self.terms = p, prec, terms
+
+    @staticmethod
+    def of(p, prec, items):
+        acc = {}
+        for e, c in (items.items() if isinstance(items, dict) else items):
+            acc[int(e)] = (acc.get(int(e), 0) + int(c)) % p
+        return _SparseSeries(p, int(prec),
+                             tuple(sorted((e, c) for e, c in acc.items()
+                                          if c and e < prec)))
+
+    def is_zero(self):
+        return not self.terms
+
+    def val(self):
+        if not self.terms:
+            raise PrecisionError("series is 0 mod t^%d" % self.prec)
+        return self.terms[0][0]
+
+    def _lead(self):
+        return self.terms[0][0] if self.terms else self.prec
+
+    def __add__(self, other):
+        if self.p != other.p:
+            raise ValueError("series over F_%d and F_%d" % (self.p, other.p))
+        prec = min(self.prec, other.prec)
+        return _SparseSeries.of(self.p, prec,
+                                list(self.terms) + list(other.terms))
+
+    def __neg__(self):
+        return _SparseSeries(self.p, self.prec,
+                             tuple((e, self.p - c) for e, c in self.terms))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if self.p != other.p:
+            raise ValueError("series over F_%d and F_%d" % (self.p, other.p))
+        prec = min(self.prec + other._lead(), other.prec + self._lead())
+        acc = {}
+        for e1, c1 in self.terms:
+            for e2, c2 in other.terms:
+                if e1 + e2 < prec:
+                    acc[e1 + e2] = (acc.get(e1 + e2, 0) + c1 * c2) % self.p
+        return _SparseSeries(self.p, prec,
+                             tuple(sorted((e, c) for e, c in acc.items()
+                                          if c)))
+
+    def inverse(self):
+        v = self.val()
+        n = self.prec - v
+        if n <= v:
+            raise PrecisionError("no room to invert at valuation %d" % v)
+        c = {e - v: x for e, x in self.terms}
+        u = pow(c[0], self.p - 2, self.p)
+        out = {0: u}
+        for k in range(1, n):
+            s = sum(c.get(i, 0) * out[k - i] for i in range(1, k + 1)) % self.p
+            out[k] = (-u * s) % self.p
+        return _SparseSeries.of(self.p, self.prec - 2 * v,
+                                {e - v: x for e, x in out.items()})
+
+
+PRIMES = (2, 3, 5, 7, 10007, 1000000007)
+
+
+@st.composite
+def _series_input(draw, p=None):
+    """(p, prec, items): a possibly negative precision and valuation, and
+    coefficients that need reducing, sometimes none or all beyond prec."""
+    p = draw(st.sampled_from(PRIMES)) if p is None else p
+    prec = draw(st.integers(-5, 40))
+    lo = draw(st.integers(-12, prec + 2))
+    items = draw(st.lists(st.tuples(st.integers(lo, max(lo, prec + 2)),
+                                    st.integers(-3 * p, 3 * p)), max_size=12))
+    dense = draw(st.booleans())
+    if dense:  # every coefficient up to prec, at most 40 of them
+        items += [(e, draw(st.integers(0, p - 1)))
+                  for e in range(lo, min(prec, lo + 40))]
+    return p, prec, items
+
+
+def _outcome(f):
+    """terms and prec of f(), or the type and message of what it raised."""
+    try:
+        r = f()
+    except (ArithmeticError, ValueError) as e:
+        return type(e).__name__, str(e)
+    if isinstance(r, (TruncSeries, _SparseSeries)):
+        return r.terms, r.prec
+    return r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_series_input(), st.data())
+def test_packed_series_match_the_sparse_reference(a_in, data):
+    p = a_in[0]
+    other_p = data.draw(st.sampled_from((p, p, p, 2 if p != 2 else 3)))
+    b_in = data.draw(_series_input(other_p))
+    a, b = TruncSeries.of(*a_in), TruncSeries.of(*b_in)
+    ra, rb = _SparseSeries.of(*a_in), _SparseSeries.of(*b_in)
+    for mine, ref in ((a, ra), (b, rb)):
+        assert (mine.p, mine.prec, mine.terms) == (ref.p, ref.prec, ref.terms)
+        assert mine.is_zero() == ref.is_zero()
+        assert _outcome(mine.val) == _outcome(ref.val)
+        assert _outcome(mine.inverse) == _outcome(ref.inverse)
+        assert _outcome(lambda: -mine) == _outcome(lambda: -ref)
+    for op in (operator.add, operator.sub, operator.mul):
+        assert _outcome(lambda: op(a, b)) == _outcome(lambda: op(ra, rb))
+        assert _outcome(lambda: op(b, a)) == _outcome(lambda: op(rb, ra))
+    again = TruncSeries.of(*a_in)
+    assert a == again and hash(a) == hash(again) and a is not again
+    assert (a == b) == ((a.p, a.prec, a.terms) == (b.p, b.prec, b.terms))
+
+
+@pytest.mark.parametrize("p, n", [(2, 300), (3, 70), (10007, 45),
+                                  (1000000007, 17), (1000000007, 40)])
+def test_long_products_widen_their_slots(p, n):
+    # past 16 slots a product can overflow the width p was given
+    rng = random.Random(n)
+    a_in, b_in = ([(e, rng.randrange(p)) for e in range(-3, n - 3)]
+                  for _ in range(2))
+    mine = TruncSeries.of(p, n, a_in) * TruncSeries.of(p, n, b_in)
+    ref = _SparseSeries.of(p, n, a_in) * _SparseSeries.of(p, n, b_in)
+    assert (mine.terms, mine.prec) == (ref.terms, ref.prec)
+    full = [(e, p - 1) for e in range(n)]
+    mine = TruncSeries.of(p, 2 * n, full) * TruncSeries.of(p, 2 * n, full)
+    ref = _SparseSeries.of(p, 2 * n, full) * _SparseSeries.of(p, 2 * n, full)
+    assert (mine.terms, mine.prec) == (ref.terms, ref.prec)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(PRIMES), st.data())
+def test_packed_products_match_sympy(p, data):
+    sympy = pytest.importorskip("sympy")
+    a, b = (TruncSeries.of(*data.draw(_series_input(p))) for _ in range(2))
+    prod = a * b
+    if a.is_zero() or b.is_zero():
+        assert prod.is_zero()
+        return
+    t = sympy.Symbol("t")
+    # t^-val times each series is a polynomial
+    fa, fb = (sympy.Poly(sum(c * t ** (e - s.val()) for e, c in s.terms), t,
+                         modulus=p) for s in (a, b))
+    shift = a.val() + b.val()
+    want = {e + shift: int(c) % p
+            for (e,), c in (fa * fb).terms() if e + shift < prod.prec}
+    assert dict(prod.terms) == {e: c for e, c in want.items() if c}
+
+
 # --- matrices --------------------------------------------------------------
 
 def test_mat_det_and_inv():
@@ -165,24 +333,89 @@ def test_random_unimodular_is_unimodular():
         assert mat_det(g).val() == 0
 
 
-def _series_det_sampler(rng, p, prec, n):
-    # reference: the same draws, accepted on the determinant of the series
-    while True:
-        m = [[TruncSeries.of(p, prec,
-                             {e: rng.randrange(p) for e in range(prec)})
-              for _ in range(n)] for _ in range(n)]
-        d = mat_det(m)
-        if d.terms and d.val() == 0:
-            return m
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("n", (2, 3))
+def test_random_unimodular_draws_have_unit_series_determinant(p, n):
+    rng = random.Random(17 * p + n)
+    for _ in range(200):
+        d = mat_det(random_unimodular(rng, p, 6, n))
+        assert not d.is_zero() and d.val() == 0
+
+
+class _Scripted(random.Random):
+    """randrange answers from a script and records its bounds."""
+
+    def __init__(self, script):
+        super().__init__(0)
+        self.script, self.bounds = list(script), []
+
+    def randrange(self, stop):
+        self.bounds.append(stop)
+        x = self.script.pop(0)
+        assert 0 <= x < stop
+        return x
+
+
+def _gl_residues(p, n):
+    return [r for r in itertools.product(range(p), repeat=n * n)
+            if mat_det([list(r[i * n:i * n + n]) for i in range(n)]) % p]
+
+
+@pytest.mark.parametrize("p, n, prec, order", [(2, 2, 2, 96), (3, 2, 1, 48),
+                                               (2, 3, 1, 168)])
+def test_random_unimodular_hits_each_element_once(p, n, prec, order):
+    # every accepted residue tuple and every digit tuple gives another
+    # element of GL_n(o / t^prec), and together they give all of them
+    high = p ** (prec - 1)
+    seen = set()
+    for res in _gl_residues(p, n):
+        for digits in itertools.product(range(high), repeat=n * n):
+            rng = _Scripted(res + digits)
+            g = random_unimodular(rng, p, prec, n)
+            assert not rng.script
+            assert rng.bounds == [p] * (n * n) + [high] * (n * n)
+            assert mat_det(g).val() == 0
+            # the residue, then the base-p digits of the draw, lowest first
+            assert [e for row in g for e in row] == [
+                TruncSeries.of(p, prec, [(0, r)] + [
+                    (i, d // p ** (i - 1) % p) for i in range(1, prec)])
+                for r, d in zip(res, digits)]
+            seen.add(tuple(tuple(e.terms for e in row) for row in g))
+    assert len(seen) == order
+
+
+def test_random_unimodular_redraws_singular_residues():
+    singular, unit = (1, 1, 1, 1), (1, 1, 0, 1)
+    rng = _Scripted(singular + singular + unit + (2, 0, 1, 3))
+    g = random_unimodular(rng, 2, 3, 2)
+    assert not rng.script and rng.bounds == [2] * 12 + [4] * 4
+    assert [[e.terms for e in row] for row in g] == [
+        [((0, 1), (2, 1)), ((0, 1),)], [((1, 1),), ((0, 1), (1, 1), (2, 1))]]
+
+
+class _Counting(random.Random):
+    def randrange(self, *args):
+        self.calls += 1
+        return super().randrange(*args)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
 @pytest.mark.parametrize("n", (2, 3))
-def test_random_unimodular_matches_series_determinant_sampler(p, n):
-    mine, ref = random.Random(17 * p + n), random.Random(17 * p + n)
+def test_random_unimodular_work(p, n, monkeypatch):
+    # n^2 draws per residue attempt, plus n^2 for the higher digits: the
+    # digits cost nothing on a rejected attempt
+    import sphvar.oracle as oracle
+    attempts = []
+    det = oracle.mat_det
+    # the Laplace expansion recurses into minors; count the n x n calls
+    monkeypatch.setattr(oracle, "mat_det",
+                        lambda m: attempts.append(len(m) == n) or det(m))
+    rng = _Counting(17 * p + n)
+    rng.calls = 0
     for _ in range(200):
-        assert random_unimodular(mine, p, 6, n) == \
-            _series_det_sampler(ref, p, 6, n)
+        random_unimodular(rng, p, 6, n)
+    assert rng.calls == n * n * (sum(attempts) + 200)
+    assert sum(attempts) < 200 * (4 if p == 2 else 2)
 
 
 def test_random_unimodular_needs_a_residue():
@@ -319,6 +552,37 @@ def test_coset_determinant_valuations():
         assert mat_det(g).val() == 2
     for g in coset_reps("GL2", "t1", 3, 10):
         assert mat_det(g).val() == 1
+
+
+def test_coset_lists_are_bounded():
+    assert len(coset_reps("GL2", "t1", 4999, 4)) == MAX_COSETS == 5000
+    assert len(coset_reps("GL3", "t1", 67, 4)) == 67 * 67 + 67 + 1
+    for group, op, p in (("GL2", "t1", 5003), ("GL3", "t1", 71),
+                         ("GL3", "wedge", 71), ("GL3", "t1", 1000000007)):
+        with pytest.raises(ValueError, match="at most 5000"):
+            coset_reps(group, op, p, 4)
+    # small lists whatever the prime, and an unknown operator stays unknown
+    assert len(coset_reps("GL3", "central", 1000000007, 4)) == 1
+    with pytest.raises(ValueError, match="unknown operator"):
+        coset_reps("GL2", "wedge", 1000000007, 4)
+
+
+def test_transition_counts_take_one_determinant_per_coset(monkeypatch):
+    import sphvar.oracle as oracle
+    reps = coset_reps("GL3", "t1", 3, 10)
+    labels = stratum_labels("PPGL3", 2)
+    by_pair = {}
+    for l in labels:
+        x = stratum_point("PPGL3", l, 3, 10)
+        for g in reps:
+            key = (l, orbit_invariant(right_translate(x, g)))
+            by_pair[key] = by_pair.get(key, 0) + 1
+    calls = []
+    det = oracle.mat_det
+    monkeypatch.setattr(oracle, "mat_det",
+                        lambda m: calls.append(len(m) == 3) or det(m))
+    assert transition_counts("PPGL3", reps, labels, 3, 10) == by_pair
+    assert sum(calls) == len(reps) == 13
 
 
 def test_unknown_operator_rejected():
