@@ -10,10 +10,8 @@ kernels, span coordinates (a common denominator d with integer rows, so a
 coefficient is an integer dot product over d) and unimodular inverses.
 These answers are integer; Fractions appear only in the public rational
 API `row_echelon` and `solve_linear`, and in Fourier-Motzkin witnesses.
-The facet description of a cone is obtained by a subset-kernel enumeration
-over the integer constraint rows; at the dimensions this package works in
-(n <= 7, generator counts in the teens) that is both exact and fast, and it
-sidesteps the adjacency bookkeeping of incremental double description.
+The facet description of a cone comes from integer double description,
+which adds the constraint rows one at a time (`_halfspace_gens`).
 Lattice points are enumerated depth first, dropping every coordinate prefix
 that no completion within the l1 budget can bring into the cone, so the
 work follows the points kept rather than the size of the l1 ball.
@@ -185,56 +183,87 @@ def solve_linear(rows, rhs):
 # ---------------------------------------------------------------------------
 # Cones
 
+def _elim(s, u, t, v):
+    """The primitive part of s*u - t*v."""
+    return _int_primitive([s * x - t * y for x, y in zip(u, v)])
+
+
 def _halfspace_gens(rows, n: int):
     """Generators of {y in Q^n : <a, y> >= 0 for all a in rows}.
 
-    Returns (rays, lineality_basis). Every extreme ray modulo the lineality
-    space lies on a face cut out by a rank-(d-1) subset of the rows, where
-    d is the codimension of the lineality; enumerating those subsets is
-    exhaustive and exact. All the work is integer: each subset is eliminated
-    once for its rank and kernel, and kernel vectors are reduced modulo the
-    lineality by positive integer combinations, which keep every sign.
+    Returns (rays, lineality_basis), the rays sorted. Integer double
+    description (Motzkin-Raiffa-Thompson-Thrall 1953; Fukuda-Prodon 1996):
+    Q^n starts as n lines and no rays, and the rows a are added one at a
+    time, each ray carrying the bitmask of the rows it lies on.
+    - Line step: a line l with <a, l> = s > 0 (after a sign flip) is the
+      pivot. Every other line and ray r becomes the primitive part of
+      s*r - <a, r>*l, which lies on a, and l turns into a ray.
+    - Otherwise the rays with <a, r> >= 0 stay, and each adjacent pair of
+      opposite signs (p, q) adds <a, p>*q - <a, q>*p. Adjacency is the
+      combinatorial test: no third ray lies on every row both p and q lie on.
+    Every ray is then reduced modulo the RREF of the lineality by a positive
+    integer combination, which makes it canonical.
     """
     arows = []
     seen = set()
     for r in rows:
+        if len(r) != n:
+            raise ValueError("inequality dimension %d != ambient %d" % (len(r), n))
         r = _int_row(r)
         if any(r):
             r = _int_primitive(r)
             if r not in seen:
                 seen.add(r)
                 arows.append(r)
+    lines = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays = []  # (zero set bitmask, primitive vector)
+    for i, a in enumerate(arows):
+        bit = 1 << i
+        k = next((k for k, l in enumerate(lines) if _idot(a, l)), None)
+        if k is not None:
+            l = lines.pop(k)
+            s = _idot(a, l)
+            if s < 0:
+                l, s = vneg(l), -s
+            lines = [_elim(s, m, _idot(a, m), l) for m in lines]
+            rays = [(z | bit, _elim(s, r, _idot(a, r), l)) for z, r in rays]
+            rays.append((bit - 1, l))
+            continue
+        kept, pos, neg = [], [], []
+        for z, r in rays:
+            t = _idot(a, r)
+            if t > 0:
+                pos.append((t, z, r))
+                kept.append((z, r))
+            elif t < 0:
+                neg.append((t, z, r))
+            else:
+                kept.append((z | bit, r))
+        for tp, zp, p in pos:
+            for tq, zq, q in neg:
+                common = zp & zq
+                if sum(common & ~z == 0 for z, _ in rays) == 2:
+                    kept.append((common | bit, _elim(tp, q, tq, p)))
+        rays = kept
     lin = kernel_basis(arows, n)
-    d = n - len(lin)
-    if d == 0:
-        return [], lin
     red, red_piv, e = _gauss_jordan(lin, n)
-    rays = []
-    rayset = set()
-    for sub in itertools.combinations(arows, d - 1):
-        ech, piv, dd = _gauss_jordan(sub, n)
-        if len(piv) != d - 1:
-            continue
-        # pick a kernel vector independent from the lineality space; y is
-        # e > 0 times its remainder modulo the RREF of the lineality
-        for k in _int_kernel(ech, piv, dd, n):
-            y = [e * a for a in k]
-            for row, pc in zip(red, red_piv):
-                f = k[pc]
-                if f:
-                    y = [a - f * b for a, b in zip(y, row)]
-            if any(y):
-                break
-        else:
-            continue
-        for cand in (y, [-a for a in y]):
-            if all(_idot(row, cand) >= 0 for row in arows):
-                p = _int_primitive(cand)
-                if p not in rayset:
-                    rayset.add(p)
-                    rays.append(p)
-                break
-    return rays, lin
+    out = set()
+    for _, k in rays:
+        # e > 0 times the remainder of k modulo the RREF of the lineality
+        y = [e * a for a in k]
+        for row, pc in zip(red, red_piv):
+            f = k[pc]
+            if f:
+                y = [a - f * b for a, b in zip(y, row)]
+        out.add(_int_primitive(y))
+    return sorted(out), lin
+
+
+def _generators(rows, n: int):
+    """Sorted generators of {y : <a, y> >= 0 for all a in rows}: the rays
+    and both signs of each lineality basis vector."""
+    rays, lin = _halfspace_gens(rows, n)
+    return tuple(sorted(rays + lin + [vneg(b) for b in lin]))
 
 
 class Cone:
@@ -285,22 +314,12 @@ class Cone:
 
     @staticmethod
     def from_inequalities(rows, n: int) -> "Cone":
-        rays, lin = _halfspace_gens(rows, n)
-        gens = list(rays)
-        for b in lin:
-            gens.append(b)
-            gens.append(vneg(b))
-        return Cone(n, gens)
+        return Cone(n, _generators(rows, n))
 
     # -- structure ----------------------------------------------------
     def dual_generators(self):
         if self._dual_gens is None:
-            rays, lin = _halfspace_gens(self.generators, self.n)
-            gens = list(rays)
-            for b in lin:
-                gens.append(b)
-                gens.append(vneg(b))
-            self._dual_gens = tuple(sorted(gens))
+            self._dual_gens = _generators(self.generators, self.n)
         return self._dual_gens
 
     def dual(self) -> "Cone":

@@ -520,7 +520,11 @@ def transition_counts(space, reps, labels, p, prec, inverse=False):
 def hecke_convolve(reps, f, space, labels, p, prec, inverse=False):
     """(h * f) per stratum label, h given by its coset list:
     (h * f)(x) = sum_i f(x g_i); values outside f count as zero."""
-    counts = transition_counts(space, reps, labels, p, prec, inverse)
+    return _fold(transition_counts(space, reps, labels, p, prec, inverse), f)
+
+
+def _fold(counts, f):
+    """h * f from the transition counts of h."""
     out = {}
     for (l, mu), c in counts.items():
         if mu in f:
@@ -534,19 +538,19 @@ def gj_recursion_mismatches(p, height=4, degree=4):
     orientation so supports stay integral.  The local identity forces
     F_i == indicator of determinant valuation i; returns what breaks."""
     prec = 2 * (height + degree) + 4
-    t1 = coset_reps("GL2", "t1", p, prec)
-    z = coset_reps("GL2", "central", p, prec)
     # every label with k <= degree has a <= degree // 2
     labels = [l for l in stratum_labels("MAT2", degree + degree // 2)
               if l[1] <= degree]
+    # the transition counts do not depend on f: one table per operator
+    t1, z = (transition_counts("MAT2", coset_reps("GL2", op, p, prec), labels,
+                               p, prec, inverse=True)
+             for op in ("t1", "central"))
     fs = [{(0, 0): 1}]
     bad = []
     for i in range(1, degree + 1):
-        f = hecke_convolve(t1, fs[i - 1], "MAT2", labels, p, prec, inverse=True)
+        f = _fold(t1, fs[i - 1])
         if i >= 2:
-            g = hecke_convolve(z, fs[i - 2], "MAT2", labels, p, prec,
-                               inverse=True)
-            for l, v in g.items():
+            for l, v in _fold(z, fs[i - 2]).items():
                 f[l] = f.get(l, 0) - p * v
         f = {l: v for l, v in f.items() if v}
         fs.append(f)

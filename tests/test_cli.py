@@ -101,6 +101,10 @@ MALFORMED = (
     {"colored_cone": {"generators": [[1]], "colors": ["E"]}},
     {"colored_cone": {"dim": 2, "generators": [[1, 0]], "colors": ["D"]}},
     {"lattice_map": [[0], [0]]},
+    # inequality rows of the wrong length, short, long and empty
+    {"valuation_cone": {"dim": 2, "inequalities": [[1]]}},
+    {"valuation_cone": {"inequalities": [[0, 1]]}},
+    {"valuation_cone": {"inequalities": [[]]}},
 )
 COMMANDS = (["describe"], ["check", "--which", "wavefront"],
             ["basicfn", "--case", "pp", "--height", "2"])

@@ -16,7 +16,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sphvar
 from sphvar import geometry
@@ -122,6 +122,115 @@ def test_cone_vectors_are_ints():
     assert c.generators == ((1, 2),)
     assert all(type(a) is int for v in c.generators + c.dual_generators() for a in v)
     assert repr(c) == "Cone(2, [(1, 2)])"
+
+
+@pytest.mark.parametrize("row", [(1,), (1, 2, 3), ()])
+def test_inequality_of_wrong_length_is_rejected(row):
+    # a short row must not be read past its end, nor a long or empty one
+    # cut or padded to the ambient dimension
+    with pytest.raises(ValueError,
+                       match="inequality dimension %d != ambient 2" % len(row)):
+        Cone.from_inequalities([(1, 0), row], 2)
+
+
+def test_rays_and_lineality_are_sorted():
+    c = Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
+    assert c.rays_and_lineality() == (
+        [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, -1)], [])
+    c = Cone.from_inequalities([(1, 0, 0), (0, 1, 0)], 3)
+    assert c.rays_and_lineality() == ([(0, 1, 0), (1, 0, 0)], [(0, 0, 1)])
+
+
+# ---------------------------------------------------------------------------
+# double description against the subset enumeration it replaced
+
+def subset_enumeration(rows, n):
+    """Every extreme ray modulo the lineality lies on a face cut out by a
+    rank-(d-1) subset of the rows, d the codimension of the lineality: try
+    them all, reducing each kernel vector modulo the lineality's RREF."""
+    arows = []
+    for r in rows:
+        r = primitive(r)
+        if any(r) and r not in arows:
+            arows.append(r)
+    lin = kernel_basis(arows, n)
+    d = n - len(lin)
+    if d == 0:
+        return [], lin
+    red, red_piv, e = geometry._gauss_jordan(lin, n)
+    rays = set()
+    for sub in combinations(arows, d - 1):
+        ech, piv, dd = geometry._gauss_jordan(sub, n)
+        if len(piv) != d - 1:
+            continue
+        for k in geometry._int_kernel(ech, piv, dd, n):
+            y = [e * a for a in k]
+            for row, pc in zip(red, red_piv):
+                y = [a - k[pc] * b for a, b in zip(y, row)]
+            if any(y):
+                break
+        else:
+            continue
+        for cand in (y, [-a for a in y]):
+            if all(sum(a * b for a, b in zip(row, cand)) >= 0 for row in arows):
+                rays.add(primitive(cand))
+                break
+    return sorted(rays), lin
+
+
+@st.composite
+def inequality_systems(draw):
+    """Up to 15 rows in Z^n, n <= 6, with repeated, opposite, all-zero
+    and Fraction-scaled rows mixed in."""
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=12))
+    for _ in range(draw(st.integers(0, 15 - len(rows)))):
+        if rows:
+            r = draw(st.sampled_from(rows))
+            k = draw(st.sampled_from((1, -1)) | st.fractions(
+                Fraction(-3), Fraction(3), max_denominator=4).filter(bool))
+            rows.append(tuple(k * a for a in r))
+        else:
+            rows.append((0,) * n)
+    return draw(st.permutations(rows)), n
+
+
+FULL6 = Cone.full(6).generators
+# the affine-closure system of the tensor-4 catalog entry: rank 6, 13 rows,
+# and only the zero cone satisfies them
+TENSOR4 = ((-1, -1, -1, -1, -1, 0), (-1, 0, 0, 0, 0, -1), (0, -1, -1, 0, 0, -1),
+           (0, -1, 0, -1, 0, -1), (0, -1, 0, 0, -1, -1), (0, 0, -1, 0, 0, 0),
+           (0, 0, 0, -1, 0, 0), (0, 0, 0, 0, -1, 0), (0, 0, 0, 0, 0, -1),
+           (0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 1), (0, 2, 1, 1, 1, 0),
+           (1, 1, 1, 1, 1, 0))
+
+
+@given(inequality_systems())
+@example(((), 3))                                        # the full space
+@example((FULL6, 6))                                     # the zero cone
+@example((TENSOR4, 6))
+@example((((0, 0, 0), (0, 0, 0)), 3))                    # full lineality
+@example((((1, 0), (-1, 0), (1, 0), (2, 0)), 2))         # the line x = 0
+@example((((Fraction(1, 2), Fraction(-1, 3)), (0, Fraction(3, 4))), 2))
+@settings(max_examples=120, deadline=None)
+def test_double_description_matches_subset_enumeration(system):
+    rows, n = system
+    rays, lin = geometry._halfspace_gens(rows, n)
+    assert (rays, lin) == subset_enumeration(rows, n)
+    assert all(type(a) is int for v in rays + lin for a in v)
+
+
+@pytest.mark.parametrize("rows, n", [(FULL6, 6), (TENSOR4, 6)],
+                         ids=["full6", "tensor4"])
+def test_double_description_eliminates_twice(rows, n, monkeypatch):
+    # only the lineality kernel and its RREF are eliminated; a subset
+    # enumeration would eliminate C(12, 5) = 792 and C(13, 5) = 1287 here
+    calls = []
+    gj = geometry._gauss_jordan
+    monkeypatch.setattr(geometry, "_gauss_jordan",
+                        lambda rows, ncols: calls.append(1) or gj(rows, ncols))
+    assert geometry._halfspace_gens(rows, n) == ([], [])
+    assert len(calls) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -671,6 +671,21 @@ def test_gj_recursion_closes():
     assert gj_recursion_mismatches(3) == []
 
 
+def test_gj_recursion_builds_each_transition_table_once(monkeypatch):
+    # the counts do not depend on F_i: one table for t1, inverting its
+    # p + 1 cosets, and one for the central operator, at every degree
+    import sphvar.oracle as oracle
+    calls = []
+    for name in ("transition_counts", "mat_inv"):
+        def counted(*args, _fn=getattr(oracle, name), _name=name, **kw):
+            calls.append(_name)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(oracle, name, counted)
+    assert gj_recursion_mismatches(3) == []
+    assert calls.count("transition_counts") == 2
+    assert calls.count("mat_inv") == (3 + 1) + 1
+
+
 # --- coset enumeration of the matrix strata --------------------------------
 
 def test_hermite_label_counts():
