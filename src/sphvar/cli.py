@@ -615,6 +615,8 @@ def cmd_oracle(args) -> int:
     height = args.height if args.height is not None else default_height
     if height < 0:
         raise InputError("--height must be >= 0")
+    if args.trials < 1:
+        raise InputError("--trials must be >= 1")
     try:
         results = fn(qs, height, args.trials)
     except ValueError as e:  # a request too large to enumerate

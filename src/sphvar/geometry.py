@@ -9,9 +9,11 @@ Gauss-Jordan elimination (Bareiss 1968) gives ranks, primitive integer
 kernels, span coordinates (a common denominator d with integer rows, so a
 coefficient is an integer dot product over d) and unimodular inverses.
 These answers are integer; Fractions appear only in the public rational
-API `row_echelon` and `solve_linear`, and in Fourier-Motzkin witnesses.
-The facet description of a cone comes from integer double description,
-which adds the constraint rows one at a time (`_halfspace_gens`).
+API `row_echelon` and `solve_linear`. The facet description of a cone comes
+from integer double description, which adds the constraint rows one at a
+time (`_halfspace_gens`). Feasibility of a homogeneous system is a question
+to the same engine: a relative-interior point of the closed system's cone
+(`feasible`).
 Lattice points are enumerated depth first, dropping every coordinate prefix
 that no completion within the l1 budget can bring into the cone, so the
 work follows the points kept rather than the size of the l1 ball.
@@ -357,6 +359,11 @@ class Cone:
     def is_strictly_convex(self) -> bool:
         return self.lineality_rank() == 0
 
+    def relative_interior_point(self) -> tuple:
+        """The sum of the generators: a combination of all of them with
+        positive weights, hence a point of the relative interior."""
+        return tuple(map(sum, zip(*self.generators))) or (0,) * self.n
+
     def relative_interior_contains(self, v) -> bool:
         v = _int_row(v)
         if not self.contains(v):
@@ -414,7 +421,7 @@ def lattice_points(c: Cone, height: int):
 
 
 # ---------------------------------------------------------------------------
-# Linear systems and Fourier-Motzkin elimination
+# Linear systems
 
 GE, GT, EQ, LT, LE = ">=0", ">0", "=0", "<0", "<=0"
 _RELATIONS = (GE, GT, EQ, LT, LE)
@@ -451,125 +458,28 @@ class LinearSystem:
         return len(self.constraints[0].normal) if self.constraints else 0
 
 
-def _to_ge_form(sys: LinearSystem):
-    """Rewrite as a list of (normal, strict) meaning <normal, x> >(=) 0."""
-    out = []
-    for c in sys.constraints:
-        a = c.normal
-        if c.relation == GE:
-            out.append((a, False))
-        elif c.relation == GT:
-            out.append((a, True))
-        elif c.relation == LE:
-            out.append((vneg(a), False))
-        elif c.relation == LT:
-            out.append((vneg(a), True))
-        elif c.relation == EQ:
-            out.append((a, False))
-            out.append((vneg(a), False))
-    return out
-
-
-def _fm_filter(cons):
-    """Primitive integer rows, deduplicated, trivial rows dropped; None if
-    an all-zero strict row appears."""
-    kept = []
-    seen = set()
-    for a, s in cons:
-        key = (primitive(a), s)
-        if not any(key[0]):
-            if s:
-                return None
-            continue
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(key)
-    return kept
-
-
-def feasible_ge(cons, n):
-    """Witness for a system of homogeneous >=/>-constraints, or None.
-
-    Fourier-Motzkin elimination on primitive integer rows with strict flags
-    carried symbolically; the witness is rebuilt in Fractions by back
-    substitution, choosing midpoints or unit offsets inside each
-    one-dimensional feasibility interval.
-    """
-    levels = []
-    cur = _fm_filter(cons)
-    if cur is None:
-        return None
-    for k in range(n - 1, -1, -1):
-        levels.append(cur)
-        nxt = []
-        pos, neg = [], []
-        for a, s in cur:
-            ak = a[k]
-            if ak == 0:
-                nxt.append((a[:k] + a[k + 1:], s))
-            elif ak > 0:
-                pos.append((a, s))
-            else:
-                neg.append((a, s))
-        for (p, sp), (q, sq) in itertools.product(pos, neg):
-            comb = [p[k] * a - q[k] * b for a, b in zip(q, p)]
-            nxt.append((comb[:k] + comb[k + 1:], sp or sq))
-        cur = _fm_filter(nxt)
-        if cur is None:
-            return None
-    # back-substitute
-    x = []
-    for cons_k in reversed(levels):
-        # cons_k constrains variables 0..j where j = index being chosen now
-        j = len(x)
-        lo = hi = None  # (value, strict)
-        for a, s in cons_k:
-            aj = a[j]
-            if aj == 0:
-                continue
-            rest = sum((a[i] * x[i] for i in range(j)), Fraction(0))
-            bound = -rest / aj
-            if aj > 0:
-                if lo is None or bound > lo[0] or (bound == lo[0] and s):
-                    lo = (bound, s)
-            else:
-                if hi is None or bound < hi[0] or (bound == hi[0] and s):
-                    hi = (bound, s)
-        if lo is None and hi is None:
-            x.append(Fraction(0))
-        elif hi is None:
-            x.append(lo[0] + 1 if lo[1] else lo[0])
-        elif lo is None:
-            x.append(hi[0] - 1 if hi[1] else hi[0])
-        else:
-            if lo[0] < hi[0]:
-                x.append((lo[0] + hi[0]) / 2)
-            else:
-                if lo[0] > hi[0] or lo[1] or hi[1]:
-                    raise RuntimeError(
-                        "Fourier-Motzkin feasibility contradicted at back substitution")
-                x.append(lo[0])
-    return tuple(x)
-
-
 def feasible(sys: LinearSystem):
-    """Exact witness for a (possibly strict) homogeneous system, or None.
+    """Exact integer witness for a (possibly strict) homogeneous system, or
+    None.
 
-    The witness is scaled to an integer vector; homogeneity makes any
-    positive multiple of a solution a solution.
+    The closed system (strict rows relaxed to >=, each equation split into
+    two rows) is a cone, and the witness is the primitive part of a point of
+    its relative interior. A strict row that holds anywhere on the cone
+    holds on its relative interior, so the system is feasible iff every
+    strict row holds there.
     """
     if not sys.constraints:
         return ()
-    n = sys.dim
-    w = feasible_ge(_to_ge_form(sys), n)
-    if w is None:
-        return None
-    w = tuple(_int_row(w))
-    for c in sys.constraints:
-        if not c.holds(w):
+    rows = [vneg(c.normal) if c.relation in (LE, LT) else c.normal
+            for c in sys.constraints]
+    rows += [vneg(c.normal) for c in sys.constraints if c.relation == EQ]
+    cone = Cone.from_inequalities(rows, sys.dim)
+    w = _int_primitive(cone.relative_interior_point())
+    failed = [c for c in sys.constraints if not c.holds(w)]
+    for c in failed:
+        if c.relation not in (GT, LT):
             raise RuntimeError("witness %r fails %r" % (w, c))
-    return w
+    return None if failed else w
 
 
 # ---------------------------------------------------------------------------

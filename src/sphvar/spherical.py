@@ -12,9 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .geometry import (Cone, EQ, GE, GT, LT, LatticeMap, LinearSystem,
-                       feasible, lattice_points, matrix_rank, torsion_order,
-                       vdot)
+from .geometry import (Cone, EQ, GE, LT, LatticeMap, LinearSystem, feasible,
+                       lattice_points, matrix_rank, torsion_order, vdot)
 from .rootdata import RootDatum
 
 
@@ -168,25 +167,13 @@ def validate_colored_cone(d: SphericalDatum, cc: ColoredCone):
 
 
 def _relint_meets(c: Cone, v: Cone) -> bool:
-    """Does the relative interior of c meet v? Exact homogeneous LP."""
-    if not c.generators:
-        return True  # relint({0}) = {0}, contained in every cone
-    gens = list(c.generators)
-    vgens = list(v.generators)
-    k, m, n = len(gens), len(vgens), c.n
-    cons = []
-    for coord in range(n):
-        row = [g[coord] for g in gens] + [-w[coord] for w in vgens]
-        cons.append((tuple(row), EQ))
-    for i in range(k):
-        e = [0] * (k + m)
-        e[i] = 1
-        cons.append((tuple(e), GT))
-    for j in range(m):
-        e = [0] * (k + m)
-        e[k + j] = 1
-        cons.append((tuple(e), GE))
-    return feasible(LinearSystem.of(cons)) is not None
+    """Does the relative interior of c meet v?
+
+    A relative-interior point of c cap v lies in the relative interior of
+    the least face of c containing c cap v, so it lies in relint(c) iff any
+    point of c cap v does.
+    """
+    return c.relative_interior_contains(c.intersect(v).relative_interior_point())
 
 
 def is_affine(d: SphericalDatum, cc: ColoredCone):
@@ -223,8 +210,7 @@ def affine_closure_data(d: SphericalDatum) -> ColoredCone:
     ineqs = [tuple(g) for g in d.valuation_cone.generators] + \
             [tuple(-x for x in rho) for rho in rhos]
     R = Cone.from_inequalities(ineqs, d.rank)
-    rays, lin = R.rays_and_lineality()
-    chi0 = tuple(map(sum, zip(*rays))) if rays else (0,) * d.rank
+    chi0 = R.relative_interior_point()
     F = tuple(lbl for lbl, rho in d.colors if vdot(rho, chi0) == 0)
     candidate = ColoredCone(Cone(d.rank, tuple(d.rho_image(F))), F)
     ok, _ = validate_colored_cone(d, candidate)

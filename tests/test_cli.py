@@ -258,6 +258,25 @@ def test_check_pass_and_fail_codes(tmp_path, capsys):
     assert "fail" in out
 
 
+# the witness character chi of `check --which affine` on every catalog entry
+AFFINE_WITNESSES = {
+    "a1-gl1": "0", "a2-sl2": "0", "a2-sl2-nocenter": "0", "borel-gl2": "0,0",
+    "borel-sl3": "0,0", "pp-gl3": "0,0", "hecke-gl2": "0,-1",
+    "pgl2-group": "-1", "godement-jacquet-2": "0,0",
+    "godement-jacquet-3": "0,0,0", "rankin-selberg": "0,0,0,0,0",
+    "bump-friedberg": "-1,-1", "triple-product": "0,0,0,0,0",
+    "siegel-gsp6": "0,0", "tensor-4": "0,0,0,0,0,0", "kvs-1-15": "0,0",
+    "kvs-2-3": "0,0,0", "kvs-2-5": "0,0",
+}
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_check_affine_witness(tmp_path, capsys, key):
+    code, out, err = run(capsys, ["check", doc_path(tmp_path, key),
+                                  "--which", "affine"])
+    assert (code, out, err) == (0, "affine\tpass\t%s\n" % AFFINE_WITNESSES[key], "")
+
+
 def test_check_negligible_hypothesis_is_input_error(tmp_path, capsys):
     bad = doc_path(tmp_path, "a2-sl2-nocenter")
     code, _, err = run(capsys, ["check", bad, "--which", "negligible"])
@@ -546,6 +565,10 @@ def test_oracle_bad_requests(capsys):
         code, _, err = run(capsys, ["oracle", "run", "gj-recursion", "--q", q])
         assert code == 2
         assert err == "error: --q entries must be primes, got %s\n" % q
+    for trials in ("0", "-5"):
+        assert run(capsys, ["oracle", "run", "orbit-invariance", "--q", "2",
+                            "--trials", trials]) == \
+            (2, "", "error: --trials must be >= 1\n")
 
 
 def test_oracle_prime_check_is_fast(capsys):

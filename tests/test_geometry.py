@@ -13,7 +13,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -271,9 +271,30 @@ def test_dual_of_dual(c):
     assert c.dual().dual() == c
 
 
-def member_via_fm(c, v):
-    """Independent membership test: v in cone(gens) iff the homogeneous
-    system {sum t_i g_i = s v, t_i >= 0, s > 0} is feasible in (t, s)."""
+@given(small_cones())
+@example(Cone.zero(3))
+@example(Cone.full(3))
+@settings(max_examples=60, deadline=None)
+def test_relative_interior_point(c):
+    p = c.relative_interior_point()
+    assert len(p) == c.n and all(type(x) is int for x in p)
+    # p in c, and every dual generator vanishing at p vanishes on all of c
+    for y in c.dual_generators():
+        assert frac_dot(y, p) >= 0
+        assert frac_dot(y, p) > 0 or all(frac_dot(y, g) == 0 for g in c.generators)
+
+
+def test_relative_interior_point_examples():
+    assert Cone.zero(2).relative_interior_point() == (0, 0)
+    assert Cone.full(2).relative_interior_point() == (0, 0)
+    assert Cone(2, [(1, 0), (1, 2)]).relative_interior_point() == (2, 2)
+    assert Cone(2, [(1, 0), (-1, 0), (0, 1)]).relative_interior_point() == (0, 1)
+
+
+def member_via_lp(c, v):
+    """Membership asked as a question about another cone: v in cone(gens)
+    iff the homogeneous system {sum t_i g_i = s v, t_i >= 0, s > 0} is
+    feasible in (t, s)."""
     gs = c.generators
     k = len(gs)
     items = []
@@ -292,8 +313,8 @@ def member_via_fm(c, v):
 
 @given(small_cones(n=3), st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)))
 @settings(max_examples=40, deadline=None)
-def test_membership_matches_fm_oracle(c, v):
-    assert c.contains(v) == member_via_fm(c, v)
+def test_membership_matches_lp_oracle(c, v):
+    assert c.contains(v) == member_via_lp(c, v)
 
 
 def frac_dot(u, v):
@@ -329,7 +350,7 @@ def test_lattice_points_match_grid_scan(c, h):
     pts = set(lattice_points(c, h))
     brute = set()
     for p in product(range(-h, h + 1), repeat=2):
-        if sum(abs(x) for x in p) <= h and member_via_fm(c, p):
+        if sum(abs(x) for x in p) <= h and member_via_lp(c, p):
             brute.add(p)
     assert pts == brute
 
@@ -339,7 +360,7 @@ def test_lattice_points_match_grid_scan(c, h):
 @settings(max_examples=8, deadline=None)
 def test_lattice_points_match_l1_ball_filter(n, data, h):
     c = data.draw(small_cones(n=n))
-    # n <= 3: the independent FM oracle, asked once per direction since
+    # n <= 3: the LP oracle, asked once per direction since
     # membership is scale invariant; n = 4, 5: the cone's own dual
     member = {}
 
@@ -349,7 +370,7 @@ def test_lattice_points_match_l1_ball_filter(n, data, h):
         g = gcd(*p) or 1
         d = tuple(a // g for a in p)
         if d not in member:
-            member[d] = member_via_fm(c, d)
+            member[d] = member_via_lp(c, d)
         return member[d]
 
     brute = [p for p in product(range(-h, h + 1), repeat=c.n)
@@ -370,7 +391,7 @@ def test_lattice_points_is_output_sensitive():
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin
+# feasibility
 
 def test_feasible_basic():
     assert feasible(LinearSystem.of([((1,), GE), ((-1,), GT)])) is None
@@ -383,10 +404,10 @@ def test_feasible_basic():
 
 
 def test_feasible_rejects_a_wrong_witness(monkeypatch):
-    monkeypatch.setattr(geometry, "feasible_ge",
-                        lambda cons, n: (Fraction(-1),) * n)
+    # the witness (-1, 1) meets the strict row but breaks the non-strict one
+    monkeypatch.setattr(geometry, "_generators", lambda rows, n: ((-1, 1),))
     with pytest.raises(RuntimeError, match="witness"):
-        feasible(LinearSystem.of([((1, 0), GT)]))
+        feasible(LinearSystem.of([((1, 0), GE), ((0, 1), GT)]))
 
 
 def test_feasible_needs_all_relations():
@@ -444,99 +465,19 @@ def feasible_oracle(sys):
     return False
 
 
-@given(st.lists(
-    st.tuples(
-        st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
-        st.sampled_from([GE, GT, EQ, LE, LT])),
-    min_size=1, max_size=5))
-@settings(max_examples=80, deadline=None)
-def test_feasible_matches_oracle(items):
-    sys = LinearSystem.of(items)
-    w = feasible(sys)
-    assert (w is not None) == feasible_oracle(sys)
-    if w is not None:
-        for c in sys.constraints:
-            assert c.holds(w)
-
-
-def fm_fraction_reference(sys):
-    """Fourier-Motzkin elimination on Fraction rows, each scaled to coprime
-    integer entries, with the back substitution of `feasible_ge`; the
-    witness is scaled by the lcm of its denominators."""
-    n = sys.dim
-    rows = []
-    for c in sys.constraints:
-        a = tuple(Fraction(x) for x in c.normal)
-        neg = tuple(-x for x in a)
-        rows += {GE: [(a, False)], GT: [(a, True)], LE: [(neg, False)],
-                 LT: [(neg, True)], EQ: [(a, False), (neg, False)]}[c.relation]
-
-    def prim(a):
-        den = lcm(*(x.denominator for x in a))
-        g = gcd(*(int(x * den) for x in a))
-        return tuple(x * den / g for x in a)
-
-    def filt(cons):
-        kept, seen = [], set()
-        for a, s in cons:
-            if not any(a):
-                if s:
-                    return None
-                continue
-            key = (prim(a), s)
-            if key not in seen:
-                seen.add(key)
-                kept.append(key)
-        return kept
-
-    levels = []
-    cur = filt(rows)
-    for k in reversed(range(n)):
-        if cur is None:
-            return None
-        levels.append(cur)
-        nxt = [(a[:k] + a[k + 1:], s) for a, s in cur if a[k] == 0]
-        pos = [(a, s) for a, s in cur if a[k] > 0]
-        neg = [(a, s) for a, s in cur if a[k] < 0]
-        for (p, sp), (q, sq) in product(pos, neg):
-            comb = tuple(p[k] * x - q[k] * y for x, y in zip(q, p))
-            nxt.append((comb[:k] + comb[k + 1:], sp or sq))
-        cur = filt(nxt)
-    if cur is None:
-        return None
-    x = []
-    for cons in reversed(levels):
-        j = len(x)
-        lo = hi = None
-        for a, s in cons:
-            if a[j] == 0:
-                continue
-            bound = -sum((a[i] * x[i] for i in range(j)), Fraction(0)) / a[j]
-            if a[j] > 0:
-                if lo is None or bound > lo[0] or (bound == lo[0] and s):
-                    lo = (bound, s)
-            elif hi is None or bound < hi[0] or (bound == hi[0] and s):
-                hi = (bound, s)
-        if lo is None and hi is None:
-            x.append(Fraction(0))
-        elif hi is None:
-            x.append(lo[0] + 1 if lo[1] else lo[0])
-        elif lo is None:
-            x.append(hi[0] - 1 if hi[1] else hi[0])
-        else:
-            x.append((lo[0] + hi[0]) / 2 if lo[0] < hi[0] else lo[0])
-    den = lcm(*(v.denominator for v in x))
-    return tuple(int(v * den) for v in x)
-
-
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(
     st.tuples(st.tuples(*[st.integers(-3, 3)] * n),
               st.sampled_from([GE, GT, EQ, LE, LT])),
     min_size=1, max_size=7)))
 @settings(max_examples=120, deadline=None)
-def test_feasible_matches_fraction_fm_reference(items):
+def test_feasible_matches_oracle(items):
     sys = LinearSystem.of(items)
-    assert feasible(sys) == fm_fraction_reference(sys)
+    w = feasible(sys)
+    assert (w is not None) == feasible_oracle(sys)
+    if w is not None:
+        assert type(w) is tuple and all(type(x) is int for x in w)
+        for c in sys.constraints:
+            assert c.holds(w)
 
 
 def test_constraint_holds():

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from sphvar.geometry import Cone, LatticeMap
+from sphvar import spherical
+from sphvar.geometry import EQ, GE, GT, Cone, LatticeMap, LinearSystem, feasible
 from sphvar.rootdata import root_datum, product_datum
 from sphvar.spherical import (ColoredCone, SphericalDatum, affine_closure_data,
                               antidominant_cochar_chamber,
@@ -137,6 +139,44 @@ def test_validate_rejects_relint_miss():
     bad = ColoredCone(Cone(2, ((1, 0),)), ("D",))
     ok, diag = validate_colored_cone(m, bad)
     assert not ok and "(ii)" in diag
+
+
+def relint_meets_lp(c, v):
+    """Condition (ii) as a linear program: relint(c) meets v iff
+    sum t_i g_i = sum s_j w_j for some t > 0, s >= 0."""
+    if not c.generators:
+        return True  # relint({0}) = {0}, contained in every cone
+    k, m = len(c.generators), len(v.generators)
+    cons = [(tuple(g[i] for g in c.generators) + tuple(-w[i] for w in v.generators), EQ)
+            for i in range(c.n)]
+    for j in range(k + m):
+        e = [0] * (k + m)
+        e[j] = 1
+        cons.append((tuple(e), GT if j < k else GE))
+    return feasible(LinearSystem.of(cons)) is not None
+
+
+def cone_pairs():
+    def cone(n):
+        return st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=4).map(
+            lambda gs: Cone(n, gs))
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(cone(n), cone(n)))
+
+
+@given(cone_pairs())
+@example((Cone.zero(2), Cone(2, ((1, 0),))))  # relint {0} = {0}
+@example((Cone(2, ((1, 0),)), Cone.zero(2)))
+@example((Cone.full(2), Cone.zero(2)))  # 0 lies in relint of a linear space
+@example((Cone(2, ((1, 1),)), Cone.full(2)))
+@example((Cone(2, ((1, 0), (-1, 0))), Cone(2, ((0, 1),))))  # a line
+@example((Cone(2, ((1, 0),)), Cone(2, ((1, 0), (-1, 0)))))
+@example((Cone(2, ((1, 0),)), Cone(2, ((-1, 0),))))  # disjoint rays
+@example((Cone(2, ((1, 0), (1, 1))), Cone(2, ((0, 1), (-1, 0)))))
+@example((Cone(2, ((1, 0), (0, 1))), Cone(2, ((1, 0),))))  # v on a facet
+@settings(max_examples=150, deadline=None)
+def test_relint_meets_matches_lp(pair):
+    c, v = pair
+    assert spherical._relint_meets(c, v) == relint_meets_lp(c, v)
 
 
 def test_validate_rejects_zero_color():
