@@ -47,7 +47,10 @@ def _idot(u, v):
 
 
 def _int_row(row):
-    """The row times the lcm of its denominators: a positive multiple in Z^n."""
+    """The row times the lcm of its denominators: a positive multiple in Z^n.
+    A row of ints is its own multiple."""
+    if {int}.issuperset(map(type, row)):
+        return list(row)
     row = [a if isinstance(a, (int, Fraction)) else Fraction(a) for a in row]
     den = lcm(*(a.denominator for a in row))
     return [a.numerator * (den // a.denominator) for a in row]

@@ -13,11 +13,14 @@ room for one inversion, which costs twice the valuation.
 
 Series are packed: the coefficients of a TruncSeries are the fixed-width
 slots of one Python int, starting at its valuation (Kronecker substitution,
-Schoenhage 1982).  A product is one big-int multiplication and one unpack
-and reduce mod p; a sum is reduced mod p inside the int.  Random unimodular
-matrices are drawn residues first: whether a matrix is unimodular depends
-only on its residues, so they are redrawn until their determinant is a unit,
-and only then are the higher digits of each entry drawn, all at once.
+Schoenhage 1982).  Sums, products and whole matrix entries are reduced mod p
+inside the int: an entry of a matrix product or a determinant is one
+multiply-accumulate of big ints, the products shifted to a common valuation,
+followed by one reduction of all slots at once.  Random unimodular matrices
+are drawn residues first: whether a matrix is unimodular depends only on its
+residues, so they are redrawn until their determinant is a unit, and only
+then are the higher digits of each entry drawn, all at once, and spread into
+slots a table lookup at a time.
 """
 from __future__ import annotations
 
@@ -56,7 +59,9 @@ def _slot_bytes(bound):
 
 
 def _width(p):
-    return _slot_bytes((p - 1) ** 2 * _SPAN)
+    # a reduced slot plus a product of series of up to _SPAN slots stays
+    # below the top bit of a slot, which _reduce reads
+    return _slot_bytes(2 * (p - 1) * ((p - 1) * _SPAN + 1))
 
 
 def _ones(n, w):
@@ -82,15 +87,41 @@ def _pack(slots, w):
     return int.from_bytes(b, "little")
 
 
+def _reduce(s, n, p, w, bound):
+    """s, whose n slots of w bytes each hold at most bound < 2^(8w-1), with
+    every slot reduced mod p inside the int: for j from log2(bound/p) down
+    to 0, p 2^j is taken from every slot holding at least that much.  A
+    slot holds c or more iff adding 2^(8w-1) - c sets its top bit."""
+    steps = (bound // p).bit_length()
+    if not steps:
+        return s
+    bits = 8 * w
+    ones, half = _ones(n, w), 1 << bits - 1
+    for j in range(steps - 1, -1, -1):
+        c = p << j
+        s -= ((s + (half - c) * ones) >> bits - 1 & ones) * c
+    return s
+
+
+def _widened(x, y, na, nb, n, p, w):
+    """Slots 0 .. n-1 of x y, reduced, for operands of na and nb slots too
+    long for w: a product slot sums min(na, nb) products of residues, so
+    the product is taken in wider slots and packed back."""
+    wide = _slot_bytes((p - 1) ** 2 * min(na, nb))
+    s = _pack(_unpack(x, na, w), wide) * _pack(_unpack(y, nb, w), wide)
+    return _pack([c % p for c in _unpack(s, n, wide)], w)
+
+
 class TruncSeries:
     """Laurent series over F_p with all coefficients known below t^prec.
 
     Packed (Kronecker substitution): slot i of the int _x, _w bytes wide,
     holds the coefficient of t^(_v + i), reduced mod p.  Slot 0 is nonzero;
     the zero series has _x = 0 and _v = prec.  The width depends on p only
-    and holds a sum of _SPAN products of residues, so a sum is reduced slot
-    by slot without unpacking, and a product is one big-int multiplication
-    followed by one unpack and reduce.  p, prec and terms are read-only.
+    and holds a sum of _SPAN products of residues below its top bit, so
+    sums and products are reduced in every slot at once without unpacking
+    (_reduce); a product is a one-term _dot.  p, prec and terms are
+    read-only.
     """
 
     __slots__ = ("_p", "_prec", "_v", "_x", "_w")
@@ -178,13 +209,6 @@ class TruncSeries:
             raise PrecisionError("series is 0 mod t^%d" % self._prec)
         return self._v
 
-    def _fold(self, s, ones):
-        """s, its slots (1 in ones) each below 2p, with p subtracted from
-        every slot >= p: a slot is >= p iff adding 2^(bits-1) - p sets its
-        top bit."""
-        p, bits = self._p, 8 * self._w
-        return s - ((s + ((1 << bits - 1) - p) * ones) >> bits - 1 & ones) * p
-
     def __add__(self, other):
         p = self._p
         if p != other._p:
@@ -203,41 +227,23 @@ class TruncSeries:
             return TruncSeries(p, prec, prec, 0, w)
         bits = 8 * w
         s = (x + (y << bits * (vb - va))) & ~(-1 << bits * n)
-        return TruncSeries._make(p, prec, va, self._fold(s, _ones(n, w)), w)
+        return TruncSeries._make(p, prec, va, _reduce(s, n, p, w, 2 * p - 2),
+                                 w)
 
     def __neg__(self):
         x, w = self._x, self._w
         if not x:
             return self
-        ones = _ones(-(-x.bit_length() // (8 * w)), w)
+        p, n = self._p, -(-x.bit_length() // (8 * w))
         # p - c in every slot, then p -> 0 in the slots that held 0
-        return TruncSeries(self._p, self._prec, self._v,
-                           self._fold(self._p * ones - x, ones), w)
+        return TruncSeries(p, self._prec, self._v,
+                           _reduce(p * _ones(n, w) - x, n, p, w, p), w)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        p = self._p
-        if p != other._p:
-            raise ValueError("series over F_%d and F_%d" % (p, other._p))
-        va, vb = self._v, other._v
-        prec = min(self._prec + vb, other._prec + va)
-        x, y, w = self._x, other._x, self._w
-        v = va + vb
-        if not x or not y or v >= prec:
-            return TruncSeries(p, prec, prec, 0, w)
-        bits = 8 * w
-        na, nb = -(-x.bit_length() // bits), -(-y.bit_length() // bits)
-        wide = w
-        if min(na, nb) > _SPAN:
-            # a product slot sums min(na, nb) products of residues
-            wide = _slot_bytes((p - 1) ** 2 * min(na, nb))
-            x, y = (_pack(_unpack(x, na, w), wide),
-                    _pack(_unpack(y, nb, w), wide))
-        slots = _unpack(x * y, min(na + nb - 1, prec - v), wide)
-        return TruncSeries._make(p, prec, v, _pack([c % p for c in slots], w),
-                                 w)
+        return _dot((self,), (other,))
 
     def inverse(self):
         v = self.val()
@@ -259,20 +265,61 @@ class TruncSeries:
 # ---------------------------------------------------------------------------
 # matrices with series entries
 
+def _dot(xs, ys):
+    """sum x_i y_i over series, equal to the chain x_0 y_0 + x_1 y_1 + ...
+    of products and sums, as one multiply-accumulate on the packed ints.
+
+    The precision is the least of the product precisions; an operand that
+    is zero bounds only that.  The other products, shifted to a common
+    valuation, are summed into one int, which is cut below the precision
+    and reduced once, or before a sum could reach the top bit of a slot.
+    Primes are checked in the order the chain would check them."""
+    p, prec, prods = xs[0]._p, None, []
+    for x, y in zip(xs, ys):
+        if x._p != y._p:
+            raise ValueError("series over F_%d and F_%d" % (x._p, y._p))
+        if x._p != p:
+            raise ValueError("series over F_%d and F_%d" % (p, x._p))
+        vx, vy = x._v, y._v
+        pr = x._prec + vy
+        if y._prec + vx < pr:
+            pr = y._prec + vx
+        if prec is None or pr < prec:
+            prec = pr
+        if x._x and y._x:
+            prods.append((vx + vy, x._x, y._x))
+    w, v0 = x._w, prec
+    for v, _, _ in prods:
+        if v < v0:
+            v0 = v
+    if v0 == prec:
+        return TruncSeries(p, prec, prec, 0, w)
+    n, bits = prec - v0, 8 * w
+    mask, top, sq = ~(-1 << bits * n), 1 << bits - 1, (p - 1) ** 2
+    s = bound = 0
+    for v, a, b in prods:
+        if v >= prec:
+            continue
+        na, nb = -(-a.bit_length() // bits), -(-b.bit_length() // bits)
+        m = na if na < nb else nb
+        if m > _SPAN:
+            c = _widened(a, b, na, nb, min(na + nb - 1, prec - v), p, w)
+            cb = p - 1
+        else:
+            c, cb = a * b, sq * m
+        if bound + cb >= top:
+            s, bound = _reduce(s & mask, n, p, w, bound), p - 1
+        s += c << bits * (v - v0)
+        bound += cb
+    return TruncSeries._make(p, prec, v0, _reduce(s & mask, n, p, w, bound), w)
+
+
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     if len(a[0]) != k:
         raise ValueError("cannot multiply %dx%d by %dx%d" % (n, len(a[0]), k, m))
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for s in range(1, k):
-                acc = acc + a[i][s] * b[s][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    cols = [[row[j] for row in b] for j in range(m)]
+    return [[_dot(row, col) for col in cols] for row in a]
 
 
 def vec_mat(v, m):
@@ -283,6 +330,13 @@ def mat_det(m):
     n = len(m)
     if n == 1:
         return m[0][0]
+    if type(m[0][0]) is TruncSeries:
+        # along the first row, signed: -(a b) = (-a) b, precision and all
+        if n == 2:
+            return _dot((m[0][0], -m[0][1]), (m[1][1], m[1][0]))
+        return _dot([-e if j % 2 else e for j, e in enumerate(m[0])],
+                    (mat_det([row[:j] + row[j + 1:] for row in m[1:]])
+                     for j in range(n)))
     if n == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     total = None
@@ -415,7 +469,7 @@ def orbit_invariant(x: LatticePoint):
     shape = _shape(x.space)
     c = x.coords
     if shape.two_sided:
-        return (_vec_val(c), (c[0] * c[3] - c[1] * c[2]).val())
+        return (_vec_val(c), mat_det((c[:2], c[2:])).val())
     v = _vec_val(c[:shape.n])
     return (v, c[shape.n].val()) if shape.twisted else (v,)
 
@@ -599,11 +653,27 @@ def integral_table(space, height, p, prec):
 # ---------------------------------------------------------------------------
 # randomized well-definedness and interpolation checks
 
+# (p, w) -> (table, k): table[c] packs the k base-p digits of c, lowest
+# first, into slots of w bytes, for the largest k with p^k <= 4096
+_DIGITS = {}
+
+
+def _digit_table(p, w):
+    if (p, w) not in _DIGITS:
+        table, k = range(p), 1
+        while len(table) * p <= 4096:
+            table = [d | c << 8 * w for c in table for d in range(p)]
+            k += 1
+        _DIGITS[p, w] = table, k
+    return _DIGITS[p, w]
+
+
 def random_unimodular(rng, p, prec, n):
     """A uniformly drawn element of GL_n(o) mod t^prec.  The residues are
     redrawn until their determinant is a unit mod p, which is exactly when
     the matrix is unimodular; then the digits of t^1 .. t^(prec-1) of each
-    entry are read off one draw below p^(prec-1)."""
+    entry are read off one draw below p^(prec-1), a table lookup for each
+    chunk of digits."""
     if prec < 1:
         raise ValueError("precision must be >= 1")
     while True:
@@ -611,15 +681,18 @@ def random_unimodular(rng, p, prec, n):
         if mat_det(residues) % p:
             break
     w = _width(p)
+    table, k = _digit_table(p, w)
+    base, step = len(table), 8 * w * k
     high = p ** (prec - 1)
     out = []
     for row in residues:
         out.append([])
         for r in row:
-            x, d = r, rng.randrange(high)
-            for shift in range(8 * w, 8 * w * prec, 8 * w):
-                d, c = divmod(d, p)
-                x |= c << shift
+            x, d, shift = r, rng.randrange(high), 8 * w
+            while d:
+                d, c = divmod(d, base)
+                x |= table[c] << shift
+                shift += step
             out[-1].append(TruncSeries._make(p, prec, 0, x, w))
     return out
 

@@ -117,6 +117,19 @@ def test_primitive():
     assert primitive(as_vec((-2, -4))) == as_vec((-1, -2))  # direction preserved
 
 
+def test_int_row_scales_rational_rows_and_keeps_int_rows():
+    # Fraction, float and bool entries scale by the lcm of the denominators
+    for row, want in [((Fraction(1, 2), Fraction(-2, 3), 4), [3, -4, 24]),
+                      ([0.5, -1.25, 2.0], [2, -5, 8]),
+                      ((Fraction(4, 2), True, 3), [2, 1, 3])]:
+        got = geometry._int_row(row)
+        assert got == want and all(type(a) is int for a in got)
+    # a row of ints is returned as a list of the same ints, unscaled
+    for row in ((6, -4, 0), [1], ()):
+        got = geometry._int_row(row)
+        assert type(got) is list and got == list(row)
+
+
 def test_cone_vectors_are_ints():
     c = Cone(2, [(Fraction(1, 2), 1)])
     assert c.generators == ((1, 2),)

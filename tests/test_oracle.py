@@ -326,6 +326,170 @@ def test_vec_mat():
     assert w[0].val() == 1 and w[1].val() == 0
 
 
+# the matrix routines as chains of series products and sums, the reference
+# for the one-dot kernel; they run on packed series and on the sparse
+# reference alike
+
+
+def _chain_mat_mul(a, b):
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(len(b[0])):
+            acc = row[0] * b[0][j]
+            for s in range(1, len(b)):
+                acc = acc + row[s] * b[s][j]
+            out[-1].append(acc)
+    return out
+
+
+def _chain_det(m):
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    total = None
+    for j in range(n):
+        term = m[0][j] * _chain_det([row[:j] + row[j + 1:] for row in m[1:]])
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def _chain_inv(m):
+    n = len(m)
+    di = _chain_det(m).inverse()
+    if n == 1:
+        return [[di]]
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
+            c = _chain_det(minor) * di
+            out[j][i] = c if (i + j) % 2 == 0 else -c
+    return out
+
+
+def _grid(f):
+    """terms and prec of each entry of the matrix (or vector, or series)
+    f() returns, or the type and message of what it raised."""
+    def run():
+        r = f()
+        if isinstance(r, (TruncSeries, _SparseSeries)):
+            r = [[r]]
+        elif isinstance(r, tuple):
+            r = [r]
+        return [[(e.terms, e.prec) for e in row] for row in r]
+    return _outcome(run)
+
+
+class _CountingMul:
+    """Counts the calls of TruncSeries.__mul__ while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls, mul = 0, TruncSeries.__mul__
+
+        def counted(a, b):
+            self.calls += 1
+            return mul(a, b)
+        monkeypatch.setattr(TruncSeries, "__mul__", counted)
+
+
+# at p = 47 a product of two 16-slot series has slots up to
+# (p - 1)^2 * 16 >= 2^15
+KERNEL_PRIMES = PRIMES + (47,)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(KERNEL_PRIMES), st.integers(1, 3), st.integers(1, 3),
+       st.data())
+def test_matrix_kernel_matches_the_chain(p, n, k, data):
+    ins = [[[data.draw(_series_input(p)) for _ in range(cols)]
+            for _ in range(rows)] for rows, cols in ((n, k), (k, n), (n, n))]
+    if data.draw(st.integers(0, 3)) == 0:
+        # one entry over another prime
+        m = data.draw(st.sampled_from(ins))
+        row = data.draw(st.sampled_from(m))
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(
+            _series_input(2 if p != 2 else 3))
+    (a, b, m), (ra, rb, rm) = (
+        [[[cls.of(*e) for e in row] for row in x] for x in ins]
+        for cls in (TruncSeries, _SparseSeries))
+    want = [_grid(lambda: _chain_mat_mul(ra, rb)),
+            _grid(lambda: tuple(_chain_mat_mul([ra[0]], rb)[0])),
+            _grid(lambda: _chain_det(rm)), _grid(lambda: _chain_inv(rm))]
+    assert [_grid(lambda: _chain_mat_mul(a, b)),
+            _grid(lambda: tuple(_chain_mat_mul([a[0]], b)[0])),
+            _grid(lambda: _chain_det(m)), _grid(lambda: _chain_inv(m))] == want
+    assert [_grid(lambda: mat_mul(a, b)), _grid(lambda: vec_mat(a[0], b)),
+            _grid(lambda: mat_det(m)), _grid(lambda: mat_inv(m))] == want
+
+
+@pytest.mark.parametrize("p, slots", [(3, 16), (10007, 12), (2, 17), (3, 30),
+                                      (1000000007, 20)])
+def test_matrix_kernel_on_long_operands(p, slots, monkeypatch):
+    import sphvar.oracle as oracle
+    rng = random.Random(p + slots)
+    ins = [[[(p, 2 * slots, [(e, rng.randrange(1, p)) for e in range(slots)])
+             for _ in range(3)] for _ in range(3)] for _ in range(2)]
+    (a, b), (ra, rb) = ([[[cls.of(*e) for e in row] for row in m] for m in ins]
+                        for cls in (TruncSeries, _SparseSeries))
+    want = _grid(lambda: _chain_mat_mul(ra, rb))
+    assert _grid(lambda: mat_mul(a, b)) == want
+    assert _grid(lambda: mat_det(a)) == _grid(lambda: _chain_det(ra))
+    # one dot of three such products
+    reduced, widened = [], []
+    for name, log in (("_reduce", reduced), ("_widened", widened)):
+        monkeypatch.setattr(oracle, name,
+                            lambda *args, f=getattr(oracle, name), log=log:
+                            log.append(args) or f(*args))
+    col = [row[0] for row in b]
+    assert _grid(lambda: oracle._dot(a[0], col)) == [[want[0][0]]]
+    if slots > 16:
+        # each product is taken in wider slots and comes back reduced
+        assert len(widened) == 3 and len(reduced) == 1
+    else:
+        # at p = 3 and 10007 two such products would reach the top bit of
+        # a slot, so the partial sum is reduced before each is added
+        assert not widened and len(reduced) == 3
+
+
+@pytest.mark.parametrize("p", (3, 47, 10007))
+def test_matrix_kernel_on_full_slots(p):
+    # every coefficient p - 1, so the middle slot of each product holds its
+    # bound 16 (p - 1)^2, past 2^15 at p = 47
+    full = (p, 32, [(e, p - 1) for e in range(16)])
+    m, rm = ([[cls.of(*full)] * 3 for _ in range(3)]
+             for cls in (TruncSeries, _SparseSeries))
+    assert _grid(lambda: mat_mul(m, m)) == _grid(lambda: _chain_mat_mul(rm, rm))
+    assert _grid(lambda: mat_det(m)) == _grid(lambda: _chain_det(rm))
+
+
+def test_matrix_kernel_reports_mixed_primes_as_the_chain_does():
+    # each product is over one field, the sum of the two is not
+    two, three = ts({0: 1}, p=2), ts({0: 1}, p=3)
+    for x, y in ((two, three), (three, two)):
+        cases = [(mat_mul, _chain_mat_mul, ([[x, y]], [[x], [y]])),
+                 (mat_det, _chain_det, ([[x, y], [y, x]],))]
+        for f, chain, args in cases:
+            want = _grid(lambda: chain(*args))
+            assert want == ("ValueError", "series over F_%d and F_%d"
+                            % (x.p, y.p))
+            assert _grid(lambda: f(*args)) == want
+
+
+def test_matrix_kernel_calls_no_series_product(monkeypatch):
+    rng = random.Random(5)
+    g = random_unimodular(rng, 5, 8, 3)
+    v = (ts({}, p=5, prec=8), ts({}, p=5, prec=8), tp(2, p=5, prec=8))
+    want = (_chain_mat_mul(g, g), _chain_mat_mul([list(v)], g), _chain_det(g))
+    mul = _CountingMul(monkeypatch)
+    assert (mat_mul(g, g), [list(vec_mat(v, g))], mat_det(g)) == want
+    assert mul.calls == 0
+
+
 def test_random_unimodular_is_unimodular():
     rng = random.Random(0)
     for p in (2, 3, 5):
@@ -421,6 +585,43 @@ def test_random_unimodular_work(p, n, monkeypatch):
 def test_random_unimodular_needs_a_residue():
     with pytest.raises(ValueError, match="precision"):
         random_unimodular(random.Random(0), 2, 0, 2)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 4099, 1000000007))
+def test_random_unimodular_digits_match_the_digit_by_digit_draw(p):
+    # the digits come in table lookups of several at a time; each entry must
+    # still be the residue, then the base-p digits of its draw, lowest first
+    rng = random.Random(p)
+    script, want = [], []
+    for prec in range(1, 41):
+        high = p ** (prec - 1)
+        res = [1, rng.randrange(p), 0, 1]
+        digits = [0, high - 1] + [rng.randrange(high) for _ in range(2)]
+        script += res + digits
+        want.append([TruncSeries.of(p, prec, [(0, r)] + [
+            (i, d // p ** (i - 1) % p) for i in range(1, prec)])
+            for r, d in zip(res, digits)])
+    stream = _Scripted(script)
+    for prec in range(1, 41):
+        g = random_unimodular(stream, p, prec, 2)
+        assert [e for row in g for e in row] == want[prec - 1]
+    assert not stream.script
+    assert stream.bounds == [b for prec in range(1, 41)
+                             for b in [p] * 4 + [p ** (prec - 1)] * 4]
+
+
+def test_digit_tables():
+    import sphvar.oracle as oracle
+    for p, k in ((2, 12), (3, 7), (5, 5), (7, 4), (61, 2), (67, 1),
+                 (4099, 1)):
+        w = oracle._width(p)
+        table, got = oracle._digit_table(p, w)
+        assert got == k and len(table) == p ** k
+        if k == 1:
+            assert table == range(p)
+        for c in (0, 1, p ** k - 1, p ** k // 3):
+            assert table[c] == sum(c // p ** i % p << 8 * w * i
+                                   for i in range(k))
 
 
 # --- orbit labels ----------------------------------------------------------
@@ -635,6 +836,32 @@ def test_ppgl3_wedge_counts():
     reps = coset_reps("GL3", "wedge", 3, PREC)
     got = transition_counts("PPGL3", reps, [(0, 0)], 3, PREC)
     assert got == {((0, 0), (0, 2)): 9, ((0, 0), (1, 2)): 4}
+
+
+def test_ppgl3_translates_match_the_chain_on_the_satake_window(monkeypatch):
+    # the stratum points are (0, 0, t^a, t^b): two of the three products of
+    # each coordinate have a zero operand, which only bounds the precision
+    import sphvar.oracle as oracle
+    height, q = 4, 3
+    prec = 2 * height + 4
+    shape = oracle._SHAPES["PPGL3"]
+    reps = coset_reps("GL3", "wedge", q, prec)
+    window = [l for l in itertools.product(range(-height, height + 1),
+                                           repeat=2)
+              if abs(l[0]) + abs(l[1]) <= height]
+    assert min(min(l) for l in window) == -height
+    points = [stratum_point("PPGL3", l, q, prec) for l in window]
+    want = [[_chain_mat_mul([list(x.coords[:3])], g)[0]
+             + [x.coords[3] * _chain_det(g)] for g in reps] for x in points]
+    mul = _CountingMul(monkeypatch)
+    dets = [mat_det(g) for g in reps]
+    assert [[list(vec_mat(x.coords[:3], g)) for g in reps]
+            for x in points] == [[w[:3] for w in row] for row in want]
+    assert mul.calls == 0
+    for x, row in zip(points, want):
+        assert [list(oracle._right_translate(shape, x, g, det).coords)
+                for g, det in zip(reps, dets)] == row
+        assert [list(right_translate(x, g).coords) for g in reps] == row
 
 
 # --- convolution -----------------------------------------------------------
