@@ -5,7 +5,8 @@ stored sparsely by exponent. WeightChar is a finitely supported integer
 multiplicity map on a fixed lattice Z^n; symmetric and exterior powers are
 the coefficients of truncated integer generating-function products, and
 irreducible characters come from Freudenthal's recursion with the
-sum-over-positive-coroots form.
+sum-over-positive-coroots form, and W-invariant characters decompose into
+irreducibles through the Weyl denominator.
 """
 from __future__ import annotations
 
@@ -423,31 +424,28 @@ def irrep_char(rd: RootDatum, lam) -> WeightChar:
 
 
 def decompose(rd: RootDatum, chi: WeightChar):
-    """Write chi as a nonnegative sum of irreducible characters.
+    """Write chi as a nonnegative sum of irreducible characters, as sorted
+    (highest weight, multiplicity) pairs.
 
-    Greedy subtraction at a dominant support point that is maximal in the
-    root order (so no other support point dominates it), lexicographically
-    largest among the maximal ones; raises if chi is not a true character.
+    chi must be W-invariant: chi(s w) = chi(w) for every support weight w
+    and simple reflection s. Then chi = sum n_lam chi_lam, and by the Weyl
+    character formula chi_lam * prod_{a>0} (1 - x^(-a)) is
+    sum_{w in W} sgn(w) x^(w(lam+rho)-rho), whose only dominant term is
+    x^lam. So n_lam is the coefficient of x^lam in chi * prod_{a>0}
+    (1 - x^(-a)) (Brauer-Klimyk). Raises if chi is not W-invariant or some
+    n_lam is negative.
     """
-    work = chi.as_dict()
-    out = []
-    while any(work.values()):
-        doms = [w for w, m in work.items() if m != 0 and rd.is_dominant_char(w)]
-        if not doms:
-            raise ValueError("not a true character: no dominant leading term")
-        def dominated(w):
-            return any(v != w and
-                       _nat_root_expansion(rd, tuple(a - b for a, b in zip(v, w)))
-                       is not None for v in doms)
-        tops = [w for w in doms if not dominated(w)]
-        w = max(tops)
-        m = work[w]
-        if m < 0:
-            raise ValueError("not a true character: negative multiplicity at %r" % (w,))
-        piece = irrep_char(rd, w)
-        for u, mu in piece.weights:
-            work[u] = work.get(u, 0) - m * mu
-        out.append((w, m))
-    if any(v != 0 for v in work.values()):
-        raise ValueError("not a true character: nonzero remainder")
-    return sorted(out)
+    mults = chi.as_dict()
+    for w, m in mults.items():
+        for a, av in zip(rd.simple_roots, rd.simple_coroots):
+            c = _idot(w, av)
+            if mults.get(tuple(x - c * y for x, y in zip(w, a)), 0) != m:
+                raise ValueError("not a true character: not Weyl-invariant at %r"
+                                 % (w,))
+    out = [(w, n) for w, n in (chi * WeightChar.of(rd.weyl_denominator)).weights
+           if rd.is_dominant_char(w)]
+    for w, n in out:
+        if n < 0:
+            raise ValueError("not a true character: negative multiplicity at %r"
+                             % (w,))
+    return out

@@ -415,6 +415,8 @@ class LFactor:
         """Coefficients of T^0..T^bound as Fractions, at q = q0."""
         if self.is_symbolic():
             raise ValueError("cannot expand a symbolic L-factor; resolve first")
+        if bound < 0:
+            raise ValueError("expansion bound must be >= 0")
         out = [Fraction(1)] + [Fraction(0)] * bound
         for c, e in self.monomials:
             # exact value of c * q0^e, including half-integral e
@@ -440,6 +442,8 @@ def _omega_value(point: dict, tb) -> Fraction:
 def local_lfactor(rep, point: dict, kappa: int = KAPPA) -> LFactor:
     """L-factor of an FFixedRep or DualRadicalRep at the character omega given
     by coordinate values point['t1'], ..., with the rho_M shift."""
+    if kappa not in (1, -1):
+        raise ValueError("kappa must be +1 or -1")
     if isinstance(rep, FFixedRep):
         items = [(tb, m, mult) for tb, m, mult in rep.entries]
     elif isinstance(rep, DualRadicalRep):

@@ -772,7 +772,9 @@ def satake_mismatches(op, space, height, q, kappa=KAPPA):
 
     window = [l for l in itertools.product(range(-height, height + 1), repeat=2)
               if abs(l[0]) + abs(l[1]) <= height]
-    counts = transition_counts(space, reps, window, q, prec)
+    got = {l: {} for l in window}
+    for (l, m), c in transition_counts(space, reps, window, q, prec).items():
+        got[l][m] = c
     bad = []
     for l in window:
         want = {}
@@ -780,9 +782,8 @@ def satake_mismatches(op, space, height, q, kappa=KAPPA):
             tgt = tuple(a + b for a, b in zip(l, s))
             want[tgt] = want.get(tgt, 0) + c.specialize(q)
         want = {k: v for k, v in want.items() if v}
-        got = {m: c for (l2, m), c in counts.items() if l2 == l}
-        if got != want:
-            bad.append((l, sorted(got.items()), sorted(want.items())))
+        if got[l] != want:
+            bad.append((l, sorted(got[l].items()), sorted(want.items())))
     return bad
 
 

@@ -115,26 +115,27 @@ class RootDatum:
         return tuple(tuple(_idot(aj, avi) for aj in self.simple_roots)
                      for avi in self.simple_coroots)
 
-    # -- Weyl group ------------------------------------------------------
-    def _reflection_matrices(self, side: str):
-        n = self.rank
-        mats = []
-        for a, av in zip(self.simple_roots, self.simple_coroots):
-            if side == "char":
-                # x -> x - <x, av> a
-                m = tuple(tuple((1 if i == j else 0) - a[i] * av[j]
-                                for j in range(n)) for i in range(n))
-            else:
-                # y -> y - <a, y> av
-                m = tuple(tuple((1 if i == j else 0) - av[i] * a[j]
-                                for j in range(n)) for i in range(n))
-            mats.append(m)
-        return mats
+    @cached_property
+    def weyl_denominator(self):
+        """prod over positive roots a of (1 - x^(-a)), as {weight: coeff}."""
+        out = {(0,) * self.rank: 1}
+        for a, _ in self.positive_pairs:
+            nxt = dict(out)
+            for w, c in out.items():
+                u = tuple(x - y for x, y in zip(w, a))
+                nxt[u] = nxt.get(u, 0) - c
+            out = {w: c for w, c in nxt.items() if c}
+        return out
 
-    def _weyl_closure(self, side: str):
+    # -- Weyl group ------------------------------------------------------
+    @cached_property
+    def weyl_char(self):
+        """The Weyl group as matrices on X^*, closed from x -> x - <x, av> a."""
         n = self.rank
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        gens = self._reflection_matrices(side)
+        gens = [tuple(tuple(int(i == j) - a[i] * av[j] for j in range(n))
+                      for i in range(n))
+                for a, av in zip(self.simple_roots, self.simple_coroots)]
         seen = {ident}
         frontier = [ident]
         while frontier:
@@ -151,16 +152,8 @@ class RootDatum:
             frontier = nxt
         return tuple(sorted(seen))
 
-    @cached_property
-    def weyl_char(self):
-        return self._weyl_closure("char")
-
-    @cached_property
-    def weyl_cochar(self):
-        return self._weyl_closure("cochar")
-
     def weyl_order(self) -> int:
-        return len(self.weyl_cochar)
+        return len(self.weyl_char)
 
     def weyl_orbit_cochar(self, v):
         return _orbit(v, list(zip(self.simple_roots, self.simple_coroots)), "cochar")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .geometry import (Cone, EQ, GE, LT, LatticeMap, LinearSystem, feasible,
                        lattice_points, matrix_rank, torsion_order, vdot)
@@ -74,9 +75,7 @@ class SphericalDatum:
                 if vdot(g, v) > 0:
                     raise ValueError(
                         "spherical root %r pairs > 0 with a valuation generator" % (g,))
-        chamber = antidominant_cochar_chamber(self.ambient)
-        img = self.lattice_map.transpose().image_cone(chamber)
-        if not self.valuation_cone.contains_cone(img):
+        if not self.valuation_cone.contains_cone(self.antidominant_image):
             raise ValueError("valuation cone misses the antidominant chamber image")
         if self.colored_cone is not None:
             if self.colored_cone.cone.n != self.rank:
@@ -100,6 +99,12 @@ class SphericalDatum:
             hits = [w for w in orbit if self.valuation_cone.contains(w)]
             if any(w != tuple(v) for w in hits):
                 raise ValueError("little Weyl sample orbit meets the cone twice")
+
+    @cached_property
+    def antidominant_image(self) -> Cone:
+        """Image in Lambda_X of the antidominant cocharacter chamber."""
+        return self.lattice_map.transpose().image_cone(
+            antidominant_cochar_chamber(self.ambient))
 
     def color_map(self):
         return dict(self.colors)
@@ -231,9 +236,7 @@ def affine_closure_data(d: SphericalDatum) -> ColoredCone:
 # criteria
 
 def is_wavefront(d: SphericalDatum) -> bool:
-    chamber = antidominant_cochar_chamber(d.ambient)
-    img = d.lattice_map.transpose().image_cone(chamber)
-    return img == d.valuation_cone
+    return d.antidominant_image == d.valuation_cone
 
 
 def arithmetic_multiplicity(d: SphericalDatum) -> int:

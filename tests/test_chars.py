@@ -355,6 +355,42 @@ def test_decompose_tensor_sl2():
     assert decompose(sl2, std * std) == [((0,), 1), ((2,), 1)]
 
 
+# small highest weights per group, within a box and a dimension cap
+_ROUNDTRIP = {("SL", 3): 27, ("C", 2): 20, ("G", 2): 27, ("B", 3): 35,
+              ("GL", 3): 27}
+
+
+@functools.lru_cache(maxsize=None)
+def _small_highest_weights(kind, n):
+    rd = root_datum(kind, n)
+    return tuple(lam for lam in itertools.product(range(-1, 3), repeat=rd.rank)
+                 if rd.is_dominant_char(lam)
+                 and weyl_dim(rd, lam) <= _ROUNDTRIP[kind, n])
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_irrep(kind, n, lam):
+    return irrep_char(root_datum(kind, n), lam)
+
+
+roundtrip_cases = st.sampled_from(sorted(_ROUNDTRIP)).flatmap(
+    lambda g: st.tuples(st.just(g), st.lists(
+        st.tuples(st.sampled_from(_small_highest_weights(*g)),
+                  st.integers(1, 3)),
+        max_size=3, unique_by=lambda piece: piece[0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(roundtrip_cases)
+def test_decompose_inverts_freudenthal_sums(case):
+    # Freudenthal's recursion is the independent reference for the pieces
+    (kind, n), pieces = case
+    chi = WeightChar.of({})
+    for lam, m in pieces:
+        chi = chi + _cached_irrep(kind, n, lam).scale(m)
+    assert decompose(root_datum(kind, n), chi) == sorted(pieces)
+
+
 def test_decompose_rejects_non_characters():
     sl2 = root_datum("SL", 2)
     with pytest.raises(ValueError):
@@ -363,3 +399,14 @@ def test_decompose_rejects_non_characters():
         decompose(sl2, WeightChar.of({(0,): -1}))
     with pytest.raises(ValueError):
         decompose(sl2, WeightChar.of({(2,): 1, (-2,): 1}))  # missing 0 weight
+    sl3 = root_datum("SL", 3)
+    with pytest.raises(ValueError, match="Weyl-invariant"):
+        decompose(sl3, WeightChar.of({(1, 1): 1}))
+    bumped = irrep_char(sl3, (1, 0)) + WeightChar.of({(-1, 1): 1})
+    with pytest.raises(ValueError, match="Weyl-invariant"):
+        decompose(sl3, bumped)
+    # W-invariant with nonnegative weight multiplicities, yet V(1,1) - V(0,0)
+    virtual = irrep_char(sl3, (1, 1)) - irrep_char(sl3, (0, 0))
+    assert all(m > 0 for _, m in virtual.weights)
+    with pytest.raises(ValueError, match=r"negative multiplicity at \(0, 0\)"):
+        decompose(sl3, virtual)

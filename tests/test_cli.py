@@ -462,6 +462,15 @@ def test_lf_input_errors(tmp_path, capsys):
                                 "--rep", "u_P"])
     assert code == 2
     assert "horospherical" in err
+    for kappa in ("0", "3"):
+        code, out, err = run(capsys, ["lf", p, "--rep", "u_P",
+                                      "--point", "t1=2,t2=3", "--kappa", kappa])
+        assert (code, out) == (2, "")
+        assert err == "error: kappa must be +1 or -1\n"
+    code, _, err = run(capsys, ["lf", p, "--rep", "u_P", "--point", "t1=2,t2=3",
+                                "--expand", "-2", "--q", "4"])
+    assert code == 2
+    assert err == "error: expansion bound must be >= 0\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -485,6 +487,27 @@ def test_graded_gl3_mirabolic():
         (2, (((2, 0, -2), 1),))]
 
 
+def test_graded_makes_no_freudenthal_evaluation(monkeypatch):
+    import sphvar.chars as chars
+
+    def refuse(*args):
+        raise AssertionError("Freudenthal evaluated")
+    monkeypatch.setattr(chars, "irrep_char", refuse)
+    monkeypatch.setattr(chars, "freudenthal_multiplicity", refuse)
+    p = ParabolicDatum(root_datum("GSP", 6), (0, 1))
+    assert [i for i, _ in basic_function_graded(p, 3)] == [0, 1, 2, 3]
+
+
+def test_graded_matches_the_benchmark_references(benchmark_ops):
+    with open(os.path.join(benchmark_ops.REFS, "hecke.json")) as f:
+        refs = json.load(f)
+    for kind, n, levi, bound in benchmark_ops.GRADED:
+        graded = basic_function_graded(
+            ParabolicDatum(root_datum(kind, n), levi), bound)
+        key = "graded:%s%d:%s:%d" % (kind, n, levi, bound)
+        assert benchmark_ops._graded_canon(graded) == refs[key]
+
+
 def test_graded_rejects_bad_input():
     p = ParabolicDatum(root_datum("GL", 3), (0,))
     with pytest.raises(ValueError, match="degree bound"):
@@ -554,6 +577,17 @@ def test_lfactor_point_errors():
         local_lfactor(ff, {"t1": 0, "t2": 1})
     with pytest.raises(ValueError, match="unsupported representation"):
         local_lfactor("nonsense", {})
+
+
+def test_lfactor_rejects_bad_kappa_and_bound():
+    ff = f_fixed(dual_radical(ParabolicDatum(root_datum("GL", 3), (0,))))
+    for kappa in (0, 3, -2):
+        with pytest.raises(ValueError, match="kappa must be"):
+            local_lfactor(ff, {"t1": 2, "t2": 3}, kappa=kappa)
+    lf = local_lfactor(ff, {"t1": 2, "t2": 3})
+    assert lf.expand(0, 4) == [1]
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        lf.expand(-2, 4)
 
 
 def test_lfactor_from_stored_monomials():

@@ -1,7 +1,5 @@
-import importlib.util
 import itertools
 import operator
-import os
 import random
 from fractions import Fraction
 
@@ -685,22 +683,11 @@ def test_stratum_labels():
         stratum_labels("B7", 2, integral=True)
 
 
-def _benchmark_ops():
-    # the benchmark keeps its own copy of the labels; load it without
-    # putting perfbench on sys.path
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench", "ops.py")
-    spec = importlib.util.spec_from_file_location("_perfbench_ops", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def test_stratum_labels_match_the_benchmark_copy():
-    ops = _benchmark_ops()
+def test_stratum_labels_match_the_benchmark_copy(benchmark_ops):
     for space in SPACES:
         for h in range(7):
-            assert stratum_labels(space, h) == ops.translate_labels(space, h)
+            assert stratum_labels(space, h) == \
+                benchmark_ops.translate_labels(space, h)
 
 
 def test_mismatched_inputs_raise():
@@ -1023,3 +1010,19 @@ def test_satake_mismatch_reporting():
         satake_mismatches("wedge", "UGL2", 2, 2)
     with pytest.raises(ValueError, match="unknown space"):
         satake_mismatches("t1", "MAT2", 2, 2)
+
+
+def test_satake_mismatches_lists_every_label_in_window_order(monkeypatch):
+    import sphvar.oracle as oracle
+    # doubling the Satake transform doubles every wanted count
+    true_satake = oracle.minuscule_satake
+    monkeypatch.setattr(oracle, "minuscule_satake", lambda rd, mu: {
+        lam: c.scale(2) for lam, c in true_satake(rd, mu).items()})
+    for space, op, height in (("UGL2", "t1", 2), ("PPGL3", "wedge", 1)):
+        bad = satake_mismatches(op, space, height, 2)
+        window = [l for l in itertools.product(range(-height, height + 1),
+                                               repeat=2)
+                  if abs(l[0]) + abs(l[1]) <= height]
+        assert [l for l, _, _ in bad] == window
+        for l, got, want in bad:
+            assert got and want == [(m, 2 * c) for m, c in got]

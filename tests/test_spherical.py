@@ -260,6 +260,16 @@ def test_wavefront():
     assert not is_wavefront(nocenter)
 
 
+def test_wavefront_reuses_the_chamber_image(monkeypatch):
+    # __post_init__ already built the antidominant chamber and its image
+    built = [line_datum(), matrix_datum()]
+    calls = []
+    monkeypatch.setattr(Cone, "from_inequalities",
+                        staticmethod(lambda *a: calls.append(a)))
+    assert [is_wavefront(d) for d in built] == [True, True]
+    assert calls == []
+
+
 def test_multiplicity():
     assert arithmetic_multiplicity(line_datum()) == 1
     squared = SphericalDatum(
