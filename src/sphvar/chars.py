@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .geometry import span_coordinates
-from .rootdata import RootDatum, _idot
+from .rootdata import RootDatum, _idot, _reflect
 
 
 def _fexp(e) -> Fraction:
@@ -323,11 +323,6 @@ def _bform(rd: RootDatum):
     return B
 
 
-def _nat_root_expansion(rd: RootDatum, v):
-    """Coefficients of v in simple roots if all are nonnegative integers."""
-    return _nat_coordinates(rd._expansion_rows, v)
-
-
 def freudenthal_multiplicity(rd: RootDatum, lam, mu) -> int:
     """Weight multiplicity dim V_lam[mu] by Freudenthal's recursion."""
     lam = tuple(int(x) for x in lam)
@@ -336,6 +331,7 @@ def freudenthal_multiplicity(rd: RootDatum, lam, mu) -> int:
         raise ValueError("highest weight %r is not dominant" % (lam,))
     B = _bform(rd)
     rho2 = tuple(int(2 * x) for x in rd.rho)  # 2*rho is integral
+    span = rd._expansion_rows
 
     memo = {}
 
@@ -343,7 +339,7 @@ def freudenthal_multiplicity(rd: RootDatum, lam, mu) -> int:
         wd = rd.dominant_char(w)
         if wd == lam:
             return 1
-        if _nat_root_expansion(rd, tuple(a - b for a, b in zip(lam, wd))) is None:
+        if _nat_coordinates(span, tuple(a - b for a, b in zip(lam, wd))) is None:
             return 0
         if wd in memo:
             return memo[wd]
@@ -353,7 +349,7 @@ def freudenthal_multiplicity(rd: RootDatum, lam, mu) -> int:
             k = 1
             while True:
                 w2 = tuple(x + k * y for x, y in zip(wd, a))
-                if _nat_root_expansion(rd, tuple(p - s for p, s in zip(lam, w2))) is None:
+                if _nat_coordinates(span, tuple(p - s for p, s in zip(lam, w2))) is None:
                     break
                 m2 = mult(w2)
                 if m2:
@@ -397,7 +393,8 @@ def irrep_char(rd: RootDatum, lam) -> WeightChar:
     if not rd.is_dominant_char(lam):
         raise ValueError("highest weight %r is not dominant" % (lam,))
     lowest = tuple(-x for x in rd.dominant_char(tuple(-x for x in lam)))
-    span = _nat_root_expansion(rd, tuple(a - b for a, b in zip(lam, lowest)))
+    span = _nat_coordinates(rd._expansion_rows,
+                            tuple(a - b for a, b in zip(lam, lowest)))
     if span is None:
         raise RuntimeError("lowest weight of V(%r) is not below it in the root order"
                            % (lam,))
@@ -438,8 +435,7 @@ def decompose(rd: RootDatum, chi: WeightChar):
     mults = chi.as_dict()
     for w, m in mults.items():
         for a, av in zip(rd.simple_roots, rd.simple_coroots):
-            c = _idot(w, av)
-            if mults.get(tuple(x - c * y for x, y in zip(w, a)), 0) != m:
+            if mults.get(_reflect(w, a, av), 0) != m:
                 raise ValueError("not a true character: not Weyl-invariant at %r"
                                  % (w,))
     out = [(w, n) for w, n in (chi * WeightChar.of(rd.weyl_denominator)).weights

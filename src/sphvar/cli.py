@@ -25,6 +25,7 @@ specialization.  Exit codes: 0 pass, 1 mathematical failure, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -47,8 +48,21 @@ from .spherical import (ColoredCone, SphericalDatum, arithmetic_multiplicity,
 SCHEMA = 1
 
 
-class InputError(Exception):
-    """Bad document or bad request; maps to exit code 2."""
+class InputError(ValueError):
+    """Bad document or bad request. main turns it, like any ValueError, into
+    one error line and exit code 2."""
+
+
+@contextlib.contextmanager
+def _prefixed(prefix, kinds=(ValueError,)):
+    """Re-raise an error of kinds as InputError(prefix + message); an
+    InputError, already phrased for the user, passes unchanged."""
+    try:
+        yield
+    except InputError:
+        raise
+    except kinds as e:
+        raise InputError(prefix + str(e))
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +107,13 @@ def parse_group(obj) -> RootDatum:
         if not factors:
             raise InputError("group.factors must be nonempty")
         return product_datum(*(parse_group(f) for f in factors))
-    if "simple_roots" in obj:
-        try:
+    with _prefixed("bad group: ", (KeyError, TypeError, ValueError)):
+        if "simple_roots" in obj:
             return RootDatum(str(obj.get("name", "custom")),
                              _int(obj["rank"], "group.rank"),
                              _imat(obj["simple_roots"], "simple_roots"),
                              _imat(obj["simple_coroots"], "simple_coroots"))
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputError("bad group: %s" % e)
-    try:
         return root_datum(str(obj["type"]), _int(obj["rank"], "group.rank"))
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError("bad group: %s" % e)
 
 
 def render_group(rd: RootDatum) -> dict:
@@ -117,13 +126,11 @@ def _parse_cone(obj, rank, what) -> Cone:
     if not isinstance(obj, dict):
         raise InputError("%s must be an object" % what)
     n = _int(obj.get("dim", rank), what + ".dim")
-    try:
+    with _prefixed("bad %s: " % what):
         if "inequalities" in obj:
             return Cone.from_inequalities(
                 _imat(obj["inequalities"], what + ".inequalities"), n)
         return Cone(n, _imat(obj.get("generators", ()), what + ".generators"))
-    except ValueError as e:
-        raise InputError("bad %s: %s" % (what, e))
 
 
 def parse_document(obj) -> SphericalDatum:
@@ -150,7 +157,7 @@ def parse_document(obj) -> SphericalDatum:
         cc = ColoredCone(_parse_cone(cc, rank, "colored_cone"),
                          tuple(str(x) for x in _list(cc.get("colors", ()),
                                                      "colored_cone.colors")))
-    try:
+    with _prefixed("inconsistent document: "):
         return SphericalDatum(
             name=str(obj["name"]),
             ambient=parse_group(obj["group"]),
@@ -165,8 +172,6 @@ def parse_document(obj) -> SphericalDatum:
                                   "spherical_roots"),
             little_weyl=lw,
             colored_cone=cc)
-    except ValueError as e:
-        raise InputError("inconsistent document: %s" % e)
 
 
 def render_document(d: SphericalDatum) -> dict:
@@ -294,10 +299,7 @@ def cmd_check(args) -> int:
         print("colored-cone\t%s\t%s" % ("pass" if ok else "fail", diag))
         return 0 if ok else 1
     if which == "affine":
-        try:
-            ok, wit = is_affine(d, d.colored_cone)
-        except ValueError as e:
-            raise InputError(str(e))
+        ok, wit = is_affine(d, d.colored_cone)
         detail = _fmt_label(wit) if ok and wit is not None else "-"
         print("affine\t%s\t%s" % ("pass" if ok else "fail", detail))
         return 0 if ok else 1
@@ -313,10 +315,7 @@ def cmd_check(args) -> int:
         print("induced\tpass\t%s" % (_fmt_label(ind) or "B"))
         return 0
     if which == "negligible":
-        try:
-            ok, cert = negligible_orbit_check(d)
-        except ValueError as e:
-            raise InputError(str(e))
+        ok, cert = negligible_orbit_check(d)
         print("negligible\t%s\t%d subsets" % ("pass" if ok else "fail",
                                               len(cert)))
         return 0 if ok else 1
@@ -325,26 +324,14 @@ def cmd_check(args) -> int:
 
 def cmd_orbits(args) -> int:
     d = load_document(args.file)
-    try:
-        pts = enumerate_orbits(d, args.height, integral_only=args.integral)
-    except ValueError as e:
-        raise InputError(str(e))
-    for l in pts:
+    for l in enumerate_orbits(d, args.height, integral_only=args.integral):
         print(_fmt_label(l))
     return 0
 
 
 def _specialized_rows(table, q0):
-    rows = []
-    for l, v in table.values:
-        if q0 is None:
-            rows.append((l, str(v)))
-            continue
-        try:
-            rows.append((l, str(v.specialize(q0))))
-        except ValueError as e:
-            raise InputError(str(e))
-    return rows
+    return [(l, str(v) if q0 is None else str(v.specialize(q0)))
+            for l, v in table.values]
 
 
 def cmd_basicfn(args) -> int:
@@ -352,11 +339,8 @@ def cmd_basicfn(args) -> int:
     q0 = _parse_q(args.q)
     if args.case == "graded":
         block, _ = _torus_split(d.ambient)
-        try:
-            p = ParabolicDatum(block, tuple(d.levi_roots))
-            graded = basic_function_graded(p, args.height)
-        except ValueError as e:
-            raise InputError(str(e))
+        graded = basic_function_graded(
+            ParabolicDatum(block, tuple(d.levi_roots)), args.height)
         for i, parts in graded:
             for hw, mult in parts:
                 print("%d\t%s\t%d" % (i, _fmt_label(hw), mult))
@@ -365,15 +349,11 @@ def cmd_basicfn(args) -> int:
     if d.colored_cone is None:
         raise InputError("basicfn needs a colored cone")
     block, labels = _derived_labels(d)
-    try:
-        if args.case == "borel":
-            table = basic_function_borel(d, BorelRoute(block, labels),
-                                         args.height)
-        else:
-            route = PPRoute(block, tuple(d.levi_roots), labels)
-            table = basic_function_pp(d, route, args.height)
-    except ValueError as e:
-        raise InputError(str(e))
+    if args.case == "borel":
+        table = basic_function_borel(d, BorelRoute(block, labels), args.height)
+    else:
+        route = PPRoute(block, tuple(d.levi_roots), labels)
+        table = basic_function_pp(d, route, args.height)
     if args.json:
         doc = {"schema": SCHEMA, "datum": table.datum_name,
                "case": table.case, "rank": table.rank,
@@ -408,25 +388,20 @@ def cmd_lf(args) -> int:
     _require_horospherical(d, "a local L-factor")
     block, _ = _torus_split(d.ambient)
     point = _parse_point(args.point)
-    try:
-        rep = dual_radical(ParabolicDatum(block, tuple(d.levi_roots)))
-        if args.rep == "u_P_f":
-            rep = f_fixed(rep)
-        lf = local_lfactor(rep, point, kappa=args.kappa)
-    except ValueError as e:
-        raise InputError(str(e))
-    for c, e in lf.monomials:
-        print("monomial\t%s\t%s" % (c, e))
+    rep = dual_radical(ParabolicDatum(block, tuple(d.levi_roots)))
+    if args.rep == "u_P_f":
+        rep = f_fixed(rep)
+    lf = local_lfactor(rep, point, kappa=args.kappa)
+    series = ()
     if args.expand is not None:
         q0 = _parse_q(args.q)
         if q0 is None:
             raise InputError("--expand needs a numeric --q")
-        try:
-            series = lf.expand(args.expand, q0)
-        except ValueError as e:
-            raise InputError(str(e))
-        for k, c in enumerate(series):
-            print("T^%d\t%s" % (k, c))
+        series = lf.expand(args.expand, q0)
+    for c, e in lf.monomials:
+        print("monomial\t%s\t%s" % (c, e))
+    for k, c in enumerate(series):
+        print("T^%d\t%s" % (k, c))
     return 0
 
 
@@ -481,10 +456,7 @@ def cmd_catalog(args) -> int:
             e = _catalog.load(key)
             print("%s\t%s\t%s" % (key, e.preflag_case, e.provenance))
         return 0
-    try:
-        entry = _catalog.load(args.key)
-    except ValueError as e:
-        raise InputError(str(e))
+    entry = _catalog.load(args.key)
     if args.action == "show":
         if args.json:
             print(json.dumps(render_document(entry.datum), indent=2,
@@ -617,10 +589,7 @@ def cmd_oracle(args) -> int:
         raise InputError("--height must be >= 0")
     if args.trials < 1:
         raise InputError("--trials must be >= 1")
-    try:
-        results = fn(qs, height, args.trials)
-    except ValueError as e:  # a request too large to enumerate
-        raise InputError(str(e)) from None
+    results = fn(qs, height, args.trials)
     failed = False
     for unit, mism in results:
         status = "pass" if not mism else "fail"
@@ -710,7 +679,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except InputError as e:
+    except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -348,6 +348,8 @@ def borel_shifts(route: BorelRoute, satake: dict):
 def pp_shifts(route: PPRoute, satake: dict, kappa: int = KAPPA):
     """Shift list on quotient labels: the Satake polynomial is restricted by
     z^lam -> q^(kappa*<rho_M,lam>) z^(pi(lam)) and regrouped by class."""
+    if kappa not in (1, -1):
+        raise ValueError("kappa must be +1 or -1")
     p = route.parabolic()
     by = {}
     for lam, c in satake.items():
@@ -513,7 +515,7 @@ def toric_distance(datum, label, q0) -> Fraction:
     dual = c.dual()
     proj, sect = saturation_quotient(dual.lineality_basis(), c.n)
     img = proj.image_cone(dual)
-    basis = hilbert_basis_pointed(img, max_rank=4)
+    basis = hilbert_basis_pointed(img)
     if not basis:
         return Fraction(1)
     best = None

@@ -658,7 +658,12 @@ def saturation_quotient(vectors, n: int):
 # ---------------------------------------------------------------------------
 # Hilbert bases (pointed cones of small rank)
 
-def hilbert_basis_pointed(c: Cone, max_rank: int = 4):
+# Largest cone dimension hilbert_basis_pointed takes: the parallelepiped
+# scan grows like (generator size)^dim.
+HILBERT_MAX_RANK = 4
+
+
+def hilbert_basis_pointed(c: Cone):
     """Minimal monoid generators of c cap Z^n for a pointed cone c.
 
     Candidates are the integer points of the parallelepipeds spanned by the
@@ -669,7 +674,7 @@ def hilbert_basis_pointed(c: Cone, max_rank: int = 4):
     if lin:
         raise ValueError("cone has lineality; Hilbert basis undefined")
     d = c.dim()
-    if d > max_rank:
+    if d > HILBERT_MAX_RANK:
         raise ValueError("unsupported rank %d for Hilbert basis" % d)
     if not rays:
         return []

@@ -18,7 +18,10 @@ from .geometry import (
     vdot,
 )
 
-_CLOSURE_CAP = 4096  # plenty for rank <= 7; guards non-crystallographic input
+# Largest root set, Weyl group or Weyl orbit closed here. Every classical
+# group of rank <= 5 fits (|W(B5)| = 3840); a datum that does not close
+# stops at it.
+_CLOSURE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -52,24 +55,23 @@ class RootDatum:
 
     # -- roots ---------------------------------------------------------
     @cached_property
+    def _char_pairs(self):
+        """Simple (root, coroot) pairs: reflections v -> v - <v, av> a of X^*."""
+        return tuple(zip(self.simple_roots, self.simple_coroots))
+
+    @cached_property
+    def _cochar_pairs(self):
+        """Simple (coroot, root) pairs: the same reflections acting on X_*."""
+        return tuple(zip(self.simple_coroots, self.simple_roots))
+
+    @cached_property
     def _all_pairs(self):
-        pairs = set(zip(self.simple_roots, self.simple_coroots))
-        frontier = list(pairs)
-        while frontier:
-            nxt = []
-            for b, bv in frontier:
-                for a, av in zip(self.simple_roots, self.simple_coroots):
-                    c1 = _idot(b, av)
-                    c2 = _idot(a, bv)
-                    nb = tuple(x - c1 * y for x, y in zip(b, a))
-                    nbv = tuple(x - c2 * y for x, y in zip(bv, av))
-                    if (nb, nbv) not in pairs:
-                        pairs.add((nb, nbv))
-                        nxt.append((nb, nbv))
-            if len(pairs) > _CLOSURE_CAP:
-                raise ValueError("root system does not close; bad input data")
-            frontier = nxt
-        return pairs
+        def step(pair):
+            b, bv = pair
+            return ((_reflect(b, a, av), _reflect(bv, av, a))
+                    for a, av in self._char_pairs)
+        return _closure(self._char_pairs, step,
+                        "root system does not close; bad input data")
 
     @cached_property
     def _expansion_rows(self):
@@ -130,91 +132,101 @@ class RootDatum:
     # -- Weyl group ------------------------------------------------------
     @cached_property
     def weyl_char(self):
-        """The Weyl group as matrices on X^*, closed from x -> x - <x, av> a."""
-        n = self.rank
-        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        gens = [tuple(tuple(int(i == j) - a[i] * av[j] for j in range(n))
-                      for i in range(n))
-                for a, av in zip(self.simple_roots, self.simple_coroots)]
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    prod = tuple(tuple(sum(g[i][k] * m[k][j] for k in range(n))
-                                       for j in range(n)) for i in range(n))
-                    if prod not in seen:
-                        seen.add(prod)
-                        nxt.append(prod)
-            if len(seen) > _CLOSURE_CAP:
-                raise ValueError("Weyl group too large; bad input data")
-            frontier = nxt
-        return tuple(sorted(seen))
+        """The Weyl group as matrices on X^*, closed from x -> x - <x, av> a.
+
+        A matrix is closed as its tuple of columns, so a simple reflection
+        acts on it column by column."""
+        ident = tuple(tuple(int(i == j) for j in range(self.rank))
+                      for i in range(self.rank))
+
+        def step(cols):
+            return (tuple(_reflect(c, a, av) for c in cols)
+                    for a, av in self._char_pairs)
+        group = _closure([ident], step, "Weyl group too large; bad input data")
+        return tuple(sorted(tuple(zip(*cols)) for cols in group))
 
     def weyl_order(self) -> int:
         return len(self.weyl_char)
 
     def weyl_orbit_cochar(self, v):
-        return _orbit(v, list(zip(self.simple_roots, self.simple_coroots)), "cochar")
+        return self._orbit(v, self._cochar_pairs)
 
     def weyl_orbit_char(self, v):
-        return _orbit(v, list(zip(self.simple_roots, self.simple_coroots)), "char")
+        return self._orbit(v, self._char_pairs)
+
+    def _orbit(self, v, pairs):
+        """Sorted orbit of v under the simple reflections of pairs."""
+        v = self._check_rank(tuple(int(x) for x in v))
+        return tuple(sorted(_closure(
+            [v], lambda w: (_reflect(w, x, y) for x, y in pairs),
+            "Weyl orbit too large; bad input data")))
 
     # -- dominance -------------------------------------------------------
+    def _check_rank(self, v):
+        """v itself, once its length is the rank: zip would truncate it."""
+        if len(v) != self.rank:
+            raise ValueError("dimension mismatch: %d vs %d"
+                             % (len(v), self.rank))
+        return v
+
     def is_dominant_char(self, v) -> bool:
-        return all(vdot(v, av) >= 0 for av in self.simple_coroots)
+        self._check_rank(v)
+        return all(_idot(v, av) >= 0 for av in self.simple_coroots)
 
     def is_dominant_cochar(self, v) -> bool:
-        return all(vdot(a, v) >= 0 for a in self.simple_roots)
+        self._check_rank(v)
+        return all(_idot(a, v) >= 0 for a in self.simple_roots)
 
     def dominant_cochar(self, v):
         """The dominant Weyl-chamber representative of a cocharacter."""
-        v = tuple(int(x) for x in v)
-        while True:
-            for a, av in zip(self.simple_roots, self.simple_coroots):
-                c = _idot(a, v)
-                if c < 0:
-                    v = tuple(x - c * y for x, y in zip(v, av))
-                    break
-            else:
-                return v
+        return self._fold(v, self._cochar_pairs)
 
     def dominant_char(self, v):
-        v = tuple(int(x) for x in v)
-        while True:
-            for a, av in zip(self.simple_roots, self.simple_coroots):
-                c = _idot(v, av)
-                if c < 0:
-                    v = tuple(x - c * y for x, y in zip(v, a))
+        return self._fold(v, self._char_pairs)
+
+    def _fold(self, v, pairs):
+        """Reflect v along the first simple pair (x, y) with <v, y> < 0 until
+        there is none. Each step lowers by one the number of positive roots
+        on which v is negative, so the fold stops within #roots steps; a
+        datum that does not close raises instead."""
+        v = self._check_rank(tuple(int(x) for x in v))
+        for _ in range(len(self._all_pairs) + 1):
+            for x, y in pairs:
+                if _idot(v, y) < 0:
+                    v = _reflect(v, x, y)
                     break
             else:
                 return v
+        raise ValueError("Weyl chamber fold does not stop; bad input data")
 
     def central_cochar_basis(self):
         """Basis of the cocharacters killed by every root (the center rank)."""
         return tuple(kernel_basis(self.simple_roots, self.rank))
 
 
-def _orbit(v, pairs, side):
-    v0 = tuple(int(x) for x in v)
-    seen = {v0}
-    frontier = [v0]
+def _reflect(v, x, y):
+    """v - <v, y> x: with (x, y) a (root, coroot) pair this is the simple
+    reflection of a character, with (coroot, root) that of a cocharacter."""
+    c = _idot(v, y)
+    return tuple(a - c * b for a, b in zip(v, x))
+
+
+def _closure(seeds, step, message, cap=_CLOSURE_CAP):
+    """Breadth-first closure of seeds under step (element -> its images);
+    ValueError(message) once it holds more than cap elements."""
+    seen = set(seeds)
+    frontier = list(seen)
     while frontier:
         nxt = []
-        for w in frontier:
-            for a, av in pairs:
-                if side == "cochar":
-                    c = _idot(a, w)
-                    u = tuple(x - c * y for x, y in zip(w, av))
-                else:
-                    c = _idot(w, av)
-                    u = tuple(x - c * y for x, y in zip(w, a))
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
+        for x in frontier:
+            for y in step(x):
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        if len(seen) > cap:
+            raise ValueError(message)
         frontier = nxt
-    return tuple(sorted(seen))
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +234,12 @@ def _orbit(v, pairs, side):
 
 def _chain_cartan(m: int):
     return [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(m)]
+            for i in range(m)]
+
+
+def _chain(n, m):
+    """The A-chain e_i - e_(i+1), i < m, in Z^n."""
+    return [tuple(int(j == i) - int(j == i + 1) for j in range(n))
             for i in range(m)]
 
 
@@ -245,8 +263,7 @@ def root_datum(kind: str, n: int) -> RootDatum:
     if k == "T":
         return RootDatum("t%d" % n, n, (), ())
     if k == "GL":
-        simples = [tuple((1 if j == i else (-1 if j == i + 1 else 0)) for j in range(n))
-                   for i in range(n - 1)]
+        simples = _chain(n, n - 1)
         return RootDatum("gl%d" % n, n, tuple(simples), tuple(simples))
     if k == "SL":
         m = n - 1
@@ -261,8 +278,7 @@ def root_datum(kind: str, n: int) -> RootDatum:
         coroots = [tuple(A[j][i] for i in range(m)) for j in range(m)]
         return RootDatum("pgl%d" % n, m, tuple(roots), tuple(coroots))
     if k in ("B", "C", "D"):
-        simples = [tuple((1 if j == i else (-1 if j == i + 1 else 0)) for j in range(n))
-                   for i in range(n - 1)]
+        simples = _chain(n, n - 1)
         if k == "B":
             if n < 2:
                 raise ValueError("B needs rank >= 2")
@@ -291,8 +307,7 @@ def root_datum(kind: str, n: int) -> RootDatum:
             raise ValueError("GSp needs an even size >= 2")
         p = n // 2
         rank = p + 1  # (x_1..x_p, similitude)
-        simples = [tuple((1 if j == i else (-1 if j == i + 1 else 0)) for j in range(rank))
-                   for i in range(p - 1)]
+        simples = _chain(rank, p - 1)
         long_root = tuple((2 if j == p - 1 else (-1 if j == p else 0)) for j in range(rank))
         roots = simples + [long_root]
         coroots = simples + [_unit(rank, p - 1)]

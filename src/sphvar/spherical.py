@@ -13,9 +13,10 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .geometry import (Cone, EQ, GE, LT, LatticeMap, LinearSystem, feasible,
-                       lattice_points, matrix_rank, torsion_order, vdot)
-from .rootdata import RootDatum
+from .geometry import (Cone, EQ, GE, LT, LatticeMap, LinearSystem, _idot,
+                       feasible, lattice_points, matrix_rank, torsion_order,
+                       vdot)
+from .rootdata import RootDatum, _closure
 
 
 @dataclass(frozen=True)
@@ -92,10 +93,14 @@ class SphericalDatum:
         samples = list(self.valuation_cone.generators)
         if len(samples) >= 2:
             samples.append(tuple(a + b for a, b in zip(samples[0], samples[1])))
+
+        def act(w):
+            return (tuple(_idot(row, w) for row in m) for m in self.little_weyl)
         for v in samples:
             if all(x == 0 for x in v):
                 continue
-            orbit = _matrix_orbit(v, self.little_weyl)
+            orbit = _closure([v], act, "little Weyl orbit does not close",
+                             cap=1024)
             hits = [w for w in orbit if self.valuation_cone.contains(w)]
             if any(w != tuple(v) for w in hits):
                 raise ValueError("little Weyl sample orbit meets the cone twice")
@@ -120,24 +125,6 @@ class SphericalDatum:
 
     def ambient_spherical_roots(self):
         return [self.lattice_map.apply(g) for g in self.spherical_roots]
-
-
-def _matrix_orbit(v, mats):
-    seen = {tuple(v)}
-    frontier = [tuple(v)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for m in mats:
-                u = tuple(sum(m[i][j] * w[j] for j in range(len(w)))
-                          for i in range(len(w)))
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-        if len(seen) > 1024:
-            raise ValueError("little Weyl orbit does not close")
-    return seen
 
 
 def antidominant_cochar_chamber(rd: RootDatum) -> Cone:

@@ -1,0 +1,21 @@
+"""The benchmark's span tracer wraps sphvar functions by name; a rename or a
+move out of a class body would silently drop a per-layer metric."""
+from __future__ import annotations
+
+import importlib
+import inspect
+
+
+def test_every_span_target_resolves(benchmark_spans):
+    for mod_name, quals in benchmark_spans.TARGETS.items():
+        mod = importlib.import_module("sphvar." + mod_name)
+        for qual in quals:
+            if "." in qual:
+                # install() wraps the entry of the class __dict__ itself
+                cls_name, attr = qual.split(".")
+                raw = vars(getattr(mod, cls_name)).get(attr)
+                if isinstance(raw, staticmethod):
+                    raw = raw.__func__
+            else:
+                raw = getattr(mod, qual, None)
+            assert inspect.isfunction(raw), "%s.%s" % (mod_name, qual)

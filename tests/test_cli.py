@@ -454,10 +454,11 @@ def test_lf_input_errors(tmp_path, capsys):
     assert "zero coordinate" in err
     code, _, err = run(capsys, ["lf", p, "--rep", "u_P", "--point", "t1"])
     assert code == 2
-    code, _, err = run(capsys, ["lf", p, "--rep", "u_P",
-                                "--point", "t1=2,t2=3,t3=5", "--expand", "2"])
-    assert code == 2
-    assert "numeric" in err
+    # --expand and --q fail before any monomial line is printed
+    code, out, err = run(capsys, ["lf", p, "--rep", "u_P",
+                                  "--point", "t1=2,t2=3,t3=5", "--expand", "2"])
+    assert (code, out) == (2, "")
+    assert err == "error: --expand needs a numeric --q\n"
     code, _, err = run(capsys, ["lf", doc_path(tmp_path, "tensor-4"),
                                 "--rep", "u_P"])
     assert code == 2
@@ -467,10 +468,15 @@ def test_lf_input_errors(tmp_path, capsys):
                                       "--point", "t1=2,t2=3", "--kappa", kappa])
         assert (code, out) == (2, "")
         assert err == "error: kappa must be +1 or -1\n"
-    code, _, err = run(capsys, ["lf", p, "--rep", "u_P", "--point", "t1=2,t2=3",
-                                "--expand", "-2", "--q", "4"])
-    assert code == 2
+    code, out, err = run(capsys, ["lf", p, "--rep", "u_P", "--point", "t1=2,t2=3",
+                                  "--expand", "-2", "--q", "4"])
+    assert (code, out) == (2, "")
     assert err == "error: expansion bound must be >= 0\n"
+    # a ValueError from the library, not an InputError, is bad input too
+    code, out, err = run(capsys, ["lf", p, "--rep", "u_P", "--point", "t1=2,t2=3",
+                                  "--expand", "2", "--q", "2"])
+    assert (code, out) == (2, "")
+    assert err == "error: specializing a half-integral power needs a square q\n"
 
 
 # ---------------------------------------------------------------------------

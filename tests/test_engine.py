@@ -440,6 +440,9 @@ def test_pp_shifts_gl3():
         assert set(h) == {(0, 1), (1, 1)}
         assert h[(1, 1)] == ONE
         assert str(h[(0, 1)]) == "q^2 + q"
+    for kappa in (0, 5):
+        with pytest.raises(ValueError, match=r"kappa must be \+1 or -1"):
+            pp_shifts(route, s, kappa)
 
 
 def test_apply_shifts_orientation():

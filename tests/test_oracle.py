@@ -994,6 +994,9 @@ def test_satake_comparison_cannot_see_the_sign_of_kappa():
     for k in range(4):
         satake = minuscule_satake(route.group, (1,) * k + (0,) * (3 - k))
         assert pp_shifts(route, satake, -1) == pp_shifts(route, satake, 1)
+    # any other kappa is refused by pp_shifts
+    with pytest.raises(ValueError, match=r"kappa must be \+1 or -1"):
+        satake_mismatches("t1", "PPGL3", 2, 2, kappa=0)
 
 
 def test_hecke_operators():

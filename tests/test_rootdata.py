@@ -1,6 +1,7 @@
 """Root data builders, Weyl machinery, and parabolic gradings."""
 from __future__ import annotations
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,56 @@ def test_dominance():
     assert not sl3.is_dominant_char((-1, 3))
     assert sl3.dominant_char((-1, 3)) in [w for w in sl3.weyl_orbit_char((-1, 3))
                                           if sl3.is_dominant_char(w)]
+
+
+PANEL = [root_datum(k, n) for k, n in (
+    ("GL", 3), ("SL", 4), ("PGL", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2),
+    ("GSP", 6), ("T", 2))]
+
+
+@pytest.mark.parametrize("rd", PANEL + [dual_datum(rd) for rd in PANEL],
+                         ids=lambda rd: rd.name)
+def test_fold_lands_in_the_orbit_on_its_only_dominant_point(rd):
+    # the chamber fold and the orbit closure are separate walks: the fold's
+    # end must be the one dominant point of the orbit, on both sides, and
+    # every orbit size divides |W|
+    for v in [(2, -1, 0, 1, -2)[:rd.rank], (-1, 3, -2, 0, 1)[:rd.rank]]:
+        for orbit, fold, dominant in (
+                (rd.weyl_orbit_char(v), rd.dominant_char(v), rd.is_dominant_char),
+                (rd.weyl_orbit_cochar(v), rd.dominant_cochar(v),
+                 rd.is_dominant_cochar)):
+            assert [w for w in orbit if dominant(w)] == [fold]
+            assert rd.weyl_order() % len(orbit) == 0
+
+
+@pytest.fixture
+def time_limit():
+    """Fail the test instead of hanging it once its budget is spent."""
+    def expire(signum, frame):
+        raise TimeoutError("time budget exceeded")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("method,v", [
+    ("weyl_orbit_char", (1, 0, 0)), ("weyl_orbit_cochar", (1, 0, 0)),
+    ("dominant_char", (-1, 0, 0)), ("dominant_cochar", (-1, 0, 0))])
+def test_affine_datum_raises_instead_of_hanging(time_limit, method, v):
+    # affine A1: the constructor's checks pass, but W is infinite
+    rd = RootDatum("aff", 3, ((2, -2, 1), (-2, 2, 0)), ((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match="bad input data"):
+        getattr(rd, method)(v)
+
+
+def test_weights_of_the_wrong_length_are_refused():
+    sl3 = root_datum("SL", 3)
+    for method in ("is_dominant_char", "is_dominant_cochar", "dominant_char",
+                   "dominant_cochar", "weyl_orbit_char", "weyl_orbit_cochar"):
+        with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+            getattr(sl3, method)((1,))
 
 
 def test_simple_root_expansion():
