@@ -1,19 +1,19 @@
 """Worked examples: spherical data with routes, flags, and expected L-values.
 
 Each entry packages one affine spherical embedding over a split group: the
-combinatorial datum, the route by which its basic-function table is computed,
-classification flags that the criteria code must reproduce, and the
-unramified L-value the table is expected to realize when classical theory
-predicts one.  Keys are stable strings; loading is cached.
+combinatorial datum, the routes by which its basic-function table is computed
+(a horospherical entry names its Borel/PP route kinds, and the routes are
+derived from the datum), classification flags that the criteria code must
+reproduce, and the unramified L-value the table is expected to realize when
+classical theory predicts one.  Keys are stable strings; loading is cached.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import (BasicFunctionTable, BorelRoute, PPRoute, SmoothRoute,
-                     TransportRoute, basic_function_borel, basic_function_pp,
-                     basic_function_smooth, basic_function_transport)
+from .engine import (BasicFunctionTable, SmoothRoute, TransportRoute,
+                     derived_route, route_table)
 from .geometry import Cone, LatticeMap
 from .rootdata import RootDatum, product_datum, root_datum
 from .spherical import ColoredCone, SphericalDatum, antidominant_cochar_chamber
@@ -50,6 +50,10 @@ def _cc(n, gens, colors):
     return ColoredCone(Cone(n, gens), colors)
 
 
+def _derived(d, *kinds):
+    return tuple(derived_route(d, kind) for kind in kinds)
+
+
 def _entries():
     out = {}
     half = Fraction(1, 2)
@@ -67,7 +71,6 @@ def _entries():
         routes=(SmoothRoute(),))
 
     amb = product_datum(root_datum("T", 1), root_datum("SL", 2))
-    sl2 = root_datum("SL", 2)
     d = SphericalDatum(
         name="a2-sl2", ambient=amb, rank=1,
         lattice_map=LatticeMap.of([(1,), (-1,)]),
@@ -79,11 +82,10 @@ def _entries():
         provenance="standard representation of SL(2) with a central torus",
         reductive_stabilizer=False, wavefront_expected=True,
         smooth_expected=True, preflag_case="U_P",
-        routes=(BorelRoute(sl2, LatticeMap.of([(-1,)])),
-                PPRoute(sl2, (), LatticeMap.of([(-1,)]))))
+        routes=_derived(d, "borel", "pp"))
 
     d = SphericalDatum(
-        name="a2-sl2-nocenter", ambient=sl2, rank=1,
+        name="a2-sl2-nocenter", ambient=root_datum("SL", 2), rank=1,
         lattice_map=LatticeMap.of([(-1,)]),
         valuation_cone=Cone(1, ((1,), (-1,))),
         colors=(("D", (1,)),),
@@ -93,7 +95,7 @@ def _entries():
         provenance="standard representation of SL(2), no central twist",
         reductive_stabilizer=False, wavefront_expected=False,
         smooth_expected=True, preflag_case="U_P",
-        routes=(BorelRoute(sl2, LatticeMap.of([(-1,)])),))
+        routes=_derived(d, "borel"))
 
     amb = product_datum(root_datum("T", 2), root_datum("GL", 2))
     d = SphericalDatum(
@@ -107,12 +109,9 @@ def _entries():
         provenance="horospherical closure of U\\GL(2)",
         reductive_stabilizer=False, wavefront_expected=True,
         smooth_expected=True, preflag_case="U_P",
-        routes=(BorelRoute(root_datum("GL", 2),
-                           LatticeMap.of([(0, 1), (1, 1)])),))
+        routes=_derived(d, "borel"))
 
     amb = product_datum(root_datum("T", 2), root_datum("SL", 3))
-    sl3 = root_datum("SL", 3)
-    lm = LatticeMap.of([(0, -1), (-1, 0)])
     d = SphericalDatum(
         name="borel-sl3", ambient=amb, rank=2,
         lattice_map=LatticeMap.of([(0, 1), (1, 0), (0, -1), (-1, 0)]),
@@ -124,7 +123,7 @@ def _entries():
         provenance="horospherical closure of U\\SL(3)",
         reductive_stabilizer=False, wavefront_expected=True,
         smooth_expected=False, preflag_case="U_P",
-        routes=(BorelRoute(sl3, lm), PPRoute(sl3, (), lm)),
+        routes=_derived(d, "borel", "pp"),
         growth_hint=(1, 1))
 
     amb = product_datum(root_datum("T", 2), root_datum("GL", 3))
@@ -140,8 +139,7 @@ def _entries():
         provenance="derived-group quotient [P,P]\\GL(3), (2,1) parabolic",
         reductive_stabilizer=False, wavefront_expected=True,
         smooth_expected=True, preflag_case="PP",
-        routes=(PPRoute(root_datum("GL", 3), (0,),
-                        LatticeMap.of([(0, 0, 1), (1, 1, 1)])),))
+        routes=_derived(d, "pp"))
 
     amb = product_datum(root_datum("T", 1), root_datum("PGL", 2))
     d = SphericalDatum(
@@ -290,8 +288,7 @@ def _entries():
         provenance="Siegel parabolic degeneration of GSp(6)",
         reductive_stabilizer=False, wavefront_expected=True,
         smooth_expected=False, preflag_case="PP",
-        routes=(PPRoute(root_datum("GSP", 6), (0, 1),
-                        LatticeMap.of([(-1, -1, -1, 3), (0, 0, 0, 1)])),),
+        routes=_derived(d, "pp"),
         growth_hint=(1, 0))
 
     a1quad = RootDatum(
@@ -402,17 +399,7 @@ def basic_table(entry, height: int) -> BasicFunctionTable:
         entry = load(entry)
     if not entry.routes:
         raise ValueError("no route for %s" % entry.key)
-    route = entry.routes[0]
-    if isinstance(route, SmoothRoute):
-        return basic_function_smooth(entry.datum, height)
-    if isinstance(route, BorelRoute):
-        return basic_function_borel(entry.datum, route, height)
-    if isinstance(route, PPRoute):
-        return basic_function_pp(entry.datum, route, height)
-    if isinstance(route, TransportRoute):
-        return basic_function_transport(
-            entry.datum, route, lambda h: basic_table(route.partner, h), height)
-    raise ValueError("no route for %s" % entry.key)
+    return route_table(entry.datum, entry.routes[0], height, basic_table)
 
 
 def transport_coincidence(entry):

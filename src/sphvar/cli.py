@@ -12,11 +12,14 @@ Input documents are JSON (schema 1) describing one spherical datum:
      "levi_roots": [...], "spherical_roots": [[...], ...],
      "little_weyl": [[[...]]] | null, "colored_cone": {...} | null}
 
-Table commands derive their route from the document: the lattice_map rows
-sitting in the non-torus coordinate block, transposed, are the label
-functionals on that block's cocharacters.  Borel tables additionally need
-this block square and unimodular; both table cases need a horospherical
-datum (no spherical roots).
+Table commands take their route from engine.derived_route, the derivation
+the catalog uses: the group is the non-torus coordinate block of the ambient
+group, the lattice_map rows sitting in that block, transposed, are the label
+functionals on its cocharacters, and the PP Levi is levi_roots.  Borel
+tables additionally need this block square and unimodular; both table cases
+need a horospherical datum (no spherical roots) and are computed by the
+dispatcher engine.route_table.  --case graded and lf read the block and
+Levi of the PP route.
 
 Output is tab-separated; labels print as comma-joined integers and values as
 canonical q-Laurent strings unless a numeric --q (or SPH_Q_DEFAULT) asks for
@@ -34,10 +37,9 @@ from fractions import Fraction
 
 from . import catalog as _catalog
 from . import oracle as _oracle
-from .engine import (BorelRoute, KAPPA, PPRoute, TransportRoute,
-                     basic_function_borel, basic_function_graded,
-                     basic_function_pp, dual_radical, f_fixed,
-                     growth_certificate, local_lfactor)
+from .engine import (KAPPA, TransportRoute, basic_function_graded,
+                     derived_route, dual_radical, f_fixed, growth_certificate,
+                     local_lfactor, route_table)
 from .geometry import Cone, LatticeMap
 from .rootdata import ParabolicDatum, RootDatum, product_datum, root_datum
 from .spherical import (ColoredCone, SphericalDatum, arithmetic_multiplicity,
@@ -207,32 +209,7 @@ def load_document(path) -> SphericalDatum:
 
 
 # ---------------------------------------------------------------------------
-# route derivation
-
-def _torus_split(rd: RootDatum):
-    """(block datum, block coordinates): the non-torus coordinate block, or
-    the whole group when there are no roots."""
-    if not rd.simple_roots:
-        return rd, tuple(range(rd.rank))
-    touched = [j for j in range(rd.rank)
-               if any(a[j] for a in rd.simple_roots)
-               or any(av[j] for av in rd.simple_coroots)]
-    if len(touched) == rd.rank:
-        return rd, tuple(touched)
-    block = RootDatum(
-        rd.name + "-g", len(touched),
-        tuple(tuple(a[j] for j in touched) for a in rd.simple_roots),
-        tuple(tuple(av[j] for j in touched) for av in rd.simple_coroots))
-    return block, tuple(touched)
-
-
-def _derived_labels(d: SphericalDatum):
-    """(block datum, label functionals): transpose of the block's rows."""
-    block, coords = _torus_split(d.ambient)
-    rows = [d.lattice_map.rows[j] for j in coords]
-    functionals = [tuple(row[i] for row in rows) for i in range(d.rank)]
-    return block, LatticeMap.of(functionals)
-
+# route requirements
 
 def _require_horospherical(d: SphericalDatum, what):
     if d.spherical_roots:
@@ -338,9 +315,11 @@ def cmd_basicfn(args) -> int:
     d = load_document(args.file)
     q0 = _parse_q(args.q)
     if args.case == "graded":
-        block, _ = _torus_split(d.ambient)
+        if args.json:
+            raise InputError("--json is not supported with --case graded")
+        route = derived_route(d, "pp")
         graded = basic_function_graded(
-            ParabolicDatum(block, tuple(d.levi_roots)), args.height)
+            ParabolicDatum(route.group, route.levi), args.height)
         for i, parts in graded:
             for hw, mult in parts:
                 print("%d\t%s\t%d" % (i, _fmt_label(hw), mult))
@@ -348,12 +327,7 @@ def cmd_basicfn(args) -> int:
     _require_horospherical(d, "a basic-function table")
     if d.colored_cone is None:
         raise InputError("basicfn needs a colored cone")
-    block, labels = _derived_labels(d)
-    if args.case == "borel":
-        table = basic_function_borel(d, BorelRoute(block, labels), args.height)
-    else:
-        route = PPRoute(block, tuple(d.levi_roots), labels)
-        table = basic_function_pp(d, route, args.height)
+    table = route_table(d, derived_route(d, args.case), args.height)
     if args.json:
         doc = {"schema": SCHEMA, "datum": table.datum_name,
                "case": table.case, "rank": table.rank,
@@ -386,9 +360,9 @@ def _parse_point(text) -> dict:
 def cmd_lf(args) -> int:
     d = load_document(args.file)
     _require_horospherical(d, "a local L-factor")
-    block, _ = _torus_split(d.ambient)
+    route = derived_route(d, "pp")
     point = _parse_point(args.point)
-    rep = dual_radical(ParabolicDatum(block, tuple(d.levi_roots)))
+    rep = dual_radical(ParabolicDatum(route.group, route.levi))
     if args.rep == "u_P_f":
         rep = f_fixed(rep)
     lf = local_lfactor(rep, point, kappa=args.kappa)

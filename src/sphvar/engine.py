@@ -5,7 +5,9 @@ polynomials in q^(1/2)); specialization to a rational prime power goes
 through Fraction.  Strata of an embedding are addressed by integer labels,
 and every computation route carries the lattice map from cocharacter data
 to labels, so independent routes for the same space produce tables that can
-be compared entry by entry.
+be compared entry by entry.  A horospherical datum determines its Borel and
+PP routes (derived_route), and one dispatcher (route_table) computes a table
+along any route.
 
 Conventions fixed by the test suite rather than by derivation:
   * delta_P^(1/2) at a cocharacter point contributes q^(-<rho_P, coweight>);
@@ -44,6 +46,9 @@ class BorelRoute:
     group: RootDatum
     label_map: LatticeMap
 
+    def parabolic(self) -> ParabolicDatum:
+        return ParabolicDatum(self.group, ())
+
 
 @dataclass(frozen=True)
 class PPRoute:
@@ -79,6 +84,32 @@ class TransportRoute:
 
     partner: str
     iota: LatticeMap
+
+
+def derived_route(datum, kind: str):
+    """The datum's Borel or PP route: the group is the non-torus block of the
+    ambient group (all of it when there are no roots), the label functionals
+    are the transposed lattice_map rows of that block, and the PP Levi is
+    datum.levi_roots."""
+    rd = datum.ambient
+    coords = [j for j in range(rd.rank)
+              if any(a[j] for a in rd.simple_roots)
+              or any(av[j] for av in rd.simple_coroots)]
+    if len(coords) in (0, rd.rank):
+        group, coords = rd, range(rd.rank)
+    else:
+        group = RootDatum(
+            rd.name + "-g", len(coords),
+            tuple(tuple(a[j] for j in coords) for a in rd.simple_roots),
+            tuple(tuple(av[j] for j in coords) for av in rd.simple_coroots))
+    rows = [datum.lattice_map.rows[j] for j in coords]
+    labels = LatticeMap.of([tuple(row[i] for row in rows)
+                            for i in range(datum.rank)])
+    if kind == "borel":
+        return BorelRoute(group, labels)
+    if kind == "pp":
+        return PPRoute(group, tuple(datum.levi_roots), labels)
+    raise ValueError("unknown route kind %r" % (kind,))
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +257,8 @@ def basic_function_pp(datum, route: PPRoute, height: int,
     where c_i collects the Sym^i coefficients of the f-fixed character with
     each grade-m line contributing q^(kappa*m/2).
     """
+    if height < 0:
+        raise ValueError("height must be >= 0")
     if kappa not in (1, -1):
         raise ValueError("kappa must be +1 or -1")
     p = route.parabolic()
@@ -318,6 +351,21 @@ def basic_function_transport(datum, route: TransportRoute, partner,
                                  partner_table.truncation, height)
 
 
+def route_table(datum, route, height: int, partner=None) -> BasicFunctionTable:
+    """The datum's basic-function table along route; partner(key, h) is the
+    table of a transport route's partner entry at height h."""
+    if isinstance(route, SmoothRoute):
+        return basic_function_smooth(datum, height)
+    if isinstance(route, BorelRoute):
+        return basic_function_borel(datum, route, height)
+    if isinstance(route, PPRoute):
+        return basic_function_pp(datum, route, height)
+    if isinstance(route, TransportRoute):
+        return basic_function_transport(
+            datum, route, lambda h: partner(route.partner, h), height)
+    raise ValueError("unknown route %r" % (route,))
+
+
 # ---------------------------------------------------------------------------
 # Satake shifts of minuscule and central Hecke operators
 
@@ -335,18 +383,10 @@ def minuscule_satake(rd: RootDatum, mu) -> dict:
     return {lam: QLaurent.q_pow(e) for lam in rd.weyl_orbit_cochar(dom)}
 
 
-def borel_shifts(route: BorelRoute, satake: dict):
+def pp_shifts(route, satake: dict, kappa: int = KAPPA):
     """Shift list [(label shift, coefficient)] acting by
-    (h*f)(l) = sum coeff * f(l + shift)."""
-    out = []
-    for lam, c in sorted(satake.items()):
-        e = vdot(route.group.rho, lam)
-        out.append((route.label_map.apply(lam), c * QLaurent.q_pow(e)))
-    return out
-
-
-def pp_shifts(route: PPRoute, satake: dict, kappa: int = KAPPA):
-    """Shift list on quotient labels: the Satake polynomial is restricted by
+    (h*f)(l) = sum coeff * f(l + shift), on the labels of a PPRoute or, with
+    an empty Levi, a BorelRoute.  The Satake polynomial is restricted by
     z^lam -> q^(kappa*<rho_M,lam>) z^(pi(lam)) and regrouped by class."""
     if kappa not in (1, -1):
         raise ValueError("kappa must be +1 or -1")
@@ -405,18 +445,13 @@ class LFactor:
     """Product over monomials of 1/(1 - c * q^e * T), T the formal variable.
 
     monomials: ((coefficient, q-exponent), ...) with repetition; coefficients
-    are Fractions, or symbol names in stored metadata form.
+    are Fractions.
     """
 
     monomials: tuple
 
-    def is_symbolic(self) -> bool:
-        return any(isinstance(c, str) for c, _ in self.monomials)
-
     def expand(self, bound: int, q0) -> list:
         """Coefficients of T^0..T^bound as Fractions, at q = q0."""
-        if self.is_symbolic():
-            raise ValueError("cannot expand a symbolic L-factor; resolve first")
         if bound < 0:
             raise ValueError("expansion bound must be >= 0")
         out = [Fraction(1)] + [Fraction(0)] * bound
@@ -456,22 +491,6 @@ def local_lfactor(rep, point: dict, kappa: int = KAPPA) -> LFactor:
     for tb, m, mult in items:
         c = _omega_value(point, tb)
         mons.extend([(c, Fraction(kappa * m, 2))] * mult)
-    return LFactor(tuple(mons))
-
-
-def lfactor_from_monomials(stored, point: dict) -> LFactor:
-    """Resolve symbolic monomials ((name or rational, q-exponent), ...)."""
-    mons = []
-    for c, e in stored:
-        if isinstance(c, str):
-            if c not in point:
-                raise ValueError("missing coordinate %s" % c)
-            c = Fraction(point[c])
-            if c == 0:
-                raise ValueError("zero coordinate in L-factor point")
-        else:
-            c = Fraction(c)
-        mons.append((c, Fraction(e)))
     return LFactor(tuple(mons))
 
 

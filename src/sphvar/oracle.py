@@ -31,10 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 # the symbolic side, used only by the Satake comparison at the bottom
-from .engine import (KAPPA, BorelRoute, PPRoute, borel_shifts,
-                     minuscule_satake, pp_shifts)
-from .geometry import LatticeMap
-from .rootdata import root_datum
+from . import catalog
+from .engine import KAPPA, minuscule_satake, pp_shifts
 
 
 class PrecisionError(ArithmeticError):
@@ -377,22 +375,24 @@ class _Shape:
     """One model space: a row vector in F^n under GL_n on the right, then,
     if twisted, a scalar multiplied by det; or, if two_sided, the 2 x 2
     matrices under GL_2 x GL_2.  The Satake comparison covers the operators
-    ops, the k-th with cocharacter (1^k, 0^(n-k)), on the PP route with this
-    Levi (the Borel route if None)."""
+    ops, the k-th with cocharacter (1^k, 0^(n-k)), on the first route of the
+    catalog entry key, whose labels read the last coordinate and the
+    determinant."""
 
     n: int
     twisted: bool = False
     two_sided: bool = False
     ops: tuple = ()
-    levi: tuple = None
+    key: str = None
 
 
 _SHAPES = {
     "A2": _Shape(2),
-    "UGL2": _Shape(2, twisted=True, ops=("unit", "t1", "central")),
+    "UGL2": _Shape(2, twisted=True, ops=("unit", "t1", "central"),
+                   key="borel-gl2"),
     "MAT2": _Shape(2, two_sided=True),
     "PPGL3": _Shape(3, twisted=True, ops=("unit", "t1", "wedge", "central"),
-                    levi=(0,)),
+                    key="pp-gl3"),
 }
 SPACES = tuple(_SHAPES)
 
@@ -746,8 +746,8 @@ def hecke_operators(space):
 
 def satake_mismatches(op, space, height, q, kappa=KAPPA):
     """Coset-sum counts vs the symbolic shift action on every stratum pair
-    in the window (PP route shifts under the sign kappa); an empty list
-    means the two sides agree exactly.
+    in the window (pp_shifts along the space's catalog route, under the sign
+    kappa); an empty list means the two sides agree exactly.
 
     The comparison cannot see the sign of kappa: on PPGL3 the Levi-Weyl
     orbit sums of the shifts are symmetric under kappa -> -kappa, so
@@ -759,15 +759,9 @@ def satake_mismatches(op, space, height, q, kappa=KAPPA):
     shape = _SHAPES[space]
     n, k = shape.n, ops.index(op)
     prec = 2 * height + 4
-    group = root_datum("GL", n)
-    # the label reads the last coordinate and the determinant
-    functionals = LatticeMap.of([(0,) * (n - 1) + (1,), (1,) * n])
-    satake = minuscule_satake(group, (1,) * k + (0,) * (n - k))
-    if shape.levi is None:
-        shifts = borel_shifts(BorelRoute(group, functionals), satake)
-    else:
-        shifts = pp_shifts(PPRoute(group, shape.levi, functionals), satake,
-                           kappa)
+    route = catalog.load(shape.key).routes[0]
+    satake = minuscule_satake(route.group, (1,) * k + (0,) * (n - k))
+    shifts = pp_shifts(route, satake, kappa)
     reps = coset_reps("GL%d" % n, op, q, prec)
 
     window = [l for l in itertools.product(range(-height, height + 1), repeat=2)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import json
+import os
 
 
 def test_every_span_target_resolves(benchmark_spans):
@@ -19,3 +21,12 @@ def test_every_span_target_resolves(benchmark_spans):
             else:
                 raw = getattr(mod, qual, None)
             assert inspect.isfunction(raw), "%s.%s" % (mod_name, qual)
+
+
+def test_tables_match_the_benchmark_references(benchmark_ops):
+    with open(os.path.join(benchmark_ops.REFS, "tables.json")) as f:
+        refs = json.load(f)
+    ops = benchmark_ops._tables_ops()
+    assert sorted(op.id for op in ops) == sorted(refs)
+    for op in ops:
+        assert benchmark_ops._rows(op.call()) == refs[op.id], op.id

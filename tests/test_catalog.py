@@ -11,7 +11,9 @@ from sphvar.catalog import (
     transport_coincidence,
 )
 from sphvar.engine import (
+    BorelRoute,
     LFactor,
+    PPRoute,
     basic_function_borel,
     basic_function_pp,
     growth_certificate,
@@ -151,6 +153,37 @@ def test_borel_and_pp_routes_coincide():
         tb = basic_function_borel(e.datum, e.routes[0], 4)
         tp = basic_function_pp(e.datum, e.routes[1], 4)
         assert tb.values == tp.values, key
+
+
+# the hand-typed routes the catalog carried before they were derived:
+# (key, kind, simple roots, simple coroots, Levi, label-map rows)
+HAND_ROUTES = (
+    ("a2-sl2", BorelRoute, ((2,),), ((1,),), (), ((-1,),)),
+    ("a2-sl2", PPRoute, ((2,),), ((1,),), (), ((-1,),)),
+    ("a2-sl2-nocenter", BorelRoute, ((2,),), ((1,),), (), ((-1,),)),
+    ("borel-gl2", BorelRoute, ((1, -1),), ((1, -1),), (), ((0, 1), (1, 1))),
+    ("borel-sl3", BorelRoute, ((2, -1), (-1, 2)), ((1, 0), (0, 1)), (),
+     ((0, -1), (-1, 0))),
+    ("borel-sl3", PPRoute, ((2, -1), (-1, 2)), ((1, 0), (0, 1)), (),
+     ((0, -1), (-1, 0))),
+    ("pp-gl3", PPRoute, ((1, -1, 0), (0, 1, -1)), ((1, -1, 0), (0, 1, -1)),
+     (0,), ((0, 0, 1), (1, 1, 1))),
+    ("siegel-gsp6", PPRoute,
+     ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 2, -1)),
+     ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, 0)),
+     (0, 1), ((-1, -1, -1, 3), (0, 0, 0, 1))),
+)
+
+
+def test_derived_routes_equal_the_hand_typed_routes():
+    got = []
+    for key in ALL_KEYS:
+        for route in load(key).routes:
+            if isinstance(route, (BorelRoute, PPRoute)):
+                got.append((key, type(route), route.group.simple_roots,
+                            route.group.simple_coroots,
+                            getattr(route, "levi", ()), route.label_map.rows))
+    assert tuple(got) == HAND_ROUTES
 
 
 def test_siegel_table_frozen():

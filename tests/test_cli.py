@@ -413,6 +413,25 @@ def test_basicfn_graded_rows(tmp_path, capsys):
     assert "degree bound" in err
 
 
+def test_basicfn_graded_refuses_json(tmp_path, capsys):
+    p = doc_path(tmp_path, "borel-sl3")
+    code, out, err = run(capsys, ["basicfn", p, "--case", "graded",
+                                  "--height", "2", "--json"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: --json is not supported with --case graded"]
+
+
+def test_basicfn_pp_rejects_negative_height(tmp_path, capsys):
+    p = doc_path(tmp_path, "borel-sl3")
+    code, out, err = run(capsys, ["basicfn", p, "--case", "pp",
+                                  "--height", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: height must be >= 0"]
+
+
 # ---------------------------------------------------------------------------
 # lf
 

@@ -16,8 +16,7 @@ from sphvar.engine import (BasicFunctionTable, BorelRoute, DualRadicalRep,
                            apply_shifts, basic_function_borel,
                            basic_function_graded, basic_function_pp,
                            basic_function_smooth, basic_function_transport,
-                           borel_shifts, dual_radical, f_fixed,
-                           growth_certificate, lfactor_from_monomials,
+                           dual_radical, f_fixed, growth_certificate,
                            local_lfactor, minuscule_satake, pp_shifts,
                            toric_distance, transport_height)
 
@@ -324,6 +323,11 @@ def test_pp_rejects_other_kappa():
         basic_function_pp(pp_gl3_datum(), pp_gl3_route(), 2, kappa=0)
 
 
+def test_pp_rejects_negative_height():
+    with pytest.raises(ValueError, match="height must be >= 0"):
+        basic_function_pp(pp_gl3_datum(), pp_gl3_route(), -1)
+
+
 def test_pp_siegel_values():
     tb = basic_function_pp(siegel_datum(), siegel_route(), 4)
     assert [(l, str(v)) for l, v in tb.values] == [
@@ -426,9 +430,9 @@ def test_minuscule_satake_rejects_higher_weights():
 
 def test_borel_shifts_gl2():
     route = borel_gl2_route()
-    h = borel_shifts(route, minuscule_satake(route.group, (1, 0)))
+    h = pp_shifts(route, minuscule_satake(route.group, (1, 0)))
     assert h == [((1, 1), ONE), ((0, 1), QLaurent.q_pow(1))]
-    z = borel_shifts(route, minuscule_satake(route.group, (1, 1)))
+    z = pp_shifts(route, minuscule_satake(route.group, (1, 1)))
     assert z == [((1, 2), ONE)]
 
 
@@ -447,15 +451,15 @@ def test_pp_shifts_gl3():
 
 def test_apply_shifts_orientation():
     route = borel_gl2_route()
-    h = borel_shifts(route, minuscule_satake(route.group, (1, 0)))
+    h = pp_shifts(route, minuscule_satake(route.group, (1, 0)))
     out = apply_shifts(h, {(2, 1): 1})
     assert out == {(1, 0): ONE, (2, 0): QLaurent.q_pow(1)}
 
 
 def test_shifts_commute():
     route = borel_gl2_route()
-    h1 = borel_shifts(route, minuscule_satake(route.group, (1, 0)))
-    h2 = borel_shifts(route, minuscule_satake(route.group, (1, 1)))
+    h1 = pp_shifts(route, minuscule_satake(route.group, (1, 0)))
+    h2 = pp_shifts(route, minuscule_satake(route.group, (1, 1)))
     f = {(0, 0): 1, (2, 1): 1}
     a = apply_shifts(h2, apply_shifts(h1, f))
     b = apply_shifts(h1, apply_shifts(h2, f))
@@ -470,7 +474,7 @@ def test_minuscule_orbit_coefficients_equal(a, b):
     s = minuscule_satake(gl2, (a, b))
     assert set(s) == set(gl2.weyl_orbit_cochar(gl2.dominant_cochar((a, b))))
     assert len({str(v) for v in s.values()}) == 1
-    mass = sum(v.specialize(1) for _, v in borel_shifts(borel_gl2_route(), s))
+    mass = sum(v.specialize(1) for _, v in pp_shifts(borel_gl2_route(), s))
     assert mass == len(s)
 
 
@@ -593,16 +597,9 @@ def test_lfactor_rejects_bad_kappa_and_bound():
         lf.expand(-2, 4)
 
 
-def test_lfactor_from_stored_monomials():
-    stored = (("a1", Fraction(1, 2)), ("a2", Fraction(1, 2)))
-    lf = lfactor_from_monomials(stored, {"a1": Fraction(1, 2), "a2": 3})
+def test_lfactor_expands_numeric_monomials():
+    lf = LFactor(((Fraction(1, 2), Fraction(1, 2)), (Fraction(3), Fraction(1, 2))))
     assert lf.expand(2, 4) == [1, 7, 43]
-    with pytest.raises(ValueError, match="missing coordinate a2"):
-        lfactor_from_monomials(stored, {"a1": 1})
-    sym = LFactor(stored)
-    assert sym.is_symbolic()
-    with pytest.raises(ValueError, match="symbolic"):
-        sym.expand(2, 4)
 
 
 # ---------------------------------------------------------------------------

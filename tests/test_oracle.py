@@ -994,9 +994,26 @@ def test_satake_comparison_cannot_see_the_sign_of_kappa():
     for k in range(4):
         satake = minuscule_satake(route.group, (1,) * k + (0,) * (3 - k))
         assert pp_shifts(route, satake, -1) == pp_shifts(route, satake, 1)
-    # any other kappa is refused by pp_shifts
-    with pytest.raises(ValueError, match=r"kappa must be \+1 or -1"):
-        satake_mismatches("t1", "PPGL3", 2, 2, kappa=0)
+    # any other kappa is refused by pp_shifts, on the Borel route too
+    for space in ("PPGL3", "UGL2"):
+        with pytest.raises(ValueError, match=r"kappa must be \+1 or -1"):
+            satake_mismatches("t1", space, 2, 2, kappa=0)
+
+
+@pytest.mark.parametrize("space,key", [("UGL2", "borel-gl2"),
+                                       ("PPGL3", "pp-gl3")])
+def test_satake_comparison_reads_the_catalog_route(monkeypatch, space, key):
+    # swapping the label rows of the catalog's route breaks the comparison
+    import dataclasses
+    from sphvar import catalog
+    entry = catalog.load(key)
+    route = entry.routes[0]
+    swapped = dataclasses.replace(
+        route, label_map=LatticeMap.of(route.label_map.rows[::-1]))
+    assert swapped.label_map.rows[0] == (1,) * route.group.rank
+    monkeypatch.setitem(catalog._catalog(), key,
+                        dataclasses.replace(entry, routes=(swapped,)))
+    assert satake_mismatches("t1", space, 2, 2) != []
 
 
 def test_hecke_operators():
