@@ -111,10 +111,12 @@ def parse_group(obj) -> RootDatum:
         return product_datum(*(parse_group(f) for f in factors))
     with _prefixed("bad group: ", (KeyError, TypeError, ValueError)):
         if "simple_roots" in obj:
-            return RootDatum(str(obj.get("name", "custom")),
-                             _int(obj["rank"], "group.rank"),
-                             _imat(obj["simple_roots"], "simple_roots"),
-                             _imat(obj["simple_coroots"], "simple_coroots"))
+            rd = RootDatum(str(obj.get("name", "custom")),
+                           _int(obj["rank"], "group.rank"),
+                           _imat(obj["simple_roots"], "simple_roots"),
+                           _imat(obj["simple_coroots"], "simple_coroots"))
+            rd._all_pairs  # an infinite Weyl group is bad input
+            return rd
         return root_datum(str(obj["type"]), _int(obj["rank"], "group.rank"))
 
 
@@ -313,10 +315,10 @@ def _specialized_rows(table, q0):
 
 def cmd_basicfn(args) -> int:
     d = load_document(args.file)
-    q0 = _parse_q(args.q)
     if args.case == "graded":
-        if args.json:
-            raise InputError("--json is not supported with --case graded")
+        flag = "--q" if args.q is not None else "--json" if args.json else None
+        if flag:
+            raise InputError("%s is not supported with --case graded" % flag)
         route = derived_route(d, "pp")
         graded = basic_function_graded(
             ParabolicDatum(route.group, route.levi), args.height)
@@ -324,6 +326,7 @@ def cmd_basicfn(args) -> int:
             for hw, mult in parts:
                 print("%d\t%s\t%d" % (i, _fmt_label(hw), mult))
         return 0
+    q0 = _parse_q(args.q)
     _require_horospherical(d, "a basic-function table")
     if d.colored_cone is None:
         raise InputError("basicfn needs a colored cone")

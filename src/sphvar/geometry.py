@@ -21,6 +21,7 @@ work follows the points kept rather than the size of the l1 ball.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -43,7 +44,7 @@ def vdot(u, v) -> Fraction:
 
 
 def _idot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def _int_row(row):

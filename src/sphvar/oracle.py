@@ -2,7 +2,9 @@
 
 Everything here is enumerated over F = F_p((t)) for a small prime p: matrices
 have truncated-series entries, orbit labels are read off valuations, and
-Hecke operators act through explicit left-coset lists.  The enumeration core
+Hecke operators, named by their coweight in one table (_OPERATORS), act
+through explicit lists of left cosets g_i K in Hermite form, all built by
+one enumerator (_hermite_forms).  The enumeration core
 is independent of the symbolic engine; only the Satake comparison at the
 bottom uses it, and that comparison is the point of the module.
 
@@ -188,10 +190,6 @@ class TruncSeries:
                                  w)
 
     @staticmethod
-    def const(p, prec, c):
-        return TruncSeries.t_pow(p, prec, 0, c)
-
-    @staticmethod
     def t_pow(p, prec, e, c=1):
         prec, e, c = int(prec), int(e), int(c) % p
         if not c or e >= prec:
@@ -361,12 +359,6 @@ def mat_inv(m):
     return out
 
 
-def mat_id(p, prec, n):
-    one = TruncSeries.const(p, prec, 1)
-    zero = TruncSeries.of(p, prec, {})
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # lattice points of the model spaces and their orbit labels
 
@@ -374,25 +366,22 @@ def mat_id(p, prec, n):
 class _Shape:
     """One model space: a row vector in F^n under GL_n on the right, then,
     if twisted, a scalar multiplied by det; or, if two_sided, the 2 x 2
-    matrices under GL_2 x GL_2.  The Satake comparison covers the operators
-    ops, the k-th with cocharacter (1^k, 0^(n-k)), on the first route of the
-    catalog entry key, whose labels read the last coordinate and the
+    matrices under GL_2 x GL_2.  With a catalog entry key, the Satake
+    comparison covers the operators of GL_n in _OPERATORS on the first route
+    of that entry, whose labels read the last coordinate and the
     determinant."""
 
     n: int
     twisted: bool = False
     two_sided: bool = False
-    ops: tuple = ()
     key: str = None
 
 
 _SHAPES = {
     "A2": _Shape(2),
-    "UGL2": _Shape(2, twisted=True, ops=("unit", "t1", "central"),
-                   key="borel-gl2"),
+    "UGL2": _Shape(2, twisted=True, key="borel-gl2"),
     "MAT2": _Shape(2, two_sided=True),
-    "PPGL3": _Shape(3, twisted=True, ops=("unit", "t1", "wedge", "central"),
-                    key="pp-gl3"),
+    "PPGL3": _Shape(3, twisted=True, key="pp-gl3"),
 }
 SPACES = tuple(_SHAPES)
 
@@ -505,48 +494,54 @@ def left_translate(x: LatticePoint, g):
 # for about 10 s at its default height.
 MAX_COSETS = 5000
 
+# Each operator is the double coset K t^mu K of its coweight mu.
+_OPERATORS = {
+    "GL2": {"unit": (0, 0), "t1": (1, 0), "central": (1, 1)},
+    "GL3": {"unit": (0, 0, 0), "t1": (1, 0, 0), "wedge": (1, 1, 0),
+            "central": (1, 1, 1)},
+}
+
+
+def _hermite_forms(p, prec, e, degree):
+    """The upper-triangular matrices with diagonal t^(e_i) whose (i, j)
+    entry, for each cell (i, j) of degree, runs over the polynomials of
+    degree < degree[i, j] with coefficients in 0 .. p-1; every other entry
+    is 0.  With degree[i, j] = e_i for all i < j these are the Hermite forms
+    of the left cosets g GL_n(o) with diagonal t^e: a column operation
+    reduces entry (i, j) mod t^(e_i).  The cells vary lexicographically in
+    the order of degree, each polynomial lowest coefficient first."""
+    n = len(e)
+    zero = TruncSeries.of(p, prec, {})
+    polys = [[TruncSeries.of(p, prec, enumerate(c))
+              for c in itertools.product(range(p), repeat=d)]
+             for d in degree.values()]
+    for entries in itertools.product(*polys):
+        g = [[TruncSeries.t_pow(p, prec, e[i]) if i == j else zero
+              for j in range(n)] for i in range(n)]
+        for (i, j), u in zip(degree, entries):
+            g[i][j] = u
+        yield g
+
 
 def coset_reps(group, op, p, prec):
-    """Left-coset representatives g_i with K g K = union of g_i K.
-
-    GL2: unit, t1 (degree one, p+1 cosets), central.
-    GL3: unit, t1 (p^2+p+1 cosets, one per residue P^2 point), wedge (the
-    (1,1,0) operator, inverses of the t1 list times the uniformizer),
-    central.
-    """
-    n = {"GL2": 2, "GL3": 3}.get(group)
-    if n and op == "t1" or n == 3 and op == "wedge":
-        count = sum(p ** i for i in range(n))  # the points of P^(n-1)(F_p)
-        if count > MAX_COSETS:
-            raise ValueError("%s %s has %d cosets at p = %d; at most %d are "
-                             "enumerated" % (group, op, count, p, MAX_COSETS))
-    one = TruncSeries.const(p, prec, 1)
-    zero = TruncSeries.of(p, prec, {})
-    pi = TruncSeries.t_pow(p, prec, 1)
-    if n and op == "unit":
-        return [mat_id(p, prec, n)]
-    if n and op == "central":
-        return [[[pi if i == j else zero for j in range(n)] for i in range(n)]]
-    if n == 2 and op == "t1":
-        return [[[pi, TruncSeries.const(p, prec, j)], [zero, one]]
-                for j in range(p)] + [[[one, zero], [zero, pi]]]
-    if n == 3 and op in ("t1", "wedge"):
-        reps = []
-        # one point phi of P^2 per coset, normalized: its first nonzero
-        # entry phi_piv is 1; listed in lexicographic order
-        for piv in (2, 1, 0):
-            for rest in itertools.product(range(p), repeat=2 - piv):
-                phi = (0,) * piv + (1,) + rest
-                # row piv is pi e_piv, every other row i is e_i - phi_i e_piv
-                rows = mat_id(p, prec, 3)
-                for i in range(3):
-                    rows[i][piv] = (pi if i == piv
-                                    else TruncSeries.const(p, prec, -phi[i]))
-                reps.append(rows)
-        if op == "t1":
-            return reps
-        return [[[pi * e for e in row] for row in mat_inv(b)] for b in reps]
-    raise ValueError("unknown operator %r for %s" % (op, group))
+    """Left-coset representatives g_i with K g K = union of g_i K, in
+    Hermite form, for the operator op of _OPERATORS, named by its coweight
+    mu (minuscule or central).  The cosets are the Schubert cells of mu: for
+    each distinct permutation e of mu, in decreasing order, the Hermite
+    forms with diagonal t^e whose (i, j) entry is a polynomial of degree
+    < max(e_i - e_j, 0).  GL2 t1 has p + 1 cosets, GL3 t1 and wedge
+    p^2 + p + 1, unit and central one."""
+    mu = _OPERATORS.get(group, {}).get(op)
+    if mu is None:
+        raise ValueError("unknown operator %r for %s" % (op, group))
+    cells = [(e, {(i, j): max(e[i] - e[j], 0)
+                  for i, j in itertools.combinations(range(len(e)), 2)})
+             for e in sorted(set(itertools.permutations(mu)), reverse=True)]
+    count = sum(p ** sum(d.values()) for _, d in cells)
+    if count > MAX_COSETS:
+        raise ValueError("%s %s has %d cosets at p = %d; at most %d are "
+                         "enumerated" % (group, op, count, p, MAX_COSETS))
+    return [g for e, d in cells for g in _hermite_forms(p, prec, e, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +549,9 @@ def coset_reps(group, op, p, prec):
 
 def transition_counts(space, reps, labels, p, prec, inverse=False):
     """{(source label, target label): multiplicity} under x -> x g_i,
-    or x -> x g_i^{-1} with inverse set."""
+    or x -> x g_i^{-1} with inverse set.  The inverses of a left-coset list
+    are a right-coset list, so inverse is meant for the two-sided MAT2,
+    whose labels are invariant on both sides."""
     shape = _shape(space)
     gs = [mat_inv(g) for g in reps] if inverse else reps
     # one determinant per coset, shared by every label
@@ -571,14 +568,9 @@ def transition_counts(space, reps, labels, p, prec, inverse=False):
     return out
 
 
-def hecke_convolve(reps, f, space, labels, p, prec, inverse=False):
-    """(h * f) per stratum label, h given by its coset list:
+def hecke_convolve(counts, f):
+    """(h * f) per stratum label, h given by its transition counts:
     (h * f)(x) = sum_i f(x g_i); values outside f count as zero."""
-    return _fold(transition_counts(space, reps, labels, p, prec, inverse), f)
-
-
-def _fold(counts, f):
-    """h * f from the transition counts of h."""
     out = {}
     for (l, mu), c in counts.items():
         if mu in f:
@@ -602,9 +594,9 @@ def gj_recursion_mismatches(p, height=4, degree=4):
     fs = [{(0, 0): 1}]
     bad = []
     for i in range(1, degree + 1):
-        f = _fold(t1, fs[i - 1])
+        f = hecke_convolve(t1, fs[i - 1])
         if i >= 2:
-            for l, v in _fold(z, fs[i - 2]).items():
+            for l, v in hecke_convolve(z, fs[i - 2]).items():
                 f[l] = f.get(l, 0) - p * v
         f = {l: v for l, v in f.items() if v}
         fs.append(f)
@@ -616,27 +608,16 @@ def gj_recursion_mismatches(p, height=4, degree=4):
 
 
 def mat2_coset_label_counts(p, prec, kmax):
-    """Hermite forms [[t^a, u], [0, t^c]], u mod t^c, enumerate the left
-    cosets inside the integral nondegenerate matrices; bucketed by label."""
+    """The left cosets g K inside the integral nondegenerate 2 x 2 matrices
+    with determinant valuation at most kmax, bucketed by label: their
+    Hermite forms [[t^a, u], [0, t^c]], u mod t^a (_hermite_forms)."""
     out = {}
-    zero = TruncSeries.of(p, prec, {})
     for k in range(kmax + 1):
         for a in range(k + 1):
-            c = k - a
-            for coeffs in itertools.product(range(p), repeat=c):
-                u = TruncSeries.of(p, prec, dict(enumerate(coeffs)))
-                x = LatticePoint("MAT2", (TruncSeries.t_pow(p, prec, a), u,
-                                          zero, TruncSeries.t_pow(p, prec, c)))
-                lab = orbit_invariant(x)
+            for g in _hermite_forms(p, prec, (a, k - a), {(0, 1): a}):
+                lab = orbit_invariant(LatticePoint("MAT2", tuple(g[0] + g[1])))
                 out[lab] = out.get(lab, 0) + 1
     return out
-
-
-def det_count_series(p, prec, kmax):
-    """Number of lattice cosets with determinant valuation 0..kmax."""
-    counts = mat2_coset_label_counts(p, prec, kmax)
-    return [sum(c for (a, k), c in counts.items() if k == i)
-            for i in range(kmax + 1)]
 
 
 def integral_table(space, height, p, prec):
@@ -738,10 +719,10 @@ def interpolates(values, degree):
 
 def hecke_operators(space):
     """The operators the Satake comparison covers on space."""
-    ops = _shape(space).ops
-    if not ops:
+    shape = _shape(space)
+    if not shape.key:
         raise ValueError("unknown space %r" % (space,))
-    return ops
+    return tuple(_OPERATORS["GL%d" % shape.n])
 
 
 def satake_mismatches(op, space, height, q, kappa=KAPPA):
@@ -753,16 +734,15 @@ def satake_mismatches(op, space, height, q, kappa=KAPPA):
     orbit sums of the shifts are symmetric under kappa -> -kappa, so
     kappa = -1 passes too.  The sign is fixed by the catalog tables.
     """
-    ops = hecke_operators(space)
-    if op not in ops:
+    if op not in hecke_operators(space):
         raise ValueError("unknown operator %r for %s" % (op, space))
     shape = _SHAPES[space]
-    n, k = shape.n, ops.index(op)
+    group = "GL%d" % shape.n
     prec = 2 * height + 4
     route = catalog.load(shape.key).routes[0]
-    satake = minuscule_satake(route.group, (1,) * k + (0,) * (n - k))
+    satake = minuscule_satake(route.group, _OPERATORS[group][op])
     shifts = pp_shifts(route, satake, kappa)
-    reps = coset_reps("GL%d" % n, op, q, prec)
+    reps = coset_reps(group, op, q, prec)
 
     window = [l for l in itertools.product(range(-height, height + 1), repeat=2)
               if abs(l[0]) + abs(l[1]) <= height]

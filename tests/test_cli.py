@@ -120,6 +120,18 @@ def test_malformed_document_is_bad_input(tmp_path, capsys, bad, cmd):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_group_whose_roots_do_not_close_is_bad_input(tmp_path, capsys):
+    # affine A1: the datum's own checks pass, but W is infinite
+    aff = {"name": "aff", "rank": 3, "simple_roots": [[2, -2, 1], [-2, 2, 0]],
+           "simple_coroots": [[1, 0, 0], [0, 1, 0]]}
+    p = doc_path(tmp_path, "a1-gl1", group=aff, lattice_map=[[0], [0], [1]])
+    start = time.perf_counter()
+    assert run(capsys, ["describe", p]) == (
+        2, "", "error: bad group: root system does not close; bad input "
+               "data\n")
+    assert time.perf_counter() - start < 5
+
+
 @pytest.mark.parametrize("argv", (
     ["describe"], ["check", "--which", "colored-cone"],
     ["check", "--which", "affine"], ["orbits", "--height", "2", "--integral"],
@@ -423,6 +435,26 @@ def test_basicfn_graded_refuses_json(tmp_path, capsys):
         "error: --json is not supported with --case graded"]
 
 
+def test_basicfn_graded_refuses_q(tmp_path, capsys):
+    p = doc_path(tmp_path, "borel-sl3")
+    code, out, err = run(capsys, ["basicfn", p, "--case", "graded",
+                                  "--height", "2", "--q", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: --q is not supported with --case graded"]
+
+
+def test_basicfn_graded_does_not_read_the_q_default(tmp_path, capsys,
+                                                    monkeypatch):
+    p = doc_path(tmp_path, "borel-sl3")
+    argv = ["basicfn", p, "--case", "graded", "--height", "2"]
+    want = run(capsys, argv)
+    assert want[0] == 0 and want[1]
+    monkeypatch.setenv("SPH_Q_DEFAULT", "not-a-q")
+    assert run(capsys, argv) == want
+
+
 def test_basicfn_pp_rejects_negative_height(tmp_path, capsys):
     p = doc_path(tmp_path, "borel-sl3")
     code, out, err = run(capsys, ["basicfn", p, "--case", "pp",
@@ -577,14 +609,25 @@ def test_oracle_runs_pass(capsys):
         ["oracle", "run", "representatives", "--q", "2", "--height", "2"],
         ["oracle", "run", "orbit-invariance", "--q", "2", "--height", "1",
          "--trials", "4"],
-        ["oracle", "run", "satake-ugl2", "--q", "2", "--height", "2"],
         ["oracle", "run", "satake-ppgl3", "--q", "2", "--height", "1"],
-        ["oracle", "run", "interpolation"],
     )
     for argv in fast:
         code, out, _ = run(capsys, argv)
         assert code == 0, argv
         assert "fail" not in out
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["interpolation"], "interpolation\tq=2,3,5,7\tpass\n"),
+    (["satake-ppgl3", "--q", "2,3", "--height", "2"],
+     "".join("satake-ppgl3\tq=%d op=%s\tpass\n" % (q, op) for q in (2, 3)
+             for op in ("unit", "t1", "wedge", "central"))),
+    (["satake-ugl2", "--q", "2", "--height", "2"],
+     "".join("satake-ugl2\tq=2 op=%s\tpass\n" % op
+             for op in ("unit", "t1", "central")))],
+    ids=["interpolation", "satake-ppgl3", "satake-ugl2"])
+def test_oracle_output_bytes(capsys, argv, want):
+    assert run(capsys, ["oracle", "run"] + argv) == (0, want, "")
 
 
 def test_oracle_bad_requests(capsys):

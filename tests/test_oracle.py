@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphvar.chars import QLaurent
 from sphvar.engine import PPRoute, minuscule_satake, pp_shifts
 from sphvar.geometry import LatticeMap
 from sphvar.oracle import (
@@ -16,7 +17,6 @@ from sphvar.oracle import (
     PrecisionError,
     TruncSeries,
     coset_reps,
-    det_count_series,
     gj_recursion_mismatches,
     hecke_convolve,
     hecke_operators,
@@ -25,7 +25,6 @@ from sphvar.oracle import (
     left_translate,
     mat2_coset_label_counts,
     mat_det,
-    mat_id,
     mat_inv,
     mat_mul,
     orbit_invariant,
@@ -724,6 +723,11 @@ def test_representatives_hit_their_labels():
 
 # --- coset lists -----------------------------------------------------------
 
+def mat_id(p, prec, n):
+    one, zero = TruncSeries.t_pow(p, prec, 0), TruncSeries.of(p, prec, {})
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
 def test_coset_list_sizes():
     for p in (2, 3, 5):
         assert len(coset_reps("GL2", "t1", p, 8)) == p + 1
@@ -753,6 +757,70 @@ def test_coset_lists_are_bounded():
     assert len(coset_reps("GL3", "central", 1000000007, 4)) == 1
     with pytest.raises(ValueError, match="unknown operator"):
         coset_reps("GL2", "wedge", 1000000007, 4)
+
+
+# the coweight of each operator, written out independently of the oracle
+COWEIGHTS = {("GL2", "unit"): (0, 0), ("GL2", "t1"): (1, 0),
+             ("GL2", "central"): (1, 1), ("GL3", "unit"): (0, 0, 0),
+             ("GL3", "t1"): (1, 0, 0), ("GL3", "wedge"): (1, 1, 0),
+             ("GL3", "central"): (1, 1, 1)}
+
+
+def _is_integral(m):
+    return all(e.is_zero() or e.val() >= 0 for row in m for e in row)
+
+
+def _least_val(entries):
+    return min(e.val() for e in entries if not e.is_zero())
+
+
+@pytest.mark.parametrize("group, op", COWEIGHTS)
+@pytest.mark.parametrize("p", [2, 3])
+def test_coset_reps_lie_in_distinct_left_cosets(group, op, p):
+    # g_i K = g_j K exactly when g_i^-1 g_j lies in K, i.e. is integral
+    # (its determinant is then a unit, both having the same valuation)
+    reps = coset_reps(group, op, p, 12)
+    for g, h in itertools.combinations(reps, 2):
+        assert not _is_integral(mat_mul(mat_inv(g), h))
+
+
+@pytest.mark.parametrize("group, op", COWEIGHTS)
+@pytest.mark.parametrize("p", [2, 3])
+def test_coset_reps_have_the_elementary_divisors_of_mu(group, op, p):
+    # the least valuation of an i x i minor is the sum of the i smallest
+    # elementary divisors
+    d = sorted(COWEIGHTS[group, op])
+    n = len(d)
+    for g in coset_reps(group, op, p, 12):
+        assert _least_val([e for row in g for e in row]) == d[0]
+        if n == 3:
+            minors = [mat_det([[g[i][j] for j in cols] for i in rows])
+                      for rows in itertools.combinations(range(3), 2)
+                      for cols in itertools.combinations(range(3), 2)]
+            assert _least_val(minors) == d[0] + d[1]
+        assert mat_det(g).val() == sum(d)
+
+
+@pytest.mark.parametrize("group, op", COWEIGHTS)
+@pytest.mark.parametrize("p", [2, 3])
+def test_coset_count_is_the_satake_transform_at_q_rho(group, op, p):
+    # |K t^mu K / K| = sum over lambda of Sat_lambda q^<rho, lambda>:
+    # q + 1, q^2 + q + 1 or 1
+    rd = root_datum("GL", int(group[2:]))
+    satake = minuscule_satake(rd, COWEIGHTS[group, op])
+    want = sum((c * QLaurent.q_pow(sum(r * x for r, x in zip(rd.rho, lam))))
+               .specialize(p) for lam, c in satake.items())
+    assert len(coset_reps(group, op, p, 8)) == want
+
+
+def test_coset_reps_invert_nothing(monkeypatch):
+    import sphvar.oracle as oracle
+
+    def refuse(m):
+        raise AssertionError("mat_inv called")
+    monkeypatch.setattr(oracle, "mat_inv", refuse)
+    for group, op in COWEIGHTS:
+        coset_reps(group, op, 3, 8)
 
 
 def test_transition_counts_take_one_determinant_per_coset(monkeypatch):
@@ -857,13 +925,15 @@ def test_unit_operator_fixes_everything():
     reps = coset_reps("GL2", "unit", 2, PREC)
     f = {(0, 0): 1, (1, 1): Fraction(5, 3), (2, 3): -2}
     window = [(a, b) for a in range(4) for b in range(4)]
-    assert hecke_convolve(reps, f, "UGL2", window, 2, PREC) == f
+    counts = transition_counts("UGL2", reps, window, 2, PREC)
+    assert hecke_convolve(counts, f) == f
 
 
 def test_convolution_by_hand():
     reps = coset_reps("GL2", "t1", 2, PREC)
     f = {(0, 1): 1, (1, 1): 1}
-    got = hecke_convolve(reps, f, "UGL2", [(0, 0), (1, 0)], 2, PREC)
+    got = hecke_convolve(
+        transition_counts("UGL2", reps, [(0, 0), (1, 0)], 2, PREC), f)
     # (0,0) sees (0,1) twice and (1,1) once; (1,0) sees (1,1) twice
     assert got == {(0, 0): 3, (1, 0): 2}
 
@@ -874,9 +944,10 @@ def test_convolution_is_associative():
     f = {(1, 1): 1, (0, 2): 2}
     big = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
     small = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
-    inner = hecke_convolve(reps, f, "UGL2", big, 2, PREC)
-    nested = hecke_convolve(reps, inner, "UGL2", small, 2, PREC)
-    direct = hecke_convolve(prod, f, "UGL2", small, 2, PREC)
+    inner = hecke_convolve(transition_counts("UGL2", reps, big, 2, PREC), f)
+    nested = hecke_convolve(transition_counts("UGL2", reps, small, 2, PREC),
+                            inner)
+    direct = hecke_convolve(transition_counts("UGL2", prod, small, 2, PREC), f)
     assert nested == direct
 
 
@@ -910,9 +981,12 @@ def test_hermite_label_counts():
     assert got == {(0, 0): 1, (0, 1): 4, (0, 2): 12, (1, 2): 1}
 
 
-def test_det_count_series_matches_classical_formula():
+def test_det_valuation_counts_match_classical_formula():
+    # the sublattices of index p^k in o^2 number 1 + p + ... + p^k
     for p in (2, 3):
-        series = det_count_series(p, 16, 4)
+        counts = mat2_coset_label_counts(p, 16, 4)
+        series = [sum(c for (a, kk), c in counts.items() if kk == k)
+                  for k in range(5)]
         assert series == [sum(p ** j for j in range(k + 1)) for k in range(5)]
 
 
