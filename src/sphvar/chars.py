@@ -272,24 +272,26 @@ def _nat_coordinates(span, v):
     return tuple(out)
 
 
-def kostant_counts(simple_coroots, coroots, target):
-    """{number of parts i: #multisets of i positive coroots summing to target}.
+def kostant_counter(simple_coroots, coroots):
+    """The function target -> {number of parts i: #multisets of i positive
+    coroots summing to target}.
 
     Depth-first count over the coroot list in a fixed order, memoized on
     (index, remaining). A remainder is viable only while it expands as a
     nonnegative integer combination of the simple coroots, which also bounds
-    the recursion depth by the coroot height of the target.
+    the recursion depth by the coroot height of the target. The memo lives
+    as long as the function, so the targets of one table share their
+    subproblems; an entry depends only on its key, so the target order does
+    not matter. Targets must have the length of the coroots; without
+    coroots only the zero target counts.
     """
     simple_coroots = [tuple(int(x) for x in c) for c in simple_coroots]
     coroots = [tuple(int(x) for x in c) for c in coroots]
-    target = tuple(int(x) for x in target)
-    span = span_coordinates(simple_coroots, len(target))
+    n = len(coroots[0]) if coroots else None
+    span = span_coordinates(simple_coroots, n) if coroots else None
 
     def viable(v):
         return _nat_coordinates(span, v) is not None
-
-    if not viable(target):
-        return {}
 
     memo = {}
 
@@ -309,7 +311,25 @@ def kostant_counts(simple_coroots, coroots, target):
         memo[key] = out
         return out
 
-    return rec(0, target)
+    def count(target):
+        target = tuple(int(x) for x in target)
+        if n is not None and len(target) != n:
+            raise ValueError("target %r does not have the coroot length %d"
+                             % (target, n))
+        if not any(target):
+            return {0: 1}
+        if span is None or not viable(target):
+            return {}
+        # a copy: the memo keeps its own
+        return dict(rec(0, target))
+
+    return count
+
+
+def kostant_counts(simple_coroots, coroots, target):
+    """{number of parts i: #multisets of i positive coroots summing to
+    target}, by a counter of its own (kostant_counter)."""
+    return kostant_counter(simple_coroots, coroots)(target)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chars import QLaurent, WeightChar, decompose, kostant_counts, sym_powers_upto
+from .chars import QLaurent, WeightChar, decompose, kostant_counter, sym_powers_upto
 from .geometry import (Cone, GE, GT, LatticeMap, LinearSystem, _idot, feasible,
                        hilbert_basis_pointed, inverse_unimodular,
                        lattice_points, saturation_quotient, vdot)
@@ -236,11 +236,12 @@ def basic_function_borel(datum, route: BorelRoute, height: int) -> BasicFunction
         raise ValueError("label map is not square of the group rank")
     minv = LatticeMap.of(inverse_unimodular(route.label_map.rows))
     coroots = [bv for _, bv in g.positive_pairs]
+    # one memo for the whole table
+    count = kostant_counter(g.simple_coroots, coroots)
     table = {}
     for label in lattice_points(Cone.full(g.rank), height):
         lam = minv.apply(label)
-        counts = kostant_counts(g.simple_coroots, coroots,
-                                tuple(-x for x in lam))
+        counts = count(tuple(-x for x in lam))
         if not counts:
             continue
         e = -vdot(g.rho, lam)

@@ -314,12 +314,15 @@ def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     if len(a[0]) != k:
         raise ValueError("cannot multiply %dx%d by %dx%d" % (n, len(a[0]), k, m))
-    cols = [[row[j] for row in b] for j in range(m)]
+    cols = list(zip(*b))
     return [[_dot(row, col) for col in cols] for row in a]
 
 
 def vec_mat(v, m):
-    return tuple(mat_mul([list(v)], m)[0])
+    if len(v) != len(m):
+        raise ValueError("cannot multiply 1x%d by %dx%d"
+                         % (len(v), len(m), len(m[0])))
+    return tuple(_dot(v, col) for col in zip(*m))
 
 
 def mat_det(m):
@@ -465,16 +468,28 @@ def orbit_invariant(x: LatticePoint):
 
 def right_translate(x: LatticePoint, g):
     shape = _shape(x.space)
-    return _right_translate(shape, x, g, mat_det(g) if shape.twisted else None)
+    return _right_translate(shape, x, _columns(shape, g),
+                            mat_det(g) if shape.twisted else None)
 
 
-def _right_translate(shape, x, g, det):
-    """x g, with det = det(g) given for a twisted space."""
+def _columns(shape, g):
+    """The columns of g, which acts on the right of the rows of shape."""
+    if len(g) != shape.n:
+        raise ValueError("cannot multiply %dx%d by %dx%d"
+                         % (2 if shape.two_sided else 1, shape.n, len(g),
+                            len(g[0])))
+    return list(zip(*g))
+
+
+def _right_translate(shape, x, cols, det):
+    """x g, for g given by its columns, with det = det(g) given for a
+    twisted space."""
     c = x.coords
     if shape.two_sided:
-        m = mat_mul([list(c[:2]), list(c[2:])], g)
-        return LatticePoint(x.space, tuple(m[0] + m[1]))
-    v = vec_mat(c[:shape.n], g)
+        return LatticePoint(x.space, tuple(_dot(row, col)
+                                           for row in (c[:2], c[2:])
+                                           for col in cols))
+    v = tuple(_dot(c[:shape.n], col) for col in cols)
     if shape.twisted:
         v += (c[shape.n] * det,)
     return LatticePoint(x.space, v)
@@ -550,19 +565,24 @@ def coset_reps(group, op, p, prec):
 def transition_counts(space, reps, labels, p, prec, inverse=False):
     """{(source label, target label): multiplicity} under x -> x g_i,
     or x -> x g_i^{-1} with inverse set.  The inverses of a left-coset list
-    are a right-coset list, so inverse is meant for the two-sided MAT2,
-    whose labels are invariant on both sides."""
+    are a right-coset list, so inverse is refused except on the two-sided
+    MAT2, whose labels are invariant on both sides; on a one-sided space
+    the counts would depend on the choice of representatives."""
     shape = _shape(space)
+    if inverse and not shape.two_sided:
+        raise ValueError("inverse cosets act only on a two-sided space, "
+                         "not on %s" % (space,))
     gs = [mat_inv(g) for g in reps] if inverse else reps
-    # one determinant per coset, shared by every label
-    dets = [mat_det(g) if shape.twisted else None for g in gs]
+    # one column list and one determinant per coset, shared by every label
+    cosets = [(_columns(shape, g), mat_det(g) if shape.twisted else None)
+              for g in gs]
     out = {}
     for l in labels:
         x = stratum_point(space, l, p, prec)
         if orbit_invariant(x) != tuple(l):
             raise RuntimeError("representative of %r has another label" % (l,))
-        for g, det in zip(gs, dets):
-            mu = orbit_invariant(_right_translate(shape, x, g, det))
+        for cols, det in cosets:
+            mu = orbit_invariant(_right_translate(shape, x, cols, det))
             key = (tuple(l), mu)
             out[key] = out.get(key, 0) + 1
     return out
@@ -741,7 +761,8 @@ def satake_mismatches(op, space, height, q, kappa=KAPPA):
     prec = 2 * height + 4
     route = catalog.load(shape.key).routes[0]
     satake = minuscule_satake(route.group, _OPERATORS[group][op])
-    shifts = pp_shifts(route, satake, kappa)
+    # each shift coefficient at q once, shared by every label
+    shifts = [(s, c.specialize(q)) for s, c in pp_shifts(route, satake, kappa)]
     reps = coset_reps(group, op, q, prec)
 
     window = [l for l in itertools.product(range(-height, height + 1), repeat=2)
@@ -754,7 +775,7 @@ def satake_mismatches(op, space, height, q, kappa=KAPPA):
         want = {}
         for s, c in shifts:
             tgt = tuple(a + b for a, b in zip(l, s))
-            want[tgt] = want.get(tgt, 0) + c.specialize(q)
+            want[tgt] = want.get(tgt, 0) + c
         want = {k: v for k, v in want.items() if v}
         if got[l] != want:
             bad.append((l, sorted(got[l].items()), sorted(want.items())))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from sphvar.geometry import solve_linear
 from sphvar.rootdata import root_datum
 from sphvar.chars import (QLaurent, WeightChar, sym_power, ext_power,
-                          sym_powers_upto, kostant_counts,
+                          sym_powers_upto, kostant_counter, kostant_counts,
                           freudenthal_multiplicity, irrep_char, weyl_dim,
                           decompose)
 
@@ -197,6 +198,18 @@ def test_kostant_counts_gl2():
     assert kostant_counts(scr, pcr, (1, 0)) == {}
 
 
+def test_kostant_target_must_have_the_coroot_length():
+    sl3 = root_datum("SL", 3)
+    scr, pcr = sl3.simple_coroots, sl3.positive_coroots()
+    for target in ((1, 1, 0), (1,), ()):
+        with pytest.raises(ValueError, match="coroot length 2"):
+            kostant_counts(scr, pcr, target)
+    # a torus has no coroots: only the zero target counts
+    t2 = root_datum("T", 2)
+    count = kostant_counter(t2.simple_coroots, t2.positive_coroots())
+    assert count((0, 0)) == {0: 1} and count((1, 0)) == {}
+
+
 def _kostant_reference(simple_coroots, coroots, target):
     # the same recursion, with viability decided by a rational solve
     rows = [[c[j] for c in simple_coroots] for j in range(len(target))]
@@ -222,21 +235,45 @@ def _kostant_reference(simple_coroots, coroots, target):
     return rec(0, tuple(target)) if viable(target) else {}
 
 
-@pytest.mark.parametrize("kind,n,h", [("SL", 3, 5), ("SL", 4, 3), ("B", 2, 5),
-                                      ("G", 2, 5), ("C", 3, 3)])
+KOSTANT_SETS = [("SL", 3, 5), ("SL", 4, 3), ("B", 2, 5), ("G", 2, 5),
+                ("C", 3, 3)]
+
+
+def _kostant_targets(rd, h):
+    targets = set(itertools.product(range(-h, h + 1), repeat=rd.rank))
+    targets = {t for t in targets if sum(map(abs, t)) <= h}
+    for combo in itertools.combinations_with_replacement(
+            rd.positive_coroots(), 2):
+        targets.add(tuple(map(sum, zip(*combo))))
+    return sorted(targets)
+
+
+@pytest.mark.parametrize("kind,n,h", KOSTANT_SETS)
 def test_kostant_counts_match_rational_viability(kind, n, h):
     rd = root_datum(kind, n)
     scr, pcr = rd.simple_coroots, rd.positive_coroots()
-    targets = set(itertools.product(range(-h, h + 1), repeat=rd.rank))
-    targets = {t for t in targets if sum(map(abs, t)) <= h}
-    for combo in itertools.combinations_with_replacement(pcr, 2):
-        targets.add(tuple(map(sum, zip(*combo))))
     nonempty = 0
-    for t in sorted(targets):
+    for t in _kostant_targets(rd, h):
         got = kostant_counts(scr, pcr, t)
         assert got == _kostant_reference(scr, pcr, t), t
         nonempty += bool(got)
     assert nonempty > len(pcr)
+
+
+@pytest.mark.parametrize("kind,n,h", KOSTANT_SETS)
+def test_one_kostant_counter_does_not_depend_on_the_target_order(kind, n, h):
+    rd = root_datum(kind, n)
+    scr, pcr = rd.simple_coroots, rd.positive_coroots()
+    targets = _kostant_targets(rd, h)
+    random.Random(kind + str(n)).shuffle(targets)
+    count = kostant_counter(scr, pcr)
+    for t in targets:
+        got = count(t)
+        assert got == _kostant_reference(scr, pcr, t), t
+        assert got == kostant_counts(scr, pcr, t), t
+        # the caller owns the returned dict: the memo keeps its own
+        got[-1] = 1
+    assert all(count(t) == kostant_counts(scr, pcr, t) for t in targets)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,22 @@ def test_borel_sl3_values():
     assert tb.truncation == 14
 
 
+@pytest.mark.parametrize("kind,n,h,tests", [
+    ("SL", 3, 12, 582), ("SL", 4, 6, 874), ("B", 2, 10, 480), ("G", 2, 8, 408),
+    ("C", 3, 4, 1204)])
+def test_borel_table_shares_one_kostant_memo(monkeypatch, kind, n, h, tests):
+    # a fresh memo per label made 3,471 viability tests on SL3 at h = 12
+    from sphvar import chars
+    calls = []
+    nat = chars._nat_coordinates
+    monkeypatch.setattr(chars, "_nat_coordinates",
+                        lambda span, v: calls.append(v) or nat(span, v))
+    rd = root_datum(kind, n)
+    route = BorelRoute(rd, LatticeMap.identity(rd.rank))
+    basic_function_borel(a2_datum(), route, h)
+    assert len(calls) == tests
+
+
 def test_borel_label_map_must_be_square():
     gl2 = root_datum("GL", 2)
     with pytest.raises(ValueError, match="square"):

@@ -696,6 +696,14 @@ def test_mismatched_inputs_raise():
         ts({0: 1}, p=2) * ts({0: 1}, p=3)
     with pytest.raises(ValueError, match="cannot multiply 2x2 by 3x3"):
         mat_mul(mat_id(P, PREC, 2), mat_id(P, PREC, 3))
+    with pytest.raises(ValueError, match="cannot multiply 1x2 by 3x3"):
+        vec_mat(mat_id(P, PREC, 2)[0], mat_id(P, PREC, 3))
+    # a coset of the wrong size is refused, not truncated to the space
+    reps = [mat_id(P, PREC, 3)]
+    with pytest.raises(ValueError, match="cannot multiply 1x2 by 3x3"):
+        transition_counts("UGL2", reps, [(0, 0)], P, PREC)
+    with pytest.raises(ValueError, match="cannot multiply 2x2 by 3x3"):
+        transition_counts("MAT2", reps, [(0, 0)], P, PREC)
 
 
 def test_wrong_representative_is_an_internal_error(monkeypatch):
@@ -841,6 +849,31 @@ def test_transition_counts_take_one_determinant_per_coset(monkeypatch):
     assert sum(calls) == len(reps) == 13
 
 
+@pytest.mark.parametrize("space,group", [("A2", "GL2"), ("UGL2", "GL2"),
+                                         ("PPGL3", "GL3")])
+def test_inverse_cosets_are_refused_on_a_one_sided_space(space, group):
+    # the inverses of left cosets are right cosets, and one-sided labels
+    # are not invariant under the left action that tells them apart
+    reps = coset_reps(group, "t1", 2, PREC)
+    label = stratum_labels(space, 1)[0]
+    with pytest.raises(ValueError, match="two-sided space, not on " + space):
+        transition_counts(space, reps, [label], 2, PREC, inverse=True)
+    assert transition_counts(space, reps, [label], 2, PREC)
+
+
+def test_satake_mismatches_specialize_each_shift_once(monkeypatch):
+    from sphvar import catalog
+    route = catalog.load("borel-gl2").routes[0]
+    shifts = pp_shifts(route, minuscule_satake(route.group, (1, 0)), 1)
+    calls = []
+    specialize = QLaurent.specialize
+    monkeypatch.setattr(QLaurent, "specialize",
+                        lambda c, q: calls.append(q) or specialize(c, q))
+    assert satake_mismatches("t1", "UGL2", 8, 5) == []
+    # once per shift, not once per (window label, shift)
+    assert calls == [5] * len(shifts) and len(shifts) == 2
+
+
 def test_unknown_operator_rejected():
     with pytest.raises(ValueError, match="unknown operator"):
         coset_reps("GL2", "wedge", 2, 8)
@@ -914,7 +947,8 @@ def test_ppgl3_translates_match_the_chain_on_the_satake_window(monkeypatch):
             for x in points] == [[w[:3] for w in row] for row in want]
     assert mul.calls == 0
     for x, row in zip(points, want):
-        assert [list(oracle._right_translate(shape, x, g, det).coords)
+        assert [list(oracle._right_translate(shape, x, list(zip(*g)),
+                                             det).coords)
                 for g, det in zip(reps, dets)] == row
         assert [list(right_translate(x, g).coords) for g in reps] == row
 
