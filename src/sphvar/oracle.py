@@ -18,11 +18,12 @@ slots of one Python int, starting at its valuation (Kronecker substitution,
 Schoenhage 1982).  Sums, products and whole matrix entries are reduced mod p
 inside the int: an entry of a matrix product or a determinant is one
 multiply-accumulate of big ints, the products shifted to a common valuation,
-followed by one reduction of all slots at once.  Random unimodular matrices
-are drawn residues first: whether a matrix is unimodular depends only on its
-residues, so they are redrawn until their determinant is a unit, and only
-then are the higher digits of each entry drawn, all at once, and spread into
-slots a table lookup at a time.
+followed by one reduction of all slots at once; a product by a single
+coefficient needs none.  A random unimodular matrix takes two draws once its
+residues are accepted: whether a matrix is unimodular depends only on its
+residues, so all n^2 of them are drawn at once and redrawn until their
+determinant is a unit, and only then are the higher digits of every entry
+drawn at once and spread into slots a table lookup at a time.
 """
 from __future__ import annotations
 
@@ -301,6 +302,11 @@ def _dot(xs, ys):
         if m > _SPAN:
             c = _widened(a, b, na, nb, min(na + nb - 1, prec - v), p, w)
             cb = p - 1
+        elif m == 1:
+            # one slot c bounds each slot of the product by c (p - 1), two by
+            # their product: a monic monomial needs no reduction
+            c = a * b
+            cb = c if na == nb else (a if na == 1 else b) * (p - 1)
         else:
             c, cb = a * b, sq * m
         if bound + cb >= top:
@@ -338,13 +344,12 @@ def mat_det(m):
                      for j in range(n)))
     if n == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * mat_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
+    # integer entries, as the sampler's residues: a zero adds no term
+    total, rest = 0, m[1:]
+    for j, a in enumerate(m[0]):
+        if a:
+            term = a * mat_det([row[:j] + row[j + 1:] for row in rest])
+            total = total - term if j % 2 else total + term
     return total
 
 
@@ -670,32 +675,40 @@ def _digit_table(p, w):
 
 
 def random_unimodular(rng, p, prec, n):
-    """A uniformly drawn element of GL_n(o) mod t^prec.  The residues are
+    """A uniformly drawn element of GL_n(o) mod t^prec, in two draws once
+    the residues are accepted.  Each attempt draws the n^2 residues at once,
+    below p^(n^2), entry k (row-major) taking base-p digit k; they are
     redrawn until their determinant is a unit mod p, which is exactly when
-    the matrix is unimodular; then the digits of t^1 .. t^(prec-1) of each
-    entry are read off one draw below p^(prec-1), a table lookup for each
-    chunk of digits."""
+    the matrix is unimodular.  Then one draw below p^((prec-1) n^2) gives
+    entry k the digits of t^1 .. t^(prec-1) from its base-p^(prec-1) digit
+    k, spread into slots a table lookup for each chunk of digits."""
     if prec < 1:
         raise ValueError("precision must be >= 1")
+    if p < 2 or n < 1:
+        raise ValueError("need p >= 2 and n >= 1, got p = %r, n = %r" % (p, n))
+    cells, w = n * n, _width(p)
     while True:
-        residues = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        code, flat = rng.randrange(p ** cells), []
+        for _ in range(cells):
+            code, r = divmod(code, p)
+            flat.append(r)
+        residues = [flat[i:i + n] for i in range(0, cells, n)]
         if mat_det(residues) % p:
             break
-    w = _width(p)
+    # slot i + 1 of d holds base-p digit i of the draw, so entry k, whose
+    # residue fills slot 0, reads d shifted down by k (prec - 1) slots
     table, k = _digit_table(p, w)
-    base, step = len(table), 8 * w * k
-    high = p ** (prec - 1)
-    out = []
-    for row in residues:
-        out.append([])
-        for r in row:
-            x, d, shift = r, rng.randrange(high), 8 * w
-            while d:
-                d, c = divmod(d, base)
-                x |= table[c] << shift
-                shift += step
-            out[-1].append(TruncSeries._make(p, prec, 0, x, w))
-    return out
+    base, bits = len(table), 8 * w
+    step, span = bits * k, bits * (prec - 1)
+    draw, d, shift = rng.randrange(p ** ((prec - 1) * cells)), 0, bits
+    while draw:
+        draw, c = divmod(draw, base)
+        d |= table[c] << shift
+        shift += step
+    mask = ~(-1 << span) << bits
+    entries = [TruncSeries._make(p, prec, 0, r | d >> span * i & mask, w)
+               for i, r in enumerate(flat)]
+    return [entries[i:i + n] for i in range(0, cells, n)]
 
 
 def translate_invariance_mismatches(space, label, p, prec, trials, seed=0):

@@ -624,8 +624,10 @@ def test_oracle_runs_pass(capsys):
              for op in ("unit", "t1", "wedge", "central"))),
     (["satake-ugl2", "--q", "2", "--height", "2"],
      "".join("satake-ugl2\tq=2 op=%s\tpass\n" % op
-             for op in ("unit", "t1", "central")))],
-    ids=["interpolation", "satake-ppgl3", "satake-ugl2"])
+             for op in ("unit", "t1", "central"))),
+    (["orbit-invariance", "--q", "2,3", "--height", "2", "--trials", "20"],
+     "orbit-invariance\tq=2\tpass\norbit-invariance\tq=3\tpass\n")],
+    ids=["interpolation", "satake-ppgl3", "satake-ugl2", "orbit-invariance"])
 def test_oracle_output_bytes(capsys, argv, want):
     assert run(capsys, ["oracle", "run"] + argv) == (0, want, "")
 

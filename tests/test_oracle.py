@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -316,6 +317,33 @@ def test_mat_det_3x3():
                 assert prod[i][j].is_zero()
 
 
+def _leibniz(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in itertools.combinations(range(n), 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def test_integer_mat_det_matches_leibniz():
+    # the sampler's residue matrices: many zero entries, whose minors the
+    # expansion skips
+    for n in (1, 2, 3):
+        for r in itertools.product(range(3), repeat=n * n):
+            m = [list(r[i:i + n]) for i in range(0, n * n, n)]
+            assert mat_det(m) == _leibniz(m)
+    rng = random.Random(4)
+    for _ in range(200):
+        m = [[rng.choice((0, 0, 1, -2, 7)) for _ in range(4)]
+             for _ in range(4)]
+        assert mat_det(m) == _leibniz(m)
+
+
 def test_vec_mat():
     v = (tp(0), tp(1))
     m = [[ts({}), ts({0: 1})], [ts({0: 1}), ts({})]]
@@ -517,39 +545,49 @@ class _Scripted(random.Random):
         return x
 
 
-def _gl_residues(p, n):
-    return [r for r in itertools.product(range(p), repeat=n * n)
-            if mat_det([list(r[i * n:i * n + n]) for i in range(n)]) % p]
+def _digits(code, base, k):
+    """The k digits of code in base, lowest first."""
+    return [code // base ** i % base for i in range(k)]
+
+
+def _entry(p, prec, r, d):
+    """The series with residue r and the base-p digits of d above it."""
+    return TruncSeries.of(p, prec, [(0, r)] + [
+        (i, d // p ** (i - 1) % p) for i in range(1, prec)])
 
 
 @pytest.mark.parametrize("p, n, prec, order", [(2, 2, 2, 96), (3, 2, 1, 48),
                                                (2, 3, 1, 168)])
 def test_random_unimodular_hits_each_element_once(p, n, prec, order):
-    # every accepted residue tuple and every digit tuple gives another
+    # every accepted residue code and every digit code gives another
     # element of GL_n(o / t^prec), and together they give all of them
-    high = p ** (prec - 1)
+    cells, high = n * n, p ** (prec - 1)
+    units = [c for c in range(p ** cells)
+             if mat_det([_digits(c, p, cells)[i:i + n]
+                         for i in range(0, cells, n)]) % p]
     seen = set()
-    for res in _gl_residues(p, n):
-        for digits in itertools.product(range(high), repeat=n * n):
-            rng = _Scripted(res + digits)
+    for res in units:
+        for digits in range(high ** cells):
+            rng = _Scripted([res, digits])
             g = random_unimodular(rng, p, prec, n)
             assert not rng.script
-            assert rng.bounds == [p] * (n * n) + [high] * (n * n)
+            assert rng.bounds == [p ** cells, high ** cells]
             assert mat_det(g).val() == 0
-            # the residue, then the base-p digits of the draw, lowest first
+            # entry k, row-major: digit k of the residue code, then the
+            # base-p digits of digit k of the digit code, lowest first
             assert [e for row in g for e in row] == [
-                TruncSeries.of(p, prec, [(0, r)] + [
-                    (i, d // p ** (i - 1) % p) for i in range(1, prec)])
-                for r, d in zip(res, digits)]
+                _entry(p, prec, r, d) for r, d in
+                zip(_digits(res, p, cells), _digits(digits, high, cells))]
             seen.add(tuple(tuple(e.terms for e in row) for row in g))
     assert len(seen) == order
 
 
 def test_random_unimodular_redraws_singular_residues():
-    singular, unit = (1, 1, 1, 1), (1, 1, 0, 1)
-    rng = _Scripted(singular + singular + unit + (2, 0, 1, 3))
+    # residues (1, 1, 1, 1) and (1, 1, 0, 0) are singular, (1, 1, 0, 1) is not
+    singular, unit = (15, 3), 11
+    rng = _Scripted(singular + (unit, 2 + 1 * 16 + 3 * 64))
     g = random_unimodular(rng, 2, 3, 2)
-    assert not rng.script and rng.bounds == [2] * 12 + [4] * 4
+    assert not rng.script and rng.bounds == [16, 16, 16, 256]
     assert [[e.terms for e in row] for row in g] == [
         [((0, 1), (2, 1)), ((0, 1),)], [((1, 1),), ((0, 1), (1, 1), (2, 1))]]
 
@@ -563,7 +601,7 @@ class _Counting(random.Random):
 @pytest.mark.parametrize("p", (2, 3, 5))
 @pytest.mark.parametrize("n", (2, 3))
 def test_random_unimodular_work(p, n, monkeypatch):
-    # n^2 draws per residue attempt, plus n^2 for the higher digits: the
+    # one draw per residue attempt, plus one for all the higher digits: the
     # digits cost nothing on a rejected attempt
     import sphvar.oracle as oracle
     attempts = []
@@ -575,7 +613,7 @@ def test_random_unimodular_work(p, n, monkeypatch):
     rng.calls = 0
     for _ in range(200):
         random_unimodular(rng, p, 6, n)
-    assert rng.calls == n * n * (sum(attempts) + 200)
+    assert rng.calls == sum(attempts) + 200
     assert sum(attempts) < 200 * (4 if p == 2 else 2)
 
 
@@ -584,27 +622,36 @@ def test_random_unimodular_needs_a_residue():
         random_unimodular(random.Random(0), 2, 0, 2)
 
 
+@pytest.mark.parametrize("p, n", [(1, 3), (0, 2), (-3, 2), (2, 0), (3, -1)])
+def test_random_unimodular_rejects_a_degenerate_ring_or_size(p, n):
+    # at p = 1 every determinant is 0 mod 1, so no draw would be accepted
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="p >= 2 and n >= 1"):
+        random_unimodular(random.Random(0), p, 3, n)
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 4099, 1000000007))
 def test_random_unimodular_digits_match_the_digit_by_digit_draw(p):
     # the digits come in table lookups of several at a time; each entry must
-    # still be the residue, then the base-p digits of its draw, lowest first
+    # still be the residue, then the base-p digits of its part of the draw,
+    # lowest first
     rng = random.Random(p)
     script, want = [], []
     for prec in range(1, 41):
         high = p ** (prec - 1)
         res = [1, rng.randrange(p), 0, 1]
         digits = [0, high - 1] + [rng.randrange(high) for _ in range(2)]
-        script += res + digits
-        want.append([TruncSeries.of(p, prec, [(0, r)] + [
-            (i, d // p ** (i - 1) % p) for i in range(1, prec)])
-            for r, d in zip(res, digits)])
+        script += [sum(r * p ** k for k, r in enumerate(res)),
+                   sum(d * high ** k for k, d in enumerate(digits))]
+        want.append([_entry(p, prec, r, d) for r, d in zip(res, digits)])
     stream = _Scripted(script)
     for prec in range(1, 41):
         g = random_unimodular(stream, p, prec, 2)
         assert [e for row in g for e in row] == want[prec - 1]
     assert not stream.script
     assert stream.bounds == [b for prec in range(1, 41)
-                             for b in [p] * 4 + [p ** (prec - 1)] * 4]
+                             for b in (p ** 4, p ** (4 * (prec - 1)))]
 
 
 def test_digit_tables():
@@ -951,6 +998,34 @@ def test_ppgl3_translates_match_the_chain_on_the_satake_window(monkeypatch):
                                              det).coords)
                 for g, det in zip(reps, dets)] == row
         assert [list(right_translate(x, g).coords) for g in reps] == row
+
+
+@pytest.mark.parametrize("space, group", [("UGL2", "GL2"), ("PPGL3", "GL3")])
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_monic_monomial_products_take_no_reduction_step(space, group, q,
+                                                        monkeypatch):
+    # a stratum-point coordinate t^a times a coset entry: every slot of the
+    # product is a residue already, so the kernel's bound says no step
+    import sphvar.oracle as oracle
+    prec = 12
+    steps, reduce = [], oracle._reduce
+
+    def recorded(s, n, p, w, bound):
+        steps.append((bound // p).bit_length())
+        return reduce(s, n, p, w, bound)
+    monkeypatch.setattr(oracle, "_reduce", recorded)
+    entries = [e for g in coset_reps(group, "t1", q, prec) for row in g
+               for e in row]
+    nonzero = sum(not e.is_zero() for e in entries)
+    for a in range(-2, 4):
+        t, rt = tp(a, p=q, prec=prec), _SparseSeries.of(q, prec, {a: 1})
+        for e in entries:
+            re = _SparseSeries(q, prec, e.terms)
+            assert _outcome(lambda: oracle._dot((t,), (e,))) == \
+                _outcome(lambda: rt * re)
+            assert _outcome(lambda: oracle._dot((e,), (t,))) == \
+                _outcome(lambda: re * rt)
+    assert len(steps) == 2 * 6 * nonzero and not any(steps)
 
 
 # --- convolution -----------------------------------------------------------
