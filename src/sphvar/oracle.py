@@ -1,11 +1,11 @@
 """Brute-force local models: truncated series, stratum labels, coset sums.
 
-Everything here is enumerated over F = F_p((t)) for a small prime p: matrices
-have truncated-series entries, orbit labels are read off valuations, and
-Hecke operators, named by their coweight in one table (_OPERATORS), act
-through explicit lists of left cosets g_i K in Hermite form, all built by
-one enumerator (_hermite_forms).  The enumeration core
-is independent of the symbolic engine; only the Satake comparison at the
+Everything here is enumerated over F = F_p((t)) for a small prime p.  Each
+model space is one k x n matrix of truncated series (_MODELS), labelled by
+the valuations of its minors; Hecke operators, named by their coweight in
+_OPERATORS, act through lists of left cosets g_i K in Hermite form, all
+built by one enumerator (_hermite_forms).  The enumeration core is
+independent of the symbolic engine; only the Satake comparison at the
 bottom uses it, and that comparison is the point of the module.
 
 Precision policy: callers pass prec = 2 * height + 4 (plus the operator
@@ -371,140 +371,147 @@ def mat_inv(m):
 # lattice points of the model spaces and their orbit labels
 
 @dataclass(frozen=True)
-class _Shape:
-    """One model space: a row vector in F^n under GL_n on the right, then,
-    if twisted, a scalar multiplied by det; or, if two_sided, the 2 x 2
-    matrices under GL_2 x GL_2.  With a catalog entry key, the Satake
+class _Model:
+    """One model space: k x n matrices over F, GL_n(o) acting on the right
+    and, when k > 1, GL_k(o) on the left, then, if twisted, a scalar that g
+    in GL_n multiplies by det g.  With a catalog entry key, the Satake
     comparison covers the operators of GL_n in _OPERATORS on the first route
-    of that entry, whose labels read the last coordinate and the
-    determinant."""
+    of that entry, whose labels read the last coordinate and det."""
 
+    k: int
     n: int
     twisted: bool = False
-    two_sided: bool = False
     key: str = None
 
 
-_SHAPES = {
-    "A2": _Shape(2),
-    "UGL2": _Shape(2, twisted=True, key="borel-gl2"),
-    "MAT2": _Shape(2, two_sided=True),
-    "PPGL3": _Shape(3, twisted=True, key="pp-gl3"),
+_MODELS = {
+    "A2": _Model(1, 2),
+    "UGL2": _Model(1, 2, twisted=True, key="borel-gl2"),
+    "MAT2": _Model(2, 2),
+    "PPGL3": _Model(1, 3, twisted=True, key="pp-gl3"),
 }
-SPACES = tuple(_SHAPES)
+SPACES = tuple(_MODELS)
 
 
-def _shape(space, error="unknown space %r"):
+def _model(space, error="unknown space %r"):
     try:
-        return _SHAPES[space]
+        return _MODELS[space]
     except (KeyError, TypeError):
         raise ValueError(error % (space,)) from None
 
 
 @dataclass(frozen=True)
 class LatticePoint:
-    """A point of one of the model spaces; MAT2 stores entries row-major."""
+    """A point of a model space: its k x n matrix row-major, then its scalar."""
 
     space: str
     coords: tuple
 
 
+def _divisors(d):
+    """d_i - d_(i-1) for determinantal divisors d; None where they decrease."""
+    e = [b - a for a, b in zip((0,) + d, d)]
+    return e if all(a <= b for a, b in zip(e, e[1:])) else None
+
+
 def stratum_labels(space, height, integral=False):
-    """The stratum labels with nonnegative entries summing to at most height,
-    in the order the checks visit them; integral keeps those of the smooth
-    integral model, where the twisting scalar is a unit.  A matrix label
-    (a, k) also needs 2a <= k, and is counted at height a + k."""
-    shape = _shape(space, "no integral model for %r" if integral
-                   else "unknown space %r")
-    if shape.two_sided:
-        return [(a, k) for k in range(height + 1) for a in range(k // 2 + 1)
-                if a + k <= height]
-    if not shape.twisted:
-        return [(v,) for v in range(height + 1)]
-    return [(v, s) for v in range(height + 1)
-            for s in range(1 if integral else height + 1 - v)]
+    """The stratum labels with nonnegative entries summing to at most height
+    and weakly increasing elementary divisors, in the order the checks visit
+    them: lexicographic in (d_k, ..., d_1, scalar).  integral keeps those of
+    the smooth integral model, where the twisting scalar is a unit."""
+    m = _model(space, "no integral model for %r" if integral
+               else "unknown space %r")
+    k = m.k
+    labels = [l for l in itertools.product(range(height + 1),
+                                           repeat=k + m.twisted)
+              if sum(l) <= height and _divisors(l[:k]) is not None
+              and not (integral and any(l[k:]))]
+    return sorted(labels, key=lambda l: l[k - 1::-1] + l[k:])
 
 
 def stratum_point(space, label, p, prec):
-    """An explicit representative of the stratum with the given label."""
-    shape = _shape(space)
-    if len(label) != (2 if shape.twisted or shape.two_sided else 1):
-        raise ValueError("%r is not a label of %s" % (label, space))
-    zero = TruncSeries.of(p, prec, {})
-
-    def t(e):
-        return TruncSeries.t_pow(p, prec, e)
-
-    if not shape.two_sided:
-        return LatticePoint(space, (zero,) * (shape.n - 1)
-                            + tuple(t(e) for e in label))
-    a, k = label
-    if 2 * a > k:
-        raise ValueError("min valuation exceeds the complementary divisor")
-    return LatticePoint(space, (t(a), zero, zero, t(k - a)))
+    """An explicit representative of the stratum with the given label:
+    t^(d_i - d_(i-1)) at row i, column n - k + i, then t^scalar."""
+    m = _model(space)
+    k, n = m.k, m.n
+    e = _divisors(tuple(label[:k])) if len(label) == k + m.twisted else None
+    if e is None:
+        raise ValueError("%r is not a label of %s: it needs %d entries, each "
+                         "elementary divisor at most the complementary divisor "
+                         "after it" % (label, space, k + m.twisted))
+    coords = [TruncSeries.of(p, prec, {})] * (k * n) + [
+        TruncSeries.t_pow(p, prec, s) for s in label[k:]]
+    for i, a in enumerate(e):
+        coords[i * n + n - k + i] = TruncSeries.t_pow(p, prec, a)
+    return LatticePoint(space, tuple(coords))
 
 
 def _vec_val(entries):
-    vals = [e._v for e in entries if e._x]
-    floor = min((e._prec for e in entries if not e._x), default=None)
-    if not vals:
-        raise PrecisionError("vector is 0 mod t^%d" % floor)
-    v = min(vals)
-    if floor is not None and floor <= v:
-        raise PrecisionError("an entry is only known mod t^%d" % floor)
+    """The least entry valuation; no zero entry (_v = prec) may reach it."""
+    v = min([e._v for e in entries])
+    for e in entries:
+        if e._prec == v:
+            raise PrecisionError(("an entry is only known mod t^%d"
+                                  if any(e._x for e in entries)
+                                  else "vector is 0 mod t^%d") % v)
     return v
 
 
 def orbit_invariant(x: LatticePoint):
     """The stratum label: valuation data separating hyperspecial orbits.
 
-    Row vectors: the minimal coordinate valuation, then the valuation of
-    the twisting scalar, if any.  Matrices: (minimal entry valuation,
-    determinant valuation), an equivalent encoding of the elementary
-    divisors.
+    The determinantal divisors (d_1, ..., d_k) of the matrix, d_i the least
+    valuation of an i x i minor (d_1 of a row: its least coordinate
+    valuation), then the valuation of the twisting scalar, if any.
     """
-    shape = _shape(x.space)
-    c = x.coords
-    if shape.two_sided:
-        return (_vec_val(c), mat_det((c[:2], c[2:])).val())
-    v = _vec_val(c[:shape.n])
-    return (v, c[shape.n].val()) if shape.twisted else (v,)
+    m = _model(x.space)
+    c, k, n = x.coords, m.k, m.n
+    if len(c) != k * n + m.twisted:
+        raise ValueError("%d coordinates for a %dx%d %s point"
+                         % (len(c), k, n, x.space))
+    label = (_vec_val(c[:k * n]),)
+    for i in range(2, k + 1):
+        label += (_vec_val([mat_det([[c[r * n + j] for j in cols]
+                                     for r in rows])
+                            for rows in itertools.combinations(range(k), i)
+                            for cols in itertools.combinations(range(n), i)]),)
+    return label + (c[k * n].val(),) if m.twisted else label
 
 
 def right_translate(x: LatticePoint, g):
-    shape = _shape(x.space)
-    return _right_translate(shape, x, _columns(shape, g),
-                            mat_det(g) if shape.twisted else None)
+    m = _model(x.space)
+    return _right_translate(m, x, *_coset(m, g))
 
 
-def _columns(shape, g):
-    """The columns of g, which acts on the right of the rows of shape."""
-    if len(g) != shape.n:
+def _coset(m, g):
+    """What x -> x g reads of g: its columns and, if m is twisted, det g."""
+    cols = list(zip(*g))
+    if len(g) != m.n or len(cols) != m.n:
         raise ValueError("cannot multiply %dx%d by %dx%d"
-                         % (2 if shape.two_sided else 1, shape.n, len(g),
-                            len(g[0])))
-    return list(zip(*g))
+                         % (m.k, m.n, len(g), len(cols)))
+    return cols, mat_det(g) if m.twisted else None
 
 
-def _right_translate(shape, x, cols, det):
-    """x g, for g given by its columns, with det = det(g) given for a
-    twisted space."""
-    c = x.coords
-    if shape.two_sided:
-        return LatticePoint(x.space, tuple(_dot(row, col)
-                                           for row in (c[:2], c[2:])
-                                           for col in cols))
-    v = tuple(_dot(c[:shape.n], col) for col in cols)
-    if shape.twisted:
-        v += (c[shape.n] * det,)
+def _right_translate(m, x, cols, det):
+    """x g, for g given by what _coset reads of it."""
+    c, n = x.coords, m.n
+    v = tuple(_dot(c[r:r + n], col) for r in range(0, m.k * n, n)
+              for col in cols)
+    if m.twisted:
+        v += (c[m.k * n] * det,)
     return LatticePoint(x.space, v)
 
 
 def left_translate(x: LatticePoint, g):
-    if not getattr(_SHAPES.get(x.space), "two_sided", False):
-        raise ValueError("only the matrix space carries a left action")
-    m = mat_mul(g, [list(x.coords[:2]), list(x.coords[2:])])
-    return LatticePoint(x.space, tuple(m[0] + m[1]))
+    m = _model(x.space)
+    if m.k == 1:
+        raise ValueError("a row space carries no left action")
+    k, n = m.k, m.n
+    if len(g) != k:
+        raise ValueError("cannot multiply %dx%d by %dx%d"
+                         % (len(g), len(g[0]), k, n))
+    rows = mat_mul(g, [list(x.coords[r:r + n]) for r in range(0, k * n, n)])
+    return LatticePoint(x.space, tuple(sum(rows, [])) + x.coords[k * n:])
 
 
 # ---------------------------------------------------------------------------
@@ -570,24 +577,23 @@ def coset_reps(group, op, p, prec):
 def transition_counts(space, reps, labels, p, prec, inverse=False):
     """{(source label, target label): multiplicity} under x -> x g_i,
     or x -> x g_i^{-1} with inverse set.  The inverses of a left-coset list
-    are a right-coset list, so inverse is refused except on the two-sided
-    MAT2, whose labels are invariant on both sides; on a one-sided space
+    are a right-coset list, so inverse is refused except on a two-sided
+    space (k > 1), whose labels are invariant on both sides; on a row space
     the counts would depend on the choice of representatives."""
-    shape = _shape(space)
-    if inverse and not shape.two_sided:
+    m = _model(space)
+    if inverse and m.k == 1:
         raise ValueError("inverse cosets act only on a two-sided space, "
                          "not on %s" % (space,))
     gs = [mat_inv(g) for g in reps] if inverse else reps
     # one column list and one determinant per coset, shared by every label
-    cosets = [(_columns(shape, g), mat_det(g) if shape.twisted else None)
-              for g in gs]
+    cosets = [_coset(m, g) for g in gs]
     out = {}
     for l in labels:
         x = stratum_point(space, l, p, prec)
         if orbit_invariant(x) != tuple(l):
             raise RuntimeError("representative of %r has another label" % (l,))
         for cols, det in cosets:
-            mu = orbit_invariant(_right_translate(shape, x, cols, det))
+            mu = orbit_invariant(_right_translate(m, x, cols, det))
             key = (tuple(l), mu)
             out[key] = out.get(key, 0) + 1
     return out
@@ -712,16 +718,16 @@ def random_unimodular(rng, p, prec, n):
 
 
 def translate_invariance_mismatches(space, label, p, prec, trials, seed=0):
-    """orbit_invariant must be constant on random hyperspecial translates;
-    the matrix space is checked on both sides."""
+    """orbit_invariant must be constant on random hyperspecial translates:
+    x g for g in GL_n(o), then, when k > 1, h x g for h in GL_k(o)."""
     rng = random.Random(seed)
     x = stratum_point(space, label, p, prec)
-    shape = _SHAPES[space]
+    m = _MODELS[space]
     bad = []
     for i in range(trials):
-        y = right_translate(x, random_unimodular(rng, p, prec, shape.n))
-        if shape.two_sided:
-            y = left_translate(y, random_unimodular(rng, p, prec, shape.n))
+        y = right_translate(x, random_unimodular(rng, p, prec, m.n))
+        if m.k > 1:
+            y = left_translate(y, random_unimodular(rng, p, prec, m.k))
         got = orbit_invariant(y)
         if got != tuple(label):
             bad.append((i, got))
@@ -752,10 +758,10 @@ def interpolates(values, degree):
 
 def hecke_operators(space):
     """The operators the Satake comparison covers on space."""
-    shape = _shape(space)
-    if not shape.key:
+    m = _model(space)
+    if not m.key:
         raise ValueError("unknown space %r" % (space,))
-    return tuple(_OPERATORS["GL%d" % shape.n])
+    return tuple(_OPERATORS["GL%d" % m.n])
 
 
 def satake_mismatches(op, space, height, q, kappa=KAPPA):
@@ -769,10 +775,10 @@ def satake_mismatches(op, space, height, q, kappa=KAPPA):
     """
     if op not in hecke_operators(space):
         raise ValueError("unknown operator %r for %s" % (op, space))
-    shape = _SHAPES[space]
-    group = "GL%d" % shape.n
+    m = _MODELS[space]
+    group = "GL%d" % m.n
     prec = 2 * height + 4
-    route = catalog.load(shape.key).routes[0]
+    route = catalog.load(m.key).routes[0]
     satake = minuscule_satake(route.group, _OPERATORS[group][op])
     # each shift coefficient at q once, shared by every label
     shifts = [(s, c.specialize(q)) for s, c in pp_shifts(route, satake, kappa)]

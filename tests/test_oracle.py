@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphvar import catalog
 from sphvar.chars import QLaurent
 from sphvar.engine import PPRoute, minuscule_satake, pp_shifts
 from sphvar.geometry import LatticeMap
@@ -40,6 +41,7 @@ from sphvar.oracle import (
     vec_mat,
 )
 from sphvar.rootdata import root_datum
+from sphvar.spherical import enumerate_orbits
 
 P, PREC = 2, 12
 
@@ -979,7 +981,7 @@ def test_ppgl3_translates_match_the_chain_on_the_satake_window(monkeypatch):
     import sphvar.oracle as oracle
     height, q = 4, 3
     prec = 2 * height + 4
-    shape = oracle._SHAPES["PPGL3"]
+    model = oracle._MODELS["PPGL3"]
     reps = coset_reps("GL3", "wedge", q, prec)
     window = [l for l in itertools.product(range(-height, height + 1),
                                            repeat=2)
@@ -994,7 +996,7 @@ def test_ppgl3_translates_match_the_chain_on_the_satake_window(monkeypatch):
             for x in points] == [[w[:3] for w in row] for row in want]
     assert mul.calls == 0
     for x, row in zip(points, want):
-        assert [list(oracle._right_translate(shape, x, list(zip(*g)),
+        assert [list(oracle._right_translate(model, x, list(zip(*g)),
                                              det).coords)
                 for g, det in zip(reps, dets)] == row
         assert [list(right_translate(x, g).coords) for g in reps] == row
@@ -1133,6 +1135,108 @@ def test_left_translate_guard():
     x = stratum_point("UGL2", (0, 0), 2, 8)
     with pytest.raises(ValueError, match="left action"):
         left_translate(x, mat_id(2, 8, 2))
+
+
+@pytest.mark.parametrize("space, label", [("MAT2", (1, 3)), ("PPGL3", (1, 2))])
+def test_translates_replay_the_random_stream(space, label, monkeypatch):
+    # the draws, by hand: g in GL_n(o) on the right, then, on MAT2 only,
+    # h in GL_2(o) on the left; each translate is what the check labels
+    import sphvar.oracle as oracle
+    p, prec, trials, seed = 3, 12, 6, 11
+    seen, invariant = [], oracle.orbit_invariant
+    monkeypatch.setattr(oracle, "orbit_invariant",
+                        lambda y: seen.append(y) or invariant(y))
+    assert translate_invariance_mismatches(space, label, p, prec, trials,
+                                           seed=seed) == []
+    rng, x = random.Random(seed), stratum_point(space, label, p, prec).coords
+    want = []
+    for _ in range(trials):
+        if space == "MAT2":
+            g = random_unimodular(rng, p, prec, 2)
+            h = random_unimodular(rng, p, prec, 2)
+            m = mat_mul(h, mat_mul([list(x[:2]), list(x[2:])], g))
+            want.append(tuple(m[0] + m[1]))
+        else:
+            g = random_unimodular(rng, p, prec, 3)
+            want.append(vec_mat(x[:3], g) + (x[3] * mat_det(g),))
+    assert [y.coords for y in seen] == want
+    assert {y.space for y in seen} == {space}
+
+
+# --- malformed shapes ------------------------------------------------------
+
+def _rect(rows, cols):
+    return [[tp(0) if i == j else ts({}) for j in range(cols)]
+            for i in range(rows)]
+
+
+def test_right_translate_refuses_a_wide_matrix_on_mat2():
+    x = stratum_point("MAT2", (0, 1), P, PREC)
+    with pytest.raises(ValueError, match="cannot multiply 2x2 by 2x3"):
+        right_translate(x, _rect(2, 3))
+
+
+def test_left_translate_refuses_a_tall_matrix_on_mat2():
+    x = stratum_point("MAT2", (0, 1), P, PREC)
+    with pytest.raises(ValueError, match="cannot multiply 3x2 by 2x2"):
+        left_translate(x, _rect(3, 2))
+
+
+def test_right_translate_refuses_a_wide_matrix_on_ugl2():
+    # refused before det(g) reads the leading 2 x 2 of g
+    x = stratum_point("UGL2", (0, 1), P, PREC)
+    with pytest.raises(ValueError, match="cannot multiply 1x2 by 2x3"):
+        right_translate(x, _rect(2, 3))
+
+
+def test_orbit_invariant_refuses_a_long_a2_point():
+    with pytest.raises(ValueError, match="4 coordinates for a 1x2 A2 point"):
+        orbit_invariant(LatticePoint("A2", (tp(0),) * 4))
+
+
+def test_orbit_invariant_refuses_a_short_mat2_point():
+    with pytest.raises(ValueError, match="3 coordinates for a 2x2 MAT2 point"):
+        orbit_invariant(LatticePoint("MAT2", (tp(0),) * 3))
+
+
+# --- the labels against the engine -----------------------------------------
+
+@pytest.mark.parametrize("key, space", [
+    ("a1-gl1", "A2"), ("a2-sl2", "A2"), ("a2-sl2-nocenter", "A2"),
+    ("borel-gl2", "UGL2"), ("pp-gl3", "PPGL3"), ("godement-jacquet-2", "MAT2")])
+def test_integral_labels_are_the_engines_integral_strata(key, space):
+    datum = catalog.load(key).datum
+    for h in range(5):
+        labels = stratum_labels(space, h, integral=True)
+        assert len(set(labels)) == len(labels)
+        assert set(labels) == set(enumerate_orbits(datum, h,
+                                                   integral_only=True))
+
+
+def test_a_negative_matrix_label_reads_back():
+    x = stratum_point("MAT2", (-2, -1), P, PREC)
+    assert orbit_invariant(x) == (-2, -1)
+
+
+def test_one_table_row_is_a_new_space(monkeypatch):
+    # the 3 x 3 matrices under GL_3(o) x GL_3(o), kept out of SPACES
+    import sphvar.oracle as oracle
+    monkeypatch.setitem(oracle._MODELS, "MAT3", oracle._Model(3, 3))
+    datum = catalog.load("godement-jacquet-3").datum
+    sizes = []
+    for h in range(6):
+        labels = stratum_labels("MAT3", h)
+        assert set(labels) == set(enumerate_orbits(datum, h,
+                                                   integral_only=True))
+        sizes.append(len(labels))
+    assert sizes == [1, 2, 3, 5, 7, 9]
+    for q in (2, 3):
+        for label in labels:
+            x = stratum_point("MAT3", label, q, 18)
+            assert orbit_invariant(x) == label
+            assert translate_invariance_mismatches("MAT3", label, q, 18, 10,
+                                                   seed=q) == []
+    assert "MAT3" not in SPACES
 
 
 # --- interpolation ---------------------------------------------------------
