@@ -16,7 +16,8 @@ to the same engine: a relative-interior point of the closed system's cone
 (`feasible`).
 Lattice points are enumerated depth first, dropping every coordinate prefix
 that no completion within the l1 budget can bring into the cone, so the
-work follows the points kept rather than the size of the l1 ball.
+work follows the points kept rather than the size of the l1 ball; each
+coordinate runs over the one interval the dual rows leave it.
 """
 from __future__ import annotations
 
@@ -393,11 +394,19 @@ class Cone:
 def lattice_points(c: Cone, height: int):
     """All integer points of c with l1 norm <= height, lexicographic order.
 
-    Depth-first over the coordinates, carrying <y, prefix> for every integer
-    dual row y. A prefix with l1 budget `rest` left is dropped as soon as
-    <y, prefix> + rest * max_{j>i} |y_j| < 0 for some y: no completion can
-    then reach <y, v> >= 0, so no cone point is lost, and at the last
-    coordinate the test is membership itself.
+    Depth-first over the coordinates, carrying s = <y, prefix> for every
+    integer dual row y. A prefix with l1 budget `rest` left is dropped as
+    soon as <y, prefix> + rest * t < 0 for some y, t = max_{j>i} |y_j|: no
+    completion can then reach <y, v> >= 0, so no cone point is lost, and at
+    the last coordinate the test is membership itself.
+
+    For the next coordinate x (budget b left) the test reads
+    s + y_i x + (b - |x|) t >= 0, concave and piecewise linear in x: v0 =
+    s + b t at x = 0, slope y_i - t for x >= 0 and y_i + t for x <= 0. So
+    each row keeps one interval of x, computed in integers, and the scan
+    runs over their intersection with [-b, b]. It visits exactly the nodes
+    the per-candidate test kept, and returns the same points in the same
+    order, without evaluating a candidate that fails.
     """
     if height < 0:
         raise ValueError("height must be >= 0")
@@ -412,13 +421,25 @@ def lattice_points(c: Cone, height: int):
         if i == n:
             out.append(tuple(point))
             return
-        col, tail = cols[i], tails[i]
-        for x in range(-budget, budget + 1):
-            rest = budget - abs(x)
-            nxt = [s + a * x for s, a in zip(sums, col)]
-            if all(s + rest * t >= 0 for s, t in zip(nxt, tail)):
-                point[i] = x
-                rec(i + 1, rest, nxt)
+        col = cols[i]
+        lo, hi = -budget, budget
+        for s, a, t in zip(sums, col, tails[i]):
+            v0 = s + budget * t
+            up, down = a - t, a + t
+            if v0 >= 0:
+                if down > 0:
+                    lo = max(lo, -(v0 // down))
+                if up < 0:
+                    hi = min(hi, v0 // -up)
+            elif up > 0:
+                lo = max(lo, -(v0 // up))
+            elif down < 0:
+                hi = min(hi, v0 // -down)
+            else:  # the row fails for every x
+                return
+        for x in range(lo, hi + 1):
+            point[i] = x
+            rec(i + 1, budget - abs(x), [s + a * x for s, a in zip(sums, col)])
 
     rec(0, height, [0] * len(rows))
     return out

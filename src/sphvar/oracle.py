@@ -27,7 +27,9 @@ drawn at once and spread into slots a table lookup at a time.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 import struct
 from dataclasses import dataclass
@@ -470,12 +472,22 @@ def orbit_invariant(x: LatticePoint):
         raise ValueError("%d coordinates for a %dx%d %s point"
                          % (len(c), k, n, x.space))
     label = (_vec_val(c[:k * n]),)
-    for i in range(2, k + 1):
-        label += (_vec_val([mat_det([[c[r * n + j] for j in cols]
-                                     for r in rows])
-                            for rows in itertools.combinations(range(k), i)
-                            for cols in itertools.combinations(range(n), i)]),)
+    for minors in _minors(k, n):
+        label += (_vec_val([mat_det([row(c) for row in minor])
+                            for minor in minors]),)
     return label + (c[k * n].val(),) if m.twisted else label
+
+
+@functools.cache
+def _minors(k, n):
+    """For each size i = 2..k, the i x i minors of a k x n matrix kept row
+    by row, in combinations order: each minor as one getter per row, which
+    reads that row of the minor off the flat coordinates."""
+    return tuple(tuple(tuple(operator.itemgetter(*[r * n + j for j in cols])
+                             for r in rows)
+                       for rows in itertools.combinations(range(k), i)
+                       for cols in itertools.combinations(range(n), i))
+                 for i in range(2, k + 1))
 
 
 def right_translate(x: LatticePoint, g):

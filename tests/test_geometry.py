@@ -2,7 +2,8 @@
 
 Frozen examples were checked by hand; the property tests compare the cone
 and elimination routines against independent brute-force oracles (subset
-enumeration for feasibility, direct grid scans for lattice points).
+enumeration for feasibility, direct grid scans and the per-candidate scan
+for lattice points).
 """
 import ast
 import importlib
@@ -401,6 +402,72 @@ def test_lattice_points_is_output_sensitive():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == repr([(k,) * 6 for k in range(11)])
+
+
+def test_a_large_height_catalog_test_is_fast():
+    # the integral cone is 3-dimensional in Z^5: 544 points kept at height
+    # 80, where trying every candidate coordinate took about 20 s
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geometry.__file__)))
+    code = ("from sphvar import cli; raise SystemExit(cli.main(['catalog', "
+            "'test', 'rankin-selberg', '--height', '80']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "table\tpass\t544 rows" in proc.stdout.splitlines()
+
+
+def candidate_scan(c, height):
+    """The per-candidate scan lattice_points replaced: every x in
+    [-budget, budget] is tried against every dual row."""
+    if height < 0:
+        raise ValueError("height must be >= 0")
+    n = c.n
+    rows = c.dual_generators()
+    cols = [[y[i] for y in rows] for i in range(n)]
+    tails = [[max(map(abs, y[i + 1:]), default=0) for y in rows] for i in range(n)]
+    out = []
+    point = [0] * n
+
+    def rec(i, budget, sums):
+        if i == n:
+            out.append(tuple(point))
+            return
+        col, tail = cols[i], tails[i]
+        for x in range(-budget, budget + 1):
+            rest = budget - abs(x)
+            nxt = [s + a * x for s, a in zip(sums, col)]
+            if all(s + rest * t >= 0 for s, t in zip(nxt, tail)):
+                point[i] = x
+                rec(i + 1, rest, nxt)
+
+    rec(0, height, [0] * len(rows))
+    return out
+
+
+def test_lattice_points_match_the_candidate_scan_on_the_catalog():
+    # the valuation cone and the integral cone of every entry
+    from sphvar import catalog
+    cones = []
+    for key in catalog.list_entries():
+        d = catalog.load(key).datum
+        cones += [d.valuation_cone,
+                  d.valuation_cone.intersect(d.colored_cone.cone)]
+    assert len(cones) == 36
+    for c in cones:
+        for h in range(11):
+            assert lattice_points(c, h) == candidate_scan(c, h), (c, h)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@given(data=st.data(), h=st.integers(min_value=0, max_value=8))
+@settings(max_examples=25, deadline=None)
+def test_lattice_points_match_the_candidate_scan(n, data, h):
+    c = data.draw(st.one_of(small_cones(n=n),
+                            st.just(Cone.zero(n)), st.just(Cone.full(n)),
+                            st.just(Cone(n, [(1,) + (0,) * (n - 1),
+                                             (-1,) + (0,) * (n - 1)]))))
+    assert lattice_points(c, h) == candidate_scan(c, h)
 
 
 # ---------------------------------------------------------------------------
