@@ -279,7 +279,7 @@ def cmd_check(args) -> int:
         return 0 if ok else 1
     if which == "affine":
         ok, wit = is_affine(d, d.colored_cone)
-        detail = _fmt_label(wit) if ok and wit is not None else "-"
+        detail = _fmt_label(wit) if ok else "-"
         print("affine\t%s\t%s" % ("pass" if ok else "fail", detail))
         return 0 if ok else 1
     if which == "wavefront":

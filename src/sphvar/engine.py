@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chars import QLaurent, WeightChar, decompose, kostant_counter, sym_powers_upto
-from .geometry import (Cone, GE, GT, LatticeMap, LinearSystem, _idot, feasible,
-                       hilbert_basis_pointed, inverse_unimodular,
-                       lattice_points, saturation_quotient, vdot)
+from .geometry import (Cone, LatticeMap, _idot, feasible, hilbert_basis_pointed,
+                       inverse_unimodular, lattice_points, saturation_quotient,
+                       vdot)
 from .rootdata import ParabolicDatum, RootDatum, dual_datum, levi_datum
 from .spherical import enumerate_orbits
 
@@ -510,10 +510,8 @@ def growth_certificate(table: BasicFunctionTable, hints=()):
     if not rows:
         return (Fraction(0),) * r
     # homogenized: <chi, l> - d*t >= 0 with t > 0, then divide by t
-    cons = [((0,) * r + (1,), GT)]
-    for l, d in rows:
-        cons.append((tuple(2 * x for x in l) + (-int(2 * d),), GE))
-    w = feasible(LinearSystem.of(cons))
+    hom = [tuple(2 * x for x in l) + (-int(2 * d),) for l, d in rows]
+    w = feasible(hom, [(0,) * r + (1,)], r + 1)
     if w is None:
         return None
     chi = tuple(Fraction(w[i], w[r]) for i in range(r))
@@ -526,6 +524,9 @@ def toric_distance(datum, label, q0) -> Fraction:
     """q0^(-min_i <chi_i, label>) over the ideal-generating characters of the
     boundary in the toric model: the Hilbert basis of the dual of C(X),
     taken modulo the characters vanishing identically on C(X)."""
+    q0 = Fraction(q0)
+    if q0 <= 0:
+        raise ValueError("q must be positive")
     if datum.colored_cone is None:
         raise ValueError("no colored cone on %s" % datum.name)
     c = datum.colored_cone.cone
@@ -544,4 +545,4 @@ def toric_distance(datum, label, q0) -> Fraction:
         if e < 0:
             raise RuntimeError("boundary character %r is negative on %r" % (h, label))
         best = e if best is None else min(best, e)
-    return Fraction(q0) ** (-best)
+    return q0 ** (-best)

@@ -11,9 +11,10 @@ coefficient is an integer dot product over d) and unimodular inverses.
 These answers are integer; Fractions appear only in the public rational
 API `row_echelon` and `solve_linear`. The facet description of a cone comes
 from integer double description, which adds the constraint rows one at a
-time (`_halfspace_gens`). Feasibility of a homogeneous system is a question
-to the same engine: a relative-interior point of the closed system's cone
-(`feasible`).
+time (`_halfspace_gens`). Feasibility of a homogeneous system, given as
+integer rows that must be >= 0 and strict rows that must be > 0, is a
+question to the same engine: a relative-interior point of the cone of all
+the rows (`feasible`).
 Lattice points are enumerated depth first, dropping every coordinate prefix
 that no completion within the l1 budget can bring into the cone, so the
 work follows the points kept rather than the size of the l1 ball; each
@@ -28,10 +29,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
-
-
-def as_vec(entries) -> tuple:
-    return tuple(Fraction(x) for x in entries)
 
 
 def vneg(u) -> tuple:
@@ -448,63 +445,24 @@ def lattice_points(c: Cone, height: int):
 # ---------------------------------------------------------------------------
 # Linear systems
 
-GE, GT, EQ, LT, LE = ">=0", ">0", "=0", "<0", "<=0"
-_RELATIONS = (GE, GT, EQ, LT, LE)
+def feasible(rows, strict, n: int):
+    """A primitive int tuple w in Z^n with <a, w> >= 0 for every row a and
+    <b, w> > 0 for every strict row b, or None if there is none.
 
-
-@dataclass(frozen=True)
-class Constraint:
-    normal: tuple
-    relation: str
-
-    def holds(self, x) -> bool:
-        v = vdot(self.normal, x)
-        return {GE: v >= 0, GT: v > 0, EQ: v == 0, LT: v < 0, LE: v <= 0}[self.relation]
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    constraints: tuple
-
-    @staticmethod
-    def of(items) -> "LinearSystem":
-        cs = []
-        for normal, rel in items:
-            if rel not in _RELATIONS:
-                raise ValueError("unknown relation %r" % (rel,))
-            cs.append(Constraint(as_vec(normal), rel))
-        dims = {len(c.normal) for c in cs}
-        if len(dims) > 1:
-            raise ValueError("constraints of mixed dimension")
-        return LinearSystem(tuple(cs))
-
-    @property
-    def dim(self) -> int:
-        return len(self.constraints[0].normal) if self.constraints else 0
-
-
-def feasible(sys: LinearSystem):
-    """Exact integer witness for a (possibly strict) homogeneous system, or
-    None.
-
-    The closed system (strict rows relaxed to >=, each equation split into
-    two rows) is a cone, and the witness is the primitive part of a point of
-    its relative interior. A strict row that holds anywhere on the cone
-    holds on its relative interior, so the system is feasible iff every
-    strict row holds there.
+    The closed system (strict rows relaxed to >=) is a cone, and w is the
+    primitive part of a point of its relative interior. A strict row that is
+    positive anywhere on the cone is positive on its relative interior, so
+    the system is feasible iff every strict row is positive at w. An
+    equation <a, w> = 0 is the two rows a and -a.
     """
-    if not sys.constraints:
-        return ()
-    rows = [vneg(c.normal) if c.relation in (LE, LT) else c.normal
-            for c in sys.constraints]
-    rows += [vneg(c.normal) for c in sys.constraints if c.relation == EQ]
-    cone = Cone.from_inequalities(rows, sys.dim)
+    strict = list(strict)
+    rows = list(rows) + strict
+    cone = Cone.from_inequalities(rows, n)
     w = _int_primitive(cone.relative_interior_point())
-    failed = [c for c in sys.constraints if not c.holds(w)]
-    for c in failed:
-        if c.relation not in (GT, LT):
-            raise RuntimeError("witness %r fails %r" % (w, c))
-    return None if failed else w
+    for a in rows:
+        if _idot(a, w) < 0:
+            raise RuntimeError("witness %r fails %r" % (w, a))
+    return None if any(_idot(b, w) == 0 for b in strict) else w
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,11 @@ computations on that data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .geometry import (Cone, EQ, GE, LT, LatticeMap, LinearSystem, _idot,
-                       feasible, lattice_points, matrix_rank, torsion_order,
-                       vdot)
+from .geometry import (Cone, LatticeMap, _idot, feasible, lattice_points,
+                       matrix_rank, torsion_order, vdot, vneg)
 from .rootdata import RootDatum, _closure
 
 
@@ -173,22 +172,13 @@ def is_affine(d: SphericalDatum, cc: ColoredCone):
     ok, diag = validate_colored_cone(d, cc)
     if not ok:
         raise ValueError("invalid colored cone: " + diag)
-    outside = [rho for lbl, rho in d.colors if lbl not in set(cc.colors)]
-    cons = []
-    for g in d.valuation_cone.generators:
-        cons.append((tuple(g), GE))
-    for g in cc.cone.generators:
-        cons.append((tuple(g), EQ))
-    for rho in outside:
-        cons.append((tuple(rho), LT))
-    if not cons:
-        return True, (0,) * d.rank
-    wit = feasible(LinearSystem.of(cons))
-    if wit is None:
-        return False, None
-    if wit == ():
-        return True, (0,) * d.rank
-    return True, wit
+    # Knop: affine iff some chi >= 0 on V, = 0 on C and < 0 on the colors
+    # outside F
+    gens = cc.cone.generators
+    rows = list(d.valuation_cone.generators) + list(gens) + [vneg(g) for g in gens]
+    strict = [vneg(rho) for lbl, rho in d.colors if lbl not in cc.colors]
+    wit = feasible(rows, strict, d.rank)
+    return wit is not None, wit
 
 
 def affine_closure_data(d: SphericalDatum) -> ColoredCone:

@@ -239,6 +239,20 @@ def test_growth_hints_certify():
         assert cert, key
 
 
+# the hint-less growth certificate, found by the linear program, on every
+# table at heights 4-10; entries not listed certify with chi = 0
+LP_GROWTH = {"borel-sl3": (1, 1), "siegel-gsp6": (2, 0)}
+
+
+@pytest.mark.parametrize("key", [k for k in list_entries() if load(k).routes])
+def test_growth_certificate_without_hints(key):
+    e = load(key)
+    for h in range(4, 11):
+        cert = growth_certificate(basic_table(e, h))
+        assert cert == LP_GROWTH.get(key, (0,) * e.datum.rank), (key, h)
+        assert all(type(x) is Fraction for x in cert)
+
+
 def test_gj2_lvalue_metadata():
     lv = load("godement-jacquet-2").expected_lvalue
     assert lv == ExpectedLValue(numerator=(("std", Fraction(1, 2)),))

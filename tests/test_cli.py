@@ -289,6 +289,21 @@ def test_check_affine_witness(tmp_path, capsys, key):
     assert (code, out, err) == (0, "affine\tpass\t%s\n" % AFFINE_WITNESSES[key], "")
 
 
+def test_check_affine_failure(tmp_path, capsys):
+    # on the ray V = cone(-1) with C = V and D outside F, chi >= 0 on V,
+    # chi = 0 on C and <chi, rho(D)> < 0 cannot all hold
+    doc = {"schema": 1, "name": "sl2-nonaffine",
+           "group": {"type": "SL", "rank": 2}, "rank": 1,
+           "lattice_map": [[1]], "valuation_cone": {"generators": [[-1]]},
+           "colors": [{"label": "D", "rho": [1]}], "levi_roots": [],
+           "spherical_roots": [], "little_weyl": None,
+           "colored_cone": {"generators": [[-1]], "colors": []}}
+    p = tmp_path / "sl2-nonaffine.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["check", str(p), "--which", "affine"])
+    assert (code, out, err) == (1, "affine\tfail\t-\n", "")
+
+
 def test_check_negligible_hypothesis_is_input_error(tmp_path, capsys):
     bad = doc_path(tmp_path, "a2-sl2-nocenter")
     code, _, err = run(capsys, ["check", bad, "--which", "negligible"])

@@ -665,6 +665,12 @@ def test_toric_distance_quotients_lineality():
     assert toric_distance(d, (0, 0), 2) == 1
 
 
+def test_toric_distance_rejects_nonpositive_q():
+    for q0 in (0, -2, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="q must be positive"):
+            toric_distance(borel_sl3_datum(), (1, 1), q0)
+
+
 def test_toric_distance_trivial_cone():
     assert toric_distance(hecke_datum(), (0, 0), 5) == 1
 
