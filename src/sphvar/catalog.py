@@ -5,12 +5,13 @@ combinatorial datum, the routes by which its basic-function table is computed
 (a horospherical entry names its Borel/PP route kinds, and the routes are
 derived from the datum), classification flags that the criteria code must
 reproduce, and the unramified L-value the table is expected to realize when
-classical theory predicts one.  Keys are stable strings; loading is cached.
+classical theory predicts one.  Each key is its datum's name; loading is cached.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .engine import (BasicFunctionTable, SmoothRoute, TransportRoute,
                      derived_route, route_table)
@@ -31,7 +32,6 @@ class ExpectedLValue:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    key: str
     datum: SphericalDatum
     provenance: str
     reductive_stabilizer: bool
@@ -41,6 +41,10 @@ class CatalogEntry:
     routes: tuple = ()               # empty means no table is defined yet
     expected_lvalue: ExpectedLValue = None
     growth_hint: tuple = ()
+
+    @property
+    def key(self) -> str:
+        return self.datum.name
 
 
 _CASES = ("U_P", "PP", "homogeneous", "vector-space")
@@ -55,7 +59,6 @@ def _derived(d, *kinds):
 
 
 def _entries():
-    out = {}
     half = Fraction(1, 2)
 
     d = SphericalDatum(
@@ -63,8 +66,8 @@ def _entries():
         lattice_map=LatticeMap.of([(1,)]),
         valuation_cone=Cone(1, ((1,), (-1,))),
         colored_cone=_cc(1, ((1,),), ()))
-    out["a1-gl1"] = CatalogEntry(
-        key="a1-gl1", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="standard representation of GL(1); the basic toric case",
         reductive_stabilizer=True, wavefront_expected=True,
         smooth_expected=True, preflag_case="vector-space",
@@ -77,8 +80,8 @@ def _entries():
         valuation_cone=Cone(1, ((1,), (-1,))),
         colors=(("D", (1,)),),
         colored_cone=_cc(1, ((1,),), ("D",)))
-    out["a2-sl2"] = CatalogEntry(
-        key="a2-sl2", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="standard representation of SL(2) with a central torus",
         reductive_stabilizer=False, wavefront_expected=True,
         smooth_expected=True, preflag_case="U_P",
@@ -90,8 +93,8 @@ def _entries():
         valuation_cone=Cone(1, ((1,), (-1,))),
         colors=(("D", (1,)),),
         colored_cone=_cc(1, ((1,),), ("D",)))
-    out["a2-sl2-nocenter"] = CatalogEntry(
-        key="a2-sl2-nocenter", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="standard representation of SL(2), no central twist",
         reductive_stabilizer=False, wavefront_expected=False,
         smooth_expected=True, preflag_case="U_P",
@@ -104,8 +107,8 @@ def _entries():
         valuation_cone=Cone.full(2),
         colors=(("D", (1, 0)),),
         colored_cone=_cc(2, ((1, 0),), ("D",)))
-    out["borel-gl2"] = CatalogEntry(
-        key="borel-gl2", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="horospherical closure of U\\GL(2)",
         reductive_stabilizer=False, wavefront_expected=True,
         smooth_expected=True, preflag_case="U_P",
@@ -118,8 +121,8 @@ def _entries():
         valuation_cone=Cone.full(2),
         colors=(("D1", (1, 0)), ("D2", (0, 1))),
         colored_cone=_cc(2, ((1, 0), (0, 1)), ("D1", "D2")))
-    out["borel-sl3"] = CatalogEntry(
-        key="borel-sl3", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="horospherical closure of U\\SL(3)",
         reductive_stabilizer=False, wavefront_expected=True,
         smooth_expected=False, preflag_case="U_P",
@@ -134,8 +137,8 @@ def _entries():
         colors=(("D", (1, 0)),),
         levi_roots=(0,),
         colored_cone=_cc(2, ((1, 0),), ("D",)))
-    out["pp-gl3"] = CatalogEntry(
-        key="pp-gl3", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="derived-group quotient [P,P]\\GL(3), (2,1) parabolic",
         reductive_stabilizer=False, wavefront_expected=True,
         smooth_expected=True, preflag_case="PP",
@@ -150,8 +153,8 @@ def _entries():
         spherical_roots=((0, 1),),
         little_weyl=(((1, 0), (0, -1)),),
         colored_cone=_cc(2, (), ()))
-    out["hecke-gl2"] = CatalogEntry(
-        key="hecke-gl2", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="classical Hecke integral: torus period on GL(2)",
         reductive_stabilizer=True, wavefront_expected=True,
         smooth_expected=True, preflag_case="homogeneous",
@@ -169,8 +172,8 @@ def _entries():
         spherical_roots=((1,),),
         little_weyl=(((-1,),),),
         colored_cone=_cc(1, (), ()))
-    out["pgl2-group"] = CatalogEntry(
-        key="pgl2-group", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="group case: PGL(2) x PGL(2) over the diagonal",
         reductive_stabilizer=True, wavefront_expected=True,
         smooth_expected=True, preflag_case="homogeneous",
@@ -184,8 +187,8 @@ def _entries():
         colors=(("D", (1, 0)),),
         spherical_roots=((2, -1),),
         colored_cone=_cc(2, ((1, 0), (0, 1)), ("D",)))
-    out["godement-jacquet-2"] = CatalogEntry(
-        key="godement-jacquet-2", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="Godement-Jacquet matrix space for GL(2)",
         reductive_stabilizer=True, wavefront_expected=True,
         smooth_expected=True, preflag_case="vector-space",
@@ -201,8 +204,8 @@ def _entries():
         colors=(("D1", (1, 0, 0)), ("D2", (0, 1, 0))),
         spherical_roots=((2, -1, 0), (-1, 2, -1)),
         colored_cone=_cc(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ("D1", "D2")))
-    out["godement-jacquet-3"] = CatalogEntry(
-        key="godement-jacquet-3", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="Godement-Jacquet matrix space for GL(3)",
         reductive_stabilizer=True, wavefront_expected=True,
         smooth_expected=True, preflag_case="vector-space",
@@ -221,8 +224,8 @@ def _entries():
         spherical_roots=((1, -1, 0, 0, 0), (0, 0, 1, -1, 0)),
         colored_cone=_cc(5, ((1, 0, 0, 1, 1), (0, 1, 1, 1, 1),
                              (0, -1, 0, -1, -1)), ("D1", "D2", "D3")))
-    out["rankin-selberg"] = CatalogEntry(
-        key="rankin-selberg", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="Rankin-Selberg convolution for GL(2) x GL(2), "
                    "mirabolic model",
         reductive_stabilizer=False, wavefront_expected=True,
@@ -237,8 +240,8 @@ def _entries():
         colors=(("Dr", (1, 0)), ("Du", (0, 1))),
         spherical_roots=((1, 1),),
         colored_cone=_cc(2, (), ()))
-    out["bump-friedberg"] = CatalogEntry(
-        key="bump-friedberg", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="Bump-Friedberg integral for GL(2)",
         reductive_stabilizer=True, wavefront_expected=True,
         smooth_expected=True, preflag_case="homogeneous",
@@ -262,8 +265,8 @@ def _entries():
         colored_cone=_cc(5, ((1, 0, 0, 0, 1), (0, 1, 1, 0, 1),
                              (0, 1, 0, 1, 1), (0, -1, 0, 0, -1)),
                          ("D1", "D2", "D3", "D4")))
-    out["triple-product"] = CatalogEntry(
-        key="triple-product", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="Garrett triple product for three copies of SL(2)",
         reductive_stabilizer=True, wavefront_expected=True,
         smooth_expected=False, preflag_case="homogeneous",
@@ -283,8 +286,8 @@ def _entries():
         colors=(("DY", (1, 0)),),
         levi_roots=(0, 1),
         colored_cone=_cc(2, ((1, 0),), ("DY",)))
-    out["siegel-gsp6"] = CatalogEntry(
-        key="siegel-gsp6", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="Siegel parabolic degeneration of GSp(6)",
         reductive_stabilizer=False, wavefront_expected=True,
         smooth_expected=False, preflag_case="PP",
@@ -310,8 +313,8 @@ def _entries():
                              (0, 1, 0, 1, 0, 1), (0, 1, 0, 0, 1, 1),
                              (0, -1, 0, 0, 0, -1)),
                          ("D1", "D2", "D3", "D4", "De")))
-    out["tensor-4"] = CatalogEntry(
-        key="tensor-4", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="fourfold tensor product period; the L-value is "
                    "conjectural and no computation route is defined",
         reductive_stabilizer=True, wavefront_expected=True,
@@ -325,8 +328,8 @@ def _entries():
         lattice_map=LatticeMap.of([(-1, 0), (1, 1)]),
         valuation_cone=Cone.full(2),
         colored_cone=_cc(2, ((1, 0), (0, 1)), ()))
-    out["kvs-1-15"] = CatalogEntry(
-        key="kvs-1-15", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="smooth affine model I.15 from the "
                    "Knop-Van Steirteghem list",
         reductive_stabilizer=True, wavefront_expected=True,
@@ -342,8 +345,8 @@ def _entries():
         spherical_roots=((1, -1, 0),),
         colored_cone=_cc(3, ((1, 0, 1), (0, -1, -1), (0, 1, 0)),
                          ("D1", "D2")))
-    out["kvs-2-3"] = CatalogEntry(
-        key="kvs-2-3", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="smooth affine model II.3 from the "
                    "Knop-Van Steirteghem list",
         reductive_stabilizer=True, wavefront_expected=True,
@@ -355,14 +358,18 @@ def _entries():
         lattice_map=LatticeMap.identity(2),
         valuation_cone=Cone.full(2),
         colored_cone=_cc(2, ((1, 0),), ()))
-    out["kvs-2-5"] = CatalogEntry(
-        key="kvs-2-5", datum=d,
+    yield CatalogEntry(
+        datum=d,
         provenance="toric rank-two model II.5 from the "
                    "Knop-Van Steirteghem list",
         reductive_stabilizer=True, wavefront_expected=True,
         smooth_expected=True, preflag_case="vector-space",
         routes=(SmoothRoute(),))
 
+
+@cache
+def _catalog():
+    out = {entry.key: entry for entry in _entries()}
     for entry in out.values():
         if entry.preflag_case not in _CASES:
             raise RuntimeError("%s: unknown preflag case" % entry.key)
@@ -370,16 +377,6 @@ def _entries():
         if entry.reductive_stabilizer and entry.datum.levi_roots:
             raise RuntimeError("%s: reductive stabilizer with Levi roots" % entry.key)
     return out
-
-
-_CACHE = None
-
-
-def _catalog():
-    global _CACHE
-    if _CACHE is None:
-        _CACHE = _entries()
-    return _CACHE
 
 
 def list_entries():

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .geometry import span_coordinates
+from .geometry import Cone, _int_vec, lattice_points, span_coordinates
 from .rootdata import RootDatum, _idot, _reflect
 
 
@@ -198,10 +198,6 @@ class WeightChar:
     def scale(self, c: int) -> "WeightChar":
         return WeightChar.of({w: c * m for w, m in self.weights})
 
-    def mult(self, w) -> int:
-        w = tuple(int(x) for x in w)
-        return self.as_dict().get(w, 0)
-
     def is_zero(self) -> bool:
         return not self.weights
 
@@ -312,7 +308,7 @@ def kostant_counter(simple_coroots, coroots):
         return out
 
     def count(target):
-        target = tuple(int(x) for x in target)
+        target = _int_vec(target)
         if n is not None and len(target) != n:
             raise ValueError("target %r does not have the coroot length %d"
                              % (target, n))
@@ -418,23 +414,12 @@ def irrep_char(rd: RootDatum, lam) -> WeightChar:
     if span is None:
         raise RuntimeError("lowest weight of V(%r) is not below it in the root order"
                            % (lam,))
-    total = sum(span)
-    k = rd.nsimple
-    out = {}
-
-    def scan(j, budget, drop):
-        if j == k:
-            w = tuple(l - d for l, d in zip(lam, drop))
-            m = freudenthal_multiplicity(rd, lam, w)
-            if m:
-                out[w] = m
-            return
-        for c in range(budget + 1):
-            scan(j + 1, budget - c,
-                 tuple(d + c * a for d, a in zip(drop, rd.simple_roots[j])))
-
-    scan(0, total, (0,) * rd.rank)
-    chi = WeightChar.of(out)
+    # lam minus each drop, coordinate by coordinate: without simple roots
+    # (a torus) the only weight is lam itself
+    weights = [tuple(l - sum(c * a[i] for c, a in zip(drop, rd.simple_roots))
+                     for i, l in enumerate(lam))
+               for drop in lattice_points(Cone.orthant(rd.nsimple), sum(span))]
+    chi = WeightChar.of((w, freudenthal_multiplicity(rd, lam, w)) for w in weights)
     if chi.dim() != weyl_dim(rd, lam):
         raise RuntimeError("character of V(%r) misses the Weyl dimension" % (lam,))
     return chi

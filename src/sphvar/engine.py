@@ -7,7 +7,8 @@ and every computation route carries the lattice map from cocharacter data
 to labels, so independent routes for the same space produce tables that can
 be compared entry by entry.  A horospherical datum determines its Borel and
 PP routes (derived_route), and one dispatcher (route_table) computes a table
-along any route.
+along any route.  A PP table is read off the symmetric powers of the f-fixed
+dual radical: every Sym^i weight names its stratum and its q-exponent.
 
 Conventions fixed by the test suite rather than by derivation:
   * delta_P^(1/2) at a cocharacter point contributes q^(-<rho_P, coweight>);
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chars import QLaurent, WeightChar, decompose, kostant_counter, sym_powers_upto
-from .geometry import (Cone, LatticeMap, _idot, feasible, hilbert_basis_pointed,
-                       inverse_unimodular, lattice_points, saturation_quotient,
-                       vdot)
+from .geometry import (Cone, LatticeMap, _idot, _int_vec, feasible,
+                       hilbert_basis_pointed, inverse_unimodular, lattice_points,
+                       matrix_rank, saturation_quotient, vdot)
 from .rootdata import ParabolicDatum, RootDatum, dual_datum, levi_datum
 from .spherical import enumerate_orbits
 
@@ -198,16 +199,14 @@ class BasicFunctionTable:
     @staticmethod
     def of(datum_name, case, rank, mapping, truncation, height) -> "BasicFunctionTable":
         items = mapping.items() if isinstance(mapping, dict) else mapping
-        vals = tuple(sorted((tuple(int(x) for x in l), v) for l, v in items
-                            if not v.is_zero()))
+        vals = tuple(sorted((_int_vec(l), v) for l, v in items if not v.is_zero()))
         for l, _ in vals:
             if len(l) != rank:
                 raise ValueError("label %r has wrong rank" % (l,))
         return BasicFunctionTable(datum_name, case, rank, vals, truncation, height)
 
     def value(self, label) -> QLaurent:
-        return dict(self.values).get(tuple(int(x) for x in label),
-                                     QLaurent.zero())
+        return dict(self.values).get(_int_vec(label), QLaurent.zero())
 
     def support(self):
         return [l for l, _ in self.values]
@@ -256,16 +255,17 @@ def basic_function_pp(datum, route: PPRoute, height: int,
 
     Phi0(theta) = q^(-<rho_P, lift(theta)>) * sum_i q^(-i) * c_i(-theta)
     where c_i collects the Sym^i coefficients of the f-fixed character with
-    each grade-m line contributing q^(kappa*m/2).
+    each grade-m line contributing q^(kappa*m/2).  Every Sym^i weight
+    (-theta, m) names its stratum theta and its exponent kappa*m/2 - i, so
+    the table is read off the symmetric powers in one pass.
     """
     if height < 0:
         raise ValueError("height must be >= 0")
     if kappa not in (1, -1):
         raise ValueError("kappa must be +1 or -1")
     p = route.parabolic()
-    ff = f_fixed(dual_radical(p))
-    chi = _external_char(ff)
-    gens = [g for g in p.monoid_generators if any(x != 0 for x in g)]
+    chi = _external_char(f_fixed(dual_radical(p)))
+    gens = p.monoid_generators  # nonzero: dual_radical refuses a trivial image
     downs = []
     for g in gens:
         d = tuple(-x for x in route.label_map.apply(p.lift(g)))
@@ -273,43 +273,20 @@ def basic_function_pp(datum, route: PPRoute, height: int,
             raise ValueError("stratum generator %r has non-monotone label shift %r"
                              % (g, d))
         downs.append(d)
-
-    strata = {}
-
-    def enumerate_strata(idx, theta, label, used):
-        if idx == len(gens):
-            if label in strata and strata[label] != theta:
-                raise ValueError("label %r reached by two strata" % (label,))
-            strata[label] = theta
-            return
-        step = sum(downs[idx])
-        n = 0
-        while used + n * step <= height:
-            enumerate_strata(
-                idx + 1,
-                tuple(t - n * gi for t, gi in zip(theta, gens[idx])),
-                tuple(l + n * di for l, di in zip(label, downs[idx])),
-                used + n * step)
-            n += 1
-
-    qrank = len(gens[0]) if gens else p.datum.rank
-    enumerate_strata(0, (0,) * qrank, (0,) * route.label_map.m, 0)
+    if matrix_rank(downs) != matrix_rank(gens):
+        raise ValueError("label map is not injective on the strata")
 
     # each Sym step moves the label l1-norm by at least 1, so i <= height
-    sym = sym_powers_upto(chi, height)
+    terms = {}
+    for i, s in enumerate(sym_powers_upto(chi, height)):
+        for w, mult in s.weights:
+            terms.setdefault(tuple(-x for x in w[:-1]), []).append(
+                (Fraction(kappa * w[-1], 2) - i, mult))
     table = {}
-    for label, theta in sorted(strata.items()):
-        target = tuple(-x for x in theta)
-        acc = {}
-        for i, s in enumerate(sym):
-            for w, mult in s.weights:
-                if w[:-1] == target:
-                    e = Fraction(kappa * w[-1], 2) - i
-                    acc[e] = acc.get(e, 0) + mult
-        val = QLaurent.of(acc)
-        if val.is_zero():
-            continue
-        table[label] = QLaurent.q_pow(-p.rho_p_pair(theta)) * val
+    for theta, pairs in terms.items():
+        label = route.label_map.apply(p.lift(theta))
+        if sum(map(abs, label)) <= height:
+            table[label] = QLaurent.q_pow(-p.rho_p_pair(theta)) * QLaurent.of(pairs)
     trunc = _truncation_default(p.datum, [p.lift(g) for g in gens], height)
     return BasicFunctionTable.of(datum.name, "PP-general", route.label_map.m,
                                  table, trunc, height)
@@ -530,7 +507,7 @@ def toric_distance(datum, label, q0) -> Fraction:
     if datum.colored_cone is None:
         raise ValueError("no colored cone on %s" % datum.name)
     c = datum.colored_cone.cone
-    lab = tuple(int(x) for x in label)
+    lab = _int_vec(label)
     if not c.contains(lab):
         raise ValueError("label %r is outside the embedding cone" % (label,))
     dual = c.dual()

@@ -62,6 +62,12 @@ def _exact_int(x) -> int:
     return i
 
 
+def _int_vec(v) -> tuple:
+    """v as an int tuple; ValueError on a non-integral entry."""
+    v = tuple(v)
+    return v if {int}.issuperset(map(type, v)) else tuple(map(_exact_int, v))
+
+
 def _int_primitive(v):
     g = gcd(*v)
     return tuple(a // g for a in v) if g > 1 else tuple(v)
@@ -549,7 +555,7 @@ class LatticeMap:
 
     @staticmethod
     def of(rows) -> "LatticeMap":
-        rows = tuple(tuple(_exact_int(x) for x in r) for r in rows)
+        rows = tuple(map(_int_vec, rows))
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise ValueError("ragged matrix")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .geometry import (
-    _idot, kernel_basis, matrix_rank, saturation_quotient, span_coordinates,
+    _idot, _int_vec, kernel_basis, matrix_rank, saturation_quotient, span_coordinates,
     vdot,
 )
 
@@ -34,8 +34,8 @@ class RootDatum:
     simple_coroots: tuple
 
     def __post_init__(self):
-        roots = tuple(tuple(int(x) for x in a) for a in self.simple_roots)
-        coroots = tuple(tuple(int(x) for x in a) for a in self.simple_coroots)
+        roots = tuple(map(_int_vec, self.simple_roots))
+        coroots = tuple(map(_int_vec, self.simple_coroots))
         object.__setattr__(self, "simple_roots", roots)
         object.__setattr__(self, "simple_coroots", coroots)
         if len(roots) != len(coroots):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,14 @@ def test_load_returns_entries():
     assert isinstance(e, CatalogEntry)
     assert e.key == "siegel-gsp6" and e.datum.name == "siegel-gsp6"
     assert e.preflag_case == "PP"
+
+
+def test_each_entry_is_named_once():
+    # the key is the datum's name, not a field of its own
+    assert "key" not in {f.name for f in dataclasses.fields(CatalogEntry)}
+    for key in ALL_KEYS:
+        assert load(key).key == load(key).datum.name == key
+    assert load("pp-gl3") is load("pp-gl3")
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)

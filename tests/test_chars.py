@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphvar.geometry import solve_linear
-from sphvar.rootdata import root_datum
+from sphvar.rootdata import product_datum, root_datum
 from sphvar.chars import (QLaurent, WeightChar, sym_power, ext_power,
                           sym_powers_upto, kostant_counter, kostant_counts,
                           freudenthal_multiplicity, irrep_char, weyl_dim,
@@ -191,6 +191,14 @@ def test_kostant_counts_sl3():
     assert kostant_counts(scr, pcr, (-1, 0)) == {}
 
 
+def test_kostant_counts_reject_non_integral_targets():
+    sl3 = root_datum("SL", 3)
+    scr, pcr = sl3.simple_coroots, sl3.positive_coroots()
+    with pytest.raises(ValueError, match="non-integral"):
+        kostant_counts(scr, pcr, (Fraction(1, 2), 0))
+    assert kostant_counts(scr, pcr, (Fraction(2, 2), 1.0)) == {1: 1, 2: 1}
+
+
 def test_kostant_counts_gl2():
     gl2 = root_datum("GL", 2)
     scr, pcr = gl2.simple_coroots, gl2.positive_coroots()
@@ -367,6 +375,13 @@ def test_irrep_char_sl2():
     sl2 = root_datum("SL", 2)
     assert irrep_char(sl2, (3,)).as_dict() == {(3,): 1, (1,): 1,
                                                (-1,): 1, (-3,): 1}
+
+
+def test_irrep_char_without_simple_roots():
+    # a torus has no simple roots: the character is the highest weight alone
+    assert irrep_char(root_datum("T", 2), (1, 2)).as_dict() == {(1, 2): 1}
+    t1sl2 = product_datum(root_datum("T", 1), root_datum("SL", 2))
+    assert irrep_char(t1sl2, (3, 1)).as_dict() == {(3, -1): 1, (3, 1): 1}
 
 
 def test_irrep_char_dim_consistency():

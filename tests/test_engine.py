@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sphvar.chars import QLaurent
+from sphvar.chars import QLaurent, sym_powers_upto
 from sphvar.geometry import Cone, LatticeMap
 from sphvar.rootdata import ParabolicDatum, root_datum, product_datum
 from sphvar.spherical import ColoredCone, SphericalDatum
-from sphvar.engine import (BasicFunctionTable, BorelRoute, DualRadicalRep,
+from sphvar.engine import (KAPPA, BasicFunctionTable, BorelRoute, DualRadicalRep,
                            FFixedRep, LFactor, PPRoute, TransportRoute,
                            apply_shifts, basic_function_borel,
                            basic_function_graded, basic_function_pp,
@@ -19,6 +19,7 @@ from sphvar.engine import (BasicFunctionTable, BorelRoute, DualRadicalRep,
                            dual_radical, f_fixed, growth_certificate,
                            local_lfactor, minuscule_satake, pp_shifts,
                            toric_distance, transport_height)
+from sphvar.engine import _external_char, _truncation_default
 
 ONE = QLaurent.one()
 
@@ -273,6 +274,15 @@ def test_borel_sl3_values():
     assert tb.truncation == 14
 
 
+def test_table_rejects_non_integral_labels():
+    tb = basic_function_borel(borel_sl3_datum(), borel_sl3_routes()[0], 4)
+    with pytest.raises(ValueError, match="non-integral"):
+        tb.value((1.5, 1.2))
+    assert str(tb.value((Fraction(1), 1.0))) == "q + 1"
+    with pytest.raises(ValueError, match="non-integral"):
+        BasicFunctionTable.of("toy", "smooth", 1, {(1.7,): ONE}, 0, 1)
+
+
 @pytest.mark.parametrize("kind,n,h,tests", [
     ("SL", 3, 12, 582), ("SL", 4, 6, 874), ("B", 2, 10, 480), ("G", 2, 8, 408),
     ("C", 3, 4, 1204)])
@@ -363,6 +373,97 @@ def test_pp_rejects_non_monotone_labels():
                     LatticeMap.of([(0, 0, -1), (1, 1, 1)]))
     with pytest.raises(ValueError, match="non-monotone"):
         basic_function_pp(pp_gl3_datum(), route, 2)
+
+
+def stratum_scan_pp(datum, route, height, kappa=KAPPA):
+    """The two-phase basic_function_pp that the one-pass reading replaced:
+    a depth-first walk of the stratum monoid, then a scan of every Sym^i
+    weight per stratum."""
+    if height < 0:
+        raise ValueError("height must be >= 0")
+    if kappa not in (1, -1):
+        raise ValueError("kappa must be +1 or -1")
+    p = route.parabolic()
+    ff = f_fixed(dual_radical(p))
+    chi = _external_char(ff)
+    gens = [g for g in p.monoid_generators if any(x != 0 for x in g)]
+    downs = []
+    for g in gens:
+        d = tuple(-x for x in route.label_map.apply(p.lift(g)))
+        if all(x == 0 for x in d) or any(x < 0 for x in d):
+            raise ValueError("stratum generator %r has non-monotone label shift %r"
+                             % (g, d))
+        downs.append(d)
+
+    strata = {}
+
+    def enumerate_strata(idx, theta, label, used):
+        if idx == len(gens):
+            if label in strata and strata[label] != theta:
+                raise ValueError("label %r reached by two strata" % (label,))
+            strata[label] = theta
+            return
+        step = sum(downs[idx])
+        n = 0
+        while used + n * step <= height:
+            enumerate_strata(
+                idx + 1,
+                tuple(t - n * gi for t, gi in zip(theta, gens[idx])),
+                tuple(l + n * di for l, di in zip(label, downs[idx])),
+                used + n * step)
+            n += 1
+
+    qrank = len(gens[0]) if gens else p.datum.rank
+    enumerate_strata(0, (0,) * qrank, (0,) * route.label_map.m, 0)
+
+    # each Sym step moves the label l1-norm by at least 1, so i <= height
+    sym = sym_powers_upto(chi, height)
+    table = {}
+    for label, theta in sorted(strata.items()):
+        target = tuple(-x for x in theta)
+        acc = {}
+        for i, s in enumerate(sym):
+            for w, mult in s.weights:
+                if w[:-1] == target:
+                    e = Fraction(kappa * w[-1], 2) - i
+                    acc[e] = acc.get(e, 0) + mult
+        val = QLaurent.of(acc)
+        if val.is_zero():
+            continue
+        table[label] = QLaurent.q_pow(-p.rho_p_pair(theta)) * val
+    trunc = _truncation_default(p.datum, [p.lift(g) for g in gens], height)
+    return BasicFunctionTable.of(datum.name, "PP-general", route.label_map.m,
+                                 table, trunc, height)
+
+
+def pp_cases():
+    from sphvar import catalog
+    cases = [(catalog.load(k).datum, r) for k in catalog.list_entries()
+             for r in catalog.load(k).routes if isinstance(r, PPRoute)]
+    assert [d.name for d, _ in cases] == ["a2-sl2", "borel-sl3", "pp-gl3",
+                                          "siegel-gsp6"]
+    return cases + [(a2_datum(), a2_routes()[1]),
+                    (borel_sl3_datum(), borel_sl3_routes()[1]),
+                    (pp_gl3_datum(), pp_gl3_route()),
+                    (siegel_datum(), siegel_route())]
+
+
+def test_pp_matches_the_stratum_scan():
+    for datum, route in pp_cases():
+        for h in range(13):
+            for kappa in (1, -1):
+                assert (basic_function_pp(datum, route, h, kappa)
+                        == stratum_scan_pp(datum, route, h, kappa)), (
+                            datum.name, route, h, kappa)
+
+
+def test_pp_rejects_a_collapsing_label_map():
+    # both simple coroots of SL(3) shift the label by (1, 0), so the map is
+    # not injective on the strata; refused at every height, 0 included
+    route = PPRoute(root_datum("SL", 3), (), LatticeMap.of([(-1, -1), (0, 0)]))
+    for h in (0, 1, 3):
+        with pytest.raises(ValueError, match="not injective"):
+            basic_function_pp(borel_sl3_datum(), route, h)
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +770,13 @@ def test_toric_distance_rejects_nonpositive_q():
     for q0 in (0, -2, Fraction(-1, 2)):
         with pytest.raises(ValueError, match="q must be positive"):
             toric_distance(borel_sl3_datum(), (1, 1), q0)
+
+
+def test_toric_distance_rejects_non_integral_labels():
+    with pytest.raises(ValueError, match="non-integral"):
+        toric_distance(borel_sl3_datum(), (Fraction(3, 2), 1), 2)
+    assert (toric_distance(borel_sl3_datum(), (Fraction(2, 2), 1.0), 2)
+            == toric_distance(borel_sl3_datum(), (1, 1), 2))
 
 
 def test_toric_distance_trivial_cone():

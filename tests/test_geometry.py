@@ -889,12 +889,32 @@ def test_linear_algebra_matches_sympy():
 PACKAGE_DIR = os.path.dirname(sphvar.__file__)
 
 
-@pytest.mark.parametrize("module", sorted(
-    f[:-3] for f in os.listdir(PACKAGE_DIR) if f.endswith(".py")))
+MODULES = sorted(f[:-3] for f in os.listdir(PACKAGE_DIR) if f.endswith(".py"))
+
+
+def module_tree(module):
+    with open(os.path.join(PACKAGE_DIR, module + ".py")) as f:
+        return ast.parse(f.read())
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_assert(module):
     """python -O strips assert statements, so no check in the package may
     be one."""
-    with open(os.path.join(PACKAGE_DIR, module + ".py")) as f:
-        tree = ast.parse(f.read())
-    assert [node.lineno for node in ast.walk(tree)
+    assert [node.lineno for node in ast.walk(module_tree(module))
             if isinstance(node, ast.Assert)] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_only_the_standard_library(module):
+    """The package has no runtime dependency: every absolute import names a
+    standard-library module or the package itself (sympy and numpy are for
+    tests only)."""
+    names = []
+    for node in ast.walk(module_tree(module)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    assert [name for name in names
+            if name.split(".")[0] not in sys.stdlib_module_names | {"sphvar"}] == []

@@ -177,6 +177,12 @@ def test_validation_errors():
         RootDatum("bad", 2, ((2,),), ((1,),))  # wrong coordinate length
 
 
+def test_non_integral_roots_are_refused():
+    with pytest.raises(ValueError, match="non-integral"):
+        RootDatum("x", 1, ((2.9,),), ((1,),))  # not truncated to (2,)
+    assert RootDatum("x", 1, ((2.0,),), ((Fraction(1),),)).simple_roots == ((2,),)
+
+
 def test_product_and_dual():
     t1 = root_datum("T", 1)
     sl2 = root_datum("SL", 2)
