@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .geometry import Cone, _int_vec, lattice_points, span_coordinates
+from .geometry import (Cone, _exact_int, _int_vec, lattice_points,
+                       span_coordinates)
 from .rootdata import RootDatum, _idot, _reflect
 
 
@@ -148,8 +149,9 @@ class WeightChar:
     def of(mapping) -> "WeightChar":
         agg = {}
         for w, m in (mapping.items() if isinstance(mapping, dict) else mapping):
-            w = tuple(int(x) for x in w)
-            m = int(m)
+            w = _int_vec(w)
+            if type(m) is not int:
+                m = _exact_int(m)
             agg[w] = agg.get(w, 0) + m
         return WeightChar(tuple(sorted((w, m) for w, m in agg.items() if m != 0)))
 
@@ -281,8 +283,8 @@ def kostant_counter(simple_coroots, coroots):
     not matter. Targets must have the length of the coroots; without
     coroots only the zero target counts.
     """
-    simple_coroots = [tuple(int(x) for x in c) for c in simple_coroots]
-    coroots = [tuple(int(x) for x in c) for c in coroots]
+    simple_coroots = [_int_vec(c) for c in simple_coroots]
+    coroots = [_int_vec(c) for c in coroots]
     n = len(coroots[0]) if coroots else None
     span = span_coordinates(simple_coroots, n) if coroots else None
 
@@ -341,8 +343,7 @@ def _bform(rd: RootDatum):
 
 def freudenthal_multiplicity(rd: RootDatum, lam, mu) -> int:
     """Weight multiplicity dim V_lam[mu] by Freudenthal's recursion."""
-    lam = tuple(int(x) for x in lam)
-    mu = tuple(int(x) for x in mu)
+    lam, mu = _int_vec(lam), _int_vec(mu)
     if not rd.is_dominant_char(lam):
         raise ValueError("highest weight %r is not dominant" % (lam,))
     B = _bform(rd)
@@ -388,7 +389,7 @@ def freudenthal_multiplicity(rd: RootDatum, lam, mu) -> int:
 
 
 def weyl_dim(rd: RootDatum, lam) -> int:
-    lam = tuple(int(x) for x in lam)
+    lam = _int_vec(lam)
     if not rd.is_dominant_char(lam):
         raise ValueError("highest weight %r is not dominant" % (lam,))
     num = den = Fraction(1)
@@ -405,7 +406,7 @@ def weyl_dim(rd: RootDatum, lam) -> int:
 
 def irrep_char(rd: RootDatum, lam) -> WeightChar:
     """Full character of the irreducible with highest weight lam."""
-    lam = tuple(int(x) for x in lam)
+    lam = _int_vec(lam)
     if not rd.is_dominant_char(lam):
         raise ValueError("highest weight %r is not dominant" % (lam,))
     lowest = tuple(-x for x in rd.dominant_char(tuple(-x for x in lam)))

@@ -19,11 +19,14 @@ Schoenhage 1982).  Sums, products and whole matrix entries are reduced mod p
 inside the int: an entry of a matrix product or a determinant is one
 multiply-accumulate of big ints, the products shifted to a common valuation,
 followed by one reduction of all slots at once; a product by a single
-coefficient needs none.  A random unimodular matrix takes two draws once its
-residues are accepted: whether a matrix is unimodular depends only on its
-residues, so all n^2 of them are drawn at once and redrawn until their
-determinant is a unit, and only then are the higher digits of every entry
-drawn at once and spread into slots a table lookup at a time.
+coefficient needs none.  One determinant routine serves series and ints; a
+3 x 3 determinant is row 0 against the cross product of rows 1 and 2, and
+over F_2 a negation is free.  A random unimodular matrix takes two draws
+once its residues are accepted: whether a matrix is unimodular depends only
+on its residues, so all n^2 of them are drawn at once and redrawn until
+their determinant is a unit, a test memoized per draw, and only then are the
+higher digits of every entry drawn at once and spread into slots a table
+lookup at a time.
 """
 from __future__ import annotations
 
@@ -230,10 +233,11 @@ class TruncSeries:
                                  w)
 
     def __neg__(self):
-        x, w = self._x, self._w
-        if not x:
+        x, w, p = self._x, self._w, self._p
+        if not x or p == 2:
+            # over F_2 every coefficient is its own negative
             return self
-        p, n = self._p, -(-x.bit_length() // (8 * w))
+        n = -(-x.bit_length() // (8 * w))
         # p - c in every slot, then p -> 0 in the slots that held 0
         return TruncSeries(p, self._prec, self._v,
                            _reduce(p * _ones(n, w) - x, n, p, w, p), w)
@@ -333,26 +337,31 @@ def vec_mat(v, m):
     return tuple(_dot(v, col) for col in zip(*m))
 
 
+def _int_dot(xs, ys):
+    return sum(map(operator.mul, xs, ys))
+
+
 def mat_det(m):
+    """The determinant, over series or over ints, by one algorithm: 2 x 2 as
+    one dot, 3 x 3 as row 0 against the cross product of rows 1 and 2, and
+    larger along the first row.  Over series each sign rides on a factor,
+    -(a b) = a (-b), precision and all, so the products and precisions are
+    those of the chain of products and sums along the first row."""
     n = len(m)
     if n == 1:
         return m[0][0]
-    if type(m[0][0]) is TruncSeries:
-        # along the first row, signed: -(a b) = (-a) b, precision and all
-        if n == 2:
-            return _dot((m[0][0], -m[0][1]), (m[1][1], m[1][0]))
-        return _dot([-e if j % 2 else e for j, e in enumerate(m[0])],
-                    (mat_det([row[:j] + row[j + 1:] for row in m[1:]])
-                     for j in range(n)))
+    dot = _dot if type(m[0][0]) is TruncSeries else _int_dot
     if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    # integer entries, as the sampler's residues: a zero adds no term
-    total, rest = 0, m[1:]
-    for j, a in enumerate(m[0]):
-        if a:
-            term = a * mat_det([row[:j] + row[j + 1:] for row in rest])
-            total = total - term if j % 2 else total + term
-    return total
+        (a, b), (c, d) = m
+        return dot((a, b), (d, -c))
+    if n == 3:
+        # cofactor j reads columns j + 1 and j + 2 mod 3
+        r0, r1, r2 = m
+        return dot(r0, [dot((r1[j - 2], r1[j - 1]), (r2[j - 1], -r2[j - 2]))
+                        for j in range(3)])
+    return dot([-e if j % 2 else e for j, e in enumerate(m[0])],
+               (mat_det([row[:j] + row[j + 1:] for row in m[1:]])
+                for j in range(n)))
 
 
 def mat_inv(m):
@@ -692,33 +701,44 @@ def _digit_table(p, w):
     return _DIGITS[p, w]
 
 
+@functools.lru_cache(maxsize=1024)
+def _unit_residues(p, n, code):
+    """The n^2 base-p digits of code, lowest first, if the n x n matrix they
+    fill row-major has a unit determinant mod p; None otherwise."""
+    flat = []
+    for _ in range(n * n):
+        code, r = divmod(code, p)
+        flat.append(r)
+    if mat_det([flat[i:i + n] for i in range(0, n * n, n)]) % p:
+        return tuple(flat)
+    return None
+
+
 def random_unimodular(rng, p, prec, n):
     """A uniformly drawn element of GL_n(o) mod t^prec, in two draws once
     the residues are accepted.  Each attempt draws the n^2 residues at once,
     below p^(n^2), entry k (row-major) taking base-p digit k; they are
     redrawn until their determinant is a unit mod p, which is exactly when
-    the matrix is unimodular.  Then one draw below p^((prec-1) n^2) gives
-    entry k the digits of t^1 .. t^(prec-1) from its base-p^(prec-1) digit
-    k, spread into slots a table lookup for each chunk of digits."""
+    the matrix is unimodular.  That test depends on the draw alone, so its
+    answers are memoized (_unit_residues).  Then one draw below
+    p^((prec-1) n^2) gives entry k the digits of t^1 .. t^(prec-1) from its
+    base-p^(prec-1) digit k, spread into slots a table lookup for each chunk
+    of digits."""
     if prec < 1:
         raise ValueError("precision must be >= 1")
     if p < 2 or n < 1:
         raise ValueError("need p >= 2 and n >= 1, got p = %r, n = %r" % (p, n))
     cells, w = n * n, _width(p)
-    while True:
-        code, flat = rng.randrange(p ** cells), []
-        for _ in range(cells):
-            code, r = divmod(code, p)
-            flat.append(r)
-        residues = [flat[i:i + n] for i in range(0, cells, n)]
-        if mat_det(residues) % p:
-            break
+    codes, high = p ** cells, p ** ((prec - 1) * cells)
+    flat = None
+    while flat is None:
+        flat = _unit_residues(p, n, rng.randrange(codes))
     # slot i + 1 of d holds base-p digit i of the draw, so entry k, whose
     # residue fills slot 0, reads d shifted down by k (prec - 1) slots
     table, k = _digit_table(p, w)
     base, bits = len(table), 8 * w
     step, span = bits * k, bits * (prec - 1)
-    draw, d, shift = rng.randrange(p ** ((prec - 1) * cells)), 0, bits
+    draw, d, shift = rng.randrange(high), 0, bits
     while draw:
         draw, c = divmod(draw, base)
         d |= table[c] << shift

@@ -30,3 +30,18 @@ def test_tables_match_the_benchmark_references(benchmark_ops):
     assert sorted(op.id for op in ops) == sorted(refs)
     for op in ops:
         assert benchmark_ops._rows(op.call()) == refs[op.id], op.id
+
+
+def test_oracle_workloads_match_the_benchmark_references(benchmark_ops):
+    # one pass of the hecke and translates op lists: the reference ops
+    # reproduce refs/hecke.json, and every oracle op finds no mismatch
+    with open(os.path.join(benchmark_ops.REFS, "hecke.json")) as f:
+        refs = json.load(f)
+    ops = benchmark_ops._hecke_ops() + benchmark_ops._translates_ops(1)
+    assert sorted(op.id for op in ops if not op.oracle) == sorted(refs)
+    for op in ops:
+        res = op.call()
+        if op.oracle:
+            assert res == [], op.id
+        else:
+            assert json.loads(json.dumps(op.canon(res))) == refs[op.id], op.id

@@ -158,6 +158,18 @@ def test_mul_rejects_mixed_weight_dimensions():
         WeightChar.of({(1,): 1}) * WeightChar.of({(1, 0): 1})
 
 
+def test_weight_char_rejects_non_integral_entries():
+    # int() would read {(1/2, 0): 3/2} as {(0, 0): 1}
+    with pytest.raises(ValueError, match="non-integral"):
+        WeightChar.of({(Fraction(1, 2), 0): Fraction(3, 2)})
+    with pytest.raises(ValueError, match="non-integral"):
+        WeightChar.of({(0, 0): Fraction(3, 2)})
+    with pytest.raises(ValueError, match="non-integral"):
+        WeightChar.of([((0.5,), 1)])
+    assert WeightChar.of({(Fraction(2), 1.0): Fraction(4, 2)}) \
+        == WeightChar.of({(2, 1): 2})
+
+
 def test_power_errors():
     std = WeightChar.of({(1,): 1, (-1,): 1})
     with pytest.raises(ValueError):
@@ -197,6 +209,15 @@ def test_kostant_counts_reject_non_integral_targets():
     with pytest.raises(ValueError, match="non-integral"):
         kostant_counts(scr, pcr, (Fraction(1, 2), 0))
     assert kostant_counts(scr, pcr, (Fraction(2, 2), 1.0)) == {1: 1, 2: 1}
+
+
+def test_kostant_counter_rejects_non_integral_coroots():
+    # int() would read the coroot (3/2, 0) as (1, 0)
+    half = [(Fraction(3, 2), 0), (0, 1)]
+    with pytest.raises(ValueError, match="non-integral"):
+        kostant_counter(half, half)
+    whole = [(Fraction(1), 0), (0, 1.0)]
+    assert kostant_counter(whole, whole)((1, 1)) == {2: 1}
 
 
 def test_kostant_counts_gl2():
@@ -357,6 +378,15 @@ def test_freudenthal_frozen():
         freudenthal_multiplicity(sl3, (-1, 0), (0, 0))
 
 
+def test_freudenthal_rejects_non_integral_weights():
+    sl3 = root_datum("SL", 3)
+    with pytest.raises(ValueError, match="non-integral"):
+        freudenthal_multiplicity(sl3, (Fraction(3, 2), 0), (0, 0))
+    with pytest.raises(ValueError, match="non-integral"):
+        freudenthal_multiplicity(sl3, (1, 1), (0.5, 0))
+    assert freudenthal_multiplicity(sl3, (Fraction(1), 1.0), (0, 0)) == 2
+
+
 # ---------------------------------------------------------------------------
 # irreducible characters and decomposition
 
@@ -371,6 +401,14 @@ def test_weyl_dim_frozen():
         weyl_dim(sp4, (0, 1))
 
 
+def test_weyl_dim_rejects_a_non_integral_weight():
+    # int() would read (3/2, 0) as (1, 0), of dimension 3
+    sl3 = root_datum("SL", 3)
+    with pytest.raises(ValueError, match="non-integral"):
+        weyl_dim(sl3, (Fraction(3, 2), 0))
+    assert weyl_dim(sl3, (Fraction(2), 1.0)) == 15
+
+
 def test_irrep_char_sl2():
     sl2 = root_datum("SL", 2)
     assert irrep_char(sl2, (3,)).as_dict() == {(3,): 1, (1,): 1,
@@ -382,6 +420,13 @@ def test_irrep_char_without_simple_roots():
     assert irrep_char(root_datum("T", 2), (1, 2)).as_dict() == {(1, 2): 1}
     t1sl2 = product_datum(root_datum("T", 1), root_datum("SL", 2))
     assert irrep_char(t1sl2, (3, 1)).as_dict() == {(3, -1): 1, (3, 1): 1}
+
+
+def test_irrep_char_rejects_a_non_integral_weight():
+    sl3 = root_datum("SL", 3)
+    with pytest.raises(ValueError, match="non-integral"):
+        irrep_char(sl3, (1.5, 0))
+    assert irrep_char(sl3, (Fraction(1), 0)) == irrep_char(sl3, (1, 0))
 
 
 def test_irrep_char_dim_consistency():

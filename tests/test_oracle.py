@@ -517,6 +517,48 @@ def test_matrix_kernel_calls_no_series_product(monkeypatch):
     assert mul.calls == 0
 
 
+def _bits(x):
+    """The packed representation of a series: equal bits, equal series."""
+    return (x._v, x._x, x._prec) if isinstance(x, TruncSeries) else x
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 47))
+def test_mat_det_is_the_chain_bit_for_bit(p):
+    # zero entries, negative valuations and a precision per entry
+    rng = random.Random(p)
+
+    def entry():
+        prec = rng.randrange(-2, 9)
+        if rng.random() < 0.25:
+            return TruncSeries.of(p, prec, {})
+        return TruncSeries.of(p, prec, {rng.randrange(-3, prec):
+                                        rng.randrange(p)
+                                        for _ in range(rng.randrange(1, 5))})
+
+    for n in (1, 2, 3, 4):
+        for _ in range(100 if n < 4 else 25):
+            m = [[entry() for _ in range(n)] for _ in range(n)]
+            assert _bits(mat_det(m)) == _bits(_chain_det(m))
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(100):
+            m = [[rng.choice((0, 0, 1, -1, 2, -p, p + 1)) for _ in range(n)]
+                 for _ in range(n)]
+            assert mat_det(m) == _chain_det(m)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_negation_cancels(p):
+    rng = random.Random(p)
+    for _ in range(100):
+        prec = rng.randrange(-2, 10)
+        x = TruncSeries.of(p, prec, {rng.randrange(-3, prec): rng.randrange(p)
+                                     for _ in range(rng.randrange(0, 5))})
+        s = x + (-x)
+        assert s.is_zero() and s.prec == x.prec
+        if p == 2:
+            assert -x == x
+
+
 def test_random_unimodular_is_unimodular():
     rng = random.Random(0)
     for p in (2, 3, 5):
@@ -594,29 +636,96 @@ def test_random_unimodular_redraws_singular_residues():
         [((0, 1), (2, 1)), ((0, 1),)], [((1, 1),), ((0, 1), (1, 1), (2, 1))]]
 
 
-class _Counting(random.Random):
-    def randrange(self, *args):
-        self.calls += 1
-        return super().randrange(*args)
+class _Bounds(random.Random):
+    """Records the bound of every randrange call."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.bounds = []
+
+    def randrange(self, stop):
+        self.bounds.append(stop)
+        return super().randrange(stop)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
 @pytest.mark.parametrize("n", (2, 3))
-def test_random_unimodular_work(p, n, monkeypatch):
-    # one draw per residue attempt, plus one for all the higher digits: the
-    # digits cost nothing on a rejected attempt
+def test_random_unimodular_work(p, n):
+    # one draw per residue attempt, below p^(n^2), plus one for all the
+    # higher digits: the digits cost nothing on a rejected attempt
     import sphvar.oracle as oracle
-    attempts = []
-    det = oracle.mat_det
-    # the Laplace expansion recurses into minors; count the n x n calls
-    monkeypatch.setattr(oracle, "mat_det",
-                        lambda m: attempts.append(len(m) == n) or det(m))
-    rng = _Counting(17 * p + n)
-    rng.calls = 0
+    oracle._unit_residues.cache_clear()
+    rng = _Bounds(17 * p + n)
     for _ in range(200):
         random_unimodular(rng, p, 6, n)
-    assert rng.calls == sum(attempts) + 200
-    assert sum(attempts) < 200 * (4 if p == 2 else 2)
+    attempts = rng.bounds.count(p ** (n * n))
+    assert len(rng.bounds) == attempts + 200
+    assert attempts < 200 * (4 if p == 2 else 2)
+
+
+def test_random_unimodular_takes_each_residue_determinant_once(monkeypatch):
+    # GL3 at p = 2 has 2^9 = 512 residue codes, all within the memo
+    import sphvar.oracle as oracle
+    oracle._unit_residues.cache_clear()
+    dets = []
+    det = oracle.mat_det
+    monkeypatch.setattr(oracle, "mat_det", lambda m: dets.append(m) or det(m))
+    rng = random.Random(3)
+    for _ in range(2000):
+        random_unimodular(rng, 2, 4, 3)
+    assert 0 < len(dets) <= 512
+
+
+def _unmemoized_random_unimodular(rng, p, prec, n):
+    """The sampler as it was before its residue test was memoized, verbatim
+    but for the residue determinant, taken here by Leibniz's formula."""
+    from sphvar.oracle import _digit_table, _width
+    if prec < 1:
+        raise ValueError("precision must be >= 1")
+    if p < 2 or n < 1:
+        raise ValueError("need p >= 2 and n >= 1, got p = %r, n = %r" % (p, n))
+    cells, w = n * n, _width(p)
+    while True:
+        code, flat = rng.randrange(p ** cells), []
+        for _ in range(cells):
+            code, r = divmod(code, p)
+            flat.append(r)
+        residues = [flat[i:i + n] for i in range(0, cells, n)]
+        if _leibniz(residues) % p:
+            break
+    # slot i + 1 of d holds base-p digit i of the draw, so entry k, whose
+    # residue fills slot 0, reads d shifted down by k (prec - 1) slots
+    table, k = _digit_table(p, w)
+    base, bits = len(table), 8 * w
+    step, span = bits * k, bits * (prec - 1)
+    draw, d, shift = rng.randrange(p ** ((prec - 1) * cells)), 0, bits
+    while draw:
+        draw, c = divmod(draw, base)
+        d |= table[c] << shift
+        shift += step
+    mask = ~(-1 << span) << bits
+    entries = [TruncSeries._make(p, prec, 0, r | d >> span * i & mask, w)
+               for i, r in enumerate(flat)]
+    return [entries[i:i + n] for i in range(0, cells, n)]
+
+
+def test_random_unimodular_draws_what_the_unmemoized_sampler_draws():
+    # draw for draw from one seed per (p, n); GL3 at p = 5 and 7 has more
+    # residue codes than the memo holds, so codes are evicted and decided
+    # again
+    import sphvar.oracle as oracle
+    memo = oracle._unit_residues
+    memo.cache_clear()
+    for p, n in itertools.product((2, 3, 5, 7), (1, 2, 3)):
+        got, want = random.Random(p * n), random.Random(p * n)
+        for i in range(300):
+            prec = 1 + i % 7
+            assert [[(e._v, e._x, e._prec) for e in row]
+                    for row in random_unimodular(got, p, prec, n)] == [
+                [(e._v, e._x, e._prec) for e in row]
+                for row in _unmemoized_random_unimodular(want, p, prec, n)]
+        assert got.getstate() == want.getstate()
+    assert memo.cache_info().misses > memo.cache_info().maxsize
 
 
 def test_random_unimodular_needs_a_residue():
