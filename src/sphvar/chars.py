@@ -3,10 +3,10 @@
 QLaurent is a Laurent polynomial in q^(1/2) with integer coefficients,
 stored sparsely by exponent. WeightChar is a finitely supported integer
 multiplicity map on a fixed lattice Z^n; symmetric and exterior powers are
-the coefficients of truncated integer generating-function products, and
-irreducible characters come from Freudenthal's recursion with the
-sum-over-positive-coroots form, and W-invariant characters decompose into
-irreducibles through the Weyl denominator.
+the coefficients of truncated integer generating-function products. One
+Weyl symmetrizer gives the irreducible characters (the Weyl character
+formula) and the engine's Satake transforms, and W-invariant characters
+decompose into irreducibles through the Weyl denominator.
 """
 from __future__ import annotations
 
@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .geometry import (Cone, _exact_int, _int_vec, lattice_points,
-                       span_coordinates)
-from .rootdata import RootDatum, _idot, _reflect
+from .geometry import _exact_int, _int_vec, span_coordinates
+from .rootdata import RootDatum, _closure, _idot, _reflect
 
 
 def _fexp(e) -> Fraction:
@@ -331,61 +330,52 @@ def kostant_counts(simple_coroots, coroots, target):
 
 
 # ---------------------------------------------------------------------------
-# Freudenthal and irreducible characters
+# the Weyl symmetrizer and irreducible characters
 
-def _bform(rd: RootDatum):
-    pcs = rd.positive_coroots()
+def _symmetrize(rd: RootDatum, f) -> dict:
+    """J(f) = sum_(w in W) sgn(w) w(f x^rho) x^(-rho) / prod_(a>0) (1 - x^(-a))
+    for an integer {weight: coeff} map f.
 
-    def B(x, y):
-        return sum(_idot(x, bv) * _idot(y, bv) for bv in pcs)
-    return B
+    The numerator closes the orbit of 2(mu + rho) for each weight mu of f as
+    (weight, sign) pairs and sums them as they are, so a singular mu + rho
+    cancels. The division is exact, one positive root a at a time: along
+    each a-string, walked from its top, the quotient at nu is the prefix sum
+    down to nu, and a nonzero sum left below the string raises RuntimeError.
+    """
+    rho2 = tuple(int(2 * x) for x in rd.rho)  # 2*rho is integral
+
+    def step(pair):
+        return ((_reflect(pair[0], a, av), -pair[1]) for a, av in rd._char_pairs)
+    num = {}
+    for mu, c in f.items():
+        seed = (tuple(2 * m + r for m, r in zip(mu, rho2)), 1)
+        for v, s in _closure([seed], step, "Weyl orbit too large; bad input data"):
+            w = tuple((x - r) // 2 for x, r in zip(v, rho2))
+            num[w] = num.get(w, 0) + s * c
+    for a, _ in rd.positive_pairs:
+        i = next(j for j, x in enumerate(a) if x)
+        strings = {}  # the string's weight at position 0 -> positions in num
+        for v in num:
+            k = v[i] // a[i]
+            strings.setdefault(tuple(x - k * y for x, y in zip(v, a)), []).append(k)
+        quot = {}
+        for base, ks in strings.items():
+            total = 0
+            for k in range(max(ks), min(ks) - 1, -1):
+                v = tuple(x + k * y for x, y in zip(base, a))
+                total += num.get(v, 0)
+                if total:
+                    quot[v] = total
+            if total:
+                raise RuntimeError("not divisible by 1 - x^(-%r)" % (a,))
+        num = quot
+    return {w: c for w, c in num.items() if c}
 
 
 def freudenthal_multiplicity(rd: RootDatum, lam, mu) -> int:
-    """Weight multiplicity dim V_lam[mu] by Freudenthal's recursion."""
-    lam, mu = _int_vec(lam), _int_vec(mu)
-    if not rd.is_dominant_char(lam):
-        raise ValueError("highest weight %r is not dominant" % (lam,))
-    B = _bform(rd)
-    rho2 = tuple(int(2 * x) for x in rd.rho)  # 2*rho is integral
-    span = rd._expansion_rows
-
-    memo = {}
-
-    def mult(w):
-        wd = rd.dominant_char(w)
-        if wd == lam:
-            return 1
-        if _nat_coordinates(span, tuple(a - b for a, b in zip(lam, wd))) is None:
-            return 0
-        if wd in memo:
-            return memo[wd]
-        memo[wd] = 0  # guards accidental cycles; real value set below
-        num = 0
-        for a, _ in rd.positive_pairs:
-            k = 1
-            while True:
-                w2 = tuple(x + k * y for x, y in zip(wd, a))
-                if _nat_coordinates(span, tuple(p - s for p, s in zip(lam, w2))) is None:
-                    break
-                m2 = mult(w2)
-                if m2:
-                    num += B(w2, a) * m2
-                k += 1
-        # denominator B(lam+rho,lam+rho) - B(wd+rho,wd+rho) = B(lam+wd+2rho, lam-wd)
-        lhs = tuple(a + b for a, b in zip(lam, wd))
-        lhs = tuple(x + y for x, y in zip(lhs, rho2))
-        diff = tuple(a - b for a, b in zip(lam, wd))
-        den = B(lhs, diff)
-        if den <= 0:
-            raise RuntimeError("Freudenthal denominator must be positive")
-        val = Fraction(2 * num, den)
-        if val.denominator != 1 or val < 0:
-            raise RuntimeError("multiplicity of %r in V(%r) is %s" % (wd, lam, val))
-        memo[wd] = int(val)
-        return memo[wd]
-
-    return mult(mu)
+    """Weight multiplicity dim V_lam[mu], read off irrep_char(rd, lam)."""
+    mu = rd._check_rank(_int_vec(mu))
+    return irrep_char(rd, lam).as_dict().get(mu, 0)
 
 
 def weyl_dim(rd: RootDatum, lam) -> int:
@@ -396,8 +386,6 @@ def weyl_dim(rd: RootDatum, lam) -> int:
     for _, bv in rd.positive_pairs:
         num *= sum((l + r) * b for l, r, b in zip(lam, rd.rho, bv))
         den *= sum(r * b for r, b in zip(rd.rho, bv))
-    if not rd.positive_pairs:
-        return 1
     v = num / den
     if v.denominator != 1 or v <= 0:
         raise RuntimeError("Weyl dimension of %r is %s" % (lam, v))
@@ -405,22 +393,12 @@ def weyl_dim(rd: RootDatum, lam) -> int:
 
 
 def irrep_char(rd: RootDatum, lam) -> WeightChar:
-    """Full character of the irreducible with highest weight lam."""
+    """Full character of the irreducible with highest weight lam, by the
+    Weyl character formula: _symmetrize of x^lam."""
     lam = _int_vec(lam)
     if not rd.is_dominant_char(lam):
         raise ValueError("highest weight %r is not dominant" % (lam,))
-    lowest = tuple(-x for x in rd.dominant_char(tuple(-x for x in lam)))
-    span = _nat_coordinates(rd._expansion_rows,
-                            tuple(a - b for a, b in zip(lam, lowest)))
-    if span is None:
-        raise RuntimeError("lowest weight of V(%r) is not below it in the root order"
-                           % (lam,))
-    # lam minus each drop, coordinate by coordinate: without simple roots
-    # (a torus) the only weight is lam itself
-    weights = [tuple(l - sum(c * a[i] for c, a in zip(drop, rd.simple_roots))
-                     for i, l in enumerate(lam))
-               for drop in lattice_points(Cone.orthant(rd.nsimple), sum(span))]
-    chi = WeightChar.of((w, freudenthal_multiplicity(rd, lam, w)) for w in weights)
+    chi = WeightChar.of(_symmetrize(rd, {lam: 1}))
     if chi.dim() != weyl_dim(rd, lam):
         raise RuntimeError("character of V(%r) misses the Weyl dimension" % (lam,))
     return chi

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chars import QLaurent, WeightChar, decompose, kostant_counter, sym_powers_upto
+from .chars import (QLaurent, WeightChar, _symmetrize, decompose, kostant_counter,
+                    sym_powers_upto)
 from .geometry import (Cone, LatticeMap, _idot, _int_vec, feasible,
                        hilbert_basis_pointed, inverse_unimodular, lattice_points,
                        matrix_rank, saturation_quotient, vdot)
@@ -345,20 +346,35 @@ def route_table(datum, route, height: int, partner=None) -> BasicFunctionTable:
 
 
 # ---------------------------------------------------------------------------
-# Satake shifts of minuscule and central Hecke operators
+# Satake transforms and Hecke shifts
+
+def satake_transform(rd: RootDatum, mu) -> dict:
+    """Satake transform of the basis operator at mu by Macdonald's formula,
+    q^<rho,lam> J(z^lam prod_(a>0, <a,lam> > 0) (1 - q^(-1) z^(-av))) with
+    lam = dominant_cochar(mu) and J = chars._symmetrize on the dual datum,
+    applied to the integer coefficient of each power q^(-k)."""
+    lam = rd.dominant_cochar(mu)
+    prod = {(0, lam): 1}  # (k, weight) -> coefficient of q^(-k) z^weight
+    for a, av in rd.positive_pairs:
+        if _idot(a, lam) > 0:
+            for (k, w), c in list(prod.items()):
+                u = (k + 1, tuple(x - y for x, y in zip(w, av)))
+                prod[u] = prod.get(u, 0) - c
+    e, out = vdot(rd.rho, lam), {}
+    for k in {k for k, _ in prod}:
+        f = {w: c for (j, w), c in prod.items() if j == k}
+        for w, c in _symmetrize(rd.dual, f).items():
+            out.setdefault(w, {})[e - k] = c
+    return {w: QLaurent.of(d) for w, d in out.items()}
+
 
 def minuscule_satake(rd: RootDatum, mu) -> dict:
-    """Satake transform of the basis operator at mu: q^<rho,mu> * sum over W.mu.
-
-    Valid exactly when the coweight is minuscule or central, where the Weyl
-    orbit exhausts the weights of the dual representation.
-    """
+    """satake_transform, refused off the minuscule and central coweights."""
     dom = rd.dominant_cochar(mu)
     for a, _ in rd.positive_pairs:
         if vdot(a, dom) > 1:
             raise ValueError("coweight %r is neither minuscule nor central" % (mu,))
-    e = vdot(rd.rho, dom)
-    return {lam: QLaurent.q_pow(e) for lam in rd.weyl_orbit_cochar(dom)}
+    return satake_transform(rd, mu)
 
 
 def pp_shifts(route, satake: dict, kappa: int = KAPPA):

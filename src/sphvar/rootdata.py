@@ -74,6 +74,10 @@ class RootDatum:
                         "root system does not close; bad input data")
 
     @cached_property
+    def dual(self) -> "RootDatum":
+        return dual_datum(self)
+
+    @cached_property
     def _expansion_rows(self):
         """geometry.span_coordinates of the simple roots: (d, top, bottom)."""
         return span_coordinates(self.simple_roots, self.rank)

@@ -10,12 +10,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphvar.geometry import solve_linear
+from sphvar import chars
+from sphvar.geometry import Cone, _idot, lattice_points, solve_linear
 from sphvar.rootdata import product_datum, root_datum
 from sphvar.chars import (QLaurent, WeightChar, sym_power, ext_power,
                           sym_powers_upto, kostant_counter, kostant_counts,
                           freudenthal_multiplicity, irrep_char, weyl_dim,
-                          decompose)
+                          decompose, _nat_coordinates)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +307,7 @@ def test_one_kostant_counter_does_not_depend_on_the_target_order(kind, n, h):
 
 
 # ---------------------------------------------------------------------------
-# Freudenthal vs the alternating-sum oracle
+# weight multiplicities vs the alternating-sum oracle
 
 def _det(mat):
     m = [[Fraction(x) for x in row] for row in mat]
@@ -387,8 +388,90 @@ def test_freudenthal_rejects_non_integral_weights():
     assert freudenthal_multiplicity(sl3, (Fraction(1), 1.0), (0, 0)) == 2
 
 
+def test_freudenthal_refuses_a_weight_of_the_wrong_length():
+    # a bare lookup in the character would answer 0
+    sl3 = root_datum("SL", 3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        freudenthal_multiplicity(sl3, (1, 1), (0, 0, 0))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        freudenthal_multiplicity(sl3, (1, 1), (0,))
+
+
 # ---------------------------------------------------------------------------
 # irreducible characters and decomposition
+
+def _freudenthal_char(rd, lam):
+    """Reference character of V(lam): Freudenthal's recursion with the
+    sum-over-positive-coroots form over the simple-root drops below lam,
+    with one form and one memo for the whole character."""
+    pcs = rd.positive_coroots()
+
+    def B(x, y):
+        return sum(_idot(x, bv) * _idot(y, bv) for bv in pcs)
+
+    def below(w):
+        diff = tuple(a - b for a, b in zip(lam, w))
+        return _nat_coordinates(rd._expansion_rows, diff)
+
+    rho2 = tuple(int(2 * x) for x in rd.rho)
+    memo = {}
+
+    def mult(w):
+        wd = rd.dominant_char(w)
+        if wd == lam:
+            return 1
+        if below(wd) is None:
+            return 0
+        if wd not in memo:
+            num = 0
+            for a, _ in rd.positive_pairs:
+                for k in itertools.count(1):
+                    w2 = tuple(x + k * y for x, y in zip(wd, a))
+                    if below(w2) is None:
+                        break
+                    num += B(w2, a) * mult(w2)
+            lhs = tuple(a + b + r for a, b, r in zip(lam, wd, rho2))
+            den = B(lhs, tuple(a - b for a, b in zip(lam, wd)))
+            val = Fraction(2 * num, den)
+            assert den > 0 and val.denominator == 1 and val >= 0
+            memo[wd] = int(val)
+        return memo[wd]
+
+    lowest = tuple(-x for x in rd.dominant_char(tuple(-x for x in lam)))
+    drops = lattice_points(Cone.orthant(rd.nsimple), sum(below(lowest)))
+    return WeightChar.of(
+        (w, mult(w)) for w in (
+            tuple(l - sum(c * a[i] for c, a in zip(drop, rd.simple_roots))
+                  for i, l in enumerate(lam)) for drop in drops))
+
+
+_PANEL = [(root_datum("SL", 3), 4), (root_datum("C", 2), 4),
+          (root_datum("G", 2), 4), (root_datum("GL", 3), 4),
+          (root_datum("T", 2), 4),
+          (product_datum(root_datum("T", 1), root_datum("SL", 2)), 4),
+          (root_datum("B", 3), 4), (root_datum("C", 3), 4),
+          (root_datum("SL", 4), 3), (root_datum("D", 4), 3)]
+
+
+@pytest.mark.parametrize("rd,bound", _PANEL, ids=[rd.name for rd, _ in _PANEL])
+def test_irrep_char_matches_freudenthal_reference(rd, bound):
+    box = itertools.product(range(-bound, bound + 1), repeat=rd.rank)
+    lams = [lam for lam in box
+            if sum(map(abs, lam)) <= bound and rd.is_dominant_char(lam)]
+    assert lams
+    for lam in lams:
+        assert irrep_char(rd, lam) == _freudenthal_char(rd, lam), lam
+
+
+def test_irrep_char_division_is_exact(monkeypatch):
+    # every orbit sign +1: the numerator is no multiple of the Weyl denominator
+    closure = chars._closure
+    monkeypatch.setattr(chars, "_closure", lambda seeds, step, message: {
+        (v, 1) for v, _ in closure(seeds, step, message)})
+    for kind, n, lam in [("SL", 2, (0,)), ("SL", 3, (1, 0)), ("G", 2, (1, 1))]:
+        with pytest.raises(RuntimeError, match="not divisible"):
+            irrep_char(root_datum(kind, n), lam)
+
 
 def test_weyl_dim_frozen():
     sp4 = root_datum("C", 2)
@@ -480,7 +563,7 @@ roundtrip_cases = st.sampled_from(sorted(_ROUNDTRIP)).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(roundtrip_cases)
 def test_decompose_inverts_freudenthal_sums(case):
-    # Freudenthal's recursion is the independent reference for the pieces
+    # the pieces are irrep_char, held to Freudenthal's recursion above
     (kind, n), pieces = case
     chi = WeightChar.of({})
     for lam, m in pieces:

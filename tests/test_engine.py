@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sphvar.catalog import list_entries, load
 from sphvar.chars import QLaurent, sym_powers_upto
 from sphvar.geometry import Cone, LatticeMap
 from sphvar.rootdata import ParabolicDatum, root_datum, product_datum
@@ -18,7 +19,7 @@ from sphvar.engine import (KAPPA, BasicFunctionTable, BorelRoute, DualRadicalRep
                            basic_function_smooth, basic_function_transport,
                            dual_radical, f_fixed, growth_certificate,
                            local_lfactor, minuscule_satake, pp_shifts,
-                           toric_distance, transport_height)
+                           satake_transform, toric_distance, transport_height)
 from sphvar.engine import _external_char, _truncation_default
 
 ONE = QLaurent.one()
@@ -543,6 +544,64 @@ def test_minuscule_satake_rejects_higher_weights():
         minuscule_satake(root_datum("GL", 2), (2, 0))
     with pytest.raises(ValueError, match="minuscule"):
         minuscule_satake(root_datum("SL", 2), (1,))
+
+
+def _route_groups():
+    return {r.group.name: r.group for key in list_entries()
+            for r in load(key).routes if hasattr(r, "group")}
+
+
+def test_satake_transform_is_minuscule_satake_where_that_applies():
+    # the reference: q^<rho,lam> times the sum over the Weyl orbit of lam,
+    # which is the Satake transform exactly at minuscule and central lam
+    groups = _route_groups()
+    assert len(groups) >= 5
+    seen = 0
+    for rd in groups.values():
+        for mu in itertools.product(range(-1, 2), repeat=rd.rank):
+            dom = rd.dominant_cochar(mu)
+            if all(sum(x * y for x, y in zip(a, dom)) <= 1
+                   for a in rd.positive_roots()):
+                orbit_sum = {w: QLaurent.q_pow(sum(r * x for r, x in zip(rd.rho, dom)))
+                             for w in rd.weyl_orbit_cochar(dom)}
+                assert satake_transform(rd, mu) == minuscule_satake(rd, mu) \
+                    == orbit_sum, mu
+                seen += 1
+    assert seen > 20
+
+
+Q, Q_MINUS_1 = QLaurent.q_pow(1), QLaurent.of({1: 1, 0: -1})
+
+
+def test_satake_transform_beyond_minuscule():
+    assert satake_transform(root_datum("SL", 2), (1,)) == {
+        (1,): Q, (-1,): Q, (0,): Q_MINUS_1}
+    assert satake_transform(root_datum("GL", 2), (2, 0)) == {
+        (2, 0): Q, (0, 2): Q, (1, 1): Q_MINUS_1}
+    assert satake_transform(root_datum("GL", 2), (0, 2)) \
+        == satake_transform(root_datum("GL", 2), (2, 0))
+
+
+def _satake_product(f, g):
+    """Product of two Satake polynomials {weight: QLaurent}."""
+    out = {}
+    for w1, c1 in f.items():
+        for w2, c2 in g.items():
+            w = tuple(a + b for a, b in zip(w1, w2))
+            out[w] = out.get(w, QLaurent.zero()) + c1 * c2
+    return {w: c for w, c in out.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_satake_transform_hecke_relation(n):
+    # T_(1,0..)^2 = T_(2,0..) + (q+1) T_(1,1,0..) in the spherical Hecke algebra
+    gl = root_datum("GL", n)
+    t1 = satake_transform(gl, (1,) + (0,) * (n - 1))
+    want = dict(satake_transform(gl, (2,) + (0,) * (n - 1)))
+    for w, c in _satake_product({(0,) * n: Q + ONE},
+                                satake_transform(gl, (1, 1) + (0,) * (n - 2))).items():
+        want[w] = want.get(w, QLaurent.zero()) + c
+    assert _satake_product(t1, t1) == want
 
 
 def test_borel_shifts_gl2():
