@@ -6,6 +6,16 @@ combinatorial datum, the routes by which its basic-function table is computed
 derived from the datum), classification flags that the criteria code must
 reproduce, and the unramified L-value the table is expected to realize when
 classical theory predicts one.  Each key is its datum's name; loading is cached.
+
+An entry states only the free data of its datum: the ambient group, the
+lattice map, the colors, the spherical roots, the Levi roots, the little Weyl
+group, and the colors F of its colored cone with any extra rays.  The rest is
+derived: the rank is the lattice map's width, the valuation cone is
+{v : <sigma, v> <= 0 for every spherical root sigma}, and the colored cone is
+spanned by rho(F) and the extra rays.  So `catalog show --json` prints the
+valuation cone by its canonical generators.  The Godement-Jacquet matrix
+spaces and the tensor products of copies of SL(2) are each built by one
+constructor, for any size.
 """
 from __future__ import annotations
 
@@ -15,9 +25,9 @@ from functools import cache
 
 from .engine import (BasicFunctionTable, SmoothRoute, TransportRoute,
                      derived_route, route_table)
-from .geometry import Cone, LatticeMap
+from .geometry import Cone, LatticeMap, vneg
 from .rootdata import RootDatum, product_datum, root_datum
-from .spherical import ColoredCone, SphericalDatum, antidominant_cochar_chamber
+from .spherical import ColoredCone, SphericalDatum
 
 
 @dataclass(frozen=True)
@@ -50,8 +60,74 @@ class CatalogEntry:
 _CASES = ("U_P", "PP", "homogeneous", "vector-space")
 
 
-def _cc(n, gens, colors):
-    return ColoredCone(Cone(n, gens), colors)
+def _vec(n, coeffs):
+    """The sum of c * e_i over the items {i: c}, with 1-based i, in Z^n."""
+    return tuple(coeffs.get(i, 0) for i in range(1, n + 1))
+
+
+def _datum(name, ambient, lattice_map, colors=(), spherical_roots=(),
+           levi_roots=(), little_weyl=None, cone_colors=None, rays=()):
+    """The datum from its free data. The rank is the lattice map's width,
+    the valuation cone is {v : <sigma, v> <= 0 for each spherical root
+    sigma}, and the colored cone is spanned by rho of cone_colors (F, all
+    colors unless given) and the extra rays."""
+    n = lattice_map.n
+    rho = dict(colors)
+    if cone_colors is None:
+        cone_colors = tuple(rho)
+    return SphericalDatum(
+        name=name, ambient=ambient, rank=n, lattice_map=lattice_map,
+        valuation_cone=Cone.from_inequalities(
+            [vneg(s) for s in spherical_roots], n),
+        colors=colors, levi_roots=levi_roots, spherical_roots=spherical_roots,
+        little_weyl=little_weyl,
+        colored_cone=ColoredCone(
+            Cone(n, [rho[c] for c in cone_colors] + list(rays)), cone_colors))
+
+
+def _godement_jacquet(n):
+    """The Godement-Jacquet matrix space of n x n matrices under
+    GL(n) x GL(n). Its lattice rows are -/+ the indicators of the last j
+    coordinates, its spherical roots the first n - 1 rows of the chain
+    (2, -1, 0, ...), its colors e_i for i < n, and its colored cone the
+    orthant. Its table realizes L(s + (n - 1)/2, std)."""
+    tails = [_vec(n, {i: 1 for i in range(n - j + 1, n + 1)})
+             for j in range(1, n + 1)]
+    chain = [tuple(2 if j == i else -int(abs(j - i) == 1) for j in range(n))
+             for i in range(n - 1)]
+    colors = [("D" if n == 2 else "D%d" % i, _vec(n, {i: 1}))
+              for i in range(1, n)]
+    d = _datum("godement-jacquet-%d" % n,
+               product_datum(root_datum("GL", n), root_datum("GL", n)),
+               LatticeMap.of([vneg(t) for t in tails] + tails[::-1]),
+               colors, spherical_roots=chain, rays=(_vec(n, {n: 1}),))
+    return CatalogEntry(
+        datum=d,
+        provenance="Godement-Jacquet matrix space for GL(%d)" % n,
+        reductive_stabilizer=True, wavefront_expected=True,
+        smooth_expected=True, preflag_case="vector-space",
+        routes=(SmoothRoute(),),
+        expected_lvalue=ExpectedLValue(
+            numerator=(("std", Fraction(n - 1, 2)),)))
+
+
+def _sl2_tensor(name, group_name, k, last_label):
+    """The datum of the tensor product of k copies of SL(2), in rank k + 2.
+    The group's simple roots e1 - e2 and 2e_(i+2) - e1 - e2 (i < k), with
+    coroots e1 - e2 and e_(i+2), are also the spherical roots. The colors
+    are D1 = e1 + e_last, D_i = e2 + e_(i+1) + e_last for 2 <= i <= k, and
+    last_label = -e2 - e_last; the colored cone is spanned by all of them."""
+    n = k + 2
+    roots = [_vec(n, {1: 1, 2: -1})] + [_vec(n, {1: -1, 2: -1, i + 2: 2})
+                                        for i in range(1, k)]
+    coroots = [_vec(n, {1: 1, 2: -1})] + [_vec(n, {i + 2: 1})
+                                          for i in range(1, k)]
+    colors = ([("D1", _vec(n, {1: 1, n: 1}))]
+              + [("D%d" % i, _vec(n, {2: 1, i + 1: 1, n: 1}))
+                 for i in range(2, k + 1)]
+              + [(last_label, _vec(n, {2: -1, n: -1}))])
+    return _datum(name, RootDatum(group_name, n, roots, coroots),
+                  LatticeMap.identity(n), colors, spherical_roots=roots)
 
 
 def _derived(d, *kinds):
@@ -61,11 +137,8 @@ def _derived(d, *kinds):
 def _entries():
     half = Fraction(1, 2)
 
-    d = SphericalDatum(
-        name="a1-gl1", ambient=root_datum("T", 1), rank=1,
-        lattice_map=LatticeMap.of([(1,)]),
-        valuation_cone=Cone(1, ((1,), (-1,))),
-        colored_cone=_cc(1, ((1,),), ()))
+    d = _datum("a1-gl1", root_datum("T", 1), LatticeMap.of([(1,)]),
+               rays=((1,),))
     yield CatalogEntry(
         datum=d,
         provenance="standard representation of GL(1); the basic toric case",
@@ -73,13 +146,9 @@ def _entries():
         smooth_expected=True, preflag_case="vector-space",
         routes=(SmoothRoute(),))
 
-    amb = product_datum(root_datum("T", 1), root_datum("SL", 2))
-    d = SphericalDatum(
-        name="a2-sl2", ambient=amb, rank=1,
-        lattice_map=LatticeMap.of([(1,), (-1,)]),
-        valuation_cone=Cone(1, ((1,), (-1,))),
-        colors=(("D", (1,)),),
-        colored_cone=_cc(1, ((1,),), ("D",)))
+    d = _datum("a2-sl2",
+               product_datum(root_datum("T", 1), root_datum("SL", 2)),
+               LatticeMap.of([(1,), (-1,)]), colors=(("D", (1,)),))
     yield CatalogEntry(
         datum=d,
         provenance="standard representation of SL(2) with a central torus",
@@ -87,12 +156,8 @@ def _entries():
         smooth_expected=True, preflag_case="U_P",
         routes=_derived(d, "borel", "pp"))
 
-    d = SphericalDatum(
-        name="a2-sl2-nocenter", ambient=root_datum("SL", 2), rank=1,
-        lattice_map=LatticeMap.of([(-1,)]),
-        valuation_cone=Cone(1, ((1,), (-1,))),
-        colors=(("D", (1,)),),
-        colored_cone=_cc(1, ((1,),), ("D",)))
+    d = _datum("a2-sl2-nocenter", root_datum("SL", 2),
+               LatticeMap.of([(-1,)]), colors=(("D", (1,)),))
     yield CatalogEntry(
         datum=d,
         provenance="standard representation of SL(2), no central twist",
@@ -100,13 +165,10 @@ def _entries():
         smooth_expected=True, preflag_case="U_P",
         routes=_derived(d, "borel"))
 
-    amb = product_datum(root_datum("T", 2), root_datum("GL", 2))
-    d = SphericalDatum(
-        name="borel-gl2", ambient=amb, rank=2,
-        lattice_map=LatticeMap.of([(0, -1), (-1, -1), (0, 1), (1, 1)]),
-        valuation_cone=Cone.full(2),
-        colors=(("D", (1, 0)),),
-        colored_cone=_cc(2, ((1, 0),), ("D",)))
+    d = _datum("borel-gl2",
+               product_datum(root_datum("T", 2), root_datum("GL", 2)),
+               LatticeMap.of([(0, -1), (-1, -1), (0, 1), (1, 1)]),
+               colors=(("D", (1, 0)),))
     yield CatalogEntry(
         datum=d,
         provenance="horospherical closure of U\\GL(2)",
@@ -114,13 +176,10 @@ def _entries():
         smooth_expected=True, preflag_case="U_P",
         routes=_derived(d, "borel"))
 
-    amb = product_datum(root_datum("T", 2), root_datum("SL", 3))
-    d = SphericalDatum(
-        name="borel-sl3", ambient=amb, rank=2,
-        lattice_map=LatticeMap.of([(0, 1), (1, 0), (0, -1), (-1, 0)]),
-        valuation_cone=Cone.full(2),
-        colors=(("D1", (1, 0)), ("D2", (0, 1))),
-        colored_cone=_cc(2, ((1, 0), (0, 1)), ("D1", "D2")))
+    d = _datum("borel-sl3",
+               product_datum(root_datum("T", 2), root_datum("SL", 3)),
+               LatticeMap.of([(0, 1), (1, 0), (0, -1), (-1, 0)]),
+               colors=(("D1", (1, 0)), ("D2", (0, 1))))
     yield CatalogEntry(
         datum=d,
         provenance="horospherical closure of U\\SL(3)",
@@ -129,14 +188,10 @@ def _entries():
         routes=_derived(d, "borel", "pp"),
         growth_hint=(1, 1))
 
-    amb = product_datum(root_datum("T", 2), root_datum("GL", 3))
-    d = SphericalDatum(
-        name="pp-gl3", ambient=amb, rank=2,
-        lattice_map=LatticeMap.of([(0, 1), (1, 1), (0, 1), (0, 1), (1, 1)]),
-        valuation_cone=Cone.full(2),
-        colors=(("D", (1, 0)),),
-        levi_roots=(0,),
-        colored_cone=_cc(2, ((1, 0),), ("D",)))
+    d = _datum("pp-gl3",
+               product_datum(root_datum("T", 2), root_datum("GL", 3)),
+               LatticeMap.of([(0, 1), (1, 1), (0, 1), (0, 1), (1, 1)]),
+               colors=(("D", (1, 0)),), levi_roots=(0,))
     yield CatalogEntry(
         datum=d,
         provenance="derived-group quotient [P,P]\\GL(3), (2,1) parabolic",
@@ -144,15 +199,12 @@ def _entries():
         smooth_expected=True, preflag_case="PP",
         routes=_derived(d, "pp"))
 
-    amb = product_datum(root_datum("T", 1), root_datum("PGL", 2))
-    d = SphericalDatum(
-        name="hecke-gl2", ambient=amb, rank=2,
-        lattice_map=LatticeMap.identity(2),
-        valuation_cone=Cone(2, ((1, 0), (-1, 0), (0, -1))),
-        colors=(("D1", (1, 1)), ("D2", (-1, 1))),
-        spherical_roots=((0, 1),),
-        little_weyl=(((1, 0), (0, -1)),),
-        colored_cone=_cc(2, (), ()))
+    d = _datum("hecke-gl2",
+               product_datum(root_datum("T", 1), root_datum("PGL", 2)),
+               LatticeMap.identity(2),
+               colors=(("D1", (1, 1)), ("D2", (-1, 1))),
+               spherical_roots=((0, 1),), little_weyl=(((1, 0), (0, -1)),),
+               cone_colors=())
     yield CatalogEntry(
         datum=d,
         provenance="classical Hecke integral: torus period on GL(2)",
@@ -163,15 +215,11 @@ def _entries():
             numerator=(("std", half), ("std-dual", -half)),
             denominator=(("Ad", Fraction(1)),)))
 
-    amb = product_datum(root_datum("PGL", 2), root_datum("PGL", 2))
-    d = SphericalDatum(
-        name="pgl2-group", ambient=amb, rank=1,
-        lattice_map=LatticeMap.of([(1,), (1,)]),
-        valuation_cone=Cone(1, ((-1,),)),
-        colors=(("D", (2,)),),
-        spherical_roots=((1,),),
-        little_weyl=(((-1,),),),
-        colored_cone=_cc(1, (), ()))
+    d = _datum("pgl2-group",
+               product_datum(root_datum("PGL", 2), root_datum("PGL", 2)),
+               LatticeMap.of([(1,), (1,)]), colors=(("D", (2,)),),
+               spherical_roots=((1,),), little_weyl=(((-1,),),),
+               cone_colors=())
     yield CatalogEntry(
         datum=d,
         provenance="group case: PGL(2) x PGL(2) over the diagonal",
@@ -179,51 +227,16 @@ def _entries():
         smooth_expected=True, preflag_case="homogeneous",
         routes=(SmoothRoute(),))
 
-    amb = product_datum(root_datum("GL", 2), root_datum("GL", 2))
-    d = SphericalDatum(
-        name="godement-jacquet-2", ambient=amb, rank=2,
-        lattice_map=LatticeMap.of([(0, -1), (-1, -1), (1, 1), (0, 1)]),
-        valuation_cone=Cone(2, ((1, 2), (-1, -2), (-1, 0))),
-        colors=(("D", (1, 0)),),
-        spherical_roots=((2, -1),),
-        colored_cone=_cc(2, ((1, 0), (0, 1)), ("D",)))
-    yield CatalogEntry(
-        datum=d,
-        provenance="Godement-Jacquet matrix space for GL(2)",
-        reductive_stabilizer=True, wavefront_expected=True,
-        smooth_expected=True, preflag_case="vector-space",
-        routes=(SmoothRoute(),),
-        expected_lvalue=ExpectedLValue(numerator=(("std", half),)))
+    yield _godement_jacquet(2)
+    yield _godement_jacquet(3)
 
-    amb = product_datum(root_datum("GL", 3), root_datum("GL", 3))
-    d = SphericalDatum(
-        name="godement-jacquet-3", ambient=amb, rank=3,
-        lattice_map=LatticeMap.of([(0, 0, -1), (0, -1, -1), (-1, -1, -1),
-                                   (1, 1, 1), (0, 1, 1), (0, 0, 1)]),
-        valuation_cone=Cone.from_inequalities([(-2, 1, 0), (1, -2, 1)], 3),
-        colors=(("D1", (1, 0, 0)), ("D2", (0, 1, 0))),
-        spherical_roots=((2, -1, 0), (-1, 2, -1)),
-        colored_cone=_cc(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ("D1", "D2")))
-    yield CatalogEntry(
-        datum=d,
-        provenance="Godement-Jacquet matrix space for GL(3)",
-        reductive_stabilizer=True, wavefront_expected=True,
-        smooth_expected=True, preflag_case="vector-space",
-        routes=(SmoothRoute(),),
-        expected_lvalue=ExpectedLValue(numerator=(("std", Fraction(1)),)))
-
-    amb = product_datum(root_datum("GL", 2), root_datum("GL", 2),
-                        root_datum("T", 1))
-    d = SphericalDatum(
-        name="rankin-selberg", ambient=amb, rank=5,
-        lattice_map=LatticeMap.identity(5),
-        valuation_cone=Cone.from_inequalities(
-            [(-1, 1, 0, 0, 0), (0, 0, -1, 1, 0)], 5),
-        colors=(("D1", (1, 0, 0, 1, 1)), ("D2", (0, 1, 1, 1, 1)),
-                ("D3", (0, -1, 0, -1, -1))),
-        spherical_roots=((1, -1, 0, 0, 0), (0, 0, 1, -1, 0)),
-        colored_cone=_cc(5, ((1, 0, 0, 1, 1), (0, 1, 1, 1, 1),
-                             (0, -1, 0, -1, -1)), ("D1", "D2", "D3")))
+    d = _datum("rankin-selberg",
+               product_datum(root_datum("GL", 2), root_datum("GL", 2),
+                             root_datum("T", 1)),
+               LatticeMap.identity(5),
+               colors=(("D1", (1, 0, 0, 1, 1)), ("D2", (0, 1, 1, 1, 1)),
+                       ("D3", (0, -1, 0, -1, -1))),
+               spherical_roots=((1, -1, 0, 0, 0), (0, 0, 1, -1, 0)))
     yield CatalogEntry(
         datum=d,
         provenance="Rankin-Selberg convolution for GL(2) x GL(2), "
@@ -233,13 +246,10 @@ def _entries():
         routes=(SmoothRoute(),),
         expected_lvalue=ExpectedLValue(numerator=(("std x std", half),)))
 
-    d = SphericalDatum(
-        name="bump-friedberg", ambient=root_datum("GL", 2), rank=2,
-        lattice_map=LatticeMap.of([(1, 0), (0, -1)]),
-        valuation_cone=Cone(2, ((1, -1), (-1, 1), (-1, -1))),
-        colors=(("Dr", (1, 0)), ("Du", (0, 1))),
-        spherical_roots=((1, 1),),
-        colored_cone=_cc(2, (), ()))
+    d = _datum("bump-friedberg", root_datum("GL", 2),
+               LatticeMap.of([(1, 0), (0, -1)]),
+               colors=(("Dr", (1, 0)), ("Du", (0, 1))),
+               spherical_roots=((1, 1),), cone_colors=())
     yield CatalogEntry(
         datum=d,
         provenance="Bump-Friedberg integral for GL(2)",
@@ -249,24 +259,8 @@ def _entries():
         expected_lvalue=ExpectedLValue(
             numerator=(("std", half), ("det", half))))
 
-    a1triple = RootDatum(
-        "a1triple", 5,
-        ((1, -1, 0, 0, 0), (-1, -1, 2, 0, 0), (-1, -1, 0, 2, 0)),
-        ((1, -1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)))
-    d = SphericalDatum(
-        name="triple-product", ambient=a1triple, rank=5,
-        lattice_map=LatticeMap.identity(5),
-        valuation_cone=Cone.from_inequalities(
-            [(-1, 1, 0, 0, 0), (1, 1, -2, 0, 0), (1, 1, 0, -2, 0)], 5),
-        colors=(("D1", (1, 0, 0, 0, 1)), ("D2", (0, 1, 1, 0, 1)),
-                ("D3", (0, 1, 0, 1, 1)), ("D4", (0, -1, 0, 0, -1))),
-        spherical_roots=((1, -1, 0, 0, 0), (-1, -1, 2, 0, 0),
-                         (-1, -1, 0, 2, 0)),
-        colored_cone=_cc(5, ((1, 0, 0, 0, 1), (0, 1, 1, 0, 1),
-                             (0, 1, 0, 1, 1), (0, -1, 0, 0, -1)),
-                         ("D1", "D2", "D3", "D4")))
     yield CatalogEntry(
-        datum=d,
+        datum=_sl2_tensor("triple-product", "a1triple", 3, "D4"),
         provenance="Garrett triple product for three copies of SL(2)",
         reductive_stabilizer=True, wavefront_expected=True,
         smooth_expected=False, preflag_case="homogeneous",
@@ -277,15 +271,11 @@ def _entries():
             numerator=(("std x std x std", half),)),
         growth_hint=(1, 0, 1, 1, -1))
 
-    amb = product_datum(root_datum("T", 2), root_datum("GSP", 6))
-    d = SphericalDatum(
-        name="siegel-gsp6", ambient=amb, rank=2,
-        lattice_map=LatticeMap.of([(0, 1), (1, 1), (-1, 0), (-1, 0),
-                                   (-1, 0), (3, 1)]),
-        valuation_cone=Cone.full(2),
-        colors=(("DY", (1, 0)),),
-        levi_roots=(0, 1),
-        colored_cone=_cc(2, ((1, 0),), ("DY",)))
+    d = _datum("siegel-gsp6",
+               product_datum(root_datum("T", 2), root_datum("GSP", 6)),
+               LatticeMap.of([(0, 1), (1, 1), (-1, 0), (-1, 0),
+                              (-1, 0), (3, 1)]),
+               colors=(("DY", (1, 0)),), levi_roots=(0, 1))
     yield CatalogEntry(
         datum=d,
         provenance="Siegel parabolic degeneration of GSp(6)",
@@ -294,27 +284,8 @@ def _entries():
         routes=_derived(d, "pp"),
         growth_hint=(1, 0))
 
-    a1quad = RootDatum(
-        "a1quad", 6,
-        ((1, -1, 0, 0, 0, 0), (-1, -1, 2, 0, 0, 0), (-1, -1, 0, 2, 0, 0),
-         (-1, -1, 0, 0, 2, 0)),
-        ((1, -1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
-         (0, 0, 0, 0, 1, 0)))
-    d = SphericalDatum(
-        name="tensor-4", ambient=a1quad, rank=6,
-        lattice_map=LatticeMap.identity(6),
-        valuation_cone=antidominant_cochar_chamber(a1quad),
-        colors=(("D1", (1, 0, 0, 0, 0, 1)), ("D2", (0, 1, 1, 0, 0, 1)),
-                ("D3", (0, 1, 0, 1, 0, 1)), ("D4", (0, 1, 0, 0, 1, 1)),
-                ("De", (0, -1, 0, 0, 0, -1))),
-        spherical_roots=((1, -1, 0, 0, 0, 0), (-1, -1, 2, 0, 0, 0),
-                         (-1, -1, 0, 2, 0, 0), (-1, -1, 0, 0, 2, 0)),
-        colored_cone=_cc(6, ((1, 0, 0, 0, 0, 1), (0, 1, 1, 0, 0, 1),
-                             (0, 1, 0, 1, 0, 1), (0, 1, 0, 0, 1, 1),
-                             (0, -1, 0, 0, 0, -1)),
-                         ("D1", "D2", "D3", "D4", "De")))
     yield CatalogEntry(
-        datum=d,
+        datum=_sl2_tensor("tensor-4", "a1quad", 4, "De"),
         provenance="fourfold tensor product period; the L-value is "
                    "conjectural and no computation route is defined",
         reductive_stabilizer=True, wavefront_expected=True,
@@ -323,11 +294,8 @@ def _entries():
         expected_lvalue=ExpectedLValue(
             numerator=(("std x std x std x std", half),), conjectural=True))
 
-    d = SphericalDatum(
-        name="kvs-1-15", ambient=root_datum("T", 2), rank=2,
-        lattice_map=LatticeMap.of([(-1, 0), (1, 1)]),
-        valuation_cone=Cone.full(2),
-        colored_cone=_cc(2, ((1, 0), (0, 1)), ()))
+    d = _datum("kvs-1-15", root_datum("T", 2),
+               LatticeMap.of([(-1, 0), (1, 1)]), rays=((1, 0), (0, 1)))
     yield CatalogEntry(
         datum=d,
         provenance="smooth affine model I.15 from the "
@@ -336,15 +304,11 @@ def _entries():
         smooth_expected=True, preflag_case="vector-space",
         routes=(SmoothRoute(),))
 
-    amb = product_datum(root_datum("GL", 2), root_datum("GL", 1))
-    d = SphericalDatum(
-        name="kvs-2-3", ambient=amb, rank=3,
-        lattice_map=LatticeMap.identity(3),
-        valuation_cone=Cone.from_inequalities([(-1, 1, 0)], 3),
-        colors=(("D1", (1, 0, 1)), ("D2", (0, -1, -1))),
-        spherical_roots=((1, -1, 0),),
-        colored_cone=_cc(3, ((1, 0, 1), (0, -1, -1), (0, 1, 0)),
-                         ("D1", "D2")))
+    d = _datum("kvs-2-3",
+               product_datum(root_datum("GL", 2), root_datum("GL", 1)),
+               LatticeMap.identity(3),
+               colors=(("D1", (1, 0, 1)), ("D2", (0, -1, -1))),
+               spherical_roots=((1, -1, 0),), rays=((0, 1, 0),))
     yield CatalogEntry(
         datum=d,
         provenance="smooth affine model II.3 from the "
@@ -353,11 +317,8 @@ def _entries():
         smooth_expected=True, preflag_case="vector-space",
         routes=(SmoothRoute(),))
 
-    d = SphericalDatum(
-        name="kvs-2-5", ambient=root_datum("T", 2), rank=2,
-        lattice_map=LatticeMap.identity(2),
-        valuation_cone=Cone.full(2),
-        colored_cone=_cc(2, ((1, 0),), ()))
+    d = _datum("kvs-2-5", root_datum("T", 2), LatticeMap.identity(2),
+               rays=((1, 0),))
     yield CatalogEntry(
         datum=d,
         provenance="toric rank-two model II.5 from the "

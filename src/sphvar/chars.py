@@ -337,8 +337,10 @@ def _symmetrize(rd: RootDatum, f) -> dict:
     for an integer {weight: coeff} map f.
 
     The numerator closes the orbit of 2(mu + rho) for each weight mu of f as
-    (weight, sign) pairs and sums them as they are, so a singular mu + rho
-    cancels. The division is exact, one positive root a at a time: along
+    (weight, sign) pairs and sums them as they are. A mu + rho on a wall
+    (pairing to 0 with some positive coroot) is skipped: the reflection in
+    that wall pairs its orbit terms off with opposite signs, so they cancel
+    exactly. The division is exact, one positive root a at a time: along
     each a-string, walked from its top, the quotient at nu is the prefix sum
     down to nu, and a nonzero sum left below the string raises RuntimeError.
     """
@@ -349,6 +351,8 @@ def _symmetrize(rd: RootDatum, f) -> dict:
     num = {}
     for mu, c in f.items():
         seed = (tuple(2 * m + r for m, r in zip(mu, rho2)), 1)
+        if any(_idot(seed[0], av) == 0 for _, av in rd.positive_pairs):
+            continue
         for v, s in _closure([seed], step, "Weyl orbit too large; bad input data"):
             w = tuple((x - r) // 2 for x, r in zip(v, rho2))
             num[w] = num.get(w, 0) + s * c

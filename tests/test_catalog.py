@@ -6,11 +6,14 @@ import pytest
 from sphvar.catalog import (
     CatalogEntry,
     ExpectedLValue,
+    _godement_jacquet,
+    _sl2_tensor,
     basic_table,
     list_entries,
     load,
     transport_coincidence,
 )
+from sphvar.chars import QLaurent, WeightChar, sym_power
 from sphvar.engine import (
     BorelRoute,
     LFactor,
@@ -18,11 +21,15 @@ from sphvar.engine import (
     basic_function_borel,
     basic_function_pp,
     growth_certificate,
+    satake_transform,
 )
+from sphvar.geometry import Cone
 from sphvar.oracle import mat2_coset_label_counts
+from sphvar.rootdata import root_datum
 from sphvar.spherical import (
     affine_closure_data,
     arithmetic_multiplicity,
+    is_affine,
     is_wavefront,
     negligible_orbit_check,
     parabolic_induction,
@@ -292,3 +299,89 @@ def test_provenance_and_cases():
         assert e.preflag_case in ("U_P", "PP", "homogeneous", "vector-space")
         if e.preflag_case in ("homogeneous", "vector-space"):
             assert e.datum.levi_roots == ()
+
+
+# the valuation cones these two entries typed by hand before the catalog
+# derived every valuation cone from the spherical roots
+HAND_VALUATION_CONES = {
+    "godement-jacquet-2": ((1, 2), (-1, -2), (-1, 0)),
+    "bump-friedberg": ((1, -1), (-1, 1), (-1, -1)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(HAND_VALUATION_CONES))
+def test_derived_valuation_cone_equals_the_hand_typed_cone(key):
+    d = load(key).datum
+    old = Cone(d.rank, HAND_VALUATION_CONES[key])
+    assert d.valuation_cone == old
+    # the same cone, spelled by different generators
+    assert d.valuation_cone.generators != old.generators
+
+
+def tamagawa_mismatches(entry, kmax, values):
+    """The degrees k <= kmax at which the Godement-Jacquet table values miss
+    Tamagawa's identity sum_(d_n = k) Phi0(d) Sat(K t^lam(d) K) =
+    q^(k s) Sym^k(std) of GL(n), with s the declared shift of std.
+
+    A label d = (d_1, ..., d_n) holds determinantal divisors, so lam(d) is
+    the differences d_i - d_(i-1) (d_0 = 0) sorted decreasingly."""
+    n = entry.datum.rank
+    s = dict(entry.expected_lvalue.numerator)["std"]
+    gl = root_datum("GL", n)
+    std = WeightChar.of({tuple(int(i == j) for j in range(n)): 1
+                         for i in range(n)})
+    bad = []
+    for k in range(kmax + 1):
+        lhs = {}
+        for d, phi in values:
+            if d[-1] == k:
+                lam = sorted((b - a for a, b in zip((0,) + d, d)), reverse=True)
+                for w, c in satake_transform(gl, lam).items():
+                    lhs[w] = lhs.get(w, QLaurent.zero()) + phi * c
+        lhs = {w: c for w, c in lhs.items() if not c.is_zero()}
+        rhs = {w: QLaurent.q_pow(k * s, m) for w, m in sym_power(std, k).weights}
+        if lhs != rhs:
+            bad.append(k)
+    return bad
+
+
+GJ_DEGREES = ((load("godement-jacquet-2"), 4), (load("godement-jacquet-3"), 3),
+              (_godement_jacquet(4), 3))
+
+
+@pytest.mark.parametrize("entry,kmax", GJ_DEGREES,
+                         ids=[e.key for e, _ in GJ_DEGREES])
+def test_godement_jacquet_tables_realize_the_declared_lvalue(entry, kmax):
+    # at height n*k the table holds every label of degree d_n <= k
+    values = basic_table(entry, entry.datum.rank * kmax).values
+    assert tamagawa_mismatches(entry, kmax, values) == []
+    # negative control: dropping one label of degree k breaks degree k
+    for i, (d, _) in enumerate(values):
+        if d[-1] == kmax:
+            cut = values[:i] + values[i + 1:]
+            assert tamagawa_mismatches(entry, kmax, cut) == [kmax]
+            break
+
+
+def test_godement_jacquet_3_rejects_the_gl2_shift():
+    e = load("godement-jacquet-3")
+    assert e.expected_lvalue.numerator == (("std", Fraction(1)),)
+    wrong = dataclasses.replace(e, expected_lvalue=ExpectedLValue(
+        numerator=(("std", Fraction(1, 2)),)))
+    values = basic_table(e, 9).values
+    assert tamagawa_mismatches(wrong, 3, values) == [1, 2, 3]
+
+
+def test_family_members_outside_the_catalog():
+    assert _godement_jacquet(4).key not in list_entries()
+    gj4 = _godement_jacquet(4).datum
+    tensor5 = _sl2_tensor("tensor-5", "a1quint", 5, "De")
+    assert gj4.rank == 4 and tensor5.rank == 7
+    for d in (gj4, tensor5):
+        ok, diag = validate_colored_cone(d, d.colored_cone)
+        assert ok, (d.name, diag)
+        assert is_wavefront(d), d.name
+        assert is_affine(d, d.colored_cone)[0], d.name
+    assert parabolic_induction(gj4) is None
+    assert negligible_orbit_check(gj4)[0]
+

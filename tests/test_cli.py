@@ -570,10 +570,11 @@ def test_catalog_show_fields(capsys):
     assert fields["l-value"].endswith("(conjectural)")
 
 
-def test_catalog_show_json_round_trips(capsys):
-    code, out, _ = run(capsys, ["catalog", "show", "a2-sl2", "--json"])
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_catalog_show_json_round_trips(capsys, key):
+    code, out, _ = run(capsys, ["catalog", "show", key, "--json"])
     assert code == 0
-    assert parse_document(json.loads(out)) == load("a2-sl2").datum
+    assert parse_document(json.loads(out)) == load(key).datum
 
 
 @pytest.mark.parametrize("key", ("a2-sl2", "pp-gl3", "triple-product",
