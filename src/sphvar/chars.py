@@ -35,7 +35,8 @@ class QLaurent:
     def of(mapping) -> "QLaurent":
         items = []
         for e, c in (mapping.items() if isinstance(mapping, dict) else mapping):
-            c = int(c)
+            if type(c) is not int:
+                c = _exact_int(c)
             if c != 0:
                 items.append((_fexp(e), c))
         agg = {}
@@ -163,9 +164,6 @@ class WeightChar:
 
     def dim(self) -> int:
         return sum(m for _, m in self.weights)
-
-    def support(self):
-        return [w for w, _ in self.weights]
 
     def __add__(self, other: "WeightChar") -> "WeightChar":
         d = self.as_dict()

@@ -27,7 +27,7 @@ from .chars import (QLaurent, WeightChar, _symmetrize, decompose, kostant_counte
                     sym_powers_upto)
 from .geometry import (Cone, LatticeMap, _idot, _int_vec, feasible,
                        hilbert_basis_pointed, inverse_unimodular, lattice_points,
-                       matrix_rank, saturation_quotient, vdot)
+                       matrix_rank, saturation_quotient, vdot, vneg)
 from .rootdata import ParabolicDatum, RootDatum, dual_datum, levi_datum
 from .spherical import enumerate_orbits
 
@@ -154,7 +154,7 @@ def dual_radical(p: ParabolicDatum) -> DualRadicalRep:
         tb = p.pi(bv)
         if all(x == 0 for x in tb):
             raise ValueError("radical coroot %r has trivial central image" % (bv,))
-        weights.append((tuple(int(x) for x in bv), tb, p.grade(bv)))
+        weights.append((bv, tb, p.grade(bv)))
     return DualRadicalRep(p, tuple(sorted(weights)))
 
 
@@ -225,11 +225,12 @@ def _truncation_default(group: RootDatum, lifted_gens, height: int) -> int:
 
 
 def basic_function_borel(datum, route: BorelRoute, height: int) -> BasicFunctionTable:
-    """Table over all labels of l1-norm <= height by the Kostant-count formula.
+    """Table over the labels of l1-norm <= height by the Kostant-count formula.
 
     Phi0(lam) = q^(-<rho,lam>) * sum_i q^(-i) * K_i(-lam), K_i the number of
     multisets of i positive coroots with the given sum; the series is finite
-    per stratum.
+    per stratum and zero unless -lam lies in N(positive coroots), so only the
+    labels M lam (M the label map) of that cone are scanned.
     """
     g = route.group
     if route.label_map.m != route.label_map.n or route.label_map.n != g.rank:
@@ -239,7 +240,8 @@ def basic_function_borel(datum, route: BorelRoute, height: int) -> BasicFunction
     # one memo for the whole table
     count = kostant_counter(g.simple_coroots, coroots)
     table = {}
-    for label in lattice_points(Cone.full(g.rank), height):
+    cone = Cone(g.rank, [vneg(route.label_map.apply(bv)) for bv in coroots])
+    for label in lattice_points(cone, height):
         lam = minv.apply(label)
         counts = count(tuple(-x for x in lam))
         if not counts:
@@ -372,7 +374,7 @@ def minuscule_satake(rd: RootDatum, mu) -> dict:
     """satake_transform, refused off the minuscule and central coweights."""
     dom = rd.dominant_cochar(mu)
     for a, _ in rd.positive_pairs:
-        if vdot(a, dom) > 1:
+        if _idot(a, dom) > 1:
             raise ValueError("coweight %r is neither minuscule nor central" % (mu,))
     return satake_transform(rd, mu)
 
@@ -425,7 +427,7 @@ def basic_function_graded(p: ParabolicDatum, bound: int):
         raise ValueError("degree bound must be >= 0")
     if not p.radical_pairs:
         raise ValueError("no radical: the Levi is the whole group")
-    rad = WeightChar.of([(tuple(int(x) for x in bv), 1) for _, bv in p.radical_pairs])
+    rad = WeightChar.of([(bv, 1) for _, bv in p.radical_pairs])
     md = dual_datum(levi_datum(p.datum, p.levi_indices))
     return [(i, tuple(decompose(md, s)))
             for i, s in enumerate(sym_powers_upto(rad, bound))]

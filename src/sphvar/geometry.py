@@ -15,10 +15,11 @@ time (`_halfspace_gens`). Feasibility of a homogeneous system, given as
 integer rows that must be >= 0 and strict rows that must be > 0, is a
 question to the same engine: a relative-interior point of the cone of all
 the rows (`feasible`).
-Lattice points are enumerated depth first, dropping every coordinate prefix
-that no completion within the l1 budget can bring into the cone, so the
-work follows the points kept rather than the size of the l1 ball; each
-coordinate runs over the one interval the dual rows leave it.
+Lattice points are enumerated depth first. Each coordinate runs over the
+interval, inside the l1 budget, that the dual rows of the cone's projection
+onto the coordinates so far leave it (`Cone.prefix_duals`), so a prefix is
+kept exactly when some point of the cone extends it, and the work follows
+the points kept rather than the size of the l1 ball.
 """
 from __future__ import annotations
 
@@ -279,7 +280,7 @@ def _generators(rows, n: int):
 class Cone:
     """Rational polyhedral cone, stored by primitive integer generators."""
 
-    __slots__ = ("n", "generators", "_dual_gens")
+    __slots__ = ("n", "generators", "_dual_gens", "_prefix_duals")
 
     def __init__(self, n: int, generators=()):
         gens = []
@@ -295,6 +296,7 @@ class Cone:
         self.n = n
         self.generators = tuple(sorted(gens))
         self._dual_gens = None
+        self._prefix_duals = None
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -331,6 +333,19 @@ class Cone:
         if self._dual_gens is None:
             self._dual_gens = _generators(self.generators, self.n)
         return self._dual_gens
+
+    def prefix_duals(self):
+        """Level i: the dual generators y of the cone's projection onto its
+        first i + 1 coordinates with y_i != 0 (a row with y_i = 0 is one of
+        level i - 1's), so levels 0 ... i cut out that projection."""
+        if self._prefix_duals is None:
+            n = self.n
+            self._prefix_duals = tuple(
+                tuple(y for y in (self.dual_generators() if i == n - 1 else
+                                  _generators([g[:i + 1] for g in self.generators], i + 1))
+                      if y[i])
+                for i in range(n))
+        return self._prefix_duals
 
     def dual(self) -> "Cone":
         return Cone(self.n, self.dual_generators())
@@ -397,54 +412,37 @@ class Cone:
 def lattice_points(c: Cone, height: int):
     """All integer points of c with l1 norm <= height, lexicographic order.
 
-    Depth-first over the coordinates, carrying s = <y, prefix> for every
-    integer dual row y. A prefix with l1 budget `rest` left is dropped as
-    soon as <y, prefix> + rest * t < 0 for some y, t = max_{j>i} |y_j|: no
-    completion can then reach <y, v> >= 0, so no cone point is lost, and at
-    the last coordinate the test is membership itself.
-
-    For the next coordinate x (budget b left) the test reads
-    s + y_i x + (b - |x|) t >= 0, concave and piecewise linear in x: v0 =
-    s + b t at x = 0, slope y_i - t for x >= 0 and y_i + t for x <= 0. So
-    each row keeps one interval of x, computed in integers, and the scan
-    runs over their intersection with [-b, b]. It visits exactly the nodes
-    the per-candidate test kept, and returns the same points in the same
-    order, without evaluating a candidate that fails.
+    Depth-first over the coordinates. Coordinate i runs over the integers x
+    in the l1 budget [-b, b] with <y, prefix> + y_i x >= 0 for every row y
+    of level i of `Cone.prefix_duals`. The rows of levels 0 ... i cut out
+    the projection of c onto its first i + 1 coordinates, so a prefix is
+    kept exactly when some point of c extends it, and at the last
+    coordinate the test is membership itself.
     """
     if height < 0:
         raise ValueError("height must be >= 0")
     n = c.n
-    rows = c.dual_generators()
-    cols = [[y[i] for y in rows] for i in range(n)]
-    tails = [[max(map(abs, y[i + 1:]), default=0) for y in rows] for i in range(n)]
+    levels = c.prefix_duals()
     out = []
     point = [0] * n
 
-    def rec(i, budget, sums):
+    def rec(i, budget):
         if i == n:
             out.append(tuple(point))
             return
-        col = cols[i]
         lo, hi = -budget, budget
-        for s, a, t in zip(sums, col, tails[i]):
-            v0 = s + budget * t
-            up, down = a - t, a + t
-            if v0 >= 0:
-                if down > 0:
-                    lo = max(lo, -(v0 // down))
-                if up < 0:
-                    hi = min(hi, v0 // -up)
-            elif up > 0:
-                lo = max(lo, -(v0 // up))
-            elif down < 0:
-                hi = min(hi, v0 // -down)
-            else:  # the row fails for every x
-                return
+        for y in levels[i]:
+            s, a = _idot(y, point), y[i]  # point[i] is 0 here
+            if a > 0:
+                lo = max(lo, -(s // a))
+            else:
+                hi = min(hi, s // -a)
         for x in range(lo, hi + 1):
             point[i] = x
-            rec(i + 1, budget - abs(x), [s + a * x for s, a in zip(sums, col)])
+            rec(i + 1, budget - abs(x))
+        point[i] = 0
 
-    rec(0, height, [0] * len(rows))
+    rec(0, height)
     return out
 
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .geometry import (
-    _idot, _int_vec, kernel_basis, matrix_rank, saturation_quotient, span_coordinates,
-    vdot,
+    _exact_int, _idot, _int_vec, kernel_basis, matrix_rank, saturation_quotient,
+    span_coordinates, vdot,
 )
 
 # Largest root set, Weyl group or Weyl orbit closed here. Every classical
@@ -160,7 +160,7 @@ class RootDatum:
 
     def _orbit(self, v, pairs):
         """Sorted orbit of v under the simple reflections of pairs."""
-        v = self._check_rank(tuple(int(x) for x in v))
+        v = self._check_rank(_int_vec(v))
         return tuple(sorted(_closure(
             [v], lambda w: (_reflect(w, x, y) for x, y in pairs),
             "Weyl orbit too large; bad input data")))
@@ -193,7 +193,7 @@ class RootDatum:
         there is none. Each step lowers by one the number of positive roots
         on which v is negative, so the fold stops within #roots steps; a
         datum that does not close raises instead."""
-        v = self._check_rank(tuple(int(x) for x in v))
+        v = self._check_rank(_int_vec(v))
         for _ in range(len(self._all_pairs) + 1):
             for x, y in pairs:
                 if _idot(v, y) < 0:
@@ -336,7 +336,7 @@ def dual_datum(d: RootDatum) -> RootDatum:
 
 
 def levi_datum(d: RootDatum, indices) -> RootDatum:
-    indices = tuple(sorted(set(int(i) for i in indices)))
+    indices = tuple(sorted(set(map(_exact_int, indices))))
     for i in indices:
         if not 0 <= i < d.nsimple:
             raise ValueError("bad simple-root index %d" % i)
@@ -363,7 +363,7 @@ class ParabolicDatum:
     levi_indices: tuple
 
     def __post_init__(self):
-        idx = tuple(sorted(set(int(i) for i in self.levi_indices)))
+        idx = tuple(sorted(set(map(_exact_int, self.levi_indices))))
         object.__setattr__(self, "levi_indices", idx)
         for i in idx:
             if not 0 <= i < self.datum.nsimple:
@@ -372,10 +372,6 @@ class ParabolicDatum:
     @cached_property
     def levi(self) -> RootDatum:
         return levi_datum(self.datum, self.levi_indices)
-
-    @cached_property
-    def rho(self):
-        return self.datum.rho
 
     @cached_property
     def rho_m(self):
@@ -401,10 +397,10 @@ class ParabolicDatum:
         return saturation_quotient(list(self.levi.simple_coroots), self.datum.rank)
 
     def pi(self, v):
-        return self.quotient[0].apply(tuple(int(x) for x in v))
+        return self.quotient[0].apply(_int_vec(v))
 
     def lift(self, theta):
-        return self.quotient[1].apply(tuple(int(x) for x in theta))
+        return self.quotient[1].apply(_int_vec(theta))
 
     def grade(self, coroot) -> int:
         g = 2 * vdot(self.rho_m, coroot)

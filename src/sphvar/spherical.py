@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .geometry import (Cone, LatticeMap, _idot, feasible, lattice_points,
-                       matrix_rank, torsion_order, vdot, vneg)
+from .geometry import (Cone, LatticeMap, _exact_int, _idot, _int_vec, feasible,
+                       lattice_points, matrix_rank, torsion_order, vneg)
 from .rootdata import RootDatum, _closure
 
 
@@ -46,16 +46,13 @@ class SphericalDatum:
     colored_cone: ColoredCone = None
 
     def __post_init__(self):
-        colors = tuple((str(lbl), tuple(int(x) for x in rho))
-                       for lbl, rho in self.colors)
+        colors = tuple((str(lbl), _int_vec(rho)) for lbl, rho in self.colors)
         object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "levi_roots", tuple(sorted(int(i) for i in self.levi_roots)))
-        object.__setattr__(self, "spherical_roots",
-                           tuple(tuple(int(x) for x in g) for g in self.spherical_roots))
+        object.__setattr__(self, "levi_roots", tuple(sorted(map(_exact_int, self.levi_roots))))
+        object.__setattr__(self, "spherical_roots", tuple(map(_int_vec, self.spherical_roots)))
         if self.little_weyl is not None:
-            object.__setattr__(self, "little_weyl",
-                               tuple(tuple(tuple(int(x) for x in row) for row in m)
-                                     for m in self.little_weyl))
+            object.__setattr__(self, "little_weyl", tuple(tuple(map(_int_vec, m))
+                                                          for m in self.little_weyl))
         if self.lattice_map.m != self.ambient.rank or self.lattice_map.n != self.rank:
             raise ValueError("lattice map must be (ambient rank) x (rank)")
         if not self.lattice_map.is_injective():
@@ -72,7 +69,7 @@ class SphericalDatum:
             if len(g) != self.rank:
                 raise ValueError("spherical root %r has a bad length" % (g,))
             for v in self.valuation_cone.generators:
-                if vdot(g, v) > 0:
+                if _idot(g, v) > 0:
                     raise ValueError(
                         "spherical root %r pairs > 0 with a valuation generator" % (g,))
         if not self.valuation_cone.contains_cone(self.antidominant_image):
@@ -182,7 +179,11 @@ def is_affine(d: SphericalDatum, cc: ColoredCone):
 
 
 def affine_closure_data(d: SphericalDatum) -> ColoredCone:
-    """Colored cone of the affine closure of the open orbit."""
+    """Colored cone of the affine closure of the open orbit: (cone(rho(F)), F),
+    F the colors where a relative-interior chi0 of R = {chi >= 0 on V, <= 0
+    on the colors} vanishes. It is valid: (i) and (iii) by the refusals, and
+    (ii) since a chi >= 0 on V, <= 0 on rho(F) and nonzero there (Rockafellar
+    1970, Thm 20.2) would put chi0 + eps chi in R, nonzero on rho(F)."""
     rhos = [rho for _, rho in d.colors]
     for rho in rhos:
         if all(x == 0 for x in rho):
@@ -193,19 +194,11 @@ def affine_closure_data(d: SphericalDatum) -> ColoredCone:
             [tuple(-x for x in rho) for rho in rhos]
     R = Cone.from_inequalities(ineqs, d.rank)
     chi0 = R.relative_interior_point()
-    F = tuple(lbl for lbl, rho in d.colors if vdot(rho, chi0) == 0)
+    F = tuple(lbl for lbl, rho in d.colors if _idot(rho, chi0) == 0)
     candidate = ColoredCone(Cone(d.rank, tuple(d.rho_image(F))), F)
-    ok, _ = validate_colored_cone(d, candidate)
-    if ok:
-        return candidate
-    # fall back to adding the part of V killed by chi0
-    vpart = d.valuation_cone.intersect(
-        Cone.from_inequalities([chi0, tuple(-x for x in chi0)], d.rank))
-    gens = tuple(d.rho_image(F)) + vpart.generators
-    candidate = ColoredCone(Cone(d.rank, gens), F)
     ok, diag = validate_colored_cone(d, candidate)
     if not ok:
-        raise ValueError("affine closure data is not a valid colored cone: " + diag)
+        raise RuntimeError("affine closure data is not a valid colored cone: " + diag)
     return candidate
 
 

@@ -285,8 +285,8 @@ def test_table_rejects_non_integral_labels():
 
 
 @pytest.mark.parametrize("kind,n,h,tests", [
-    ("SL", 3, 12, 582), ("SL", 4, 6, 874), ("B", 2, 10, 480), ("G", 2, 8, 408),
-    ("C", 3, 4, 1204)])
+    ("SL", 3, 12, 360), ("SL", 4, 6, 581), ("B", 2, 10, 350), ("G", 2, 8, 308),
+    ("C", 3, 4, 1130)])
 def test_borel_table_shares_one_kostant_memo(monkeypatch, kind, n, h, tests):
     # a fresh memo per label made 3,471 viability tests on SL3 at h = 12
     from sphvar import chars

@@ -401,16 +401,64 @@ def test_lattice_points_is_output_sensitive():
 
 
 def test_a_large_height_catalog_test_is_fast():
-    # the integral cone is 3-dimensional in Z^5: 544 points kept at height
-    # 80, where trying every candidate coordinate took about 20 s
+    # the rankin-selberg integral cone is 3-dimensional in Z^5: 544 points
+    # kept at height 80, where trying every candidate coordinate took about
+    # 20 s; at height 120 (and triple-product at 60) the per-row l1 tail
+    # bounds took about 2 s
     src = os.path.dirname(os.path.dirname(os.path.abspath(geometry.__file__)))
-    code = ("from sphvar import cli; raise SystemExit(cli.main(['catalog', "
-            "'test', 'rankin-selberg', '--height', '80']))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src),
-                          timeout=10)
-    assert proc.returncode == 0, proc.stderr
-    assert "table\tpass\t544 rows" in proc.stdout.splitlines()
+    for key, h, rows in [("rankin-selberg", 80, 544), ("rankin-selberg", 120, 1637),
+                         ("triple-product", 60, 1941)]:
+        code = ("from sphvar import cli; raise SystemExit(cli.main(['catalog', "
+                "'test', %r, '--height', '%d']))" % (key, h))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src),
+                              timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert "table\tpass\t%d rows" % rows in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("n", range(6))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_prefix_duals_cut_out_each_projection(n, data):
+    c = data.draw(st.one_of(small_cones(n=n), st.just(Cone.zero(n)),
+                            st.just(Cone.full(n))))
+    levels = c.prefix_duals()
+    assert len(levels) == n
+    for i in range(n):
+        assert all(len(y) == i + 1 and y[i] for y in levels[i])
+        rows = [y + (0,) * (i - j) for j in range(i + 1) for y in levels[j]]
+        assert Cone.from_inequalities(rows, i + 1) == \
+            Cone(i + 1, [g[:i + 1] for g in c.generators])
+
+
+def scan_nodes(c, h):
+    """(nodes, points) of lattice_points(c, h); a node is a call of its
+    inner depth-first step."""
+    nodes = []
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name == "rec"
+                and code.co_filename == geometry.__file__):
+            nodes.append(1)
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        pts = lattice_points(c, h)
+    finally:
+        sys.setprofile(previous)
+    return len(nodes), len(pts)
+
+
+@pytest.mark.parametrize("key,h,nodes,points", [
+    ("rankin-selberg", 120, 22880, 1637), ("triple-product", 60, 17861, 1941)])
+def test_lattice_points_node_counts(key, h, nodes, points):
+    # the per-row l1 tail bounds visited 344,056 and 453,970 nodes here
+    from sphvar import catalog
+    d = catalog.load(key).datum
+    c = d.valuation_cone.intersect(d.colored_cone.cone)
+    assert scan_nodes(c, h) == (nodes, points)
 
 
 def candidate_scan(c, height):

@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sphvar import spherical
-from sphvar.geometry import Cone, LatticeMap, feasible
-from sphvar.rootdata import root_datum, product_datum
+from sphvar.chars import QLaurent
+from sphvar.engine import satake_transform
+from sphvar.geometry import Cone, LatticeMap, _idot, feasible
+from sphvar.rootdata import ParabolicDatum, levi_datum, root_datum, product_datum
 from sphvar.spherical import (ColoredCone, SphericalDatum, affine_closure_data,
                               antidominant_cochar_chamber,
                               arithmetic_multiplicity, aut_lineality,
@@ -93,6 +97,32 @@ def test_datum_little_weyl_rejected():
     # swapping the coordinates folds two cone points into one orbit
     with pytest.raises(ValueError):
         coset_datum(little_weyl=(((0, 1), (1, 0)),))
+
+
+GL3 = root_datum("GL", 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: GL3.dominant_cochar((x, 2, 1)),
+    lambda x: GL3.weyl_orbit_char((x, 2, 1)),
+    lambda x: satake_transform(root_datum("GL", 2), (x, 0)),
+    lambda x: ParabolicDatum(GL3, (0,)).pi((x, 0, 0)),
+    lambda x: ParabolicDatum(GL3, (0,)).lift((x, 0)),
+    lambda x: levi_datum(GL3, (x,)),
+    lambda x: ParabolicDatum(GL3, (x,)),
+    lambda x: line_datum(colors=(("D", (x,)),)),
+    lambda x: line_datum(levi_roots=(x - 1,)),
+    lambda x: group_datum(spherical_roots=((x,),)),
+    lambda x: group_datum(little_weyl=(((-x,),),)),
+    lambda x: QLaurent.of({0: x}),
+], ids=["fold", "orbit", "satake", "pi", "lift", "levi_datum", "levi_indices",
+        "colors", "levi_roots", "spherical_roots", "little_weyl", "qlaurent"])
+def test_non_integral_input_is_refused(call):
+    # an integral Fraction or float is accepted; 1/2 used to be truncated
+    call(1.0)
+    call(Fraction(1))
+    with pytest.raises(ValueError, match="non-integral"):
+        call(0.5)
 
 
 def test_colored_cone_same_as():
@@ -246,6 +276,44 @@ def test_affine_closure_matrix_strict():
     m = matrix_datum()
     got = affine_closure_data(m)
     assert got.cone.generators == () and not got.same_as(m.colored_cone)
+
+
+@st.composite
+def gl3_quasi_affine_data(draw):
+    """V = the antidominant image of GL(3) plus random rays; nonzero colors
+    spanning a strictly convex cone."""
+    vec = st.tuples(*[st.integers(-2, 2)] * 3)
+    rays = draw(st.lists(vec, max_size=3))
+    colors = draw(st.lists(vec.filter(any), min_size=1, max_size=4))
+    assume(Cone(3, colors).is_strictly_convex())
+    chamber = antidominant_cochar_chamber(GL3)
+    return SphericalDatum(
+        name="gl3", ambient=GL3, rank=3, lattice_map=LatticeMap.identity(3),
+        valuation_cone=Cone(3, chamber.generators + tuple(rays)),
+        colors=tuple(("D%d" % i, rho) for i, rho in enumerate(colors)))
+
+
+@given(gl3_quasi_affine_data())
+@settings(max_examples=60, deadline=None)
+def test_affine_closure_is_the_cone_of_the_colors_where_r_vanishes(d):
+    # F is read off the face of R = {chi >= 0 on V, <= 0 on the colors}:
+    # the colors on which every generator of R vanishes
+    rows = list(d.valuation_cone.generators) + [tuple(-x for x in rho)
+                                               for _, rho in d.colors]
+    r = Cone.from_inequalities(rows, 3)
+    f = tuple(lbl for lbl, rho in d.colors
+              if all(_idot(g, rho) == 0 for g in r.generators))
+    got = affine_closure_data(d)
+    assert got.colors == f
+    assert got.cone == Cone(3, d.rho_image(f))
+    assert validate_colored_cone(d, got)[0]
+
+
+def test_affine_closure_refuses_an_invalid_result(monkeypatch):
+    monkeypatch.setattr(spherical, "validate_colored_cone",
+                        lambda d, cc: (False, "condition (ii): forced"))
+    with pytest.raises(RuntimeError, match="forced"):
+        affine_closure_data(line_datum())
 
 
 def test_affine_closure_not_quasi_affine():
