@@ -30,8 +30,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -227,15 +227,34 @@ def _fmt_label(l):
     return ",".join(str(x) for x in l)
 
 
+# Fraction raises 10 to a decimal exponent, so a rational argument may carry
+# one of at most this size, the digit count int() accepts from a string
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _rational(text, error):
+    """Fraction(text), or InputError(error % text) if text is no rational
+    or its decimal exponent is larger than MAX_EXPONENT either way."""
+    exp = _EXPONENT.search(text)
+    if exp:
+        digits = exp[1].replace("_", "").lstrip("0")
+        if (len(digits) > len(str(MAX_EXPONENT))
+                or int(digits or 0) > MAX_EXPONENT):
+            raise InputError("%s: its decimal exponent is larger than %d"
+                             % (error % (text,), MAX_EXPONENT))
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(error % (text,)) from None
+
+
 def _parse_q(text):
     if text is None:
         text = os.environ.get("SPH_Q_DEFAULT", "sym")
     if text == "sym":
         return None
-    try:
-        q0 = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InputError("--q must be 'sym' or a rational, got %r" % text)
+    q0 = _rational(text, "--q must be 'sym' or a rational, got %r")
     if q0 <= 0:
         raise InputError("--q must be positive, got %r" % text)
     return q0
@@ -353,10 +372,7 @@ def _parse_point(text) -> dict:
         if "=" not in item:
             raise InputError("--point items look like t1=2, got %r" % item)
         key, _, val = item.partition("=")
-        try:
-            point[key.strip()] = Fraction(val)
-        except (ValueError, ZeroDivisionError):
-            raise InputError("bad coordinate value %r" % val)
+        point[key.strip()] = _rational(val, "bad coordinate value %r")
     return point
 
 
@@ -549,6 +565,36 @@ ORACLE_CHECKS = {
 }
 
 
+# Miller-Rabin on the primes up to 41 decides primality below PRIME_BOUND
+# (Sorenson and Webster 2015)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Whether n < PRIME_BOUND is prime: n - 1 = d 2^r with d odd, and
+    each witness a has a^d = 1 or a^(d 2^i) = -1 mod n for some i < r."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 def cmd_oracle(args) -> int:
     if args.name not in ORACLE_CHECKS:
         raise InputError("unknown oracle check %r; available: %s"
@@ -558,7 +604,10 @@ def cmd_oracle(args) -> int:
     except ValueError:
         raise InputError("--q must be comma-joined primes, got %r" % args.q)
     for q in qs:
-        if q < 2 or any(q % k == 0 for k in range(2, math.isqrt(q) + 1)):
+        if q >= PRIME_BOUND:
+            raise InputError("--q entries must be below %d, got %d"
+                             % (PRIME_BOUND, q))
+        if not _is_prime(q):
             raise InputError("--q entries must be primes, got %d" % q)
     fn, default_height = ORACLE_CHECKS[args.name]
     height = args.height if args.height is not None else default_height

@@ -28,7 +28,7 @@ from .chars import (QLaurent, WeightChar, _symmetrize, decompose, kostant_counte
 from .geometry import (Cone, LatticeMap, _idot, _int_vec, feasible,
                        hilbert_basis_pointed, inverse_unimodular, lattice_points,
                        matrix_rank, saturation_quotient, vdot, vneg)
-from .rootdata import ParabolicDatum, RootDatum, dual_datum, levi_datum
+from .rootdata import ParabolicDatum, RootDatum
 from .spherical import enumerate_orbits
 
 KAPPA = 1
@@ -428,7 +428,7 @@ def basic_function_graded(p: ParabolicDatum, bound: int):
     if not p.radical_pairs:
         raise ValueError("no radical: the Levi is the whole group")
     rad = WeightChar.of([(bv, 1) for _, bv in p.radical_pairs])
-    md = dual_datum(levi_datum(p.datum, p.levi_indices))
+    md = p.levi.dual
     return [(i, tuple(decompose(md, s)))
             for i, s in enumerate(sym_powers_upto(rad, bound))]
 

@@ -15,18 +15,20 @@ room for one inversion, which costs twice the valuation.
 
 Series are packed: the coefficients of a TruncSeries are the fixed-width
 slots of one Python int, starting at its valuation (Kronecker substitution,
-Schoenhage 1982).  Sums, products and whole matrix entries are reduced mod p
-inside the int: an entry of a matrix product or a determinant is one
-multiply-accumulate of big ints, the products shifted to a common valuation,
-followed by one reduction of all slots at once; a product by a single
-coefficient needs none.  One determinant routine serves series and ints; a
-3 x 3 determinant is row 0 against the cross product of rows 1 and 2, and
-over F_2 a negation is free.  A random unimodular matrix takes two draws
-once its residues are accepted: whether a matrix is unimodular depends only
-on its residues, so all n^2 of them are drawn at once and redrawn until
-their determinant is a unit, a test memoized per draw, and only then are the
-higher digits of every entry drawn at once and spread into slots a table
-lookup at a time.
+Schoenhage 1982).  One multiply-accumulate, _dot, serves every sum, product
+and matrix entry: the products of big ints are shifted to a common
+valuation, summed, cut at the precision and reduced mod p in all slots at
+once inside the int; a product by a single coefficient needs no reduction.
+A sum is the dot of its operands against units, and a product whose
+operands are both longer than _SPAN slots goes in pieces of _SPAN slots, so
+one slot width, fixed by p, serves every series.  One determinant routine
+serves series and ints; a 3 x 3 determinant is row 0 against the cross
+product of rows 1 and 2, and over F_2 a negation is free.  A random
+unimodular matrix takes two draws once its residues are accepted: whether a
+matrix is unimodular depends only on its residues, so all n^2 of them are
+drawn at once and redrawn until their determinant is a unit, a test
+memoized per draw, and only then are the higher digits of every entry drawn
+at once and spread into slots a table lookup at a time.
 """
 from __future__ import annotations
 
@@ -109,15 +111,6 @@ def _reduce(s, n, p, w, bound):
     return s
 
 
-def _widened(x, y, na, nb, n, p, w):
-    """Slots 0 .. n-1 of x y, reduced, for operands of na and nb slots too
-    long for w: a product slot sums min(na, nb) products of residues, so
-    the product is taken in wider slots and packed back."""
-    wide = _slot_bytes((p - 1) ** 2 * min(na, nb))
-    s = _pack(_unpack(x, na, w), wide) * _pack(_unpack(y, nb, w), wide)
-    return _pack([c % p for c in _unpack(s, n, wide)], w)
-
-
 class TruncSeries:
     """Laurent series over F_p with all coefficients known below t^prec.
 
@@ -126,8 +119,8 @@ class TruncSeries:
     the zero series has _x = 0 and _v = prec.  The width depends on p only
     and holds a sum of _SPAN products of residues below its top bit, so
     sums and products are reduced in every slot at once without unpacking
-    (_reduce); a product is a one-term _dot.  p, prec and terms are
-    read-only.
+    (_reduce): a product is a one-term _dot, and a sum the two-term _dot of
+    the operands against units.  p, prec and terms are read-only.
     """
 
     __slots__ = ("_p", "_prec", "_v", "_x", "_w")
@@ -212,25 +205,9 @@ class TruncSeries:
         return self._v
 
     def __add__(self, other):
-        p = self._p
-        if p != other._p:
-            raise ValueError("series over F_%d and F_%d" % (p, other._p))
-        x, y = self._x, other._x
-        if not y and other._prec >= self._prec:
-            return self
-        if not x and self._prec >= other._prec:
-            return other
-        prec = min(self._prec, other._prec)
-        va, vb, w = self._v, other._v, self._w
-        if va > vb:
-            x, y, va, vb = y, x, vb, va
-        n = prec - va
-        if n <= 0:
-            return TruncSeries(p, prec, prec, 0, w)
-        bits = 8 * w
-        s = (x + (y << bits * (vb - va))) & ~(-1 << bits * n)
-        return TruncSeries._make(p, prec, va, _reduce(s, n, p, w, 2 * p - 2),
-                                 w)
+        # each operand times t^0 known to prec - v, which keeps its precision
+        return _dot((self, other), [TruncSeries(x._p, x._prec - x._v, 0, 1,
+                                                x._w) for x in (self, other)])
 
     def __neg__(self):
         x, w, p = self._x, self._w, self._p
@@ -276,6 +253,8 @@ def _dot(xs, ys):
     is zero bounds only that.  The other products, shifted to a common
     valuation, are summed into one int, which is cut below the precision
     and reduced once, or before a sum could reach the top bit of a slot.
+    A product whose shorter operand has more than _SPAN slots is summed as
+    pieces of _SPAN slots of that operand, so the slot width never changes.
     Primes are checked in the order the chain would check them."""
     p, prec, prods = xs[0]._p, None, []
     for x, y in zip(xs, ys):
@@ -306,9 +285,14 @@ def _dot(xs, ys):
         na, nb = -(-a.bit_length() // bits), -(-b.bit_length() // bits)
         m = na if na < nb else nb
         if m > _SPAN:
-            c = _widened(a, b, na, nb, min(na + nb - 1, prec - v), p, w)
-            cb = p - 1
-        elif m == 1:
+            # _SPAN slots of the shorter operand at a time: each piece is an
+            # ordinary product, visited later in this loop
+            if na > nb:
+                a, b = b, a
+            for j in range(0, m, _SPAN):
+                prods.append((v + j, a >> bits * j & ~(-1 << bits * _SPAN), b))
+            continue
+        if m == 1:
             # one slot c bounds each slot of the product by c (p - 1), two by
             # their product: a monic monomial needs no reduction
             c = a * b
@@ -328,13 +312,6 @@ def mat_mul(a, b):
         raise ValueError("cannot multiply %dx%d by %dx%d" % (n, len(a[0]), k, m))
     cols = list(zip(*b))
     return [[_dot(row, col) for col in cols] for row in a]
-
-
-def vec_mat(v, m):
-    if len(v) != len(m):
-        raise ValueError("cannot multiply 1x%d by %dx%d"
-                         % (len(v), len(m), len(m[0])))
-    return tuple(_dot(v, col) for col in zip(*m))
 
 
 def _int_dot(xs, ys):

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -411,6 +412,41 @@ def test_basicfn_rejects_bad_q(tmp_path, capsys):
         assert "--q" in err
 
 
+@pytest.mark.parametrize("value", ["1e99999999", "1E-99999999", "2.5e+4301",
+                                   "1e-4_301"])
+def test_huge_decimal_exponents_are_refused_at_once(tmp_path, capsys,
+                                                    monkeypatch, value):
+    # Fraction would raise 10 to the exponent first
+    p = doc_path(tmp_path, "pp-gl3")
+    why = ": its decimal exponent is larger than 4300\n"
+    start = time.perf_counter()
+    basicfn = ["basicfn", p, "--case", "pp", "--height", "1"]
+    assert run(capsys, basicfn + ["--q", value]) == (
+        2, "", "error: --q must be 'sym' or a rational, got %r" % value + why)
+    monkeypatch.setenv("SPH_Q_DEFAULT", value)
+    assert run(capsys, basicfn) == (
+        2, "", "error: --q must be 'sym' or a rational, got %r" % value + why)
+    monkeypatch.delenv("SPH_Q_DEFAULT")
+    assert run(capsys, ["lf", p, "--rep", "u_P",
+                        "--point", "t1=%s,t2=1,t3=1" % value]) == (
+        2, "", "error: bad coordinate value %r" % value + why)
+    assert time.perf_counter() - start < 5
+
+
+def test_decimal_rationals_read_as_before(tmp_path, capsys):
+    p = doc_path(tmp_path, "pp-gl3")
+    basicfn = ["basicfn", p, "--case", "pp", "--height", "2", "--q"]
+    for value, same in (("1e3", "1000"), ("1e-3", "1/1000"),
+                        ("2.5E+1_0", "25000000000")):
+        assert run(capsys, basicfn + [value]) == run(capsys, basicfn + [same])
+    # exponents up to the bound, either way, are taken
+    for value in ("1e4300", "1e-4_300"):
+        assert run(capsys, basicfn + [value])[0] == 0
+    lf = ["lf", p, "--rep", "u_P", "--point"]
+    assert run(capsys, lf + ["t1=2.5,t2=1e1,t3=3"]) == \
+        run(capsys, lf + ["t1=5/2,t2=10,t3=3"])
+
+
 def test_basicfn_json_schema(tmp_path, capsys):
     p = doc_path(tmp_path, "a2-sl2")
     code, out, _ = run(capsys, ["basicfn", p, "--case", "borel",
@@ -664,15 +700,45 @@ def test_oracle_bad_requests(capsys):
         assert run(capsys, ["oracle", "run", "orbit-invariance", "--q", "2",
                             "--trials", trials]) == \
             (2, "", "error: --trials must be >= 1\n")
+    # the bound is the least strong pseudoprime to all thirteen witnesses,
+    # so it and every q past it are refused
+    bound = cli.PRIME_BOUND
+    assert cli._is_prime(bound)
+    for q in (bound, bound + 2, 10 ** 30):
+        assert run(capsys, ["oracle", "run", "representatives", "--q", str(q),
+                            "--height", "0"]) == (
+            2, "", "error: --q entries must be below %d, got %d\n"
+            % (bound, q))
 
 
 def test_oracle_prime_check_is_fast(capsys):
-    # trial division stops at the square root of q
+    # Miller-Rabin on thirteen witnesses, no trial division
     start = time.perf_counter()
     code, out, _ = run(capsys, ["oracle", "run", "representatives",
                                 "--q", "1000000007", "--height", "0"])
     assert time.perf_counter() - start < 5
     assert code == 0 and out.startswith("representatives\tq=1000000007\tpass")
+    # a prime near 10^18, then (10^9 + 7)(10^9 + 9)
+    prime, composite = "1000000000000000003", "1000000016000000063"
+    for q, want in (
+            (prime, (0, "representatives\tq=%s\tpass\n" % prime, "")),
+            (composite, (2, "", "error: --q entries must be primes, got %s\n"
+                         % composite))):
+        start = time.perf_counter()
+        assert run(capsys, ["oracle", "run", "representatives", "--q", q,
+                            "--height", "0"]) == want
+        assert time.perf_counter() - start < 1
+
+
+def test_miller_rabin_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    # the least strong pseudoprimes to the first 4, 8, 11 and 12 prime bases
+    pseudo = [3215031751, 341550071728321, 3825123056546413051,
+              318665857834031151167461]
+    rng = random.Random(25)
+    ns = (list(range(-2, 3000)) + pseudo
+          + [rng.randrange(cli.PRIME_BOUND) for _ in range(2000)])
+    assert [cli._is_prime(n) for n in ns] == [sympy.isprime(n) for n in ns]
 
 
 @pytest.mark.parametrize("check, group, count", [

@@ -38,7 +38,6 @@ from sphvar.oracle import (
     stratum_point,
     transition_counts,
     translate_invariance_mismatches,
-    vec_mat,
 )
 from sphvar.rootdata import root_datum
 from sphvar.spherical import enumerate_orbits
@@ -346,10 +345,10 @@ def test_integer_mat_det_matches_leibniz():
         assert mat_det(m) == _leibniz(m)
 
 
-def test_vec_mat():
+def test_one_row_mat_mul():
     v = (tp(0), tp(1))
     m = [[ts({}), ts({0: 1})], [ts({0: 1}), ts({})]]
-    w = vec_mat(v, m)
+    w = mat_mul([v], m)[0]
     assert w[0].val() == 1 and w[1].val() == 0
 
 
@@ -450,7 +449,7 @@ def test_matrix_kernel_matches_the_chain(p, n, k, data):
     assert [_grid(lambda: _chain_mat_mul(a, b)),
             _grid(lambda: tuple(_chain_mat_mul([a[0]], b)[0])),
             _grid(lambda: _chain_det(m)), _grid(lambda: _chain_inv(m))] == want
-    assert [_grid(lambda: mat_mul(a, b)), _grid(lambda: vec_mat(a[0], b)),
+    assert [_grid(lambda: mat_mul(a, b)), _grid(lambda: mat_mul([a[0]], b)),
             _grid(lambda: mat_det(m)), _grid(lambda: mat_inv(m))] == want
 
 
@@ -467,20 +466,82 @@ def test_matrix_kernel_on_long_operands(p, slots, monkeypatch):
     assert _grid(lambda: mat_mul(a, b)) == want
     assert _grid(lambda: mat_det(a)) == _grid(lambda: _chain_det(ra))
     # one dot of three such products
-    reduced, widened = [], []
-    for name, log in (("_reduce", reduced), ("_widened", widened)):
+    reduced, packed = [], []
+    for name, log in (("_reduce", reduced), ("_pack", packed),
+                      ("_unpack", packed)):
         monkeypatch.setattr(oracle, name,
                             lambda *args, f=getattr(oracle, name), log=log:
                             log.append(args) or f(*args))
     col = [row[0] for row in b]
-    assert _grid(lambda: oracle._dot(a[0], col)) == [[want[0][0]]]
-    if slots > 16:
-        # each product is taken in wider slots and comes back reduced
-        assert len(widened) == 3 and len(reduced) == 1
-    else:
+    got = oracle._dot(a[0], col)
+    # each long product goes in 16-slot pieces at the width p was given
+    assert not packed
+    assert _grid(lambda: got) == [[want[0][0]]]
+    if slots <= 16:
         # at p = 3 and 10007 two such products would reach the top bit of
         # a slot, so the partial sum is reduced before each is added
-        assert not widened and len(reduced) == 3
+        assert len(reduced) == 3
+    else:
+        # the pieces are summed like any products: at p = 3 the partial sum
+        # is reduced before a piece would reach the top bit of a slot
+        assert len(reduced) == {17: 1, 30: 3, 20: 1}[slots]
+
+
+# the primes on both sides of each step of the slot width, 1 -> 2 -> 4 -> 8
+# -> 16 bytes, and 2^61 - 1
+WIDTH_STEP_PRIMES = (3, 5, 43, 47, 11579, 11587, 759250111, 759250133,
+                     2 ** 61 - 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(WIDTH_STEP_PRIMES), st.data())
+def test_products_and_sums_match_the_reference_at_piece_boundaries(p, data):
+    # operands of 15 to 33 slots: full, nonzero everywhere, or nonzero only
+    # at both ends, so that a whole 16-slot piece can be zero
+    import sphvar.oracle as oracle
+
+    def operand():
+        n = data.draw(st.sampled_from((15, 16, 17, 32, 33)))
+        lo = data.draw(st.integers(-3, 3))
+        kind = data.draw(st.sampled_from(("full", "nonzero", "ends")))
+        if kind == "full":
+            coeffs = [p - 1] * n
+        elif kind == "nonzero":
+            coeffs = data.draw(st.lists(st.integers(1, p - 1), min_size=n,
+                                        max_size=n))
+        else:
+            coeffs = [1] + [0] * (n - 2) + [p - 1]
+        prec = data.draw(st.integers(lo + n - 1, lo + 2 * n + 1))
+        items = [(lo + i, c) for i, c in enumerate(coeffs)]
+        return [cls.of(p, prec, items)
+                for cls in (TruncSeries, _SparseSeries)]
+
+    (a, ra), (b, rb), (c, rc), (d, rd) = (operand() for _ in range(4))
+    for mine, ref in ((lambda: a * b, lambda: ra * rb),
+                      (lambda: b * a, lambda: rb * ra),
+                      (lambda: a + b, lambda: ra + rb),
+                      (lambda: a - b, lambda: ra - rb),
+                      (lambda: oracle._dot((a, c), (b, d)),
+                       lambda: ra * rb + rc * rd)):
+        assert _outcome(mine) == _outcome(ref)
+
+
+def test_a_sum_is_one_dot(monkeypatch):
+    import sphvar.oracle as oracle
+    calls, dot = [], oracle._dot
+    monkeypatch.setattr(oracle, "_dot",
+                        lambda xs, ys: calls.append(xs) or dot(xs, ys))
+    a, b = ts({0: 1, 3: 1}), ts({1: 1, 3: 1}, prec=9)
+    s = a + b
+    assert len(calls) == 1
+    assert (s.terms, s.prec) == (((0, 1), (1, 1)), 9)
+
+
+def test_the_kernel_keeps_no_cell_variables():
+    # a closure inside _dot over its locals would turn them into cells,
+    # which slows every dot
+    import sphvar.oracle as oracle
+    assert oracle._dot.__code__.co_cellvars == ()
 
 
 @pytest.mark.parametrize("p", (3, 47, 10007))
@@ -513,7 +574,7 @@ def test_matrix_kernel_calls_no_series_product(monkeypatch):
     v = (ts({}, p=5, prec=8), ts({}, p=5, prec=8), tp(2, p=5, prec=8))
     want = (_chain_mat_mul(g, g), _chain_mat_mul([list(v)], g), _chain_det(g))
     mul = _CountingMul(monkeypatch)
-    assert (mat_mul(g, g), [list(vec_mat(v, g))], mat_det(g)) == want
+    assert (mat_mul(g, g), mat_mul([v], g), mat_det(g)) == want
     assert mul.calls == 0
 
 
@@ -855,7 +916,7 @@ def test_mismatched_inputs_raise():
     with pytest.raises(ValueError, match="cannot multiply 2x2 by 3x3"):
         mat_mul(mat_id(P, PREC, 2), mat_id(P, PREC, 3))
     with pytest.raises(ValueError, match="cannot multiply 1x2 by 3x3"):
-        vec_mat(mat_id(P, PREC, 2)[0], mat_id(P, PREC, 3))
+        mat_mul([mat_id(P, PREC, 2)[0]], mat_id(P, PREC, 3))
     # a coset of the wrong size is refused, not truncated to the space
     reps = [mat_id(P, PREC, 3)]
     with pytest.raises(ValueError, match="cannot multiply 1x2 by 3x3"):
@@ -1101,7 +1162,7 @@ def test_ppgl3_translates_match_the_chain_on_the_satake_window(monkeypatch):
              + [x.coords[3] * _chain_det(g)] for g in reps] for x in points]
     mul = _CountingMul(monkeypatch)
     dets = [mat_det(g) for g in reps]
-    assert [[list(vec_mat(x.coords[:3], g)) for g in reps]
+    assert [[mat_mul([x.coords[:3]], g)[0] for g in reps]
             for x in points] == [[w[:3] for w in row] for row in want]
     assert mul.calls == 0
     for x, row in zip(points, want):
@@ -1267,7 +1328,8 @@ def test_translates_replay_the_random_stream(space, label, monkeypatch):
             want.append(tuple(m[0] + m[1]))
         else:
             g = random_unimodular(rng, p, prec, 3)
-            want.append(vec_mat(x[:3], g) + (x[3] * mat_det(g),))
+            want.append(tuple(mat_mul([x[:3]], g)[0])
+                        + (x[3] * mat_det(g),))
     assert [y.coords for y in seen] == want
     assert {y.space for y in seen} == {space}
 
