@@ -8,14 +8,14 @@ reproduce, and the unramified L-value the table is expected to realize when
 classical theory predicts one.  Each key is its datum's name; loading is cached.
 
 An entry states only the free data of its datum: the ambient group, the
-lattice map, the colors, the spherical roots, the Levi roots, the little Weyl
-group, and the colors F of its colored cone with any extra rays.  The rest is
-derived: the rank is the lattice map's width, the valuation cone is
-{v : <sigma, v> <= 0 for every spherical root sigma}, and the colored cone is
-spanned by rho(F) and the extra rays.  So `catalog show --json` prints the
-valuation cone by its canonical generators.  The Godement-Jacquet matrix
-spaces and the tensor products of copies of SL(2) are each built by one
-constructor, for any size.
+lattice map, the colors, the spherical roots, the Levi roots, and the colors
+F of its colored cone with any extra rays.  The rest is derived: the rank is
+the lattice map's width, the valuation cone is {v : <sigma, v> <= 0 for every
+spherical root sigma}, the colored cone is spanned by rho(F) and the extra
+rays, and the little Weyl group comes from the roots and colors.  So
+`catalog show --json` prints canonical valuation cones and little_weyl null.
+The Godement-Jacquet matrix spaces and the tensor products of copies of
+SL(2) are each built by one constructor, for any size.
 """
 from __future__ import annotations
 
@@ -66,7 +66,7 @@ def _vec(n, coeffs):
 
 
 def _datum(name, ambient, lattice_map, colors=(), spherical_roots=(),
-           levi_roots=(), little_weyl=None, cone_colors=None, rays=()):
+           levi_roots=(), cone_colors=None, rays=()):
     """The datum from its free data. The rank is the lattice map's width,
     the valuation cone is {v : <sigma, v> <= 0 for each spherical root
     sigma}, and the colored cone is spanned by rho of cone_colors (F, all
@@ -80,7 +80,6 @@ def _datum(name, ambient, lattice_map, colors=(), spherical_roots=(),
         valuation_cone=Cone.from_inequalities(
             [vneg(s) for s in spherical_roots], n),
         colors=colors, levi_roots=levi_roots, spherical_roots=spherical_roots,
-        little_weyl=little_weyl,
         colored_cone=ColoredCone(
             Cone(n, [rho[c] for c in cone_colors] + list(rays)), cone_colors))
 
@@ -203,8 +202,7 @@ def _entries():
                product_datum(root_datum("T", 1), root_datum("PGL", 2)),
                LatticeMap.identity(2),
                colors=(("D1", (1, 1)), ("D2", (-1, 1))),
-               spherical_roots=((0, 1),), little_weyl=(((1, 0), (0, -1)),),
-               cone_colors=())
+               spherical_roots=((0, 1),), cone_colors=())
     yield CatalogEntry(
         datum=d,
         provenance="classical Hecke integral: torus period on GL(2)",
@@ -218,8 +216,7 @@ def _entries():
     d = _datum("pgl2-group",
                product_datum(root_datum("PGL", 2), root_datum("PGL", 2)),
                LatticeMap.of([(1,), (1,)]), colors=(("D", (2,)),),
-               spherical_roots=((1,),), little_weyl=(((-1,),),),
-               cone_colors=())
+               spherical_roots=((1,),), cone_colors=())
     yield CatalogEntry(
         datum=d,
         provenance="group case: PGL(2) x PGL(2) over the diagonal",

@@ -12,6 +12,9 @@ Input documents are JSON (schema 1) describing one spherical datum:
      "levi_roots": [...], "spherical_roots": [[...], ...],
      "little_weyl": [[[...]]] | null, "colored_cone": {...} | null}
 
+"little_weyl" is input only: W_X is derived, stated matrices must generate it
+(spherical.check_little_weyl), and render_document writes null.
+
 Table commands take their route from engine.derived_route, the derivation
 the catalog uses: the group is the non-torus coordinate block of the ambient
 group, the lattice_map rows sitting in that block, transposed, are the label
@@ -43,8 +46,8 @@ from .engine import (KAPPA, TransportRoute, basic_function_graded,
 from .geometry import Cone, LatticeMap
 from .rootdata import ParabolicDatum, RootDatum, product_datum, root_datum
 from .spherical import (ColoredCone, SphericalDatum, arithmetic_multiplicity,
-                        aut_lineality, enumerate_orbits, is_affine,
-                        is_wavefront, negligible_orbit_check,
+                        aut_lineality, check_little_weyl, enumerate_orbits,
+                        is_affine, is_wavefront, negligible_orbit_check,
                         parabolic_induction, validate_colored_cone)
 
 SCHEMA = 1
@@ -154,15 +157,14 @@ def parse_document(obj) -> SphericalDatum:
         colors.append((str(c["label"]), _ivec(c["rho"], "rho")))
     lw = obj.get("little_weyl")
     if lw is not None:
-        lw = tuple(_imat(m, "little_weyl matrix")
-                   for m in _list(lw, "little_weyl"))
+        lw = [_imat(m, "little_weyl matrix") for m in _list(lw, "little_weyl")]
     cc = obj.get("colored_cone")
     if cc is not None:
         cc = ColoredCone(_parse_cone(cc, rank, "colored_cone"),
                          tuple(str(x) for x in _list(cc.get("colors", ()),
                                                      "colored_cone.colors")))
     with _prefixed("inconsistent document: "):
-        return SphericalDatum(
+        d = SphericalDatum(
             name=str(obj["name"]),
             ambient=parse_group(obj["group"]),
             rank=rank,
@@ -174,8 +176,10 @@ def parse_document(obj) -> SphericalDatum:
             levi_roots=_ivec(obj.get("levi_roots", ()), "levi_roots"),
             spherical_roots=_imat(obj.get("spherical_roots", ()),
                                   "spherical_roots"),
-            little_weyl=lw,
             colored_cone=cc)
+        if lw is not None:
+            check_little_weyl(d, lw)
+        return d
 
 
 def render_document(d: SphericalDatum) -> dict:
@@ -193,8 +197,7 @@ def render_document(d: SphericalDatum) -> dict:
         "colors": [{"label": lbl, "rho": list(rho)} for lbl, rho in d.colors],
         "levi_roots": list(d.levi_roots),
         "spherical_roots": [list(g) for g in d.spherical_roots],
-        "little_weyl": ([[list(r) for r in m] for m in d.little_weyl]
-                        if d.little_weyl is not None else None),
+        "little_weyl": None,
         "colored_cone": cc,
     }
 

@@ -215,9 +215,9 @@ def _reflect(v, x, y):
     return tuple(a - c * b for a, b in zip(v, x))
 
 
-def _closure(seeds, step, message, cap=_CLOSURE_CAP):
+def _closure(seeds, step, message):
     """Breadth-first closure of seeds under step (element -> its images);
-    ValueError(message) once it holds more than cap elements."""
+    ValueError(message) once it holds more than _CLOSURE_CAP elements."""
     seen = set(seeds)
     frontier = list(seen)
     while frontier:
@@ -227,7 +227,7 @@ def _closure(seeds, step, message, cap=_CLOSURE_CAP):
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-        if len(seen) > cap:
+        if len(seen) > _CLOSURE_CAP:
             raise ValueError(message)
         frontier = nxt
     return seen

@@ -2,10 +2,10 @@
 
 A SphericalDatum is pure input data: the character lattice of X inside the
 ambient torus character lattice, the valuation cone, the colors with their
-images, the Levi roots and spherical roots, and optionally a colored cone
-and little Weyl group generators. All criteria here (colored-cone validity,
-affineness, wavefront, induction, negligibility) are exact rational
-computations on that data.
+images, the Levi roots and spherical roots, and optionally a colored cone;
+its little Weyl group is derived from the roots and colors. All criteria
+here (colored-cone validity, affineness, wavefront, induction, negligibility)
+are exact rational computations on that data.
 """
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ class SphericalDatum:
     colors: tuple = ()               # of (label, rho(D) in Lambda_X)
     levi_roots: tuple = ()           # indices into ambient.simple_roots
     spherical_roots: tuple = ()      # intrinsic vectors in X(X) coordinates
-    little_weyl: tuple = None        # optional matrix generators of W_X
     colored_cone: ColoredCone = None
 
     def __post_init__(self):
@@ -50,9 +49,6 @@ class SphericalDatum:
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "levi_roots", tuple(sorted(map(_exact_int, self.levi_roots))))
         object.__setattr__(self, "spherical_roots", tuple(map(_int_vec, self.spherical_roots)))
-        if self.little_weyl is not None:
-            object.__setattr__(self, "little_weyl", tuple(tuple(map(_int_vec, m))
-                                                          for m in self.little_weyl))
         if self.lattice_map.m != self.ambient.rank or self.lattice_map.n != self.rank:
             raise ValueError("lattice map must be (ambient rank) x (rank)")
         if not self.lattice_map.is_injective():
@@ -78,28 +74,16 @@ class SphericalDatum:
             if self.colored_cone.cone.n != self.rank:
                 raise ValueError("colored cone lives in the wrong dimension")
             self.rho_image(self.colored_cone.colors)  # unknown labels raise
-        if self.little_weyl is not None:
-            if any(len(m) != self.rank or any(len(r) != self.rank for r in m)
-                   for m in self.little_weyl):
-                raise ValueError("little Weyl generators must be rank x rank matrices")
-            self._check_fundamental_domain()
 
-    def _check_fundamental_domain(self):
-        # sampled orbits of W_X must meet the valuation cone only once
-        samples = list(self.valuation_cone.generators)
-        if len(samples) >= 2:
-            samples.append(tuple(a + b for a, b in zip(samples[0], samples[1])))
-
-        def act(w):
-            return (tuple(_idot(row, w) for row in m) for m in self.little_weyl)
-        for v in samples:
-            if all(x == 0 for x in v):
-                continue
-            orbit = _closure([v], act, "little Weyl orbit does not close",
-                             cap=1024)
-            hits = [w for w in orbit if self.valuation_cone.contains(w)]
-            if any(w != tuple(v) for w in hits):
-                raise ValueError("little Weyl sample orbit meets the cone twice")
+    @cached_property
+    def little_datum(self):
+        """The spherical roots with the coroots `_coroot` reads off the colors
+        (Knop 1996), or None if a root gets none. W_X is the Weyl group of
+        its dual on Lambda_X, and W_X = 1 without spherical roots."""
+        coroots = tuple(_coroot(g, self.colors) for g in self.spherical_roots)
+        if None in coroots:
+            return None
+        return RootDatum(self.name + "-little", self.rank, self.spherical_roots, coroots)
 
     @cached_property
     def antidominant_image(self) -> Cone:
@@ -121,6 +105,37 @@ class SphericalDatum:
 
     def ambient_spherical_roots(self):
         return [self.lattice_map.apply(g) for g in self.spherical_roots]
+
+
+def _coroot(gamma, colors):
+    """gamma-check from the colors: rho(D+) + rho(D-) when exactly two colors
+    pair to 1 with gamma, rho(D) when exactly one pairs to 2; None when
+    neither rule or both rules apply."""
+    ones = [rho for _, rho in colors if _idot(gamma, rho) == 1]
+    twos = [rho for _, rho in colors if _idot(gamma, rho) == 2]
+    if len(ones) == 2 and len(twos) != 1:
+        return tuple(a + b for a, b in zip(*ones))
+    if len(twos) == 1 and len(ones) != 2:
+        return twos[0]
+    return None
+
+
+def check_little_weyl(d: SphericalDatum, matrices):
+    """Refuse stated generators of W_X on Lambda_X unless each lies in W_X,
+    tested first (so a matrix of the wrong shape fails too), and together
+    they generate it."""
+    if d.little_datum is None:
+        raise ValueError("little Weyl generators given for roots without coroots")
+    group = d.little_datum.dual.weyl_char
+    for m in matrices:
+        if m not in group:
+            raise ValueError("little Weyl generator %r is not in W_X" % (m,))
+
+    def step(w):  # w -> m w for each generator m
+        return (tuple(tuple(_idot(r, c) for c in zip(*w)) for r in m) for m in matrices)
+    # the coset H w of the generated group H has |H| elements
+    if len(_closure([group[0]], step, "little Weyl group too large")) != len(group):
+        raise ValueError("little Weyl generators do not generate W_X")
 
 
 def antidominant_cochar_chamber(rd: RootDatum) -> Cone:

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from sphvar import cli
 from sphvar.catalog import basic_table, list_entries, load
-from sphvar.cli import (InputError, main, parse_document, parse_group,
-                        render_document, render_group)
+from sphvar.cli import (InputError, load_document, main, parse_document,
+                        parse_group, render_document, render_group)
 from sphvar.rootdata import product_datum, root_datum
 
 ALL_KEYS = list_entries()
@@ -87,8 +87,9 @@ MALFORMED = (
     {"little_weyl": 5},
     {"colors": 5},
     {"colored_cone": {"colors": 5, "generators": [[1]]}},
-    {"little_weyl": [[[2]]]},  # its orbit never closes
+    {"little_weyl": [[[2]]]},  # not in W_X = 1; its orbit never closes
     {"little_weyl": [[[1, 0]]]},
+    {"little_weyl": [[[0.5]]]},
     {"colored_cone": {"dim": "one", "generators": [[1]], "colors": []}},
     {"group": {"type": "GL", "rank": [2]}},
     {"group": {"factors": 5}},
@@ -119,6 +120,40 @@ def test_malformed_document_is_bad_input(tmp_path, capsys, bad, cmd):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# a stated little_weyl outside W_X, or on a datum whose spherical roots do
+# not all get a coroot from the colors
+BAD_LITTLE_WEYL = (
+    ("hecke-gl2", [[[0, 1], [1, 0]]]),
+    ("hecke-gl2", [[[1, 0], [0, 1]]]),
+    ("pgl2-group", [[[1]]]),
+    ("rankin-selberg", [[[int(i == j) for j in range(5)] for i in range(5)]]),
+    ("rankin-selberg", []),
+)
+
+
+@pytest.mark.parametrize("cmd", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("key, lw", BAD_LITTLE_WEYL,
+                         ids=lambda v: json.dumps(v))
+def test_wrong_little_weyl_is_bad_input(tmp_path, capsys, key, lw, cmd):
+    p = doc_path(tmp_path, key, little_weyl=lw)
+    code, out, err = run(capsys, [cmd[0], p] + cmd[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: inconsistent document: little Weyl") \
+        and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, lw", (("hecke-gl2", [[[1, 0], [0, -1]]]),
+                                     ("pgl2-group", [[[-1]]]),
+                                     ("a2-sl2", [])))
+def test_right_little_weyl_is_accepted(tmp_path, capsys, key, lw):
+    # documents rendered before W_X was derived state these generators
+    plain = run(capsys, ["describe", doc_path(tmp_path, key)])
+    p = doc_path(tmp_path, key, little_weyl=lw)
+    assert run(capsys, ["describe", p]) == plain
+    assert load_document(p) == load(key).datum
 
 
 def test_group_whose_roots_do_not_close_is_bad_input(tmp_path, capsys):
@@ -611,6 +646,8 @@ def test_catalog_show_json_round_trips(capsys, key):
     code, out, _ = run(capsys, ["catalog", "show", key, "--json"])
     assert code == 0
     assert parse_document(json.loads(out)) == load(key).datum
+    # W_X is derived, so no document states it
+    assert json.loads(out)["little_weyl"] is None
 
 
 @pytest.mark.parametrize("key", ("a2-sl2", "pp-gl3", "triple-product",

@@ -128,7 +128,7 @@ def hecke_datum():
         rank=2, lattice_map=LatticeMap.identity(2),
         valuation_cone=Cone(2, ((1, 0), (-1, 0), (0, -1))),
         colors=(("D1", (1, 1)), ("D2", (-1, 1))),
-        spherical_roots=((0, 1),), little_weyl=(((1, 0), (0, -1)),),
+        spherical_roots=((0, 1),),
         colored_cone=ColoredCone(Cone(2, ()), ()))
 
 

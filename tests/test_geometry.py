@@ -966,3 +966,17 @@ def test_module_imports_only_the_standard_library(module):
             names.append(node.module)
     assert [name for name in names
             if name.split(".")[0] not in sys.stdlib_module_names | {"sphvar"}] == []
+
+
+REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SOURCES = sorted(os.path.relpath(os.path.join(root, f), REPO_DIR)
+                 for top in ("src", "tests", "perfbench")
+                 for root, _, files in os.walk(os.path.join(REPO_DIR, top))
+                 for f in files if f.endswith(".py"))
+
+
+@pytest.mark.parametrize("path", SOURCES)
+def test_source_parses_as_python_3_10(path):
+    """pyproject.toml allows Python 3.10, so no file may use later syntax."""
+    with open(os.path.join(REPO_DIR, path)) as f:
+        ast.parse(f.read(), path, feature_version=(3, 10))

@@ -1,16 +1,20 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from sphvar import spherical
+from sphvar.catalog import list_entries, load
 from sphvar.chars import QLaurent
 from sphvar.engine import satake_transform
 from sphvar.geometry import Cone, LatticeMap, _idot, feasible
-from sphvar.rootdata import ParabolicDatum, levi_datum, root_datum, product_datum
+from sphvar.rootdata import (ParabolicDatum, _reflect, levi_datum, product_datum,
+                             root_datum)
 from sphvar.spherical import (ColoredCone, SphericalDatum, affine_closure_data,
                               antidominant_cochar_chamber,
                               arithmetic_multiplicity, aut_lineality,
+                              check_little_weyl,
                               enumerate_orbits, is_affine, is_wavefront,
                               negligible_orbit_check, parabolic_induction,
                               support, validate_colored_cone)
@@ -36,7 +40,6 @@ def group_datum(**kw):
         rank=1, lattice_map=LatticeMap.of([(1,), (1,)]),
         valuation_cone=Cone(1, ((-1,),)),
         colors=(("D", (2,)),), spherical_roots=((1,),),
-        little_weyl=(((-1,),),),
         colored_cone=ColoredCone(Cone(1, ()), ()))
     args.update(kw)
     return SphericalDatum(**args)
@@ -55,14 +58,13 @@ def matrix_datum(**kw):
 
 
 def coset_datum(**kw):
-    """T(1) x PGL(2) over the unit coset space, rank 2, with little Weyl group."""
+    """T(1) x PGL(2) over the unit coset space, rank 2, with one spherical root."""
     args = dict(
         name="coset", ambient=product_datum(root_datum("T", 1), root_datum("PGL", 2)),
         rank=2, lattice_map=LatticeMap.identity(2),
         valuation_cone=Cone(2, ((1, 0), (-1, 0), (0, -1))),
         colors=(("D1", (1, 1)), ("D2", (-1, 1))),
         spherical_roots=((0, 1),),
-        little_weyl=(((1, 0), (0, -1)),),
         colored_cone=ColoredCone(Cone(2, ()), ()))
     args.update(kw)
     return SphericalDatum(**args)
@@ -89,14 +91,101 @@ def test_datum_spherical_root_sign():
 
 def test_datum_antidominant_containment():
     with pytest.raises(ValueError):
-        group_datum(valuation_cone=Cone(1, ((1,),)), spherical_roots=(),
-                    little_weyl=None)
+        group_datum(valuation_cone=Cone(1, ((1,),)), spherical_roots=())
 
 
 def test_datum_little_weyl_rejected():
     # swapping the coordinates folds two cone points into one orbit
-    with pytest.raises(ValueError):
-        coset_datum(little_weyl=(((0, 1), (1, 0)),))
+    d = coset_datum()
+    with pytest.raises(ValueError, match="not in W_X"):
+        check_little_weyl(d, [((0, 1), (1, 0))])
+    with pytest.raises(ValueError, match="not in W_X"):
+        check_little_weyl(d, [((1, 0),)])
+    with pytest.raises(ValueError, match="do not generate"):
+        check_little_weyl(d, [((1, 0), (0, 1))])
+    check_little_weyl(d, [((1, 0), (0, -1)), ((1, 0), (0, 1))])
+    check_little_weyl(line_datum(), [])
+    with pytest.raises(ValueError, match="without coroots"):
+        check_little_weyl(coset_datum(colors=(("D", (0, 1)),)), [])
+
+
+# coroots and |W_X| of the little root datum of every catalog entry whose
+# spherical roots all get a coroot from the colors; None stands for the
+# ambient group's own simple coroots
+LITTLE_DATA = {
+    "hecke-gl2": (((0, 2),), 2),
+    "pgl2-group": (((2,),), 2),
+    "godement-jacquet-2": (((1, 0),), 2),
+    "godement-jacquet-3": (((1, 0, 0), (0, 1, 0)), 6),
+    "bump-friedberg": (((1, 1),), 2),
+    "triple-product": (None, 8),
+    "tensor-4": (None, 16),
+    "kvs-2-3": (((1, -1, 0),), 2),
+}
+
+
+def little_pin_holds(key, d):
+    coroots, order = LITTLE_DATA[key]
+    try:
+        ld = d.little_datum
+        return ld is not None and ld.weyl_order() == order and \
+            ld.simple_coroots == (coroots or d.ambient.simple_coroots)
+    except ValueError:  # <gamma, gamma-check> != 2
+        return False
+
+
+@pytest.mark.parametrize("key", list_entries())
+def test_little_datum_is_derived_from_the_colors(key):
+    d = load(key).datum
+    if key in LITTLE_DATA:
+        assert little_pin_holds(key, d)
+        assert d.little_datum.simple_roots == d.spherical_roots
+        # the simple reflections v -> v - <gamma, v> gamma-check generate W_X
+        unit = LatticeMap.identity(d.rank).rows
+        check_little_weyl(d, [tuple(zip(*(_reflect(e, gv, g) for e in unit)))
+                              for g, gv in d.little_datum._char_pairs])
+    elif key == "rankin-selberg":
+        # its second root pairs -1, 0, 1 with D1, D2, D3: no rule applies
+        assert d.spherical_roots and d.little_datum is None
+    else:
+        assert not d.spherical_roots and d.little_datum.weyl_order() == 1
+
+
+@pytest.mark.parametrize("rhos, want", [
+    (((1, 0), (0, 1)), (1, 1)),           # two colors pair to 1
+    (((2, 0), (0, 5)), (2, 0)),           # one color pairs to 2
+    (((1, 0), (0, 1), (2, 0)), None),     # both rules apply
+    (((1, 0), (0, 1), (3, -2)), None),    # three colors pair to 1
+    (((2, 0), (0, 2)), None),             # two colors pair to 2
+    (((1, 0), (0, 3)), None),             # one color pairs to 1
+])
+def test_coroot_rules_never_guess(rhos, want):
+    colors = [("D%d" % i, rho) for i, rho in enumerate(rhos)]
+    assert spherical._coroot((1, 1), colors) == want
+
+
+def test_little_datum_difference_rule_fails_the_pin(monkeypatch):
+    # negative control: rho(D+) - rho(D-) in place of the sum
+    real = spherical._coroot
+
+    def difference(gamma, colors):
+        ones = [rho for _, rho in colors if _idot(gamma, rho) == 1]
+        if len(ones) == 2:
+            return tuple(a - b for a, b in zip(*ones))
+        return real(gamma, colors)
+    monkeypatch.setattr(spherical, "_coroot", difference)
+    fresh = {key: dataclasses.replace(load(key).datum) for key in LITTLE_DATA}
+    failed = [key for key, d in fresh.items() if not little_pin_holds(key, d)]
+    assert "hecke-gl2" in failed and "bump-friedberg" in failed
+
+
+@pytest.mark.parametrize("key, old", [("hecke-gl2", ((1, 0), (0, -1))),
+                                      ("pgl2-group", ((-1,),))])
+def test_little_weyl_equals_the_old_typed_matrices(key, old):
+    d = load(key).datum
+    ident = LatticeMap.identity(d.rank).rows
+    assert set(d.little_datum.dual.weyl_char) == {ident, old}
+    check_little_weyl(d, [old])
 
 
 GL3 = root_datum("GL", 3)
@@ -113,10 +202,9 @@ GL3 = root_datum("GL", 3)
     lambda x: line_datum(colors=(("D", (x,)),)),
     lambda x: line_datum(levi_roots=(x - 1,)),
     lambda x: group_datum(spherical_roots=((x,),)),
-    lambda x: group_datum(little_weyl=(((-x,),),)),
     lambda x: QLaurent.of({0: x}),
 ], ids=["fold", "orbit", "satake", "pi", "lift", "levi_datum", "levi_indices",
-        "colors", "levi_roots", "spherical_roots", "little_weyl", "qlaurent"])
+        "colors", "levi_roots", "spherical_roots", "qlaurent"])
 def test_non_integral_input_is_refused(call):
     # an integral Fraction or float is accepted; 1/2 used to be truncated
     call(1.0)
@@ -320,8 +408,7 @@ def test_affine_closure_not_quasi_affine():
     d = line_datum(colors=(("D", (0,)),), colored_cone=None)
     with pytest.raises(ValueError, match="quasi-affine"):
         affine_closure_data(d)
-    e = coset_datum(colors=(("D1", (0, 1)), ("D2", (0, -1))), colored_cone=None,
-                    little_weyl=None)
+    e = coset_datum(colors=(("D1", (0, 1)), ("D2", (0, -1))), colored_cone=None)
     with pytest.raises(ValueError, match="quasi-affine"):
         affine_closure_data(e)
 
