@@ -19,38 +19,53 @@ SL(2) are each built by one constructor, for any size.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .engine import (BasicFunctionTable, SmoothRoute, TransportRoute,
                      derived_route, route_table)
 from .geometry import Cone, LatticeMap, vneg
+from .record import Record
 from .rootdata import RootDatum, product_datum, root_datum
 from .spherical import ColoredCone, SphericalDatum
 
 
-@dataclass(frozen=True)
-class ExpectedLValue:
+class ExpectedLValue(Record):
     """Named Euler factors with their shifts; purely descriptive unless a
     test elsewhere pins the realization."""
 
-    numerator: tuple                 # ((rep name, shift as Fraction), ...)
-    denominator: tuple = ()
-    conjectural: bool = False
+    __slots__ = _fields = ("numerator", "denominator", "conjectural")
+
+    def __init__(self,
+                 numerator: tuple,  # ((rep name, shift as Fraction), ...)
+                 denominator: tuple = (), conjectural: bool = False):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "conjectural", conjectural)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    datum: SphericalDatum
-    provenance: str
-    reductive_stabilizer: bool
-    wavefront_expected: bool
-    smooth_expected: bool
-    preflag_case: str                # U_P | PP | homogeneous | vector-space
-    routes: tuple = ()               # empty means no table is defined yet
-    expected_lvalue: ExpectedLValue = None
-    growth_hint: tuple = ()
+class CatalogEntry(Record):
+    __slots__ = _fields = ("datum", "provenance", "reductive_stabilizer",
+                           "wavefront_expected", "smooth_expected",
+                           "preflag_case", "routes", "expected_lvalue",
+                           "growth_hint")
+
+    def __init__(self, datum: SphericalDatum, provenance: str,
+                 reductive_stabilizer: bool, wavefront_expected: bool,
+                 smooth_expected: bool,
+                 preflag_case: str,   # U_P | PP | homogeneous | vector-space
+                 routes: tuple = (),  # empty means no table is defined yet
+                 expected_lvalue: ExpectedLValue = None,
+                 growth_hint: tuple = ()):
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "reductive_stabilizer", reductive_stabilizer)
+        object.__setattr__(self, "wavefront_expected", wavefront_expected)
+        object.__setattr__(self, "smooth_expected", smooth_expected)
+        object.__setattr__(self, "preflag_case", preflag_case)
+        object.__setattr__(self, "routes", routes)
+        object.__setattr__(self, "expected_lvalue", expected_lvalue)
+        object.__setattr__(self, "growth_hint", growth_hint)
 
     @property
     def key(self) -> str:

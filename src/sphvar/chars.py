@@ -10,11 +10,11 @@ decompose into irreducibles through the Weyl denominator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .geometry import _exact_int, _int_vec, span_coordinates
+from .record import Record
 from .rootdata import RootDatum, _closure, _idot, _reflect
 
 
@@ -25,11 +25,13 @@ def _fexp(e) -> Fraction:
     return e
 
 
-@dataclass(frozen=True)
-class QLaurent:
+class QLaurent(Record):
     """Sparse Laurent polynomial in q^(1/2): terms ((exponent, coeff), ...)."""
 
-    terms: tuple
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple):
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def of(mapping) -> "QLaurent":
@@ -139,11 +141,13 @@ def _isqrt_exact(n: int):
 # ---------------------------------------------------------------------------
 # weight characters
 
-@dataclass(frozen=True)
-class WeightChar:
+class WeightChar(Record):
     """Finitely supported weight -> multiplicity map on a lattice Z^n."""
 
-    weights: tuple  # sorted ((weight tuple, mult), ...)
+    __slots__ = _fields = ("weights",)
+
+    def __init__(self, weights: tuple):  # sorted ((weight tuple, mult), ...)
+        object.__setattr__(self, "weights", weights)
 
     @staticmethod
     def of(mapping) -> "WeightChar":

@@ -711,6 +711,10 @@ def main(argv=None) -> int:
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except MemoryError:
+        # the input asked for more than memory holds, e.g. a huge --height
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

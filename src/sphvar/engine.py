@@ -20,7 +20,6 @@ Conventions fixed by the test suite rather than by derivation:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chars import (QLaurent, WeightChar, _symmetrize, decompose, kostant_counter,
@@ -28,6 +27,7 @@ from .chars import (QLaurent, WeightChar, _symmetrize, decompose, kostant_counte
 from .geometry import (Cone, LatticeMap, _idot, _int_vec, feasible,
                        hilbert_basis_pointed, inverse_unimodular, lattice_points,
                        matrix_rank, saturation_quotient, vdot, vneg)
+from .record import Record
 from .rootdata import ParabolicDatum, RootDatum
 from .spherical import enumerate_orbits
 
@@ -37,32 +37,36 @@ KAPPA = 1
 # ---------------------------------------------------------------------------
 # computation routes
 
-@dataclass(frozen=True)
-class BorelRoute:
+class BorelRoute(Record):
     """Full-flag route: strata are cocharacters of the acting group.
 
     label_map sends cocharacter coordinates to stratum labels and must be
     square unimodular, so every label determines its cocharacter.
     """
 
-    group: RootDatum
-    label_map: LatticeMap
+    __slots__ = _fields = ("group", "label_map")
+
+    def __init__(self, group: RootDatum, label_map: LatticeMap):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "label_map", label_map)
 
     def parabolic(self) -> ParabolicDatum:
         return ParabolicDatum(self.group, ())
 
 
-@dataclass(frozen=True)
-class PPRoute:
+class PPRoute(Record):
     """Derived-parabolic route: strata live in the Levi coweight quotient.
 
     label_map is defined on ambient cocharacter coordinates and must kill
     the Levi coroots, so labels are well defined on quotient classes.
     """
 
-    group: RootDatum
-    levi: tuple
-    label_map: LatticeMap
+    __slots__ = _fields = ("group", "levi", "label_map")
+
+    def __init__(self, group: RootDatum, levi: tuple, label_map: LatticeMap):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "levi", levi)
+        object.__setattr__(self, "label_map", label_map)
 
     def parabolic(self) -> ParabolicDatum:
         p = ParabolicDatum(self.group, self.levi)
@@ -72,20 +76,23 @@ class PPRoute:
         return p
 
 
-@dataclass(frozen=True)
-class SmoothRoute:
+class SmoothRoute(Record):
     """Smooth affine closure: the basic function is the indicator of X(o)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class TransportRoute:
+
+class TransportRoute(Record):
     """Reuse a partner entry's table through an identification of closures.
 
     iota maps labels of this space to labels of the partner space.
     """
 
-    partner: str
-    iota: LatticeMap
+    __slots__ = _fields = ("partner", "iota")
+
+    def __init__(self, partner: str, iota: LatticeMap):
+        object.__setattr__(self, "partner", partner)
+        object.__setattr__(self, "iota", iota)
 
 
 def derived_route(datum, kind: str):
@@ -117,8 +124,7 @@ def derived_route(datum, kind: str):
 # ---------------------------------------------------------------------------
 # the dual radical and its f-fixed subspace
 
-@dataclass(frozen=True)
-class DualRadicalRep:
+class DualRadicalRep(Record):
     """Coroots outside the Levi, tagged with central image and grade.
 
     weights: tuple of (coroot, theta_bar, m) where theta_bar is the class in
@@ -126,12 +132,14 @@ class DualRadicalRep:
     grade.
     """
 
-    parabolic: ParabolicDatum
-    weights: tuple
+    __slots__ = _fields = ("parabolic", "weights")
+
+    def __init__(self, parabolic: ParabolicDatum, weights: tuple):
+        object.__setattr__(self, "parabolic", parabolic)
+        object.__setattr__(self, "weights", weights)
 
 
-@dataclass(frozen=True)
-class FFixedRep:
+class FFixedRep(Record):
     """Lowest-weight lines of the principal sl2-strings in the dual radical.
 
     entries: tuple of (theta_bar, m, multiplicity) with m <= 0 the lowest
@@ -139,8 +147,11 @@ class FFixedRep:
     d of the class.
     """
 
-    parabolic: ParabolicDatum
-    entries: tuple
+    __slots__ = _fields = ("parabolic", "entries")
+
+    def __init__(self, parabolic: ParabolicDatum, entries: tuple):
+        object.__setattr__(self, "parabolic", parabolic)
+        object.__setattr__(self, "entries", entries)
 
     def total_multiplicity(self) -> int:
         return sum(mult for _, _, mult in self.entries)
@@ -186,16 +197,21 @@ def _external_char(ff: FFixedRep) -> WeightChar:
 # ---------------------------------------------------------------------------
 # basic function tables
 
-@dataclass(frozen=True)
-class BasicFunctionTable:
+class BasicFunctionTable(Record):
     """Finitely supported map from stratum labels to exact q-Laurent values."""
 
-    datum_name: str
-    case: str
-    rank: int
-    values: tuple  # ((label, QLaurent), ...) sorted by label
-    truncation: int
-    height: int
+    __slots__ = _fields = ("datum_name", "case", "rank", "values",
+                           "truncation", "height")
+
+    def __init__(self, datum_name: str, case: str, rank: int,
+                 values: tuple,  # ((label, QLaurent), ...) sorted by label
+                 truncation: int, height: int):
+        object.__setattr__(self, "datum_name", datum_name)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "height", height)
 
     @staticmethod
     def of(datum_name, case, rank, mapping, truncation, height) -> "BasicFunctionTable":
@@ -436,15 +452,17 @@ def basic_function_graded(p: ParabolicDatum, bound: int):
 # ---------------------------------------------------------------------------
 # local L-factors
 
-@dataclass(frozen=True)
-class LFactor:
+class LFactor(Record):
     """Product over monomials of 1/(1 - c * q^e * T), T the formal variable.
 
     monomials: ((coefficient, q-exponent), ...) with repetition; coefficients
     are Fractions.
     """
 
-    monomials: tuple
+    __slots__ = _fields = ("monomials",)
+
+    def __init__(self, monomials: tuple):
+        object.__setattr__(self, "monomials", monomials)
 
     def expand(self, bound: int, q0) -> list:
         """Coefficients of T^0..T^bound as Fractions, at q = q0."""

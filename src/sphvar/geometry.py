@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+
+from .record import Record
 
 _ZERO = Fraction(0)
 
@@ -545,11 +546,13 @@ def elementary_divisors(mat):
     return out
 
 
-@dataclass(frozen=True)
-class LatticeMap:
+class LatticeMap(Record):
     """Integer matrix m x n as a map Z^n -> Z^m, v |-> rows . v."""
 
-    rows: tuple
+    __slots__ = _fields = ("rows",)
+
+    def __init__(self, rows: tuple):
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def of(rows) -> "LatticeMap":

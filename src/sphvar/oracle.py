@@ -37,9 +37,9 @@ import itertools
 import operator
 import random
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .record import Record
 # the symbolic side, used only by the Satake comparison at the bottom
 from . import catalog
 from .engine import KAPPA, minuscule_satake, pp_shifts
@@ -358,18 +358,20 @@ def mat_inv(m):
 # ---------------------------------------------------------------------------
 # lattice points of the model spaces and their orbit labels
 
-@dataclass(frozen=True)
-class _Model:
+class _Model(Record):
     """One model space: k x n matrices over F, GL_n(o) acting on the right
     and, when k > 1, GL_k(o) on the left, then, if twisted, a scalar that g
     in GL_n multiplies by det g.  With a catalog entry key, the Satake
     comparison covers the operators of GL_n in _OPERATORS on the first route
     of that entry, whose labels read the last coordinate and det."""
 
-    k: int
-    n: int
-    twisted: bool = False
-    key: str = None
+    __slots__ = _fields = ("k", "n", "twisted", "key")
+
+    def __init__(self, k: int, n: int, twisted: bool = False, key: str = None):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "twisted", twisted)
+        object.__setattr__(self, "key", key)
 
 
 _MODELS = {
@@ -388,12 +390,14 @@ def _model(space, error="unknown space %r"):
         raise ValueError(error % (space,)) from None
 
 
-@dataclass(frozen=True)
-class LatticePoint:
+class LatticePoint(Record):
     """A point of a model space: its k x n matrix row-major, then its scalar."""
 
-    space: str
-    coords: tuple
+    __slots__ = _fields = ("space", "coords")
+
+    def __init__(self, space: str, coords: tuple):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "coords", coords)
 
 
 def _divisors(d):

@@ -9,7 +9,6 @@ the same code path as the classical families.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -17,6 +16,7 @@ from .geometry import (
     _exact_int, _idot, _int_vec, kernel_basis, matrix_rank, saturation_quotient,
     span_coordinates, vdot,
 )
+from .record import Record
 
 # Largest root set, Weyl group or Weyl orbit closed here. Every classical
 # group of rank <= 5 fits (|W(B5)| = 3840); a datum that does not close
@@ -24,24 +24,23 @@ from .geometry import (
 _CLOSURE_CAP = 4096
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Record):
     """Simple roots / coroots of a split group in fixed lattice coordinates."""
 
-    name: str
-    rank: int
-    simple_roots: tuple
-    simple_coroots: tuple
+    _fields = ("name", "rank", "simple_roots", "simple_coroots")
 
-    def __post_init__(self):
-        roots = tuple(map(_int_vec, self.simple_roots))
-        coroots = tuple(map(_int_vec, self.simple_coroots))
+    def __init__(self, name: str, rank: int, simple_roots: tuple,
+                 simple_coroots: tuple):
+        roots = tuple(map(_int_vec, simple_roots))
+        coroots = tuple(map(_int_vec, simple_coroots))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "simple_roots", roots)
         object.__setattr__(self, "simple_coroots", coroots)
         if len(roots) != len(coroots):
             raise ValueError("simple roots and coroots must pair up")
         for a in roots + coroots:
-            if len(a) != self.rank:
+            if len(a) != rank:
                 raise ValueError("coordinate length != rank")
         for a, av in zip(roots, coroots):
             if _idot(a, av) != 2:
@@ -349,8 +348,7 @@ def levi_datum(d: RootDatum, indices) -> RootDatum:
 # ---------------------------------------------------------------------------
 # parabolic data
 
-@dataclass(frozen=True)
-class ParabolicDatum:
+class ParabolicDatum(Record):
     """A standard parabolic P = M U inside the group of `datum`.
 
     Carries the coweight lattice of the Levi quotient Lambda = X_*(T) mod
@@ -359,14 +357,14 @@ class ParabolicDatum:
     2rho_M-grades.
     """
 
-    datum: RootDatum
-    levi_indices: tuple
+    _fields = ("datum", "levi_indices")
 
-    def __post_init__(self):
-        idx = tuple(sorted(set(map(_exact_int, self.levi_indices))))
+    def __init__(self, datum: RootDatum, levi_indices: tuple):
+        idx = tuple(sorted(set(map(_exact_int, levi_indices))))
+        object.__setattr__(self, "datum", datum)
         object.__setattr__(self, "levi_indices", idx)
         for i in idx:
-            if not 0 <= i < self.datum.nsimple:
+            if not 0 <= i < datum.nsimple:
                 raise ValueError("bad Levi index %d" % i)
 
     @cached_property

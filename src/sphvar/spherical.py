@@ -10,39 +10,48 @@ are exact rational computations on that data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .geometry import (Cone, LatticeMap, _exact_int, _idot, _int_vec, feasible,
                        lattice_points, matrix_rank, torsion_order, vneg)
+from .record import Record
 from .rootdata import RootDatum, _closure
 
 
-@dataclass(frozen=True)
-class ColoredCone:
+class ColoredCone(Record):
     """A cone in Lambda_X tensor Q together with a subset of color labels."""
 
-    cone: Cone
-    colors: tuple
+    __slots__ = _fields = ("cone", "colors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(self.colors))
+    def __init__(self, cone: Cone, colors: tuple):
+        object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "colors", tuple(colors))
 
     def same_as(self, other: "ColoredCone") -> bool:
         return self.cone == other.cone and set(self.colors) == set(other.colors)
 
 
-@dataclass(frozen=True)
-class SphericalDatum:
-    name: str
-    ambient: RootDatum
-    rank: int
-    lattice_map: LatticeMap          # X(X) -> X(A), columns are a basis of X(X)
-    valuation_cone: Cone             # in Lambda_X tensor Q
-    colors: tuple = ()               # of (label, rho(D) in Lambda_X)
-    levi_roots: tuple = ()           # indices into ambient.simple_roots
-    spherical_roots: tuple = ()      # intrinsic vectors in X(X) coordinates
-    colored_cone: ColoredCone = None
+class SphericalDatum(Record):
+    _fields = ("name", "ambient", "rank", "lattice_map", "valuation_cone",
+               "colors", "levi_roots", "spherical_roots", "colored_cone")
+
+    def __init__(self, name: str, ambient: RootDatum, rank: int,
+                 lattice_map: LatticeMap,     # X(X) -> X(A), columns are a basis of X(X)
+                 valuation_cone: Cone,        # in Lambda_X tensor Q
+                 colors: tuple = (),          # of (label, rho(D) in Lambda_X)
+                 levi_roots: tuple = (),      # indices into ambient.simple_roots
+                 spherical_roots: tuple = (),  # intrinsic vectors in X(X) coordinates
+                 colored_cone: ColoredCone = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "lattice_map", lattice_map)
+        object.__setattr__(self, "valuation_cone", valuation_cone)
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "levi_roots", levi_roots)
+        object.__setattr__(self, "spherical_roots", spherical_roots)
+        object.__setattr__(self, "colored_cone", colored_cone)
+        self.__post_init__()
 
     def __post_init__(self):
         colors = tuple((str(lbl), _int_vec(rho)) for lbl, rho in self.colors)

@@ -270,6 +270,22 @@ def test_optimize_changes_no_output(tmp_path):
             (plain.returncode, plain.stdout, plain.stderr), argv
 
 
+def test_height_too_large_for_memory_is_bad_input():
+    # the address-space limit applies to the child only; the Newton powers
+    # of the dual radical then cannot allocate their 10^11 graded slots
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sphvar.cli", "catalog", "test", "pp-gl3",
+         "--height", "100000000000"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: out of memory\n"
+
+
 def test_parse_document_reports_inconsistency():
     doc = render_document(load("a2-sl2").datum)
     doc["rank"] = 2

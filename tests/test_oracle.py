@@ -1462,15 +1462,13 @@ def test_satake_comparison_cannot_see_the_sign_of_kappa():
                                        ("PPGL3", "pp-gl3")])
 def test_satake_comparison_reads_the_catalog_route(monkeypatch, space, key):
     # swapping the label rows of the catalog's route breaks the comparison
-    import dataclasses
     from sphvar import catalog
     entry = catalog.load(key)
     route = entry.routes[0]
-    swapped = dataclasses.replace(
-        route, label_map=LatticeMap.of(route.label_map.rows[::-1]))
+    swapped = route.replace(label_map=LatticeMap.of(route.label_map.rows[::-1]))
     assert swapped.label_map.rows[0] == (1,) * route.group.rank
     monkeypatch.setitem(catalog._catalog(), key,
-                        dataclasses.replace(entry, routes=(swapped,)))
+                        entry.replace(routes=(swapped,)))
     assert satake_mismatches("t1", space, 2, 2) != []
 
 
