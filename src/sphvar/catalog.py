@@ -5,7 +5,13 @@ combinatorial datum, the routes by which its basic-function table is computed
 (a horospherical entry names its Borel/PP route kinds, and the routes are
 derived from the datum), classification flags that the criteria code must
 reproduce, and the unramified L-value the table is expected to realize when
-classical theory predicts one.  Each key is its datum's name; loading is cached.
+classical theory predicts one.  Each key is its datum's name.
+
+One table, _BUILDERS, maps each key, in catalog order, to the function that
+builds its entry.  An entry is built and checked on its first load and kept;
+listing the catalog builds none.  So a process pays only for the entries it
+uses (a transport entry also loads its partner): building all 18 with their
+double descriptions was the largest part of set-up that the code controls.
 
 An entry states only the free data of its datum: the ambient group, the
 lattice map, the colors, the spherical roots, the Levi roots, and the colors
@@ -20,7 +26,6 @@ SL(2) are each built by one constructor, for any size.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
 from .engine import (BasicFunctionTable, SmoothRoute, TransportRoute,
                      derived_route, route_table)
@@ -73,6 +78,7 @@ class CatalogEntry(Record):
 
 
 _CASES = ("U_P", "PP", "homogeneous", "vector-space")
+_HALF = Fraction(1, 2)
 
 
 def _vec(n, coeffs):
@@ -148,53 +154,59 @@ def _derived(d, *kinds):
     return tuple(derived_route(d, kind) for kind in kinds)
 
 
-def _entries():
-    half = Fraction(1, 2)
-
+def _a1_gl1():
     d = _datum("a1-gl1", root_datum("T", 1), LatticeMap.of([(1,)]),
                rays=((1,),))
-    yield CatalogEntry(
+    return CatalogEntry(
         datum=d,
         provenance="standard representation of GL(1); the basic toric case",
         reductive_stabilizer=True, wavefront_expected=True,
         smooth_expected=True, preflag_case="vector-space",
         routes=(SmoothRoute(),))
 
+
+def _a2_sl2():
     d = _datum("a2-sl2",
                product_datum(root_datum("T", 1), root_datum("SL", 2)),
                LatticeMap.of([(1,), (-1,)]), colors=(("D", (1,)),))
-    yield CatalogEntry(
+    return CatalogEntry(
         datum=d,
         provenance="standard representation of SL(2) with a central torus",
         reductive_stabilizer=False, wavefront_expected=True,
         smooth_expected=True, preflag_case="U_P",
         routes=_derived(d, "borel", "pp"))
 
+
+def _a2_sl2_nocenter():
     d = _datum("a2-sl2-nocenter", root_datum("SL", 2),
                LatticeMap.of([(-1,)]), colors=(("D", (1,)),))
-    yield CatalogEntry(
+    return CatalogEntry(
         datum=d,
         provenance="standard representation of SL(2), no central twist",
         reductive_stabilizer=False, wavefront_expected=False,
         smooth_expected=True, preflag_case="U_P",
         routes=_derived(d, "borel"))
 
+
+def _borel_gl2():
     d = _datum("borel-gl2",
                product_datum(root_datum("T", 2), root_datum("GL", 2)),
                LatticeMap.of([(0, -1), (-1, -1), (0, 1), (1, 1)]),
                colors=(("D", (1, 0)),))
-    yield CatalogEntry(
+    return CatalogEntry(
         datum=d,
         provenance="horospherical closure of U\\GL(2)",
         reductive_stabilizer=False, wavefront_expected=True,
         smooth_expected=True, preflag_case="U_P",
         routes=_derived(d, "borel"))
 
+
+def _borel_sl3():
     d = _datum("borel-sl3",
                product_datum(root_datum("T", 2), root_datum("SL", 3)),
                LatticeMap.of([(0, 1), (1, 0), (0, -1), (-1, 0)]),
                colors=(("D1", (1, 0)), ("D2", (0, 1))))
-    yield CatalogEntry(
+    return CatalogEntry(
         datum=d,
         provenance="horospherical closure of U\\SL(3)",
         reductive_stabilizer=False, wavefront_expected=True,
@@ -202,46 +214,51 @@ def _entries():
         routes=_derived(d, "borel", "pp"),
         growth_hint=(1, 1))
 
+
+def _pp_gl3():
     d = _datum("pp-gl3",
                product_datum(root_datum("T", 2), root_datum("GL", 3)),
                LatticeMap.of([(0, 1), (1, 1), (0, 1), (0, 1), (1, 1)]),
                colors=(("D", (1, 0)),), levi_roots=(0,))
-    yield CatalogEntry(
+    return CatalogEntry(
         datum=d,
         provenance="derived-group quotient [P,P]\\GL(3), (2,1) parabolic",
         reductive_stabilizer=False, wavefront_expected=True,
         smooth_expected=True, preflag_case="PP",
         routes=_derived(d, "pp"))
 
+
+def _hecke_gl2():
     d = _datum("hecke-gl2",
                product_datum(root_datum("T", 1), root_datum("PGL", 2)),
                LatticeMap.identity(2),
                colors=(("D1", (1, 1)), ("D2", (-1, 1))),
                spherical_roots=((0, 1),), cone_colors=())
-    yield CatalogEntry(
+    return CatalogEntry(
         datum=d,
         provenance="classical Hecke integral: torus period on GL(2)",
         reductive_stabilizer=True, wavefront_expected=True,
         smooth_expected=True, preflag_case="homogeneous",
         routes=(SmoothRoute(),),
         expected_lvalue=ExpectedLValue(
-            numerator=(("std", half), ("std-dual", -half)),
+            numerator=(("std", _HALF), ("std-dual", -_HALF)),
             denominator=(("Ad", Fraction(1)),)))
 
+
+def _pgl2_group():
     d = _datum("pgl2-group",
                product_datum(root_datum("PGL", 2), root_datum("PGL", 2)),
                LatticeMap.of([(1,), (1,)]), colors=(("D", (2,)),),
                spherical_roots=((1,),), cone_colors=())
-    yield CatalogEntry(
+    return CatalogEntry(
         datum=d,
         provenance="group case: PGL(2) x PGL(2) over the diagonal",
         reductive_stabilizer=True, wavefront_expected=True,
         smooth_expected=True, preflag_case="homogeneous",
         routes=(SmoothRoute(),))
 
-    yield _godement_jacquet(2)
-    yield _godement_jacquet(3)
 
+def _rankin_selberg():
     d = _datum("rankin-selberg",
                product_datum(root_datum("GL", 2), root_datum("GL", 2),
                              root_datum("T", 1)),
@@ -249,29 +266,33 @@ def _entries():
                colors=(("D1", (1, 0, 0, 1, 1)), ("D2", (0, 1, 1, 1, 1)),
                        ("D3", (0, -1, 0, -1, -1))),
                spherical_roots=((1, -1, 0, 0, 0), (0, 0, 1, -1, 0)))
-    yield CatalogEntry(
+    return CatalogEntry(
         datum=d,
         provenance="Rankin-Selberg convolution for GL(2) x GL(2), "
                    "mirabolic model",
         reductive_stabilizer=False, wavefront_expected=True,
         smooth_expected=True, preflag_case="homogeneous",
         routes=(SmoothRoute(),),
-        expected_lvalue=ExpectedLValue(numerator=(("std x std", half),)))
+        expected_lvalue=ExpectedLValue(numerator=(("std x std", _HALF),)))
 
+
+def _bump_friedberg():
     d = _datum("bump-friedberg", root_datum("GL", 2),
                LatticeMap.of([(1, 0), (0, -1)]),
                colors=(("Dr", (1, 0)), ("Du", (0, 1))),
                spherical_roots=((1, 1),), cone_colors=())
-    yield CatalogEntry(
+    return CatalogEntry(
         datum=d,
         provenance="Bump-Friedberg integral for GL(2)",
         reductive_stabilizer=True, wavefront_expected=True,
         smooth_expected=True, preflag_case="homogeneous",
         routes=(SmoothRoute(),),
         expected_lvalue=ExpectedLValue(
-            numerator=(("std", half), ("det", half))))
+            numerator=(("std", _HALF), ("det", _HALF))))
 
-    yield CatalogEntry(
+
+def _triple_product():
+    return CatalogEntry(
         datum=_sl2_tensor("triple-product", "a1triple", 3, "D4"),
         provenance="Garrett triple product for three copies of SL(2)",
         reductive_stabilizer=True, wavefront_expected=True,
@@ -280,15 +301,17 @@ def _entries():
                                LatticeMap.of([(1, 0, 1, 1, -1),
                                               (1, 1, 0, 0, -1)])),),
         expected_lvalue=ExpectedLValue(
-            numerator=(("std x std x std", half),)),
+            numerator=(("std x std x std", _HALF),)),
         growth_hint=(1, 0, 1, 1, -1))
 
+
+def _siegel_gsp6():
     d = _datum("siegel-gsp6",
                product_datum(root_datum("T", 2), root_datum("GSP", 6)),
                LatticeMap.of([(0, 1), (1, 1), (-1, 0), (-1, 0),
                               (-1, 0), (3, 1)]),
                colors=(("DY", (1, 0)),), levi_roots=(0, 1))
-    yield CatalogEntry(
+    return CatalogEntry(
         datum=d,
         provenance="Siegel parabolic degeneration of GSp(6)",
         reductive_stabilizer=False, wavefront_expected=True,
@@ -296,7 +319,9 @@ def _entries():
         routes=_derived(d, "pp"),
         growth_hint=(1, 0))
 
-    yield CatalogEntry(
+
+def _tensor_4():
+    return CatalogEntry(
         datum=_sl2_tensor("tensor-4", "a1quad", 4, "De"),
         provenance="fourfold tensor product period; the L-value is "
                    "conjectural and no computation route is defined",
@@ -304,11 +329,13 @@ def _entries():
         smooth_expected=False, preflag_case="vector-space",
         routes=(),
         expected_lvalue=ExpectedLValue(
-            numerator=(("std x std x std x std", half),), conjectural=True))
+            numerator=(("std x std x std x std", _HALF),), conjectural=True))
 
+
+def _kvs_1_15():
     d = _datum("kvs-1-15", root_datum("T", 2),
                LatticeMap.of([(-1, 0), (1, 1)]), rays=((1, 0), (0, 1)))
-    yield CatalogEntry(
+    return CatalogEntry(
         datum=d,
         provenance="smooth affine model I.15 from the "
                    "Knop-Van Steirteghem list",
@@ -316,12 +343,14 @@ def _entries():
         smooth_expected=True, preflag_case="vector-space",
         routes=(SmoothRoute(),))
 
+
+def _kvs_2_3():
     d = _datum("kvs-2-3",
                product_datum(root_datum("GL", 2), root_datum("GL", 1)),
                LatticeMap.identity(3),
                colors=(("D1", (1, 0, 1)), ("D2", (0, -1, -1))),
                spherical_roots=((1, -1, 0),), rays=((0, 1, 0),))
-    yield CatalogEntry(
+    return CatalogEntry(
         datum=d,
         provenance="smooth affine model II.3 from the "
                    "Knop-Van Steirteghem list",
@@ -329,9 +358,11 @@ def _entries():
         smooth_expected=True, preflag_case="vector-space",
         routes=(SmoothRoute(),))
 
+
+def _kvs_2_5():
     d = _datum("kvs-2-5", root_datum("T", 2), LatticeMap.identity(2),
                rays=((1, 0),))
-    yield CatalogEntry(
+    return CatalogEntry(
         datum=d,
         provenance="toric rank-two model II.5 from the "
                    "Knop-Van Steirteghem list",
@@ -340,27 +371,51 @@ def _entries():
         routes=(SmoothRoute(),))
 
 
-@cache
-def _catalog():
-    out = {entry.key: entry for entry in _entries()}
-    for entry in out.values():
-        if entry.preflag_case not in _CASES:
-            raise RuntimeError("%s: unknown preflag case" % entry.key)
-        # a reductive generic stabilizer leaves nothing to induce from
-        if entry.reductive_stabilizer and entry.datum.levi_roots:
-            raise RuntimeError("%s: reductive stabilizer with Levi roots" % entry.key)
-    return out
+_BUILDERS = {
+    "a1-gl1": _a1_gl1,
+    "a2-sl2": _a2_sl2,
+    "a2-sl2-nocenter": _a2_sl2_nocenter,
+    "borel-gl2": _borel_gl2,
+    "borel-sl3": _borel_sl3,
+    "pp-gl3": _pp_gl3,
+    "hecke-gl2": _hecke_gl2,
+    "pgl2-group": _pgl2_group,
+    "godement-jacquet-2": lambda: _godement_jacquet(2),
+    "godement-jacquet-3": lambda: _godement_jacquet(3),
+    "rankin-selberg": _rankin_selberg,
+    "bump-friedberg": _bump_friedberg,
+    "triple-product": _triple_product,
+    "siegel-gsp6": _siegel_gsp6,
+    "tensor-4": _tensor_4,
+    "kvs-1-15": _kvs_1_15,
+    "kvs-2-3": _kvs_2_3,
+    "kvs-2-5": _kvs_2_5,
+}
+
+
+# key -> entry, filled by load
+_LOADED = {}
 
 
 def list_entries():
-    return tuple(_catalog())
+    return tuple(_BUILDERS)
 
 
 def load(key: str) -> CatalogEntry:
-    cat = _catalog()
-    if key not in cat:
+    """The entry named key, built and checked on its first load."""
+    if key not in _BUILDERS:
         raise ValueError("unknown catalog key %r" % (key,))
-    return cat[key]
+    if key not in _LOADED:
+        entry = _BUILDERS[key]()
+        if entry.key != key:
+            raise RuntimeError("%s: builder made entry %s" % (key, entry.key))
+        if entry.preflag_case not in _CASES:
+            raise RuntimeError("%s: unknown preflag case" % key)
+        # a reductive generic stabilizer leaves nothing to induce from
+        if entry.reductive_stabilizer and entry.datum.levi_roots:
+            raise RuntimeError("%s: reductive stabilizer with Levi roots" % key)
+        _LOADED[key] = entry
+    return _LOADED[key]
 
 
 def basic_table(entry, height: int) -> BasicFunctionTable:

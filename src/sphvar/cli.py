@@ -39,7 +39,6 @@ import sys
 from fractions import Fraction
 
 from . import catalog as _catalog
-from . import oracle as _oracle
 from .engine import (KAPPA, TransportRoute, basic_function_graded,
                      derived_route, dual_radical, f_fixed, growth_certificate,
                      local_lfactor, route_table)
@@ -490,32 +489,33 @@ def cmd_catalog(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# oracle checks
+# oracle checks: each takes the oracle module, which cmd_oracle imports only
+# when a check runs, and returns (unit, mismatches) rows
 
-def _check_orbit_invariance(qs, height, trials):
+def _check_orbit_invariance(oracle, qs, height, trials):
     h = min(height, 3)
     out = []
     for q in qs:
         prec = 2 * h + 8
         mism = []
-        for space in _oracle.SPACES:
-            for i, lab in enumerate(_oracle.stratum_labels(space, h)):
-                bad = _oracle.translate_invariance_mismatches(
+        for space in oracle.SPACES:
+            for i, lab in enumerate(oracle.stratum_labels(space, h)):
+                bad = oracle.translate_invariance_mismatches(
                     space, lab, q, prec, trials, seed=31 * i + q)
                 mism.extend((space, lab, got) for _, got in bad)
         out.append(("q=%d" % q, mism))
     return out
 
 
-def _check_representatives(qs, height, trials):
+def _check_representatives(oracle, qs, height, trials):
     out = []
     for q in qs:
         prec = 2 * height + 4
         mism = []
-        for space in _oracle.SPACES:
-            for lab in _oracle.stratum_labels(space, height):
-                got = _oracle.orbit_invariant(
-                    _oracle.stratum_point(space, lab, q, prec))
+        for space in oracle.SPACES:
+            for lab in oracle.stratum_labels(space, height):
+                got = oracle.orbit_invariant(
+                    oracle.stratum_point(space, lab, q, prec))
                 if got != lab:
                     mism.append((space, lab, got))
         out.append(("q=%d" % q, mism))
@@ -523,28 +523,28 @@ def _check_representatives(qs, height, trials):
 
 
 def _check_satake(space):
-    def run(qs, height, trials):
+    def run(oracle, qs, height, trials):
         return [("q=%d op=%s" % (q, op),
-                 _oracle.satake_mismatches(op, space, height, q))
-                for q in qs for op in _oracle.hecke_operators(space)]
+                 oracle.satake_mismatches(op, space, height, q))
+                for q in qs for op in oracle.hecke_operators(space)]
     return run
 
 
-def _check_gj(qs, height, trials):
-    return [("q=%d" % q, _oracle.gj_recursion_mismatches(q, height=height))
+def _check_gj(oracle, qs, height, trials):
+    return [("q=%d" % q, oracle.gj_recursion_mismatches(q, height=height))
             for q in qs]
 
 
-def _check_interpolation(qs, height, trials):
+def _check_interpolation(oracle, qs, height, trials):
     panel = (2, 3, 5, 7)
 
     def counts(space, group, op):
-        return {q: _oracle.transition_counts(
-            space, _oracle.coset_reps(group, op, q, 10), [(0, 0)], q, 10)
+        return {q: oracle.transition_counts(
+            space, oracle.coset_reps(group, op, q, 10), [(0, 0)], q, 10)
             for q in panel}
 
     wedge = counts("PPGL3", "GL3", "wedge")
-    herm = {q: _oracle.mat2_coset_label_counts(q, 12, 2) for q in panel}
+    herm = {q: oracle.mat2_coset_label_counts(q, 12, 2) for q in panel}
     mism = []
     for name, table, key, deg in (
             ("gl2-t1", counts("UGL2", "GL2", "t1"), ((0, 0), (0, 1)), 1),
@@ -553,7 +553,7 @@ def _check_interpolation(qs, height, trials):
             ("gl3-wedge-short", wedge, ((0, 0), (1, 2)), 1),
             ("mat2-cosets", herm, (0, 2), 2)):
         values = {q: c[key] for q, c in table.items()}
-        if not _oracle.interpolates(values, deg):
+        if not oracle.interpolates(values, deg):
             mism.append((name, values, deg))
     return [("q=%s" % ",".join(str(q) for q in panel), mism)]
 
@@ -618,7 +618,8 @@ def cmd_oracle(args) -> int:
         raise InputError("--height must be >= 0")
     if args.trials < 1:
         raise InputError("--trials must be >= 1")
-    results = fn(qs, height, args.trials)
+    from . import oracle  # only oracle runs compile the oracle module
+    results = fn(oracle, qs, height, args.trials)
     failed = False
     for unit, mism in results:
         status = "pass" if not mism else "fail"

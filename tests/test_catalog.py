@@ -1,7 +1,12 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from sphvar import catalog
 from sphvar.catalog import (
     CatalogEntry,
     ExpectedLValue,
@@ -73,6 +78,70 @@ def test_each_entry_is_named_once():
     for key in ALL_KEYS:
         assert load(key).key == load(key).datum.name == key
     assert load("pp-gl3") is load("pp-gl3")
+
+
+# Each step runs in a fresh interpreter and reports the names of the data
+# it built, by wrapping SphericalDatum.__post_init__.
+_LAZINESS = """
+import json, sphvar.spherical as sp
+from sphvar import catalog
+built = []
+post_init = sp.SphericalDatum.__post_init__
+def counted(self):
+    built.append(self.name)
+    post_init(self)
+sp.SphericalDatum.__post_init__ = counted
+def step(fn, *args):
+    del built[:]
+    try:
+        fn(*args)
+    except ValueError as e:
+        built.append("ValueError: %s" % e)
+    return sorted(built)
+print(json.dumps([step(catalog.list_entries),
+                  step(catalog.load, "hecke-gl2"),
+                  step(catalog.load, "hecke-gl2"),
+                  step(catalog.basic_table, "triple-product", 4),
+                  step(catalog.load, "borel-e8")]))
+"""
+
+
+def test_entries_are_built_on_first_load():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catalog.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _LAZINESS],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    listing, first, again, transport, unknown = json.loads(proc.stdout)
+    assert listing == [] and again == []
+    assert first == ["hecke-gl2"]
+    assert transport == ["siegel-gsp6", "triple-product"]
+    assert unknown == ["ValueError: unknown catalog key 'borel-e8'"]
+
+
+def test_every_listed_key_loads_its_own_entry():
+    for key in list_entries():
+        entry = load(key)
+        assert isinstance(entry, CatalogEntry) and entry.key == key
+
+
+@pytest.mark.parametrize("key, spoil, message", [
+    ("hecke-gl2", lambda e: e.replace(preflag_case="toroidal"),
+     "unknown preflag case"),
+    ("pp-gl3", lambda e: e.replace(reductive_stabilizer=True),
+     "reductive stabilizer with Levi roots"),
+    ("siegel-gsp6", lambda e: load("pp-gl3"), "builder made entry pp-gl3"),
+])
+def test_load_checks_each_entry_it_builds(monkeypatch, key, spoil, message):
+    build = catalog._BUILDERS[key]
+    monkeypatch.setitem(catalog._BUILDERS, key, lambda: spoil(build()))
+    monkeypatch.delitem(catalog._LOADED, key, raising=False)
+    with pytest.raises(RuntimeError, match="^%s: %s$" % (key, message)):
+        load(key)
+    # a failed build is not kept
+    assert key not in catalog._LOADED
+    monkeypatch.setitem(catalog._BUILDERS, key, build)
+    assert load(key).key == key
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)

@@ -695,6 +695,23 @@ def test_catalog_test_skips_table_without_route(capsys):
     assert rows["table"] == "skip"
 
 
+def test_only_oracle_runs_import_the_oracle():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import contextlib, io, sys, sphvar.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = sphvar.cli.main(['catalog', 'show', 'hecke-gl2'])\n"
+            "before = 'sphvar.oracle' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    sphvar.cli.main(['oracle', 'run', 'gj-recursion', '--q', '2',"
+            " '--height', '1'])\n"
+            "print(rc, before, 'sphvar.oracle' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False True\n"
+
+
 def test_catalog_bad_requests(capsys):
     assert run(capsys, ["catalog", "show", "nope"])[0] == 2
     assert run(capsys, ["catalog", "show"])[0] == 2

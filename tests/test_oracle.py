@@ -1467,7 +1467,7 @@ def test_satake_comparison_reads_the_catalog_route(monkeypatch, space, key):
     route = entry.routes[0]
     swapped = route.replace(label_map=LatticeMap.of(route.label_map.rows[::-1]))
     assert swapped.label_map.rows[0] == (1,) * route.group.rank
-    monkeypatch.setitem(catalog._catalog(), key,
+    monkeypatch.setitem(catalog._LOADED, key,
                         entry.replace(routes=(swapped,)))
     assert satake_mismatches("t1", space, 2, 2) != []
 
