@@ -369,9 +369,10 @@ def route_table(datum, route, height: int, partner=None) -> BasicFunctionTable:
 def satake_transform(rd: RootDatum, mu) -> dict:
     """Satake transform of the basis operator at mu by Macdonald's formula,
     q^<rho,lam> J(z^lam prod_(a>0, <a,lam> > 0) (1 - q^(-1) z^(-av))) with
-    lam = dominant_cochar(mu) and J = chars._symmetrize on the dual datum,
-    applied to the integer coefficient of each power q^(-k)."""
-    lam = rd.dominant_cochar(mu)
+    lam the dominant representative of the cocharacter mu, that is of a
+    character of the dual datum, and J = chars._symmetrize on that dual
+    datum, applied to the integer coefficient of each power q^(-k)."""
+    lam = rd.dual.dominant_char(mu)
     prod = {(0, lam): 1}  # (k, weight) -> coefficient of q^(-k) z^weight
     for a, av in rd.positive_pairs:
         if _idot(a, lam) > 0:
@@ -388,7 +389,7 @@ def satake_transform(rd: RootDatum, mu) -> dict:
 
 def minuscule_satake(rd: RootDatum, mu) -> dict:
     """satake_transform, refused off the minuscule and central coweights."""
-    dom = rd.dominant_cochar(mu)
+    dom = rd.dual.dominant_char(mu)
     for a, _ in rd.positive_pairs:
         if _idot(a, dom) > 1:
             raise ValueError("coweight %r is neither minuscule nor central" % (mu,))

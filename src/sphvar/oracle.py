@@ -36,9 +36,9 @@ import functools
 import itertools
 import operator
 import random
-import struct
 from fractions import Fraction
 
+from .geometry import _idot
 from .record import Record
 # the symbolic side, used only by the Satake comparison at the bottom
 from . import catalog
@@ -49,21 +49,13 @@ class PrecisionError(ArithmeticError):
     """A valuation or coefficient was requested beyond the known precision."""
 
 
-def _inv_mod(c, p):
-    return pow(c, p - 2, p)
-
-
-# struct codes of the slot widths it packs; wider slots are packed by hand
-_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # every slot width holds the products of series of up to _SPAN slots
 _SPAN = 16
 
 
 def _slot_bytes(bound):
-    """The slot width, in bytes, for values up to bound: 1, 2, 4, or a
-    multiple of 8."""
-    b = (bound.bit_length() + 7) // 8
-    return b if b <= 2 else 4 if b <= 4 else -(-b // 8) * 8
+    """The slot width, in bytes, for values up to bound."""
+    return (bound.bit_length() + 7) // 8
 
 
 def _width(p):
@@ -80,19 +72,12 @@ def _ones(n, w):
 def _unpack(x, n, w):
     """Slots 0 .. n-1 of x, lowest first, w bytes each."""
     b = (x & ~(-1 << 8 * w * n)).to_bytes(n * w, "little")
-    code = _CODES.get(w)
-    if code:
-        return struct.unpack("<%d%s" % (n, code), b)
     return [int.from_bytes(b[i:i + w], "little") for i in range(0, n * w, w)]
 
 
 def _pack(slots, w):
-    code = _CODES.get(w)
-    if code:
-        b = struct.pack("<%d%s" % (len(slots), code), *slots)
-    else:
-        b = b"".join(c.to_bytes(w, "little") for c in slots)
-    return int.from_bytes(b, "little")
+    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in slots),
+                          "little")
 
 
 def _reduce(s, n, p, w, bound):
@@ -233,7 +218,7 @@ class TruncSeries:
         p = self._p
         c = list(self._slots())
         c += [0] * (n - len(c))
-        u = _inv_mod(c[0], p)
+        u = pow(c[0], -1, p)
         out = [u]
         for k in range(1, n):
             s = sum(c[i] * out[k - i] for i in range(1, k + 1)) % p
@@ -314,10 +299,6 @@ def mat_mul(a, b):
     return [[_dot(row, col) for col in cols] for row in a]
 
 
-def _int_dot(xs, ys):
-    return sum(map(operator.mul, xs, ys))
-
-
 def mat_det(m):
     """The determinant, over series or over ints, by one algorithm: 2 x 2 as
     one dot, 3 x 3 as row 0 against the cross product of rows 1 and 2, and
@@ -327,7 +308,7 @@ def mat_det(m):
     n = len(m)
     if n == 1:
         return m[0][0]
-    dot = _dot if type(m[0][0]) is TruncSeries else _int_dot
+    dot = _dot if type(m[0][0]) is TruncSeries else _idot
     if n == 2:
         (a, b), (c, d) = m
         return dot((a, b), (d, -c))
@@ -667,19 +648,15 @@ def integral_table(space, height, p, prec):
 # ---------------------------------------------------------------------------
 # randomized well-definedness and interpolation checks
 
-# (p, w) -> (table, k): table[c] packs the k base-p digits of c, lowest
-# first, into slots of w bytes, for the largest k with p^k <= 4096
-_DIGITS = {}
-
-
+@functools.cache
 def _digit_table(p, w):
-    if (p, w) not in _DIGITS:
-        table, k = range(p), 1
-        while len(table) * p <= 4096:
-            table = [d | c << 8 * w for c in table for d in range(p)]
-            k += 1
-        _DIGITS[p, w] = table, k
-    return _DIGITS[p, w]
+    """(table, k): table[c] packs the k base-p digits of c, lowest first,
+    into slots of w bytes, for the largest k with p^k <= 4096."""
+    table, k = range(p), 1
+    while len(table) * p <= 4096:
+        table = [d | c << 8 * w for c in table for d in range(p)]
+        k += 1
+    return table, k
 
 
 @functools.lru_cache(maxsize=1024)

@@ -6,6 +6,10 @@ two being the standard dot product. Everything else (positive roots, Weyl
 group, dominance, parabolic quotients) is derived by reflection closure, so
 custom ambient groups (products with tori, similitude groups) go through
 the same code path as the classical families.
+
+A RootDatum answers Weyl questions about characters only. Cocharacters of
+a datum are the characters of its dual, which swaps roots and coroots, so
+a question about them is asked of `dual`.
 """
 from __future__ import annotations
 
@@ -59,11 +63,6 @@ class RootDatum(Record):
         return tuple(zip(self.simple_roots, self.simple_coroots))
 
     @cached_property
-    def _cochar_pairs(self):
-        """Simple (coroot, root) pairs: the same reflections acting on X_*."""
-        return tuple(zip(self.simple_coroots, self.simple_roots))
-
-    @cached_property
     def _all_pairs(self):
         def step(pair):
             b, bv = pair
@@ -74,7 +73,10 @@ class RootDatum(Record):
 
     @cached_property
     def dual(self) -> "RootDatum":
-        return dual_datum(self)
+        """The dual datum: roots and coroots swapped, so that its characters
+        are the cocharacters here."""
+        return RootDatum(self.name + "v", self.rank, self.simple_coroots,
+                         self.simple_roots)
 
     @cached_property
     def _expansion_rows(self):
@@ -101,9 +103,6 @@ class RootDatum(Record):
 
     def positive_roots(self):
         return tuple(b for b, _ in self.positive_pairs)
-
-    def positive_coroots(self):
-        return tuple(bv for _, bv in self.positive_pairs)
 
     @cached_property
     def rho(self):
@@ -151,17 +150,11 @@ class RootDatum(Record):
     def weyl_order(self) -> int:
         return len(self.weyl_char)
 
-    def weyl_orbit_cochar(self, v):
-        return self._orbit(v, self._cochar_pairs)
-
     def weyl_orbit_char(self, v):
-        return self._orbit(v, self._char_pairs)
-
-    def _orbit(self, v, pairs):
-        """Sorted orbit of v under the simple reflections of pairs."""
+        """Sorted Weyl orbit of the character v."""
         v = self._check_rank(_int_vec(v))
         return tuple(sorted(_closure(
-            [v], lambda w: (_reflect(w, x, y) for x, y in pairs),
+            [v], lambda w: (_reflect(w, x, y) for x, y in self._char_pairs),
             "Weyl orbit too large; bad input data")))
 
     # -- dominance -------------------------------------------------------
@@ -176,25 +169,14 @@ class RootDatum(Record):
         self._check_rank(v)
         return all(_idot(v, av) >= 0 for av in self.simple_coroots)
 
-    def is_dominant_cochar(self, v) -> bool:
-        self._check_rank(v)
-        return all(_idot(a, v) >= 0 for a in self.simple_roots)
-
-    def dominant_cochar(self, v):
-        """The dominant Weyl-chamber representative of a cocharacter."""
-        return self._fold(v, self._cochar_pairs)
-
     def dominant_char(self, v):
-        return self._fold(v, self._char_pairs)
-
-    def _fold(self, v, pairs):
         """Reflect v along the first simple pair (x, y) with <v, y> < 0 until
         there is none. Each step lowers by one the number of positive roots
         on which v is negative, so the fold stops within #roots steps; a
         datum that does not close raises instead."""
         v = self._check_rank(_int_vec(v))
         for _ in range(len(self._all_pairs) + 1):
-            for x, y in pairs:
+            for x, y in self._char_pairs:
                 if _idot(v, y) < 0:
                     v = _reflect(v, x, y)
                     break
@@ -260,9 +242,17 @@ def root_datum(kind: str, n: int) -> RootDatum:
     fundamental-weight coordinates (roots are Cartan columns, coroots are
     unit vectors) and PGL(n) in root coordinates (the transpose setup);
     B/C/D(n) are the odd orthogonal, symplectic and even orthogonal groups
-    in the e-basis; G(2) is in fundamental-weight coordinates.
+    in the e-basis; G(2) is in fundamental-weight coordinates. A family
+    with more roots than _CLOSURE_CAP is refused before it is built: its
+    root system could not close.
     """
     k = kind.upper()
+    roots = {"GL": n * (n - 1), "SL": n * (n - 1), "PGL": n * (n - 1),
+             "B": 2 * n * n, "C": 2 * n * n, "D": 2 * n * (n - 1),
+             "GSP": n * n // 2 if n % 2 == 0 else 0}.get(k, 0)
+    if n > 0 and roots > _CLOSURE_CAP:
+        raise ValueError("%s(%d) has %d roots, more than the closure cap %d; "
+                         "bad input data" % (k, n, roots, _CLOSURE_CAP))
     if k == "T":
         return RootDatum("t%d" % n, n, (), ())
     if k == "GL":
@@ -328,10 +318,6 @@ def product_datum(*data: RootDatum) -> RootDatum:
             coroots.append((0,) * off + av + (0,) * (rank - off - d.rank))
         off += d.rank
     return RootDatum("x".join(d.name for d in data), rank, tuple(roots), tuple(coroots))
-
-
-def dual_datum(d: RootDatum) -> RootDatum:
-    return RootDatum(d.name + "v", d.rank, d.simple_coroots, d.simple_roots)
 
 
 def levi_datum(d: RootDatum, indices) -> RootDatum:

@@ -195,7 +195,7 @@ def test_sym_frozen_sl3_radical():
 
 def test_kostant_counts_sl3():
     sl3 = root_datum("SL", 3)
-    scr, pcr = sl3.simple_coroots, sl3.positive_coroots()
+    scr, pcr = sl3.simple_coroots, sl3.dual.positive_roots()
     assert kostant_counts(scr, pcr, (0, 0)) == {0: 1}
     assert kostant_counts(scr, pcr, (1, 1)) == {1: 1, 2: 1}
     assert kostant_counts(scr, pcr, (2, 1)) == {2: 1, 3: 1}
@@ -206,7 +206,7 @@ def test_kostant_counts_sl3():
 
 def test_kostant_counts_reject_non_integral_targets():
     sl3 = root_datum("SL", 3)
-    scr, pcr = sl3.simple_coroots, sl3.positive_coroots()
+    scr, pcr = sl3.simple_coroots, sl3.dual.positive_roots()
     with pytest.raises(ValueError, match="non-integral"):
         kostant_counts(scr, pcr, (Fraction(1, 2), 0))
     assert kostant_counts(scr, pcr, (Fraction(2, 2), 1.0)) == {1: 1, 2: 1}
@@ -223,20 +223,20 @@ def test_kostant_counter_rejects_non_integral_coroots():
 
 def test_kostant_counts_gl2():
     gl2 = root_datum("GL", 2)
-    scr, pcr = gl2.simple_coroots, gl2.positive_coroots()
+    scr, pcr = gl2.simple_coroots, gl2.dual.positive_roots()
     assert kostant_counts(scr, pcr, (3, -3)) == {3: 1}
     assert kostant_counts(scr, pcr, (1, 0)) == {}
 
 
 def test_kostant_target_must_have_the_coroot_length():
     sl3 = root_datum("SL", 3)
-    scr, pcr = sl3.simple_coroots, sl3.positive_coroots()
+    scr, pcr = sl3.simple_coroots, sl3.dual.positive_roots()
     for target in ((1, 1, 0), (1,), ()):
         with pytest.raises(ValueError, match="coroot length 2"):
             kostant_counts(scr, pcr, target)
     # a torus has no coroots: only the zero target counts
     t2 = root_datum("T", 2)
-    count = kostant_counter(t2.simple_coroots, t2.positive_coroots())
+    count = kostant_counter(t2.simple_coroots, t2.dual.positive_roots())
     assert count((0, 0)) == {0: 1} and count((1, 0)) == {}
 
 
@@ -273,7 +273,7 @@ def _kostant_targets(rd, h):
     targets = set(itertools.product(range(-h, h + 1), repeat=rd.rank))
     targets = {t for t in targets if sum(map(abs, t)) <= h}
     for combo in itertools.combinations_with_replacement(
-            rd.positive_coroots(), 2):
+            rd.dual.positive_roots(), 2):
         targets.add(tuple(map(sum, zip(*combo))))
     return sorted(targets)
 
@@ -281,7 +281,7 @@ def _kostant_targets(rd, h):
 @pytest.mark.parametrize("kind,n,h", KOSTANT_SETS)
 def test_kostant_counts_match_rational_viability(kind, n, h):
     rd = root_datum(kind, n)
-    scr, pcr = rd.simple_coroots, rd.positive_coroots()
+    scr, pcr = rd.simple_coroots, rd.dual.positive_roots()
     nonempty = 0
     for t in _kostant_targets(rd, h):
         got = kostant_counts(scr, pcr, t)
@@ -293,7 +293,7 @@ def test_kostant_counts_match_rational_viability(kind, n, h):
 @pytest.mark.parametrize("kind,n,h", KOSTANT_SETS)
 def test_one_kostant_counter_does_not_depend_on_the_target_order(kind, n, h):
     rd = root_datum(kind, n)
-    scr, pcr = rd.simple_coroots, rd.positive_coroots()
+    scr, pcr = rd.simple_coroots, rd.dual.positive_roots()
     targets = _kostant_targets(rd, h)
     random.Random(kind + str(n)).shuffle(targets)
     count = kostant_counter(scr, pcr)
@@ -404,7 +404,7 @@ def _freudenthal_char(rd, lam):
     """Reference character of V(lam): Freudenthal's recursion with the
     sum-over-positive-coroots form over the simple-root drops below lam,
     with one form and one memo for the whole character."""
-    pcs = rd.positive_coroots()
+    pcs = rd.dual.positive_roots()
 
     def B(x, y):
         return sum(_idot(x, bv) * _idot(y, bv) for bv in pcs)

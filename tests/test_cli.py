@@ -168,6 +168,20 @@ def test_group_whose_roots_do_not_close_is_bad_input(tmp_path, capsys):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("kind,rank,roots", (
+    ("GL", 2000, 3998000), ("SL", 65, 4160), ("B", 46, 4232),
+    ("GSp", 92, 4232)))
+def test_group_with_more_roots_than_the_closure_cap_fails_fast(
+        tmp_path, capsys, kind, rank, roots):
+    # refused from its family and size alone, before any matrix is built
+    p = doc_path(tmp_path, "a1-gl1", group={"type": kind, "rank": rank})
+    start = time.perf_counter()
+    assert run(capsys, ["describe", p]) == (
+        2, "", "error: bad group: %s(%d) has %d roots, more than the closure "
+               "cap 4096; bad input data\n" % (kind.upper(), rank, roots))
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("argv", (
     ["describe"], ["check", "--which", "colored-cone"],
     ["check", "--which", "affine"], ["orbits", "--height", "2", "--integral"],

@@ -233,13 +233,13 @@ def test_f_fixed_rejects_grade_gaps():
 def test_f_fixed_counts_levi_constituents():
     # string count equals the number of dual-Levi constituents of the radical
     from sphvar.chars import WeightChar, decompose
-    from sphvar.rootdata import dual_datum, levi_datum
+    from sphvar.rootdata import levi_datum
     for kind, n, levi in (("GL", 3, (0,)), ("C", 2, (0,))):
         p = ParabolicDatum(root_datum(kind, n), levi)
         ff = f_fixed(dual_radical(p))
         rad = WeightChar.of([(tuple(int(x) for x in bv), 1)
                              for _, bv in p.radical_pairs])
-        md = dual_datum(levi_datum(p.datum, p.levi_indices))
+        md = levi_datum(p.datum, p.levi_indices).dual
         assert ff.total_multiplicity() == len(decompose(md, rad))
 
 
@@ -559,11 +559,11 @@ def test_satake_transform_is_minuscule_satake_where_that_applies():
     seen = 0
     for rd in groups.values():
         for mu in itertools.product(range(-1, 2), repeat=rd.rank):
-            dom = rd.dominant_cochar(mu)
+            dom = rd.dual.dominant_char(mu)
             if all(sum(x * y for x, y in zip(a, dom)) <= 1
                    for a in rd.positive_roots()):
                 orbit_sum = {w: QLaurent.q_pow(sum(r * x for r, x in zip(rd.rho, dom)))
-                             for w in rd.weyl_orbit_cochar(dom)}
+                             for w in rd.dual.weyl_orbit_char(dom)}
                 assert satake_transform(rd, mu) == minuscule_satake(rd, mu) \
                     == orbit_sum, mu
                 seen += 1
@@ -648,7 +648,8 @@ def test_minuscule_orbit_coefficients_equal(a, b):
     gl2 = root_datum("GL", 2)
     assume(abs(a - b) <= 1)
     s = minuscule_satake(gl2, (a, b))
-    assert set(s) == set(gl2.weyl_orbit_cochar(gl2.dominant_cochar((a, b))))
+    assert set(s) == set(gl2.dual.weyl_orbit_char(
+        gl2.dual.dominant_char((a, b))))
     assert len({str(v) for v in s.values()}) == 1
     mass = sum(v.specialize(1) for _, v in pp_shifts(borel_gl2_route(), s))
     assert mass == len(s)

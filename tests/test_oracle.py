@@ -487,10 +487,30 @@ def test_matrix_kernel_on_long_operands(p, slots, monkeypatch):
         assert len(reduced) == {17: 1, 30: 3, 20: 1}[slots]
 
 
-# the primes on both sides of each step of the slot width, 1 -> 2 -> 4 -> 8
-# -> 16 bytes, and 2^61 - 1
-WIDTH_STEP_PRIMES = (3, 5, 43, 47, 11579, 11587, 759250111, 759250133,
-                     2 ** 61 - 1)
+def _width_step_primes(top):
+    """The primes on both sides of each step of the slot width up to that
+    of top, and top itself: each step is bisected on p."""
+    from sphvar.cli import _is_prime
+    from sphvar.oracle import _width
+    out = []
+    for w in range(_width(2), _width(top)):
+        lo, hi = 2, top  # _width(lo) <= w < _width(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _width(mid) <= w else (lo, mid)
+        below, above = lo, hi
+        while not _is_prime(below):
+            below -= 1
+        while not _is_prime(above):
+            above += 1
+        assert _width(below) == w and _width(above) == w + 1
+        out += [below, above]
+    return tuple(out) + (top,)
+
+
+# the primes on both sides of each step of the slot width, one byte at a
+# time from 1 to 16 bytes, and 2^61 - 1
+WIDTH_STEP_PRIMES = _width_step_primes(2 ** 61 - 1)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -1,13 +1,16 @@
 """Root data builders, Weyl machinery, and parabolic gradings."""
 from __future__ import annotations
 
+import operator
 import signal
 from fractions import Fraction
 
 import pytest
 
+from sphvar.catalog import list_entries, load
+from sphvar.geometry import solve_linear
 from sphvar.rootdata import (RootDatum, ParabolicDatum, root_datum,
-                             product_datum, dual_datum, levi_datum)
+                             product_datum, levi_datum)
 
 
 WEYL_TABLE = [
@@ -24,7 +27,7 @@ def test_weyl_order_and_positive_roots(kind, n, order, npos):
     assert rd.weyl_order() == order
     assert len(rd.positive_pairs) == npos
     assert len(rd.positive_roots()) == npos
-    assert len(rd.positive_coroots()) == npos
+    assert len(rd.dual.positive_roots()) == npos
 
 
 def test_rho_values():
@@ -68,22 +71,23 @@ def test_simple_reflection_permutes_other_positives():
 
 def test_weyl_orbits():
     gl2 = root_datum("GL", 2)
-    assert gl2.weyl_orbit_cochar((1, 0)) == ((0, 1), (1, 0))
+    assert gl2.dual.weyl_orbit_char((1, 0)) == ((0, 1), (1, 0))
     sl3 = root_datum("SL", 3)
     # the coroot lattice of SL3: orbit of a simple coroot is all six coroots
-    assert len(sl3.weyl_orbit_cochar((1, 0))) == 6
+    assert len(sl3.dual.weyl_orbit_char((1, 0))) == 6
     sp4 = root_datum("C", 2)
     assert len(sp4.weyl_orbit_char((1, 0))) == 4
     assert len(sp4.weyl_orbit_char((1, 1))) == 4
     gl3 = root_datum("GL", 3)
-    assert gl3.weyl_orbit_cochar((1, 1, 0)) == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+    assert gl3.dual.weyl_orbit_char((1, 1, 0)) == ((0, 1, 1), (1, 0, 1),
+                                                   (1, 1, 0))
 
 
 def test_dominance():
     gl3 = root_datum("GL", 3)
-    assert gl3.is_dominant_cochar((2, 1, 0))
-    assert not gl3.is_dominant_cochar((0, 1, 2))
-    assert gl3.dominant_cochar((0, 1, 2)) == (2, 1, 0)
+    assert gl3.dual.is_dominant_char((2, 1, 0))
+    assert not gl3.dual.is_dominant_char((0, 1, 2))
+    assert gl3.dual.dominant_char((0, 1, 2)) == (2, 1, 0)
     sl3 = root_datum("SL", 3)
     assert sl3.is_dominant_char((1, 0))
     assert not sl3.is_dominant_char((-1, 3))
@@ -96,19 +100,48 @@ PANEL = [root_datum(k, n) for k, n in (
     ("GSP", 6), ("T", 2))]
 
 
-@pytest.mark.parametrize("rd", PANEL + [dual_datum(rd) for rd in PANEL],
+@pytest.mark.parametrize("rd", PANEL + [rd.dual for rd in PANEL],
                          ids=lambda rd: rd.name)
 def test_fold_lands_in_the_orbit_on_its_only_dominant_point(rd):
     # the chamber fold and the orbit closure are separate walks: the fold's
-    # end must be the one dominant point of the orbit, on both sides, and
-    # every orbit size divides |W|
+    # end must be the one dominant point of the orbit, on characters and on
+    # cocharacters (the characters of the dual), and every orbit size
+    # divides |W|
     for v in [(2, -1, 0, 1, -2)[:rd.rank], (-1, 3, -2, 0, 1)[:rd.rank]]:
-        for orbit, fold, dominant in (
-                (rd.weyl_orbit_char(v), rd.dominant_char(v), rd.is_dominant_char),
-                (rd.weyl_orbit_cochar(v), rd.dominant_cochar(v),
-                 rd.is_dominant_cochar)):
-            assert [w for w in orbit if dominant(w)] == [fold]
+        for side in (rd, rd.dual):
+            orbit = side.weyl_orbit_char(v)
+            assert [w for w in orbit if side.is_dominant_char(w)] == [
+                side.dominant_char(v)]
             assert rd.weyl_order() % len(orbit) == 0
+
+
+def _contragredient(m):
+    """M^-T: the N with M^T N = 1, solved one column at a time."""
+    n = len(m)
+    cols = [solve_linear(tuple(zip(*m)), [int(i == j) for i in range(n)])
+            for j in range(n)]
+    return tuple(zip(*cols))
+
+
+def _panel_and_catalog_groups():
+    """PANEL, then the ambient group of every catalog entry and the group of
+    each of its routes that has one, once per name."""
+    out = {rd.name: rd for rd in PANEL}
+    for key in list_entries():
+        entry = load(key)
+        out.setdefault(entry.datum.ambient.name, entry.datum.ambient)
+        for r in entry.routes:
+            if hasattr(r, "group"):
+                out.setdefault(r.group.name, r.group)
+    return list(out.values())
+
+
+@pytest.mark.parametrize("rd", _panel_and_catalog_groups(),
+                         ids=lambda rd: rd.name)
+def test_weyl_group_on_cocharacters_is_the_contragredient(rd):
+    # cocharacter questions go to rd.dual: that is sound because the dual's
+    # W, acting on X_*, is W acting on X^* transported by the pairing
+    assert {_contragredient(m) for m in rd.weyl_char} == set(rd.dual.weyl_char)
 
 
 @pytest.fixture
@@ -124,21 +157,22 @@ def time_limit():
 
 
 @pytest.mark.parametrize("method,v", [
-    ("weyl_orbit_char", (1, 0, 0)), ("weyl_orbit_cochar", (1, 0, 0)),
-    ("dominant_char", (-1, 0, 0)), ("dominant_cochar", (-1, 0, 0))])
+    ("weyl_orbit_char", (1, 0, 0)), ("dual.weyl_orbit_char", (1, 0, 0)),
+    ("dominant_char", (-1, 0, 0)), ("dual.dominant_char", (-1, 0, 0))])
 def test_affine_datum_raises_instead_of_hanging(time_limit, method, v):
-    # affine A1: the constructor's checks pass, but W is infinite
+    # affine A1: the constructor's checks pass, but W is infinite, and so
+    # is the W of its dual
     rd = RootDatum("aff", 3, ((2, -2, 1), (-2, 2, 0)), ((1, 0, 0), (0, 1, 0)))
     with pytest.raises(ValueError, match="bad input data"):
-        getattr(rd, method)(v)
+        operator.attrgetter(method)(rd)(v)
 
 
 def test_weights_of_the_wrong_length_are_refused():
     sl3 = root_datum("SL", 3)
-    for method in ("is_dominant_char", "is_dominant_cochar", "dominant_char",
-                   "dominant_cochar", "weyl_orbit_char", "weyl_orbit_cochar"):
-        with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
-            getattr(sl3, method)((1,))
+    for side in (sl3, sl3.dual):
+        for method in ("is_dominant_char", "dominant_char", "weyl_orbit_char"):
+            with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+                getattr(side, method)((1,))
 
 
 def test_simple_root_expansion():
@@ -166,6 +200,17 @@ def test_builder_errors():
             root_datum(kind, n)
 
 
+@pytest.mark.parametrize("kind,largest,beyond", (
+    ("GL", 64, 65), ("SL", 64, 65), ("PGL", 64, 65), ("B", 45, 46),
+    ("C", 45, 46), ("D", 45, 46), ("GSP", 90, 92)))
+def test_families_beyond_the_closure_cap_are_refused(kind, largest, beyond):
+    # the largest size of each family whose root count is within the cap is
+    # built; the next is refused, since its roots could never close
+    assert root_datum(kind, largest).nsimple
+    with pytest.raises(ValueError, match="more than the closure cap 4096"):
+        root_datum(kind, beyond)
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         RootDatum("bad", 2, ((1, 0),), ((1, 0),))  # pairing 1, not 2
@@ -190,7 +235,7 @@ def test_product_and_dual():
     assert prod.rank == 2
     assert prod.simple_roots == ((0, 2),)
     assert prod.simple_coroots == ((0, 1),)
-    dual = dual_datum(root_datum("C", 3))
+    dual = root_datum("C", 3).dual
     b3 = root_datum("B", 3)
     assert dual.simple_roots == b3.simple_roots
     assert dual.weyl_order() == 48

@@ -191,7 +191,7 @@ GL3 = root_datum("GL", 3)
 
 
 @pytest.mark.parametrize("call", [
-    lambda x: GL3.dominant_cochar((x, 2, 1)),
+    lambda x: GL3.dual.dominant_char((x, 2, 1)),
     lambda x: GL3.weyl_orbit_char((x, 2, 1)),
     lambda x: satake_transform(root_datum("GL", 2), (x, 0)),
     lambda x: ParabolicDatum(GL3, (0,)).pi((x, 0, 0)),
