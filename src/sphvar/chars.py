@@ -1,12 +1,14 @@
 """Weight characters, multiplicities, and exact q-power scalars.
 
 QLaurent is a Laurent polynomial in q^(1/2) with integer coefficients,
-stored sparsely by exponent. WeightChar is a finitely supported integer
-multiplicity map on a fixed lattice Z^n; symmetric and exterior powers are
-the coefficients of truncated integer generating-function products. One
-Weyl symmetrizer gives the irreducible characters (the Weyl character
-formula) and the engine's Satake transforms, and W-invariant characters
-decompose into irreducibles through the Weyl denominator.
+stored sparsely by its int exponent k of q^(1/2), so its arithmetic stays
+in ints; only degree and specialize return Fractions. WeightChar is a
+finitely supported integer multiplicity map on a fixed lattice Z^n;
+symmetric and exterior powers are the coefficients of truncated integer
+generating-function products. One Weyl symmetrizer gives the irreducible
+characters (the Weyl character formula) and the engine's Satake
+transforms, and W-invariant characters decompose into irreducibles
+through the Weyl denominator.
 """
 from __future__ import annotations
 
@@ -18,15 +20,17 @@ from .record import Record
 from .rootdata import RootDatum, _closure, _idot, _reflect
 
 
-def _fexp(e) -> Fraction:
+def _halves(e) -> int:
+    """2e for a half-integral exponent e."""
     e = Fraction(e)
     if e.denominator not in (1, 2):
         raise ValueError("exponent %s is not half-integral" % e)
-    return e
+    return int(2 * e)
 
 
 class QLaurent(Record):
-    """Sparse Laurent polynomial in q^(1/2): terms ((exponent, coeff), ...)."""
+    """Sparse Laurent polynomial in q^(1/2): terms ((k, coeff), ...) with int
+    k, the term coeff * q^(k/2), by descending k."""
 
     __slots__ = _fields = ("terms",)
 
@@ -34,18 +38,22 @@ class QLaurent(Record):
         object.__setattr__(self, "terms", terms)
 
     @staticmethod
+    def _of_halves(d: dict) -> "QLaurent":
+        """From {k: coeff} with int k and int coeff, meaning coeff * q^(k/2)."""
+        return QLaurent(tuple(sorted(((k, c) for k, c in d.items() if c),
+                                     reverse=True)))
+
+    @staticmethod
     def of(mapping) -> "QLaurent":
-        items = []
+        """From {exponent of q (int or half-integral): coeff}."""
+        d = {}
         for e, c in (mapping.items() if isinstance(mapping, dict) else mapping):
             if type(c) is not int:
                 c = _exact_int(c)
             if c != 0:
-                items.append((_fexp(e), c))
-        agg = {}
-        for e, c in items:
-            agg[e] = agg.get(e, 0) + c
-        return QLaurent(tuple(sorted(((e, c) for e, c in agg.items() if c != 0),
-                                     reverse=True)))
+                k = _halves(e)
+                d[k] = d.get(k, 0) + c
+        return QLaurent._of_halves(d)
 
     @staticmethod
     def zero() -> "QLaurent":
@@ -53,7 +61,7 @@ class QLaurent(Record):
 
     @staticmethod
     def one() -> "QLaurent":
-        return QLaurent.of({0: 1})
+        return QLaurent(((0, 1),))
 
     @staticmethod
     def q_pow(e, coeff=1) -> "QLaurent":
@@ -61,63 +69,55 @@ class QLaurent(Record):
 
     def __add__(self, other: "QLaurent") -> "QLaurent":
         d = dict(self.terms)
-        for e, c in other.terms:
-            d[e] = d.get(e, 0) + c
-        return QLaurent.of(d)
+        for k, c in other.terms:
+            d[k] = d.get(k, 0) + c
+        return QLaurent._of_halves(d)
 
     def __sub__(self, other: "QLaurent") -> "QLaurent":
-        d = dict(self.terms)
-        for e, c in other.terms:
-            d[e] = d.get(e, 0) - c
-        return QLaurent.of(d)
+        return self + other.scale(-1)
 
     def __mul__(self, other: "QLaurent") -> "QLaurent":
         d = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                k = e1 + e2
+        for k1, c1 in self.terms:
+            for k2, c2 in other.terms:
+                k = k1 + k2
                 d[k] = d.get(k, 0) + c1 * c2
-        return QLaurent.of(d)
+        return QLaurent._of_halves(d)
 
     def scale(self, c: int) -> "QLaurent":
-        return QLaurent.of({e: c * v for e, v in self.terms})
+        return QLaurent._of_halves({k: c * v for k, v in self.terms})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def degree(self):
-        """Largest exponent, or None for the zero polynomial."""
-        return self.terms[0][0] if self.terms else None
+        """Largest exponent as a Fraction, or None for the zero polynomial."""
+        return Fraction(self.terms[0][0], 2) if self.terms else None
 
     def specialize(self, q0) -> Fraction:
         q0 = Fraction(q0)
         if q0 <= 0:
             raise ValueError("q must be positive")
         out = Fraction(0)
-        for e, c in self.terms:
-            if e.denominator == 1:
-                out += c * q0 ** int(e)
+        root = None
+        for k, c in self.terms:
+            if k % 2 == 0:
+                out += c * q0 ** (k // 2)
             else:
                 # half-integral exponent: exact only when q0 is a square
-                r = _exact_sqrt(q0)
-                out += c * r ** int(2 * e)
+                root = _exact_sqrt(q0) if root is None else root
+                out += c * root ** k
         return out
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for i, (e, c) in enumerate(self.terms):
+        for i, (k, c) in enumerate(self.terms):
             sign = "-" if c < 0 else "+"
             mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                if e == 1:
-                    qs = "q"
-                else:
-                    qs = "q^%s" % (e,)
-                body = qs if mag == 1 else "%d %s" % (mag, qs)
+            qs = "q" if k == 2 else "q^%d/2" % k if k % 2 else "q^%d" % (k // 2)
+            body = str(mag) if k == 0 else qs if mag == 1 else "%d %s" % (mag, qs)
             if i == 0:
                 parts.append(body if c > 0 else "-" + body)
             else:
@@ -126,16 +126,10 @@ class QLaurent(Record):
 
 
 def _exact_sqrt(x: Fraction) -> Fraction:
-    num = _isqrt_exact(x.numerator)
-    den = _isqrt_exact(x.denominator)
-    if num is None or den is None:
+    num, den = isqrt(x.numerator), isqrt(x.denominator)
+    if num * num != x.numerator or den * den != x.denominator:
         raise ValueError("specializing a half-integral power needs a square q")
     return Fraction(num, den)
-
-
-def _isqrt_exact(n: int):
-    r = isqrt(n)
-    return r if r * r == n else None
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +340,15 @@ def _symmetrize(rd: RootDatum, f) -> dict:
     each a-string, walked from its top, the quotient at nu is the prefix sum
     down to nu, and a nonzero sum left below the string raises RuntimeError.
     """
-    rho2 = tuple(int(2 * x) for x in rd.rho)  # 2*rho is integral
-
     def step(pair):
         return ((_reflect(pair[0], a, av), -pair[1]) for a, av in rd._char_pairs)
     num = {}
     for mu, c in f.items():
-        seed = (tuple(2 * m + r for m, r in zip(mu, rho2)), 1)
+        seed = (tuple(2 * m + r for m, r in zip(mu, rd.rho2)), 1)
         if any(_idot(seed[0], av) == 0 for _, av in rd.positive_pairs):
             continue
         for v, s in _closure([seed], step, "Weyl orbit too large; bad input data"):
-            w = tuple((x - r) // 2 for x, r in zip(v, rho2))
+            w = tuple((x - r) // 2 for x, r in zip(v, rd.rho2))
             num[w] = num.get(w, 0) + s * c
     for a, _ in rd.positive_pairs:
         i = next(j for j, x in enumerate(a) if x)
@@ -388,14 +380,15 @@ def weyl_dim(rd: RootDatum, lam) -> int:
     lam = _int_vec(lam)
     if not rd.is_dominant_char(lam):
         raise ValueError("highest weight %r is not dominant" % (lam,))
-    num = den = Fraction(1)
+    # prod <lam + rho, bv> / <rho, bv>, both pairings doubled
+    num = den = 1
     for _, bv in rd.positive_pairs:
-        num *= sum((l + r) * b for l, r, b in zip(lam, rd.rho, bv))
-        den *= sum(r * b for r, b in zip(rd.rho, bv))
-    v = num / den
-    if v.denominator != 1 or v <= 0:
-        raise RuntimeError("Weyl dimension of %r is %s" % (lam, v))
-    return int(v)
+        num *= _idot([2 * l + r for l, r in zip(lam, rd.rho2)], bv)
+        den *= _idot(rd.rho2, bv)
+    v, r = divmod(num, den)
+    if r or v <= 0:
+        raise RuntimeError("Weyl dimension of %r is %s" % (lam, Fraction(num, den)))
+    return v
 
 
 def irrep_char(rd: RootDatum, lam) -> WeightChar:

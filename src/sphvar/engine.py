@@ -2,13 +2,15 @@
 
 Everything is exact.  Symbolic tables hold QLaurent values (Laurent
 polynomials in q^(1/2)); specialization to a rational prime power goes
-through Fraction.  Strata of an embedding are addressed by integer labels,
-and every computation route carries the lattice map from cocharacter data
-to labels, so independent routes for the same space produce tables that can
-be compared entry by entry.  A horospherical datum determines its Borel and
-PP routes (derived_route), and one dispatcher (route_table) computes a table
-along any route.  A PP table is read off the symmetric powers of the f-fixed
-dual radical: every Sym^i weight names its stratum and its q-exponent.
+through Fraction; the routes pair with the int 2 rho (RootDatum.rho2) and
+give QLaurent int exponents of q^(1/2).  Strata are addressed by integer
+labels, and every computation route carries the lattice map from
+cocharacter data to labels, so independent routes for the same space
+produce tables that can be compared entry by entry.  A horospherical datum
+determines its Borel and PP routes (derived_route), and one dispatcher
+(route_table) computes a table along any route.  A PP table is read off
+the symmetric powers of the f-fixed dual radical: every Sym^i weight names
+its stratum and its q-exponent.
 
 Conventions fixed by the test suite rather than by derivation:
   * delta_P^(1/2) at a cocharacter point contributes q^(-<rho_P, coweight>);
@@ -233,10 +235,8 @@ class BasicFunctionTable(Record):
 
 
 def _truncation_default(group: RootDatum, lifted_gens, height: int) -> int:
-    m = 1
-    for g in lifted_gens:
-        e = abs(vdot(group.rho, g))
-        m = max(m, int(e) + (0 if e.denominator == 1 else 1))
+    # height * max(1, ceil|<rho, g>|) + 2
+    m = max([1] + [(abs(_idot(group.rho2, g)) + 1) // 2 for g in lifted_gens])
     return height * m + 2
 
 
@@ -262,8 +262,8 @@ def basic_function_borel(datum, route: BorelRoute, height: int) -> BasicFunction
         counts = count(tuple(-x for x in lam))
         if not counts:
             continue
-        e = -vdot(g.rho, lam)
-        table[label] = QLaurent.of({e - i: c for i, c in counts.items()})
+        k = -_idot(g.rho2, lam)  # 2 * exponent, as QLaurent counts
+        table[label] = QLaurent._of_halves({k - 2 * i: c for i, c in counts.items()})
     trunc = _truncation_default(g, coroots, height)
     return BasicFunctionTable.of(datum.name, "UP-Borel", g.rank, table, trunc, height)
 
@@ -296,16 +296,18 @@ def basic_function_pp(datum, route: PPRoute, height: int,
         raise ValueError("label map is not injective on the strata")
 
     # each Sym step moves the label l1-norm by at least 1, so i <= height
-    terms = {}
+    terms = {}  # theta -> {2 * exponent: coefficient}, as QLaurent counts
     for i, s in enumerate(sym_powers_upto(chi, height)):
         for w, mult in s.weights:
-            terms.setdefault(tuple(-x for x in w[:-1]), []).append(
-                (Fraction(kappa * w[-1], 2) - i, mult))
+            d = terms.setdefault(tuple(-x for x in w[:-1]), {})
+            k = kappa * w[-1] - 2 * i
+            d[k] = d.get(k, 0) + mult
     table = {}
-    for theta, pairs in terms.items():
+    for theta, d in terms.items():
         label = route.label_map.apply(p.lift(theta))
         if sum(map(abs, label)) <= height:
-            table[label] = QLaurent.q_pow(-p.rho_p_pair(theta)) * QLaurent.of(pairs)
+            k = p._rho_p_halves(p.lift(theta))
+            table[label] = QLaurent._of_halves({e - k: c for e, c in d.items()})
     trunc = _truncation_default(p.datum, [p.lift(g) for g in gens], height)
     return BasicFunctionTable.of(datum.name, "PP-general", route.label_map.m,
                                  table, trunc, height)
@@ -379,12 +381,12 @@ def satake_transform(rd: RootDatum, mu) -> dict:
             for (k, w), c in list(prod.items()):
                 u = (k + 1, tuple(x - y for x, y in zip(w, av)))
                 prod[u] = prod.get(u, 0) - c
-    e, out = vdot(rd.rho, lam), {}
+    e, out = _idot(rd.rho2, lam), {}  # 2<rho, lam>: QLaurent counts halves
     for k in {k for k, _ in prod}:
         f = {w: c for (j, w), c in prod.items() if j == k}
         for w, c in _symmetrize(rd.dual, f).items():
-            out.setdefault(w, {})[e - k] = c
-    return {w: QLaurent.of(d) for w, d in out.items()}
+            out.setdefault(w, {})[e - 2 * k] = c
+    return {w: QLaurent._of_halves(d) for w, d in out.items()}
 
 
 def minuscule_satake(rd: RootDatum, mu) -> dict:
@@ -404,17 +406,17 @@ def pp_shifts(route, satake: dict, kappa: int = KAPPA):
     if kappa not in (1, -1):
         raise ValueError("kappa must be +1 or -1")
     p = route.parabolic()
-    by = {}
+    by = {}  # class -> {2 * exponent: coefficient}, as QLaurent counts
     for lam, c in satake.items():
-        tb = p.pi(lam)
-        e = kappa * vdot(p.rho_m, lam)
-        by[tb] = by.get(tb, QLaurent.zero()) + c * QLaurent.q_pow(e)
+        d, e = by.setdefault(p.pi(lam), {}), kappa * p.grade(lam)
+        for k, v in c.terms:
+            d[k + e] = d.get(k + e, 0) + v
     out = []
     for tb in sorted(by):
-        if by[tb].is_zero():
-            continue
-        shift = route.label_map.apply(p.lift(tb))
-        out.append((shift, by[tb] * QLaurent.q_pow(p.rho_p_pair(tb))))
+        e = p._rho_p_halves(p.lift(tb))
+        coeff = QLaurent._of_halves({k + e: v for k, v in by[tb].items()})
+        if not coeff.is_zero():
+            out.append((route.label_map.apply(p.lift(tb)), coeff))
     return out
 
 

@@ -257,6 +257,8 @@ def _halfspace_gens(rows, n: int):
                 if sum(common & ~z == 0 for z, _ in rays) == 2:
                     kept.append((common | bit, _elim(tp, q, tq, p)))
         rays = kept
+    if not lines:  # the lines span the kernel of arows: it is 0
+        return sorted({r for _, r in rays}), []
     lin = kernel_basis(arows, n)
     red, red_piv, e = _gauss_jordan(lin, n)
     out = set()
@@ -578,7 +580,7 @@ class LatticeMap(Record):
         # a 0-row map (projection onto the trivial lattice) accepts anything
         if self.rows and len(v) != self.n:
             raise ValueError("bad vector length")
-        return tuple(sum(r[j] * v[j] for j in range(self.n)) for r in self.rows)
+        return tuple(_idot(r, v) for r in self.rows)
 
     def transpose(self) -> "LatticeMap":
         return LatticeMap.of(list(zip(*self.rows))) if self.rows else LatticeMap.of([])

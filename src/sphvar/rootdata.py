@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .geometry import (
     _exact_int, _idot, _int_vec, kernel_basis, matrix_rank, saturation_quotient,
-    span_coordinates, vdot,
+    span_coordinates,
 )
 from .record import Record
 
@@ -105,13 +105,14 @@ class RootDatum(Record):
         return tuple(b for b, _ in self.positive_pairs)
 
     @cached_property
+    def rho2(self):
+        """2 rho, the sum of the positive roots, as an int tuple."""
+        return tuple(map(sum, zip((0,) * self.rank, *self.positive_roots())))
+
+    @property
     def rho(self):
         """Half sum of positive roots, as a Fraction tuple."""
-        out = [Fraction(0)] * self.rank
-        for b, _ in self.positive_pairs:
-            for i, x in enumerate(b):
-                out[i] += Fraction(x, 2)
-        return tuple(out)
+        return tuple(Fraction(x, 2) for x in self.rho2)
 
     @cached_property
     def cartan(self):
@@ -363,11 +364,10 @@ class ParabolicDatum(Record):
 
     @cached_property
     def rho_p(self):
-        rp = tuple(a - b for a, b in zip(self.datum.rho, self.levi.rho))
-        for av in self.levi.simple_coroots:
-            if vdot(rp, av) != 0:
-                raise RuntimeError("rho_P not orthogonal to Levi coroots")
-        return rp
+        if any(map(self._rho_p_halves, self.levi.simple_coroots)):
+            raise RuntimeError("rho_P not orthogonal to Levi coroots")
+        return tuple(Fraction(a - b, 2)
+                     for a, b in zip(self.datum.rho2, self.levi.rho2))
 
     @cached_property
     def radical_pairs(self):
@@ -387,14 +387,16 @@ class ParabolicDatum(Record):
         return self.quotient[1].apply(_int_vec(theta))
 
     def grade(self, coroot) -> int:
-        g = 2 * vdot(self.rho_m, coroot)
-        if g.denominator != 1:
-            raise RuntimeError("2<rho_M, %r> is not an integer" % (coroot,))
-        return int(g)
+        """<2 rho_M, coroot>."""
+        return _idot(self.levi.rho2, self.datum._check_rank(coroot))
+
+    def _rho_p_halves(self, v) -> int:
+        """<2 rho_P, v> = <2 rho, v> - <2 rho_M, v>."""
+        return _idot(self.datum.rho2, v) - _idot(self.levi.rho2, v)
 
     def rho_p_pair(self, theta) -> Fraction:
         """<rho_P, lift(theta)>; independent of the choice of lift."""
-        return vdot(self.rho_p, self.lift(theta))
+        return Fraction(self._rho_p_halves(self.lift(theta)), 2)
 
     @cached_property
     def monoid_generators(self):

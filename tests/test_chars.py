@@ -66,6 +66,95 @@ def test_qlaurent_degree():
     assert QLaurent.zero().degree() is None
 
 
+def test_qlaurent_terms_count_halves_of_q():
+    # terms hold (k, c) with int k for c * q^(k/2), by descending k
+    p = QLaurent.of([(Fraction(1, 2), 2), (-1, 1), (0.5, 1), (Fraction(6, 4), 0)])
+    assert p.terms == ((1, 3), (-2, 1))
+    assert all(type(k) is int for k, _ in p.terms)
+    assert QLaurent.q_pow(Fraction(-5, 2), 7).terms == ((-5, 7),)
+    assert type(p.degree()) is Fraction and p.degree() == Fraction(1, 2)
+
+
+def test_qlaurent_format_of_negative_half_exponents():
+    assert str(QLaurent.q_pow(Fraction(-1, 2))) == "q^-1/2"
+    assert str(QLaurent.q_pow(Fraction(-5, 2), -3)) == "-3 q^-5/2"
+    assert str(QLaurent.of({1: 1, Fraction(-1, 2): 1, Fraction(-5, 2): -3})) \
+        == "q + q^-1/2 - 3 q^-5/2"
+
+
+def test_specialize_takes_one_square_root(monkeypatch):
+    calls = []
+    sqrt = chars._exact_sqrt
+    monkeypatch.setattr(chars, "_exact_sqrt", lambda x: calls.append(x) or sqrt(x))
+    odd = QLaurent.of({Fraction(k, 2): 1 for k in (5, 1, -3)})
+    assert odd.specialize(4) == 32 + 2 + Fraction(1, 8) and calls == [4]
+    # without an odd exponent no root is taken, so a non-square q is fine
+    even = QLaurent.of({1: 1, -2: 3})
+    assert even.specialize(2) == 2 + Fraction(3, 4) and calls == [4]
+    with pytest.raises(ValueError, match="square"):
+        (even + odd).specialize(2)
+
+
+def _format_reference(expr, s):
+    """QLaurent.__str__'s format, on Fraction exponents of q, of sympy's
+    coefficients of expr, a Laurent polynomial in s = q^(1/2) of degrees
+    within +-20."""
+    import sympy
+    poly = sympy.Poly(sympy.expand(expr * s ** 20), s)
+    if poly.is_zero:
+        return "0"
+    parts = []
+    for (n,), c in sorted(poly.terms(), reverse=True):
+        e, c = Fraction(n - 20, 2), int(c)
+        qs = "q" if e == 1 else "q^%s" % e
+        body = str(abs(c)) if e == 0 else qs if abs(c) == 1 else "%d %s" % (abs(c), qs)
+        parts.append(("-" if c < 0 else "") + body if not parts
+                     else "%s %s" % ("-" if c < 0 else "+", body))
+    return " ".join(parts)
+
+
+# sparse Laurent polynomials in s = q^(1/2), as {k: c} for c * s^k
+half_polys = st.dictionaries(st.integers(-9, 9), st.integers(-4, 4), max_size=6)
+
+
+@given(half_polys, half_polys, st.integers(-3, 3),
+       st.fractions(Fraction(1, 5), Fraction(5), max_denominator=6))
+@settings(max_examples=60, deadline=None)
+def test_qlaurent_agrees_with_sympy_in_the_square_root_of_q(da, db, c, r):
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s", positive=True)
+
+    def sym(p):
+        return sum((v * s ** k for k, v in p.terms), sympy.Integer(0))
+
+    def value(x):
+        x = sympy.Rational(x)
+        return Fraction(int(x.p), int(x.q))
+
+    a, b = (QLaurent.of({Fraction(k, 2): v for k, v in d.items()}) for d in (da, db))
+    want = {"+": sym(a) + sym(b), "-": sym(a) - sym(b), "*": sym(a) * sym(b),
+            "scale": c * sym(a)}
+    got = {"+": a + b, "-": a - b, "*": a * b, "scale": a.scale(c)}
+    for op, p in got.items():
+        assert sympy.expand(sym(p) - want[op]) == 0, op
+        ks = [k for k, _ in p.terms]
+        assert ks == sorted(set(ks), reverse=True) and all(v for _, v in p.terms)
+        assert all(type(k) is int and type(v) is int for k, v in p.terms)
+        assert str(p) == _format_reference(want[op], s), op
+        poly = sympy.Poly(sympy.expand(want[op] * s ** 20), s)
+        assert p.degree() == (None if poly.is_zero
+                              else Fraction(poly.degree() - 20, 2)), op
+    # at a square q the value is the value at s = r; at a non-square q it
+    # exists only without odd powers of s
+    rs = sympy.Rational(r.numerator, r.denominator)
+    assert a.specialize(r * r) == value(sym(a).subs(s, rs))
+    if any(k % 2 for k, _ in a.terms):
+        with pytest.raises(ValueError, match="square"):
+            a.specialize(2 * r * r)
+    else:
+        assert a.specialize(2 * r * r) == value(sym(a).subs(s, sympy.sqrt(2) * rs))
+
+
 # ---------------------------------------------------------------------------
 # symmetric/exterior powers vs brute-force expansion
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -465,6 +466,59 @@ def test_pp_rejects_a_collapsing_label_map():
     for h in (0, 1, 3):
         with pytest.raises(ValueError, match="not injective"):
             basic_function_pp(borel_sl3_datum(), route, h)
+
+
+# (key, route index) -> table truncation at heights 6 and 8, as the
+# Fraction pairing with rho gave them
+TRUNCATIONS = {
+    ("a1-gl1", 0): (0, 0), ("a2-sl2", 0): (8, 10), ("a2-sl2", 1): (8, 10),
+    ("a2-sl2-nocenter", 0): (8, 10), ("borel-gl2", 0): (8, 10),
+    ("borel-sl3", 0): (14, 18), ("borel-sl3", 1): (14, 18),
+    ("pp-gl3", 0): (8, 10), ("hecke-gl2", 0): (0, 0), ("pgl2-group", 0): (0, 0),
+    ("godement-jacquet-2", 0): (0, 0), ("godement-jacquet-3", 0): (0, 0),
+    ("rankin-selberg", 0): (0, 0), ("bump-friedberg", 0): (0, 0),
+    ("triple-product", 0): (4, 4), ("siegel-gsp6", 0): (14, 18),
+    ("kvs-1-15", 0): (0, 0), ("kvs-2-3", 0): (0, 0), ("kvs-2-5", 0): (0, 0),
+}
+
+
+def _truncation_reference(group, lifted_gens, height):
+    # height * max(1, ceil |<rho, g>|) + 2, with rho as Fractions
+    pairings = [abs(sum(r * x for r, x in zip(group.rho, g))) for g in lifted_gens]
+    return height * max([1] + [math.ceil(e) for e in pairings]) + 2
+
+
+def test_truncation_is_kept_on_every_catalog_route():
+    from sphvar import catalog
+    from sphvar.engine import route_table
+    got = {}
+    for key in catalog.list_entries():
+        entry = catalog.load(key)
+        for i, route in enumerate(entry.routes):
+            got[key, i] = tuple(route_table(entry.datum, route, h,
+                                            catalog.basic_table).truncation
+                                for h in (6, 8))
+            if isinstance(route, (BorelRoute, PPRoute)):
+                p = route.parabolic()
+                gens = ([bv for _, bv in p.datum.positive_pairs]
+                        if isinstance(route, BorelRoute)
+                        else [p.lift(g) for g in p.monoid_generators])
+                for h in (6, 8):
+                    assert (_truncation_default(p.datum, gens, h)
+                            == _truncation_reference(p.datum, gens, h))
+    assert got == TRUNCATIONS
+
+
+@given(st.sampled_from([("GL", 2), ("GL", 3), ("SL", 3), ("GSP", 4), ("B", 3),
+                        ("G", 2), ("T", 2)]),
+       st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4), max_size=4),
+       st.integers(0, 9))
+@settings(max_examples=60, deadline=None)
+def test_truncation_is_the_ceiling_of_the_rho_pairing(group, gens, height):
+    rd = root_datum(*group)
+    gens = [tuple(g[:rd.rank]) for g in gens]
+    assert (_truncation_default(rd, gens, height)
+            == _truncation_reference(rd, gens, height))
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,31 @@ def test_double_description_eliminates_twice(rows, n, monkeypatch):
     assert len(calls) <= 2
 
 
+@given(inequality_systems())
+@example(((), 3))
+@example((FULL6, 6))
+@example((((0, 0, 0), (0, 0, 0)), 3))
+@settings(max_examples=120, deadline=None)
+def test_double_description_lineality_is_the_kernel(system):
+    # the lines left over span the kernel of the rows, so when none is left
+    # the lineality is [] without an elimination
+    rows, n = system
+    assert geometry._halfspace_gens(rows, n)[1] == kernel_basis(rows, n)
+
+
+@pytest.mark.parametrize("rows, n", [(FULL6, 6), (TENSOR4, 6),
+                                     (((1, 0), (0, 1), (1, 1)), 2)],
+                         ids=["full6", "tensor4", "quadrant"])
+def test_double_description_without_lines_does_not_eliminate(rows, n,
+                                                             monkeypatch):
+    calls = []
+    gj = geometry._gauss_jordan
+    monkeypatch.setattr(geometry, "_gauss_jordan",
+                        lambda rows, ncols: calls.append(1) or gj(rows, ncols))
+    rays, lin = geometry._halfspace_gens(rows, n)
+    assert lin == [] and calls == []
+
+
 # ---------------------------------------------------------------------------
 # lattice points
 

@@ -38,6 +38,25 @@ def test_rho_values():
     assert root_datum("T", 2).rho == (0, 0)
 
 
+# every family of root_datum up to rank 4, a product and a Levi
+RANK4_DATA = (
+    [("T", n) for n in range(1, 5)] + [("GL", n) for n in range(1, 5)]
+    + [(k, n) for k in ("SL", "PGL") for n in range(2, 6)]
+    + [(k, n) for k in ("B", "C") for n in range(2, 5)]
+    + [("D", 3), ("D", 4), ("G", 2), ("GSP", 2), ("GSP", 4), ("GSP", 6)])
+
+
+@pytest.mark.parametrize("rd", [root_datum(k, n) for k, n in RANK4_DATA] + [
+    product_datum(root_datum("GL", 2), root_datum("G", 2)),
+    levi_datum(root_datum("B", 4), (0, 2, 3))], ids=lambda rd: rd.name)
+def test_two_rho_is_an_int_tuple(rd):
+    assert all(type(x) is int for x in rd.rho2)
+    assert rd.rho2 == tuple(2 * x for x in rd.rho)
+    assert all(type(x) is Fraction for x in rd.rho)
+    # <rho, av> = 1 on every simple coroot
+    assert all(sum(map(operator.mul, rd.rho2, av)) == 2 for av in rd.simple_coroots)
+
+
 def test_cartan_matrices():
     sl3 = root_datum("SL", 3)
     assert sl3.cartan == ((2, -1), (-1, 2))
@@ -270,6 +289,8 @@ def test_gl3_mirabolic_grading():
     assert rad == [(0, 1, -1), (1, 0, -1)]
     assert p.grade((0, 1, -1)) == -1
     assert p.grade((1, 0, -1)) == 1
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        p.grade((1, 0))
     # both radical coroots fall in one class of the Levi-coroot quotient
     assert p.pi((0, 1, -1)) == p.pi((1, 0, -1))
     assert p.monoid_generators == (p.pi((0, 1, -1)),)
