@@ -219,6 +219,8 @@ def _graded_powers(chi: WeightChar, imax: int, sign: int):
             coeffs.append(coeffs[-1] * (e - k + 1) // k * sign)
         nxt = [{} for _ in range(imax + 1)]
         for i, terms in enumerate(series):
+            if not terms:
+                continue
             for k in range(imax + 1 - i):
                 c = coeffs[k]
                 if c == 0:  # C(e, k) vanishes for every k > e >= 0

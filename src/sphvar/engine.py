@@ -23,6 +23,7 @@ Conventions fixed by the test suite rather than by derivation:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .chars import (QLaurent, WeightChar, _symmetrize, decompose, kostant_counter,
                     sym_powers_upto)
@@ -63,7 +64,8 @@ class PPRoute(Record):
     the Levi coroots, so labels are well defined on quotient classes.
     """
 
-    __slots__ = _fields = ("group", "levi", "label_map")
+    # no __slots__: the cached parabolic lives in the instance __dict__
+    _fields = ("group", "levi", "label_map")
 
     def __init__(self, group: RootDatum, levi: tuple, label_map: LatticeMap):
         object.__setattr__(self, "group", group)
@@ -71,6 +73,10 @@ class PPRoute(Record):
         object.__setattr__(self, "label_map", label_map)
 
     def parabolic(self) -> ParabolicDatum:
+        return self._parabolic
+
+    @cached_property
+    def _parabolic(self):
         p = ParabolicDatum(self.group, self.levi)
         for bv in p.levi.simple_coroots:
             if any(x != 0 for x in self.label_map.apply(bv)):

@@ -4,9 +4,13 @@ Everything here is enumerated over F = F_p((t)) for a small prime p.  Each
 model space is one k x n matrix of truncated series (_MODELS), labelled by
 the valuations of its minors; Hecke operators, named by their coweight in
 _OPERATORS, act through lists of left cosets g_i K in Hermite form, all
-built by one enumerator (_hermite_forms).  The enumeration core is
-independent of the symbolic engine; only the Satake comparison at the
-bottom uses it, and that comparison is the point of the module.
+built by one enumerator (_hermite_forms).  transition_counts translates
+each distinct row block of its stratum points, and each distinct twisting
+scalar, once per coset: two dicts local to the call, keyed by the exact
+series, hold the row labels and scalar valuations of the translates.  The
+enumeration core is independent of the symbolic engine; only the Satake
+comparison at the bottom uses it, and that comparison is the point of the
+module.
 
 Precision policy: callers pass prec = 2 * height + 4 (plus the operator
 degree when convolving repeatedly).  All valuations and elementary divisors
@@ -442,11 +446,18 @@ def orbit_invariant(x: LatticePoint):
     if len(c) != k * n + m.twisted:
         raise ValueError("%d coordinates for a %dx%d %s point"
                          % (len(c), k, n, x.space))
+    label = _row_label(c, k, n)
+    return label + (c[k * n].val(),) if m.twisted else label
+
+
+def _row_label(c, k, n):
+    """The determinantal divisors of the k x n matrix whose entries are the
+    first k n of the coordinates c, row by row."""
     label = (_vec_val(c[:k * n]),)
     for minors in _minors(k, n):
         label += (_vec_val([mat_det([row(c) for row in minor])
                             for minor in minors]),)
-    return label + (c[k * n].val(),) if m.twisted else label
+    return label
 
 
 @functools.cache
@@ -476,11 +487,12 @@ def _coset(m, g):
 
 
 def _right_translate(m, x, cols, det):
-    """x g, for g given by what _coset reads of it."""
+    """x g, for g given by what _coset reads of it; with det None, only the
+    rows of x g."""
     c, n = x.coords, m.n
     v = tuple(_dot(c[r:r + n], col) for r in range(0, m.k * n, n)
               for col in cols)
-    if m.twisted:
+    if det is not None:
         v += (c[m.k * n] * det,)
     return LatticePoint(x.space, v)
 
@@ -570,14 +582,23 @@ def transition_counts(space, reps, labels, p, prec, inverse=False):
     gs = [mat_inv(g) for g in reps] if inverse else reps
     # one column list and one determinant per coset, shared by every label
     cosets = [_coset(m, g) for g in gs]
-    out = {}
-    for l in labels:
+    kn = m.k * m.n
+    # x g's rows depend on x's rows alone, its scalar on x's scalar alone
+    rows_seen, scalars_seen, out = {}, {}, {}
+    for l in map(tuple, labels):
         x = stratum_point(space, l, p, prec)
-        if orbit_invariant(x) != tuple(l):
+        if orbit_invariant(x) != l:
             raise RuntimeError("representative of %r has another label" % (l,))
-        for cols, det in cosets:
-            mu = orbit_invariant(_right_translate(m, x, cols, det))
-            key = (tuple(l), mu)
+        rows, scalar = x.coords[:kn], x.coords[kn:]
+        if rows not in rows_seen:
+            rows_seen[rows] = [
+                _row_label(_right_translate(m, x, cols, None).coords, m.k, m.n)
+                for cols, _ in cosets]
+        if scalar not in scalars_seen:
+            scalars_seen[scalar] = [tuple((s * det).val() for s in scalar)
+                                    for _, det in cosets]
+        for head, tail in zip(rows_seen[rows], scalars_seen[scalar]):
+            key = (l, head + tail)
             out[key] = out.get(key, 0) + 1
     return out
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -268,6 +269,37 @@ def test_power_errors():
         ext_power(std, -2)
     assert sym_power(std, 0) == WeightChar.unit(1)
     assert sym_powers_upto(std, 2)[2] == sym_power(std, 2)
+
+
+def _graded_power_lines(fn):
+    """The line events fn() runs inside chars._graded_powers."""
+    code, lines = chars._graded_powers.__code__, [0]
+
+    def local(frame, event, arg):
+        lines[0] += event == "line"
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return lines[0]
+
+
+def test_pp_gl3_powers_take_work_linear_in_the_height():
+    # pp-gl3's f-fixed character has one weight, so each of the h + 1
+    # degrees of the table gets one term; a degree without terms must cost
+    # a fixed number of steps, not one per later degree
+    from sphvar import catalog
+    entry = catalog.load("pp-gl3")
+    work = [_graded_power_lines(lambda: catalog.basic_table(entry, h))
+            for h in (40, 80, 120)]
+    assert work[0] < work[1] < work[2]
+    # equal steps in the height add equal work
+    assert work[2] - work[1] == work[1] - work[0]
 
 
 def test_sym_frozen_sl3_radical():

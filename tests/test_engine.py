@@ -377,6 +377,26 @@ def test_pp_rejects_non_monotone_labels():
         basic_function_pp(pp_gl3_datum(), route, 2)
 
 
+def test_pp_route_builds_its_parabolic_once(monkeypatch):
+    import sphvar.engine as engine
+    built = []
+    parabolic = engine.ParabolicDatum
+    monkeypatch.setattr(engine, "ParabolicDatum",
+                        lambda *a: built.append(a) or parabolic(*a))
+    route = pp_gl3_route()
+    first = route.parabolic()
+    assert route.parabolic() is first
+    basic_function_pp(pp_gl3_datum(), route, 3)
+    pp_shifts(route, minuscule_satake(route.group, (1, 0, 0)))
+    # one datum, so one Levi closure and one label-map check, per route
+    assert built == [(route.group, route.levi)]
+    # a refused route is refused on every call, not cached
+    bad = PPRoute(root_datum("GL", 3), (0,), LatticeMap.of([(1, 0, 0), (1, 1, 1)]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not kill Levi coroot"):
+            bad.parabolic()
+
+
 def stratum_scan_pp(datum, route, height, kappa=KAPPA):
     """The two-phase basic_function_pp that the one-pass reading replaced:
     a depth-first walk of the stratum monoid, then a scan of every Sym^i

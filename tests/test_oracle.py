@@ -1165,6 +1165,72 @@ def test_ppgl3_wedge_counts():
     assert got == {((0, 0), (0, 2)): 9, ((0, 0), (1, 2)): 4}
 
 
+def _naive_counts(space, reps, labels, p, prec, inverse=False):
+    """transition_counts as one orbit_invariant per label and coset."""
+    gs = [mat_inv(g) for g in reps] if inverse else reps
+    out = {}
+    for l in labels:
+        x = stratum_point(space, l, p, prec)
+        for g in gs:
+            key = (tuple(l), orbit_invariant(right_translate(x, g)))
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _window(height, rank):
+    return [l for l in itertools.product(range(-height, height + 1),
+                                         repeat=rank)
+            if sum(map(abs, l)) <= height]
+
+
+@pytest.mark.parametrize("space, group, op, rank", [
+    ("A2", "GL2", "t1", 1), ("A2", "GL2", "central", 1),
+    ("UGL2", "GL2", "t1", 2), ("UGL2", "GL2", "central", 2),
+    ("PPGL3", "GL3", "t1", 2), ("PPGL3", "GL3", "wedge", 2)])
+@pytest.mark.parametrize("as_lists", (False, True))
+def test_transition_counts_equal_the_naive_count(space, group, op, rank,
+                                                 as_lists):
+    # the memo keys on the exact series of a point's rows and scalar, so
+    # every label of the window, negative ones too, sees the naive count,
+    # key for key in the same order
+    height, q = 3, 3
+    prec = 2 * height + 4
+    reps = coset_reps(group, op, q, prec)
+    labels = _window(height, rank)
+    assert min(min(l) for l in labels) == -height
+    if as_lists:
+        labels = [list(l) for l in labels]
+    got = transition_counts(space, reps, labels, q, prec)
+    assert list(got.items()) == list(
+        _naive_counts(space, reps, labels, q, prec).items())
+
+
+@pytest.mark.parametrize("op", ("t1", "central"))
+@pytest.mark.parametrize("as_lists", (False, True))
+def test_inverse_transition_counts_equal_the_naive_count_on_mat2(op,
+                                                                  as_lists):
+    prec = 16
+    reps = coset_reps("GL2", op, 3, prec)
+    labels = stratum_labels("MAT2", 4)
+    if as_lists:
+        labels = [list(l) for l in labels]
+    got = transition_counts("MAT2", reps, labels, 3, prec, inverse=True)
+    assert list(got.items()) == list(
+        _naive_counts("MAT2", reps, labels, 3, prec, inverse=True).items())
+
+
+def test_satake_window_translates_each_row_block_once(monkeypatch):
+    # 13 distinct rows (0, 0, t^a), a in -6..6, times 13 cosets of GL3 t1
+    # at q = 3; one translate per window label and coset would be 1,105
+    import sphvar.oracle as oracle
+    calls = []
+    translate = oracle._right_translate
+    monkeypatch.setattr(oracle, "_right_translate",
+                        lambda *a: calls.append(a) or translate(*a))
+    assert satake_mismatches("t1", "PPGL3", 6, 3) == []
+    assert len(calls) == 169 == 13 * len(coset_reps("GL3", "t1", 3, 16))
+
+
 def test_ppgl3_translates_match_the_chain_on_the_satake_window(monkeypatch):
     # the stratum points are (0, 0, t^a, t^b): two of the three products of
     # each coordinate have a zero operand, which only bounds the precision
