@@ -22,17 +22,18 @@ slots of one Python int, starting at its valuation (Kronecker substitution,
 Schoenhage 1982).  One multiply-accumulate, _dot, serves every sum, product
 and matrix entry: the products of big ints are shifted to a common
 valuation, summed, cut at the precision and reduced mod p in all slots at
-once inside the int; a product by a single coefficient needs no reduction.
-A sum is the dot of its operands against units, and a product whose
-operands are both longer than _SPAN slots goes in pieces of _SPAN slots, so
-one slot width, fixed by p, serves every series.  One determinant routine
-serves series and ints; a 3 x 3 determinant is row 0 against the cross
-product of rows 1 and 2, and over F_2 a negation is free.  A random
-unimodular matrix takes two draws once its residues are accepted: whether a
-matrix is unimodular depends only on its residues, so all n^2 of them are
-drawn at once and redrawn until their determinant is a unit, a test
-memoized per draw, and only then are the higher digits of every entry drawn
-at once and spread into slots a table lookup at a time.
+once inside the int: one-byte slots (p = 2, 3) by one byte-table lookup,
+wider slots by a binary descent.  A product by a single coefficient needs
+no reduction.  A sum is the dot of its operands against units, and a
+product whose operands are both longer than _SPAN slots goes in pieces of
+_SPAN slots, so one slot width, fixed by p, serves every series.  One
+determinant routine serves series and ints; a 3 x 3 determinant is row 0
+against the cross product of rows 1 and 2, and over F_2 a negation is free.
+A random unimodular matrix takes two draws once its residues are accepted:
+whether a matrix is unimodular depends only on its residues, so all n^2 of
+them are drawn at once and redrawn until their determinant is a unit, a
+test memoized per draw, and only then are the higher digits of every entry
+drawn at once and spread into slots a table lookup at a time.
 """
 from __future__ import annotations
 
@@ -84,14 +85,25 @@ def _pack(slots, w):
                           "little")
 
 
+@functools.cache
+def _byte_residues(p):
+    """The 256-byte table taking each byte to its residue mod p."""
+    return bytes(c % p for c in range(256))
+
+
 def _reduce(s, n, p, w, bound):
     """s, whose n slots of w bytes each hold at most bound < 2^(8w-1), with
-    every slot reduced mod p inside the int: for j from log2(bound/p) down
-    to 0, p 2^j is taken from every slot holding at least that much.  A
-    slot holds c or more iff adding 2^(8w-1) - c sets its top bit."""
+    every slot reduced mod p inside the int.  One-byte slots (p = 2, 3) go
+    through one byte-table lookup (_byte_residues).  Wider slots descend:
+    for j from log2(bound/p) down to 0, p 2^j is taken from every slot
+    holding at least that much, and a slot holds c or more iff adding
+    2^(8w-1) - c sets its top bit."""
     steps = (bound // p).bit_length()
     if not steps:
         return s
+    if w == 1:
+        return int.from_bytes(s.to_bytes(n, "little").translate(
+            _byte_residues(p)), "little")
     bits = 8 * w
     ones, half = _ones(n, w), 1 << bits - 1
     for j in range(steps - 1, -1, -1):
@@ -108,7 +120,8 @@ class TruncSeries:
     the zero series has _x = 0 and _v = prec.  The width depends on p only
     and holds a sum of _SPAN products of residues below its top bit, so
     sums and products are reduced in every slot at once without unpacking
-    (_reduce): a product is a one-term _dot, and a sum the two-term _dot of
+    (_reduce: a byte-table lookup for one-byte slots, a binary descent for
+    wider ones): a product is a one-term _dot, and a sum the two-term _dot of
     the operands against units.  p, prec and terms are read-only.
     """
 
@@ -245,7 +258,7 @@ def _dot(xs, ys):
     A product whose shorter operand has more than _SPAN slots is summed as
     pieces of _SPAN slots of that operand, so the slot width never changes.
     Primes are checked in the order the chain would check them."""
-    p, prec, prods = xs[0]._p, None, []
+    p, prec, v0, prods = xs[0]._p, None, None, []
     for x, y in zip(xs, ys):
         if x._p != y._p:
             raise ValueError("series over F_%d and F_%d" % (x._p, y._p))
@@ -258,12 +271,12 @@ def _dot(xs, ys):
         if prec is None or pr < prec:
             prec = pr
         if x._x and y._x:
-            prods.append((vx + vy, x._x, y._x))
-    w, v0 = x._w, prec
-    for v, _, _ in prods:
-        if v < v0:
-            v0 = v
-    if v0 == prec:
+            v = vx + vy
+            if v0 is None or v < v0:
+                v0 = v
+            prods.append((v, x._x, y._x))
+    w = x._w
+    if v0 is None or v0 >= prec:
         return TruncSeries(p, prec, prec, 0, w)
     n, bits = prec - v0, 8 * w
     mask, top, sq = ~(-1 << bits * n), 1 << bits - 1, (p - 1) ** 2
@@ -292,7 +305,15 @@ def _dot(xs, ys):
             s, bound = _reduce(s & mask, n, p, w, bound), p - 1
         s += c << bits * (v - v0)
         bound += cb
-    return TruncSeries._make(p, prec, v0, _reduce(s & mask, n, p, w, bound), w)
+    s = _reduce(s & mask, n, p, w, bound)
+    if not s:
+        return TruncSeries(p, prec, prec, 0, w)
+    if not s & ~(-1 << bits):
+        # drop the leading zero slots
+        k = ((s & -s).bit_length() - 1) // bits
+        s >>= bits * k
+        v0 += k
+    return TruncSeries(p, prec, v0, s, w)
 
 
 def mat_mul(a, b):
@@ -723,7 +744,9 @@ def random_unimodular(rng, p, prec, n):
         d |= table[c] << shift
         shift += step
     mask = ~(-1 << span) << bits
-    entries = [TruncSeries._make(p, prec, 0, r | d >> span * i & mask, w)
+    # an entry with a nonzero residue has nonzero slot 0: nothing to strip
+    entries = [TruncSeries(p, prec, 0, r | d >> span * i & mask, w) if r
+               else TruncSeries._make(p, prec, 0, d >> span * i & mask, w)
                for i, r in enumerate(flat)]
     return [entries[i:i + n] for i in range(0, cells, n)]
 

@@ -564,6 +564,51 @@ def test_the_kernel_keeps_no_cell_variables():
     assert oracle._dot.__code__.co_cellvars == ()
 
 
+# p = 2 and 3 have one-byte slots, reduced by a byte table; the smallest
+# two-byte prime is reduced by the descent, as a control
+REDUCE_PRIMES = (2, 3) + WIDTH_STEP_PRIMES[1:2]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(REDUCE_PRIMES), st.data())
+def test_reduce_matches_the_slot_by_slot_reference(p, data):
+    from sphvar.oracle import _pack, _reduce, _unpack, _width
+    w = _width(p)
+    top = (1 << 8 * w - 1) - 1  # the greatest slot value below the top bit
+    bound = data.draw(st.one_of(st.just(top), st.integers(0, top)))
+    slots = data.draw(st.lists(st.one_of(st.just(bound), st.integers(0, bound)),
+                               min_size=1, max_size=40))
+    got = _reduce(_pack(slots, w), len(slots), p, w, bound)
+    assert _unpack(got, len(slots), w) == [c % p for c in slots]
+
+
+@pytest.mark.parametrize("p", REDUCE_PRIMES)
+def test_reduce_takes_every_slot_value_to_its_residue(p):
+    # every value below the top bit, the greatest included, 40 slots a time
+    from sphvar.oracle import _pack, _reduce, _unpack, _width
+    w = _width(p)
+    top = (1 << 8 * w - 1) - 1
+    for lo in range(0, top + 1, 40):
+        slots = list(range(lo, min(lo + 40, top + 1)))
+        got = _reduce(_pack(slots, w), len(slots), p, w, top)
+        assert _unpack(got, len(slots), w) == [c % p for c in slots]
+
+
+@pytest.mark.parametrize("p", REDUCE_PRIMES)
+def test_one_byte_reduce_takes_no_descent_step(p, monkeypatch):
+    # each descent reads the slot units from _ones; a byte-table lookup
+    # reads none
+    import sphvar.oracle as oracle
+    w, calls = oracle._width(p), []
+    ones = oracle._ones
+    monkeypatch.setattr(oracle, "_ones",
+                        lambda *args: calls.append(args) or ones(*args))
+    top = (1 << 8 * w - 1) - 1
+    got = oracle._reduce(oracle._pack([top] * 40, w), 40, p, w, top)
+    assert oracle._unpack(got, 40, w) == [top % p] * 40
+    assert len(calls) == (w > 1)
+
+
 @pytest.mark.parametrize("p", (3, 47, 10007))
 def test_matrix_kernel_on_full_slots(p):
     # every coefficient p - 1, so the middle slot of each product holds its
