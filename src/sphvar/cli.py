@@ -26,7 +26,8 @@ Levi of the PP route.
 
 Output is tab-separated; labels print as comma-joined integers and values as
 canonical q-Laurent strings unless a numeric --q (or SPH_Q_DEFAULT) asks for
-specialization.  Exit codes: 0 pass, 1 mathematical failure, 2 bad input.
+specialization.  Exit codes: 0 pass, 1 mathematical failure, 2 bad input,
+141 stdout closed by its reader (128 + SIGPIPE, as a shell reports it).
 """
 from __future__ import annotations
 
@@ -117,7 +118,7 @@ def parse_group(obj) -> RootDatum:
                            _int(obj["rank"], "group.rank"),
                            _imat(obj["simple_roots"], "simple_roots"),
                            _imat(obj["simple_coroots"], "simple_coroots"))
-            rd._all_pairs  # an infinite Weyl group is bad input
+            rd.positive_pairs  # an infinite Weyl group is bad input
             return rd
         return root_datum(str(obj["type"]), _int(obj["rank"], "group.rank"))
 
@@ -708,7 +709,14 @@ def main(argv=None) -> int:
         print("error: catalog %s needs a key" % args.action, file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a buffered write meets a closed pipe here
+        return code
+    except BrokenPipeError:
+        # the reader has gone: say nothing, and point stdout at devnull so
+        # that the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

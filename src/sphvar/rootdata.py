@@ -5,7 +5,9 @@ and simple coroots inside the cocharacter lattice, the pairing between the
 two being the standard dot product. Everything else (positive roots, Weyl
 group, dominance, parabolic quotients) is derived by reflection closure, so
 custom ambient groups (products with tori, similitude groups) go through
-the same code path as the classical families.
+the same code path as the classical families. The simple roots must give a
+generalized Cartan matrix; the positive roots are then closed in their own
+half, since a simple reflection s_a permutes the positive roots other than a.
 
 A RootDatum answers Weyl questions about characters only. Cocharacters of
 a datum are the characters of its dual, which swaps roots and coroots, so
@@ -22,9 +24,9 @@ from .geometry import (
 )
 from .record import Record
 
-# Largest root set, Weyl group or Weyl orbit closed here. Every classical
-# group of rank <= 5 fits (|W(B5)| = 3840); a datum that does not close
-# stops at it.
+# Largest root system (twice its positive roots, the half closed here), Weyl
+# group or Weyl orbit. Every classical group of rank <= 5 fits
+# (|W(B5)| = 3840); a datum that does not close stops at it.
 _CLOSURE_CAP = 4096
 
 
@@ -51,6 +53,14 @@ class RootDatum(Record):
                 raise ValueError("<alpha, alpha^> != 2 for %r / %r" % (a, av))
         if roots and matrix_rank(roots) != len(roots):
             raise ValueError("simple roots are linearly dependent")
+        c = self.cartan
+        for i, row in enumerate(c):
+            for j, x in enumerate(row):
+                if i != j and (x > 0 or (x == 0) != (c[j][i] == 0)):
+                    raise ValueError(
+                        "<alpha_%d, alpha_%d^> = %d, <alpha_%d, alpha_%d^> = %d: "
+                        "not a generalized Cartan matrix; bad input data"
+                        % (j, i, x, i, j, c[j][i]))
 
     @property
     def nsimple(self) -> int:
@@ -61,15 +71,6 @@ class RootDatum(Record):
     def _char_pairs(self):
         """Simple (root, coroot) pairs: reflections v -> v - <v, av> a of X^*."""
         return tuple(zip(self.simple_roots, self.simple_coroots))
-
-    @cached_property
-    def _all_pairs(self):
-        def step(pair):
-            b, bv = pair
-            return ((_reflect(b, a, av), _reflect(bv, av, a))
-                    for a, av in self._char_pairs)
-        return _closure(self._char_pairs, step,
-                        "root system does not close; bad input data")
 
     @cached_property
     def dual(self) -> "RootDatum":
@@ -92,14 +93,19 @@ class RootDatum(Record):
 
     @cached_property
     def positive_pairs(self):
-        out = []
-        for b, bv in sorted(self._all_pairs):
-            exp = self.simple_root_expansion(b)
-            if exp is None:
-                raise RuntimeError("root %r outside the simple-root span" % (b,))
-            if all(c >= 0 for c in exp):
-                out.append((b, bv))
-        return tuple(out)
+        """The positive (root, coroot) pairs, sorted: the simple pairs closed
+        under each simple reflection s_a applied to every pair but a's own,
+        as s_a permutes the positive roots other than a. A datum with more
+        than _CLOSURE_CAP roots, twice the positive ones, is refused."""
+        def step(pair):
+            b, bv = pair
+            return ((_reflect(b, a, av), _reflect(bv, av, a))
+                    for a, av in self._char_pairs if a != b)
+        message = "root system does not close; bad input data"
+        pairs = _closure(self._char_pairs, step, message)
+        if 2 * len(pairs) > _CLOSURE_CAP:
+            raise ValueError(message)
+        return tuple(sorted(pairs))
 
     def positive_roots(self):
         return tuple(b for b, _ in self.positive_pairs)
@@ -173,10 +179,10 @@ class RootDatum(Record):
     def dominant_char(self, v):
         """Reflect v along the first simple pair (x, y) with <v, y> < 0 until
         there is none. Each step lowers by one the number of positive roots
-        on which v is negative, so the fold stops within #roots steps; a
-        datum that does not close raises instead."""
+        on which v is negative, so the fold stops within #positive roots
+        steps; a datum that does not close raises instead."""
         v = self._check_rank(_int_vec(v))
-        for _ in range(len(self._all_pairs) + 1):
+        for _ in range(len(self.positive_pairs) + 1):
             for x, y in self._char_pairs:
                 if _idot(v, y) < 0:
                     v = _reflect(v, x, y)

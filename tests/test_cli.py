@@ -168,6 +168,17 @@ def test_group_whose_roots_do_not_close_is_bad_input(tmp_path, capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_group_that_is_not_a_cartan_matrix_is_bad_input(tmp_path, capsys):
+    # its positive half closes at 2 roots, though its Weyl group has order 6
+    bad = {"name": "bad", "rank": 2, "simple_roots": [[2, 1], [1, 2]],
+           "simple_coroots": [[1, 0], [0, 1]]}
+    p = doc_path(tmp_path, "a1-gl1", group=bad, lattice_map=[[0], [1]])
+    assert run(capsys, ["describe", p]) == (
+        2, "", "error: bad group: <alpha_1, alpha_0^> = 1, <alpha_0, "
+               "alpha_1^> = 1: not a generalized Cartan matrix; bad input "
+               "data\n")
+
+
 @pytest.mark.parametrize("kind,rank,roots", (
     ("GL", 2000, 3998000), ("SL", 65, 4160), ("B", 46, 4232),
     ("GSp", 92, 4232)))
@@ -282,6 +293,25 @@ def test_optimize_changes_no_output(tmp_path):
         assert plain.returncode == 0 and plain.stdout, argv
         assert (optimized.returncode, optimized.stdout, optimized.stderr) == \
             (plain.returncode, plain.stdout, plain.stderr), argv
+
+
+@pytest.mark.parametrize("unbuffered", ("1", ""))
+@pytest.mark.parametrize("argv", (["catalog", "list"],
+                                  ["catalog", "show", "pp-gl3"]), ids=" ".join)
+def test_closed_stdout_exits_141_in_silence(argv, unbuffered):
+    # the read end is closed before the child writes, so its first write
+    # (unbuffered) or its flush (buffered) meets a broken pipe
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sphvar.cli"] + argv,
+                              stdout=w, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_height_too_large_for_memory_is_bad_input():

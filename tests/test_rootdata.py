@@ -1,16 +1,18 @@
 """Root data builders, Weyl machinery, and parabolic gradings."""
 from __future__ import annotations
 
+import itertools
 import operator
 import signal
 from fractions import Fraction
 
 import pytest
 
+from sphvar import rootdata
 from sphvar.catalog import list_entries, load
 from sphvar.geometry import solve_linear
 from sphvar.rootdata import (RootDatum, ParabolicDatum, root_datum,
-                             product_datum, levi_datum)
+                             product_datum, levi_datum, _closure, _reflect)
 
 
 WEYL_TABLE = [
@@ -28,6 +30,48 @@ def test_weyl_order_and_positive_roots(kind, n, order, npos):
     assert len(rd.positive_pairs) == npos
     assert len(rd.positive_roots()) == npos
     assert len(rd.dual.positive_roots()) == npos
+
+
+def _all_roots_by_sign(rd):
+    """The positive pairs found the long way: every (root, coroot) pair
+    closed under every simple reflection, kept where the root has no
+    negative coefficient in the simple roots."""
+    def step(pair):
+        return ((_reflect(pair[0], a, av), _reflect(pair[1], av, a))
+                for a, av in zip(rd.simple_roots, rd.simple_coroots))
+    pairs = _closure(zip(rd.simple_roots, rd.simple_coroots), step,
+                     "does not close")
+    return tuple(sorted(p for p in pairs
+                        if min(rd.simple_root_expansion(p[0]), default=0) >= 0))
+
+
+# every family of root_datum up to rank 6, GSp(2)-GSp(12), and a product
+RANK6_DATA = [root_datum(k, n) for k, n in (
+    [("T", n) for n in range(1, 7)] + [("GL", n) for n in range(1, 7)]
+    + [(k, n) for k in ("SL", "PGL") for n in range(2, 8)]
+    + [(k, n) for k in ("B", "C") for n in range(2, 7)]
+    + [("D", n) for n in range(3, 7)] + [("G", 2)]
+    + [("GSP", n) for n in range(2, 13, 2)])] + [
+    product_datum(root_datum("GL", 2), root_datum("G", 2), root_datum("T", 1))]
+
+
+@pytest.mark.parametrize("rd", RANK6_DATA, ids=lambda rd: rd.name)
+def test_positive_half_closure_matches_all_roots_by_sign(rd):
+    # on the datum and its dual, and on every Levi of either up to rank 4
+    for side in (rd, rd.dual):
+        levis = [levi_datum(side, ix) for k in range(side.nsimple + 1)
+                 for ix in itertools.combinations(range(side.nsimple), k)
+                 ] if side.nsimple <= 4 else []
+        for d in [side] + levis:
+            assert d.positive_pairs == _all_roots_by_sign(d), d.name
+
+
+def test_positive_half_closure_matches_on_little_data():
+    little = [load(key).datum.little_datum for key in list_entries()]
+    little = [d for d in little if d is not None]
+    assert little
+    for d in little:
+        assert d.positive_pairs == _all_roots_by_sign(d), d.name
 
 
 def test_rho_values():
@@ -239,6 +283,33 @@ def test_validation_errors():
         RootDatum("bad", 2, ((2, 0),), ((1, 0), (0, 1)))  # length mismatch
     with pytest.raises(ValueError):
         RootDatum("bad", 2, ((2,),), ((1,),))  # wrong coordinate length
+
+
+@pytest.mark.parametrize("roots,message", (
+    (((2, 1), (1, 2)), "<alpha_1, alpha_0^> = 1, <alpha_0, alpha_1^> = 1"),
+    (((2, -1), (0, 2)), "<alpha_1, alpha_0^> = 0, <alpha_0, alpha_1^> = -1")),
+    ids=("positive-entry", "one-sided-zero"))
+def test_data_that_are_not_a_cartan_matrix_are_refused(roots, message):
+    # a positive off-diagonal entry, or a zero facing a nonzero entry: the
+    # positive half of such data need not close on itself
+    with pytest.raises(ValueError) as err:
+        RootDatum("x", 2, roots, ((1, 0), (0, 1)))
+    assert str(err.value) == (message + ": not a generalized Cartan matrix; "
+                              "bad input data")
+
+
+def test_closure_cap_counts_all_roots(monkeypatch):
+    # GL(5) typed as custom roots has 20 roots, GL(6) has 30: with the cap
+    # at 20 the first closes and the second is refused once closed
+    def custom(n):
+        rd = root_datum("GL", n)
+        return RootDatum("custom", n, rd.simple_roots, rd.simple_coroots)
+    gl5, gl6 = custom(5), custom(6)
+    monkeypatch.setattr(rootdata, "_CLOSURE_CAP", 20)
+    assert len(gl5.positive_pairs) == 10
+    with pytest.raises(ValueError,
+                       match="^root system does not close; bad input data$"):
+        gl6.positive_pairs
 
 
 def test_non_integral_roots_are_refused():
