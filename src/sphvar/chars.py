@@ -271,36 +271,40 @@ def kostant_counter(simple_coroots, coroots):
     """The function target -> {number of parts i: #multisets of i positive
     coroots summing to target}.
 
-    Depth-first count over the coroot list in a fixed order, memoized on
-    (index, remaining). A remainder is viable only while it expands as a
-    nonnegative integer combination of the simple coroots, which also bounds
-    the recursion depth by the coroot height of the target. The memo lives
-    as long as the function, so the targets of one table share their
+    Depth-first count in simple-coroot coordinates: each coroot and each
+    nonzero target is expanded once, and the count runs over the coroot list
+    in a fixed order, memoized on (index, remaining). A remainder is viable
+    only while its coordinates stay nonnegative, which also bounds the
+    recursion depth by the coroot height of the target. The memo lives as
+    long as the function, so the targets of one table share their
     subproblems; an entry depends only on its key, so the target order does
     not matter. Targets must have the length of the coroots; without
-    coroots only the zero target counts.
+    coroots only the zero target counts. Raises ValueError for a coroot that
+    is not a nonzero nonnegative integer combination of the simple coroots.
     """
     simple_coroots = [_int_vec(c) for c in simple_coroots]
     coroots = [_int_vec(c) for c in coroots]
     n = len(coroots[0]) if coroots else None
     span = span_coordinates(simple_coroots, n) if coroots else None
-
-    def viable(v):
-        return _nat_coordinates(span, v) is not None
-
+    steps = [_nat_coordinates(span, c) for c in coroots]
+    for c, step in zip(coroots, steps):
+        if step is None or not any(step):
+            raise ValueError("coroot %r is not a nonzero nonnegative integer "
+                             "combination of the simple coroots; bad input data"
+                             % (c,))
     memo = {}
 
     def rec(idx, rem):
-        if all(x == 0 for x in rem):
+        if not any(rem):
             return {0: 1}
-        if idx == len(coroots):
+        if idx == len(steps):
             return {}
         key = (idx, rem)
         if key in memo:
             return memo[key]
         out = dict(rec(idx + 1, rem))
-        nrem = tuple(a - b for a, b in zip(rem, coroots[idx]))
-        if viable(nrem):
+        nrem = tuple(a - b for a, b in zip(rem, steps[idx]))
+        if min(nrem) >= 0:
             for parts, cnt in rec(idx, nrem).items():
                 out[parts + 1] = out.get(parts + 1, 0) + cnt
         memo[key] = out
@@ -313,10 +317,11 @@ def kostant_counter(simple_coroots, coroots):
                              % (target, n))
         if not any(target):
             return {0: 1}
-        if span is None or not viable(target):
+        rem = _nat_coordinates(span, target) if coroots else None
+        if rem is None:
             return {}
         # a copy: the memo keeps its own
-        return dict(rec(0, target))
+        return dict(rec(0, rem))
 
     return count
 

@@ -708,6 +708,10 @@ def main(argv=None) -> int:
             and not args.key:
         print("error: catalog %s needs a key" % args.action, file=sys.stderr)
         return 2
+    if args.command == "catalog" and args.action == "list" \
+            and args.key is not None:
+        print("error: catalog list takes no key", file=sys.stderr)
+        return 2
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a buffered write meets a closed pipe here

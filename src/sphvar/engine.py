@@ -252,7 +252,8 @@ def basic_function_borel(datum, route: BorelRoute, height: int) -> BasicFunction
     Phi0(lam) = q^(-<rho,lam>) * sum_i q^(-i) * K_i(-lam), K_i the number of
     multisets of i positive coroots with the given sum; the series is finite
     per stratum and zero unless -lam lies in N(positive coroots), so only the
-    labels M lam (M the label map) of that cone are scanned.
+    labels M lam (M the label map) of that cone, which the simple coroots
+    span, are scanned.
     """
     g = route.group
     if route.label_map.m != route.label_map.n or route.label_map.n != g.rank:
@@ -262,7 +263,7 @@ def basic_function_borel(datum, route: BorelRoute, height: int) -> BasicFunction
     # one memo for the whole table
     count = kostant_counter(g.simple_coroots, coroots)
     table = {}
-    cone = Cone(g.rank, [vneg(route.label_map.apply(bv)) for bv in coroots])
+    cone = Cone(g.rank, [vneg(route.label_map.apply(bv)) for bv in g.simple_coroots])
     for label in lattice_points(cone, height):
         lam = minv.apply(label)
         counts = count(tuple(-x for x in lam))
@@ -529,8 +530,6 @@ def growth_certificate(table: BasicFunctionTable, hints=()):
     for chi in [(0,) * r] + [tuple(Fraction(x) for x in h) for h in hints]:
         if all(vdot(chi, l) >= d for l, d in rows):
             return tuple(Fraction(x) for x in chi)
-    if not rows:
-        return (Fraction(0),) * r
     # homogenized: <chi, l> - d*t >= 0 with t > 0, then divide by t
     hom = [tuple(2 * x for x in l) + (-int(2 * d),) for l, d in rows]
     w = feasible(hom, [(0,) * r + (1,)], r + 1)

@@ -43,6 +43,8 @@ class RootDatum(Record):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "simple_roots", roots)
         object.__setattr__(self, "simple_coroots", coroots)
+        if rank < 0:
+            raise ValueError("rank %d is negative; bad input data" % rank)
         if len(roots) != len(coroots):
             raise ValueError("simple roots and coroots must pair up")
         for a in roots + coroots:

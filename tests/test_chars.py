@@ -427,6 +427,72 @@ def test_one_kostant_counter_does_not_depend_on_the_target_order(kind, n, h):
     assert all(count(t) == kostant_counts(scr, pcr, t) for t in targets)
 
 
+def _coroot_heights(simple_coroots):
+    """v -> the sum of v's coefficients in the simple coroots, or None when
+    v is not a nonnegative integer combination of them; by a left inverse
+    that sympy computes, not by span_coordinates."""
+    import sympy
+    basis = sympy.Matrix([list(c) for c in simple_coroots]).T
+    left = basis.pinv()
+    left = [[Fraction(int(x.p), int(x.q)) for x in left.row(i)]
+            for i in range(left.rows)]
+
+    def height(v):
+        sol = [sum(a * x for a, x in zip(row, v)) for row in left]
+        back = [sum(c[j] * x for c, x in zip(simple_coroots, sol))
+                for j in range(len(v))]
+        if back != list(v) or any(x.denominator != 1 or x < 0 for x in sol):
+            return None
+        return int(sum(sol))
+
+    return height
+
+
+@pytest.mark.parametrize("kind,n,parts", [
+    ("SL", 3, 12), ("SL", 4, 7), ("B", 2, 10), ("B", 3, 6), ("C", 3, 6),
+    ("D", 4, 5), ("G", 2, 9), ("GL", 3, 12)])
+def test_kostant_counts_match_a_tally_of_multisets(kind, n, parts):
+    # every multiset of at most `parts` positive coroots, tallied by its sum;
+    # a target of coroot height h has no partition of more than h parts, so
+    # the tally is complete on the targets of height <= parts
+    rd = root_datum(kind, n)
+    scr, pcr = rd.simple_coroots, rd.dual.positive_roots()
+    tally = {}
+    for i in range(parts + 1):
+        for combo in itertools.combinations_with_replacement(pcr, i):
+            t = tuple(map(sum, zip((0,) * rd.rank, *combo)))
+            tally.setdefault(t, Counter())[i] += 1
+    box = [t for t in itertools.product(range(-2, 3), repeat=rd.rank)
+           if sum(map(abs, t)) <= 2]
+    height = _coroot_heights(scr)
+    compared = 0
+    for t in sorted(set(tally) | set(box)):
+        h = height(t)
+        if h is not None and h > parts:
+            continue
+        assert kostant_counts(scr, pcr, t) == dict(tally.get(t, {})), t
+        compared += 1
+    assert compared > len(box)
+
+
+@pytest.mark.parametrize("simple,coroots", [
+    ([(1,)], [(0,)]),
+    ([(1,)], [(1,), (-1,)]),
+    ([(1, 0), (0, 1)], [(1, -1), (0, 1)]),
+    ([(1, 0)], [(1, 0), (0, 1)]),
+    ([(2, 0)], [(2, 0), (1, 0)])],
+    ids=("zero", "opposite-pair", "mixed-signs", "outside-the-span",
+         "non-integral-coefficients"))
+def test_kostant_counter_refuses_coroots_that_are_not_positive(simple, coroots):
+    # the first two recursed without end, the third counted (1, -1) + (0, 1)
+    # as a partition of (1, 0), and the last two were silently skipped
+    message = "is not a nonzero nonnegative integer combination"
+    with pytest.raises(ValueError, match=message):
+        kostant_counts(simple, coroots, (1,) * len(coroots[0]))
+    with pytest.raises(ValueError, match="bad input data"):
+        kostant_counter(simple, coroots)
+
+
 # ---------------------------------------------------------------------------
 # weight multiplicities vs the alternating-sum oracle
 

@@ -179,6 +179,13 @@ def test_group_that_is_not_a_cartan_matrix_is_bad_input(tmp_path, capsys):
                "data\n")
 
 
+def test_group_of_negative_rank_is_bad_input(tmp_path, capsys):
+    # SL(0) has rank -1: refused with the group, not later by the lattice map
+    p = doc_path(tmp_path, "a1-gl1", group={"type": "SL", "rank": 0})
+    assert run(capsys, ["describe", p]) == (
+        2, "", "error: bad group: rank -1 is negative; bad input data\n")
+
+
 @pytest.mark.parametrize("kind,rank,roots", (
     ("GL", 2000, 3998000), ("SL", 65, 4160), ("B", 46, 4232),
     ("GSp", 92, 4232)))
@@ -760,6 +767,8 @@ def test_catalog_bad_requests(capsys):
     assert run(capsys, ["catalog", "show", "nope"])[0] == 2
     assert run(capsys, ["catalog", "show"])[0] == 2
     assert run(capsys, ["catalog", "test"])[0] == 2
+    assert run(capsys, ["catalog", "list", "pp-gl3"]) == (
+        2, "", "error: catalog list takes no key\n")
     for key in ("borel-sl3", "hecke-gl2", "tensor-4"):
         code, out, err = run(capsys, ["catalog", "test", key, "--height", "-1"])
         assert (code, out) == (2, "")

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -285,20 +286,33 @@ def test_table_rejects_non_integral_labels():
         BasicFunctionTable.of("toy", "smooth", 1, {(1.7,): ONE}, 0, 1)
 
 
-@pytest.mark.parametrize("kind,n,h,tests", [
-    ("SL", 3, 12, 360), ("SL", 4, 6, 581), ("B", 2, 10, 350), ("G", 2, 8, 308),
-    ("C", 3, 4, 1130)])
-def test_borel_table_shares_one_kostant_memo(monkeypatch, kind, n, h, tests):
-    # a fresh memo per label made 3,471 viability tests on SL3 at h = 12
+@pytest.mark.parametrize("kind,n,h,searched,expanded", [
+    ("SL", 3, 12, 582, 93), ("SL", 4, 6, 839, 89), ("B", 2, 10, 520, 94),
+    ("G", 2, 8, 454, 50), ("C", 3, 4, 1764, 63)])
+def test_borel_table_shares_one_kostant_memo(monkeypatch, kind, n, h,
+                                             searched, expanded):
+    # a fresh memo per label made 5,558 search calls on SL3 at h = 12; each
+    # coroot and each nonzero label is expanded once
     from sphvar import chars
     calls = []
     nat = chars._nat_coordinates
     monkeypatch.setattr(chars, "_nat_coordinates",
                         lambda span, v: calls.append(v) or nat(span, v))
+    recs = []
+
+    def profile(frame, event, arg):
+        if (event == "call" and frame.f_code.co_name == "rec"
+                and frame.f_globals is vars(chars)):
+            recs.append(1)
+
     rd = root_datum(kind, n)
     route = BorelRoute(rd, LatticeMap.identity(rd.rank))
-    basic_function_borel(a2_datum(), route, h)
-    assert len(calls) == tests
+    sys.setprofile(profile)
+    try:
+        basic_function_borel(a2_datum(), route, h)
+    finally:
+        sys.setprofile(None)
+    assert (len(recs), len(calls)) == (searched, expanded)
 
 
 def test_borel_label_map_must_be_square():

@@ -285,6 +285,22 @@ def test_validation_errors():
         RootDatum("bad", 2, ((2,),), ((1,),))  # wrong coordinate length
 
 
+@pytest.mark.parametrize("build,rank", (
+    (lambda: RootDatum("x", -3, (), ()), -3), (lambda: root_datum("SL", 0), -1),
+    (lambda: root_datum("PGL", 0), -1), (lambda: root_datum("GL", -1), -1),
+    (lambda: root_datum("T", -2), -2)), ids=("custom", "SL0", "PGL0", "GL-1", "T-2"))
+def test_negative_ranks_are_refused(build, rank):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == "rank %d is negative; bad input data" % rank
+
+
+def test_rank_zero_is_a_datum():
+    for rd in (RootDatum("x", 0, (), ()), root_datum("SL", 1), root_datum("T", 0),
+               root_datum("GL", 0), root_datum("PGL", 1)):
+        assert rd.rank == 0 and rd.positive_pairs == ()
+
+
 @pytest.mark.parametrize("roots,message", (
     (((2, 1), (1, 2)), "<alpha_1, alpha_0^> = 1, <alpha_0, alpha_1^> = 1"),
     (((2, -1), (0, 2)), "<alpha_1, alpha_0^> = 0, <alpha_0, alpha_1^> = -1")),
