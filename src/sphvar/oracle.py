@@ -7,10 +7,12 @@ _OPERATORS, act through lists of left cosets g_i K in Hermite form, all
 built by one enumerator (_hermite_forms).  transition_counts translates
 each distinct row block of its stratum points, and each distinct twisting
 scalar, once per coset: two dicts local to the call, keyed by the exact
-series, hold the row labels and scalar valuations of the translates.  The
-enumeration core is independent of the symbolic engine; only the Satake
-comparison at the bottom uses it, and that comparison is the point of the
-module.
+series, hold the row labels and scalar valuations of the translates, and
+each is probed once per label.  The enumeration core is independent of the
+symbolic engine; only the Satake comparison at the bottom uses it, and that
+comparison is the point of the module: one flat dict of wanted counts over
+the whole window, compared with the coset counts in one ==, and regrouped
+by label only when they differ.
 
 Precision policy: callers pass prec = 2 * height + 4 (plus the operator
 degree when convolving repeatedly).  All valuations and elementary divisors
@@ -437,10 +439,13 @@ def stratum_point(space, label, p, prec):
         raise ValueError("%r is not a label of %s: it needs %d entries, each "
                          "elementary divisor at most the complementary divisor "
                          "after it" % (label, space, k + m.twisted))
-    coords = [TruncSeries.of(p, prec, {})] * (k * n) + [
-        TruncSeries.t_pow(p, prec, s) for s in label[k:]]
-    for i, a in enumerate(e):
-        coords[i * n + n - k + i] = TruncSeries.t_pow(p, prec, a)
+    w = _width(p)
+    coords = [TruncSeries(p, prec, prec, 0, w)] * (k * n + m.twisted)
+    # row i's monomial sits at i (n + 1) + n - k, the scalar's last; t^a is
+    # the zero series from a = prec on
+    for i, a in zip([*range(n - k, k * n, n + 1), k * n], e + list(label[k:])):
+        if a < prec:
+            coords[i] = TruncSeries(p, prec, a, 1, w)
     return LatticePoint(space, tuple(coords))
 
 
@@ -595,7 +600,12 @@ def transition_counts(space, reps, labels, p, prec, inverse=False):
     or x -> x g_i^{-1} with inverse set.  The inverses of a left-coset list
     are a right-coset list, so inverse is refused except on a two-sided
     space (k > 1), whose labels are invariant on both sides; on a row space
-    the counts would depend on the choice of representatives."""
+    the counts would depend on the choice of representatives.
+
+    The row labels of x g_i depend on x's rows alone and the valuations of
+    its scalar on x's scalar alone, so each is computed once per distinct
+    row block or scalar, keyed by the exact series, and each memo is looked
+    up once per label."""
     m = _model(space)
     if inverse and m.k == 1:
         raise ValueError("inverse cosets act only on a two-sided space, "
@@ -611,14 +621,16 @@ def transition_counts(space, reps, labels, p, prec, inverse=False):
         if orbit_invariant(x) != l:
             raise RuntimeError("representative of %r has another label" % (l,))
         rows, scalar = x.coords[:kn], x.coords[kn:]
-        if rows not in rows_seen:
-            rows_seen[rows] = [
+        heads = rows_seen.get(rows)
+        if heads is None:
+            heads = rows_seen[rows] = [
                 _row_label(_right_translate(m, x, cols, None).coords, m.k, m.n)
                 for cols, _ in cosets]
-        if scalar not in scalars_seen:
-            scalars_seen[scalar] = [tuple((s * det).val() for s in scalar)
-                                    for _, det in cosets]
-        for head, tail in zip(rows_seen[rows], scalars_seen[scalar]):
+        tails = scalars_seen.get(scalar)
+        if tails is None:
+            tails = scalars_seen[scalar] = [
+                tuple((s * det).val() for s in scalar) for _, det in cosets]
+        for head, tail in zip(heads, tails):
             key = (l, head + tail)
             out[key] = out.get(key, 0) + 1
     return out
@@ -638,7 +650,10 @@ def gj_recursion_mismatches(p, height=4, degree=4):
     """Standard-L recursion on the matrix space: F_0 = 1 at the unit
     stratum, F_i = T1 * F_{i-1} - p * (Z * F_{i-2}), with the inverse
     orientation so supports stay integral.  The local identity forces
-    F_i == indicator of determinant valuation i; returns what breaks."""
+    F_i == indicator of determinant valuation i; returns what breaks.
+
+    height sets only the working precision, prec = 2 (height + degree) + 4;
+    the labels checked, and the recursion's length, come from degree."""
     prec = 2 * (height + degree) + 4
     # every label with k <= degree has a <= degree // 2
     labels = [l for l in stratum_labels("MAT2", degree + degree // 2)
@@ -803,6 +818,13 @@ def satake_mismatches(op, space, height, q, kappa=KAPPA):
     in the window (pp_shifts along the space's catalog route, under the sign
     kappa); an empty list means the two sides agree exactly.
 
+    The wanted counts of the whole window are one dict keyed by (source,
+    target), zeros dropped, compared with transition_counts' dict in one ==.
+    Only when they differ are both regrouped by source label, and each label
+    that disagrees is listed, in window order, as (label, sorted got, sorted
+    want).  A shift coefficient specialized at q becomes an int only when it
+    is whole; a fractional one is kept as it is, never rounded.
+
     The comparison cannot see the sign of kappa: on PPGL3 the Levi-Weyl
     orbit sums of the shifts are symmetric under kappa -> -kappa, so
     kappa = -1 passes too.  The sign is fixed by the catalog tables.
@@ -814,25 +836,33 @@ def satake_mismatches(op, space, height, q, kappa=KAPPA):
     prec = 2 * height + 4
     route = catalog.load(m.key).routes[0]
     satake = minuscule_satake(route.group, _OPERATORS[group][op])
-    # each shift coefficient at q once, shared by every label
-    shifts = [(s, c.specialize(q)) for s, c in pp_shifts(route, satake, kappa)]
+    # each shift coefficient at q once, shared by every label; a whole one
+    # as an int, which compares faster with the counts
+    shifts = []
+    for s, c in pp_shifts(route, satake, kappa):
+        c = c.specialize(q)
+        shifts.append((s, int(c) if c.denominator == 1 else c))
     reps = coset_reps(group, op, q, prec)
 
     window = [l for l in itertools.product(range(-height, height + 1), repeat=2)
               if abs(l[0]) + abs(l[1]) <= height]
-    got = {l: {} for l in window}
-    for (l, m), c in transition_counts(space, reps, window, q, prec).items():
-        got[l][m] = c
-    bad = []
+    want = {}
     for l in window:
-        want = {}
+        a, b = l
         for s, c in shifts:
-            tgt = tuple(a + b for a, b in zip(l, s))
-            want[tgt] = want.get(tgt, 0) + c
-        want = {k: v for k, v in want.items() if v}
-        if got[l] != want:
-            bad.append((l, sorted(got[l].items()), sorted(want.items())))
-    return bad
+            key = (l, (a + s[0], b + s[1]))
+            want[key] = want.get(key, 0) + c
+    want = {k: v for k, v in want.items() if v}
+    got = transition_counts(space, reps, window, q, prec)
+    if got == want:
+        return []
+    # a mismatch: regroup both sides by source label, in window order
+    by_label = {l: ([], []) for l in window}
+    for side, counts in enumerate((got, want)):
+        for (l, tgt), c in counts.items():
+            by_label[l][side].append((tgt, c))
+    return [(l, sorted(g), sorted(w)) for l, (g, w) in by_label.items()
+            if dict(g) != dict(w)]
 
 
 def satake_compatibility_check(op, space, height, q) -> bool:

@@ -948,6 +948,40 @@ def test_stratum_point_rejects_labels_of_the_wrong_length(space):
                 stratum_point(space, (0,) * length, P, PREC)
 
 
+def _chain_stratum_coords(space, label, p, prec):
+    """stratum_point's coordinates as one TruncSeries.of zero series and
+    one t_pow per label entry."""
+    import sphvar.oracle as oracle
+    m = oracle._MODELS[space]
+    k, n = m.k, m.n
+    coords = [TruncSeries.of(p, prec, {})] * (k * n) + [
+        TruncSeries.t_pow(p, prec, s) for s in label[k:]]
+    for i, a in enumerate(oracle._divisors(tuple(label[:k]))):
+        coords[i * n + n - k + i] = TruncSeries.t_pow(p, prec, a)
+    return coords
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_stratum_point_builds_what_the_monomial_chain_builds(space, p):
+    # every label of the height-3 window, negative entries too, and labels
+    # with an entry at or above the precision, which is the zero series
+    import sphvar.oracle as oracle
+    height, prec = 3, 10
+    m = oracle._MODELS[space]
+    size = m.k + m.twisted
+    high = [(prec,) * size, (0,) * (size - 1) + (prec,),
+            (0,) * (size - 1) + (prec + 1,)]
+    labels = [l for l in _window(height, size) + high
+              if oracle._divisors(l[:m.k]) is not None]
+    assert min(min(l) for l in labels) < 0
+    assert sum(max(l) >= prec for l in labels) >= 2
+    fields = operator.attrgetter("_p", "_prec", "_v", "_x", "_w")
+    for l in labels:
+        assert [fields(c) for c in stratum_point(space, l, p, prec).coords] \
+            == [fields(c) for c in _chain_stratum_coords(space, l, p, prec)]
+
+
 def test_stratum_labels():
     assert stratum_labels("A2", 2) == [(0,), (1,), (2,)]
     assert stratum_labels("UGL2", 2) == [(0, 0), (0, 1), (0, 2), (1, 0),
@@ -1248,6 +1282,26 @@ def test_transition_counts_equal_the_naive_count(space, group, op, rank,
     got = transition_counts(space, reps, labels, q, prec)
     assert list(got.items()) == list(
         _naive_counts(space, reps, labels, q, prec).items())
+
+
+def test_transition_counts_hash_each_memo_once_per_label(monkeypatch):
+    # on the UGL2 window, 41 labels, 9 distinct rows (0, t^a) and 9 distinct
+    # scalars: one .get per memo and label hashes the 2 + 1 series once,
+    # and each insert hashes its key once more; an `in` then `[]` per label
+    # would hash them twice
+    height, q = 4, 3
+    prec = 2 * height + 4
+    reps = coset_reps("GL2", "t1", q, prec)
+    window = _window(height, 2)
+    points = [stratum_point("UGL2", l, q, prec).coords for l in window]
+    rows, scalars = {c[:2] for c in points}, {c[2:] for c in points}
+    assert (len(window), len(rows), len(scalars)) == (41, 9, 9)
+    calls = []
+    series_hash = TruncSeries.__hash__
+    monkeypatch.setattr(TruncSeries, "__hash__",
+                        lambda s: calls.append(1) or series_hash(s))
+    assert transition_counts("UGL2", reps, window, q, prec)
+    assert len(calls) == 3 * len(window) + 2 * len(rows) + len(scalars)
 
 
 @pytest.mark.parametrize("op", ("t1", "central"))
@@ -1633,3 +1687,34 @@ def test_satake_mismatches_lists_every_label_in_window_order(monkeypatch):
         assert [l for l, _, _ in bad] == window
         for l, got, want in bad:
             assert got and want == [(m, 2 * c) for m, c in got]
+
+
+def test_satake_mismatches_list_the_one_label_that_disagrees(monkeypatch):
+    import sphvar.oracle as oracle
+    height, q = 2, 2
+    prec = 2 * height + 4
+    true_counts = oracle.transition_counts
+    agreed = true_counts("UGL2", coset_reps("GL2", "t1", q, prec),
+                         _window(height, 2), q, prec)
+    l, target = extra = list(agreed)[5]
+
+    def one_extra(*args):
+        out = true_counts(*args)
+        out[extra] += 1
+        return out
+    monkeypatch.setattr(oracle, "transition_counts", one_extra)
+    want = sorted((t, c) for (s, t), c in agreed.items() if s == l)
+    got = [(t, c + (t == target)) for t, c in want]
+    assert satake_mismatches("t1", "UGL2", height, q) == [(l, got, want)]
+
+
+def test_satake_mismatches_keep_a_fractional_shift_coefficient(monkeypatch):
+    # q^-1 at q = 2 is 1/2, which no count matches and nothing rounds; the
+    # whole coefficient q at q = 2 is the int 2
+    import sphvar.oracle as oracle
+    monkeypatch.setattr(oracle, "pp_shifts", lambda route, satake, kappa: [
+        ((0, 0), QLaurent.q_pow(-1)), ((1, 0), QLaurent.q_pow(1))])
+    bad = satake_mismatches("unit", "UGL2", 1, 2)
+    assert bad == [(l, [(l, 1)], [(l, Fraction(1, 2)), ((l[0] + 1, l[1]), 2)])
+                   for l in _window(1, 2)]
+    assert all(type(want[1][1]) is int for _, _, want in bad)
