@@ -1,41 +1,39 @@
-"""Brute-force local models: truncated series, stratum labels, coset sums.
+"""Brute-force local models: p-adic numbers, stratum labels, coset sums.
 
-Everything here is enumerated over F = F_p((t)) for a small prime p.  Each
-model space is one k x n matrix of truncated series (_MODELS), labelled by
-the valuations of its minors; Hecke operators, named by their coweight in
-_OPERATORS, act through lists of left cosets g_i K in Hermite form, all
-built by one enumerator (_hermite_forms).  transition_counts translates
-each distinct row block of its stratum points, and each distinct twisting
-scalar, once per coset: two dicts local to the call, keyed by the exact
-series, hold the row labels and scalar valuations of the translates, and
-each is probed once per label.  The enumeration core is independent of the
-symbolic engine; only the Satake comparison at the bottom uses it, and that
-comparison is the point of the module: one flat dict of wanted counts over
-the whole window, compared with the coset counts in one ==, and regrouped
-by label only when they differ.
+Everything here is enumerated over F = Q_p for a prime p, with o = Z_p and
+uniformizer t = p: "t^e" below and in the error texts is p^e.  Each model
+space is one k x n matrix over F (_MODELS), labelled by the valuations of
+its minors; Hecke operators, named by their coweight in _OPERATORS, act
+through lists of left cosets g_i K in Hermite form, all built by one
+enumerator (_hermite_forms).  transition_counts translates each distinct
+row block of its stratum points, and each distinct twisting scalar, once
+per coset: two dicts local to the call, keyed by the exact numbers, hold the
+row labels and scalar valuations of the translates, and each is probed once
+per label.  The enumeration core is independent of the symbolic engine;
+only the Satake comparison at the bottom uses it, and that comparison is the
+point of the module: one flat dict of wanted counts over the whole window,
+compared with the coset counts in one ==, and regrouped by label only when
+they differ.
 
 Precision policy: callers pass prec = 2 * height + 4 (plus the operator
 degree when convolving repeatedly).  All valuations and elementary divisors
 appearing at a given height are bounded by height + degree, so this leaves
 room for one inversion, which costs twice the valuation.
 
-Series are packed: the coefficients of a TruncSeries are the fixed-width
-slots of one Python int, starting at its valuation (Kronecker substitution,
-Schoenhage 1982).  One multiply-accumulate, _dot, serves every sum, product
-and matrix entry: the products of big ints are shifted to a common
-valuation, summed, cut at the precision and reduced mod p in all slots at
-once inside the int: one-byte slots (p = 2, 3) by one byte-table lookup,
-wider slots by a binary descent.  A product by a single coefficient needs
-no reduction.  A sum is the dot of its operands against units, and a
-product whose operands are both longer than _SPAN slots goes in pieces of
-_SPAN slots, so one slot width, fixed by p, serves every series.  One
-determinant routine serves series and ints; a 3 x 3 determinant is row 0
-against the cross product of rows 1 and 2, and over F_2 a negation is free.
-A random unimodular matrix takes two draws once its residues are accepted:
-whether a matrix is unimodular depends only on its residues, so all n^2 of
-them are drawn at once and redrawn until their determinant is a unit, a
-test memoized per draw, and only then are the higher digits of every entry
-drawn at once and spread into slots a table lookup at a time.
+A number, a TruncSeries, is p^v times a unit held as one int mod
+p^(prec - v).  Every check reads only labels, coset counts and polynomial
+fits in q, which F_p((t)) would give alike: it has the same residue field,
+and the Hermite representatives, polynomials in t with digits 0 .. p-1,
+serve both.  One multiply-accumulate, _dot, serves every sum, product and
+matrix entry: the products of the units, shifted to their least valuation,
+are summed, reduced once and stripped of factors of p.  A sum is the dot of
+its operands against units.  One determinant routine serves numbers and
+ints; a 3 x 3 determinant is row 0 against the cross product of rows 1 and
+2.  A random unimodular matrix takes two draws once its residues are
+accepted: whether a matrix is unimodular depends only on its residues, so
+all n^2 of them are drawn at once and redrawn until their determinant is a
+unit, a test memoized per draw, and only then are the higher digits of
+every entry drawn at once.
 """
 from __future__ import annotations
 
@@ -56,81 +54,19 @@ class PrecisionError(ArithmeticError):
     """A valuation or coefficient was requested beyond the known precision."""
 
 
-# every slot width holds the products of series of up to _SPAN slots
-_SPAN = 16
-
-
-def _slot_bytes(bound):
-    """The slot width, in bytes, for values up to bound."""
-    return (bound.bit_length() + 7) // 8
-
-
-def _width(p):
-    # a reduced slot plus a product of series of up to _SPAN slots stays
-    # below the top bit of a slot, which _reduce reads
-    return _slot_bytes(2 * (p - 1) * ((p - 1) * _SPAN + 1))
-
-
-def _ones(n, w):
-    """1 in each of n slots of w bytes."""
-    return ((1 << 8 * w * n) - 1) // ((1 << 8 * w) - 1)
-
-
-def _unpack(x, n, w):
-    """Slots 0 .. n-1 of x, lowest first, w bytes each."""
-    b = (x & ~(-1 << 8 * w * n)).to_bytes(n * w, "little")
-    return [int.from_bytes(b[i:i + w], "little") for i in range(0, n * w, w)]
-
-
-def _pack(slots, w):
-    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in slots),
-                          "little")
-
-
-@functools.cache
-def _byte_residues(p):
-    """The 256-byte table taking each byte to its residue mod p."""
-    return bytes(c % p for c in range(256))
-
-
-def _reduce(s, n, p, w, bound):
-    """s, whose n slots of w bytes each hold at most bound < 2^(8w-1), with
-    every slot reduced mod p inside the int.  One-byte slots (p = 2, 3) go
-    through one byte-table lookup (_byte_residues).  Wider slots descend:
-    for j from log2(bound/p) down to 0, p 2^j is taken from every slot
-    holding at least that much, and a slot holds c or more iff adding
-    2^(8w-1) - c sets its top bit."""
-    steps = (bound // p).bit_length()
-    if not steps:
-        return s
-    if w == 1:
-        return int.from_bytes(s.to_bytes(n, "little").translate(
-            _byte_residues(p)), "little")
-    bits = 8 * w
-    ones, half = _ones(n, w), 1 << bits - 1
-    for j in range(steps - 1, -1, -1):
-        c = p << j
-        s -= ((s + (half - c) * ones) >> bits - 1 & ones) * c
-    return s
-
-
 class TruncSeries:
-    """Laurent series over F_p with all coefficients known below t^prec.
+    """A p-adic number known mod p^prec: p^_v times the unit _x.
 
-    Packed (Kronecker substitution): slot i of the int _x, _w bytes wide,
-    holds the coefficient of t^(_v + i), reduced mod p.  Slot 0 is nonzero;
-    the zero series has _x = 0 and _v = prec.  The width depends on p only
-    and holds a sum of _SPAN products of residues below its top bit, so
-    sums and products are reduced in every slot at once without unpacking
-    (_reduce: a byte-table lookup for one-byte slots, a binary descent for
-    wider ones): a product is a one-term _dot, and a sum the two-term _dot of
-    the operands against units.  p, prec and terms are read-only.
+    _x is an int in 0 .. p^(prec - _v) - 1 prime to p; the zero number has
+    _v = prec and _x = 0.  A product is a one-term _dot, and a sum the
+    two-term _dot of the operands against units.  p, prec and terms are
+    read-only.
     """
 
-    __slots__ = ("_p", "_prec", "_v", "_x", "_w")
+    __slots__ = ("_p", "_prec", "_v", "_x")
 
-    def __init__(self, p, prec, v, x, w):
-        self._p, self._prec, self._v, self._x, self._w = p, prec, v, x, w
+    def __init__(self, p, prec, v, x):
+        self._p, self._prec, self._v, self._x = p, prec, v, x
 
     @property
     def p(self):
@@ -142,9 +78,15 @@ class TruncSeries:
 
     @property
     def terms(self):
-        """((exp, coeff), ...) sorted, 0 < coeff < p, exp < prec."""
-        return tuple((self._v + i, c) for i, c in enumerate(self._slots())
-                     if c)
+        """((exp, digit), ...) sorted: the nonzero base-p digits, 0 < digit
+        < p, exp < prec."""
+        out, x, p = [], self._x, self._p
+        for e in itertools.count(self._v):
+            if not x:
+                return tuple(out)
+            x, d = divmod(x, p)
+            if d:
+                out.append((e, d))
 
     def __eq__(self, other):
         if type(other) is not TruncSeries:
@@ -159,45 +101,33 @@ class TruncSeries:
         return "TruncSeries(p=%r, prec=%r, terms=%r)" % (self._p, self._prec,
                                                           self.terms)
 
-    def _slots(self):
-        x, w = self._x, self._w
-        return _unpack(x, -(-x.bit_length() // (8 * w)), w)
-
     @staticmethod
-    def _make(p, prec, v, x, w):
-        """The series with packed reduced slots x from t^v on, leading zero
-        slots dropped; x must end below t^prec."""
-        if not x:
-            return TruncSeries(p, prec, prec, 0, w)
-        bits = 8 * w
-        if not x & ~(-1 << bits):
-            k = ((x & -x).bit_length() - 1) // bits
-            x >>= bits * k
-            v += k
-        return TruncSeries(p, prec, v, x, w)
+    def _make(p, prec, v, x):
+        """p^v x for an int x, known mod p^prec."""
+        if x:
+            while not x % p:
+                x //= p
+                v += 1
+            if v < prec:
+                return TruncSeries(p, prec, v, x % p ** (prec - v))
+        return TruncSeries(p, prec, prec, 0)
 
     @staticmethod
     def of(p, prec, items):
+        """The number sum c p^e over the (e, c) of items, known mod p^prec."""
         prec = int(prec)
         items = [(int(e), int(c)) for e, c in
                  (items.items() if isinstance(items, dict) else items)]
         items = [(e, c) for e, c in items if e < prec]
-        w = _width(p)
         if not items:
-            return TruncSeries(p, prec, prec, 0, w)
+            return TruncSeries(p, prec, prec, 0)
         lo = min(e for e, _ in items)
-        slots = [0] * (max(e for e, _ in items) - lo + 1)
-        for e, c in items:
-            slots[e - lo] += c
-        return TruncSeries._make(p, prec, lo, _pack([c % p for c in slots], w),
-                                 w)
+        return TruncSeries._make(p, prec, lo,
+                                 sum(c * p ** (e - lo) for e, c in items))
 
     @staticmethod
     def t_pow(p, prec, e, c=1):
-        prec, e, c = int(prec), int(e), int(c) % p
-        if not c or e >= prec:
-            return TruncSeries(p, prec, prec, 0, _width(p))
-        return TruncSeries(p, prec, e, c, _width(p))
+        return TruncSeries._make(p, int(prec), int(e), int(c))
 
     def is_zero(self):
         # zero to the stated precision; exact zeroness is not decidable
@@ -209,19 +139,15 @@ class TruncSeries:
         return self._v
 
     def __add__(self, other):
-        # each operand times t^0 known to prec - v, which keeps its precision
-        return _dot((self, other), [TruncSeries(x._p, x._prec - x._v, 0, 1,
-                                                x._w) for x in (self, other)])
+        # each operand times 1 known to prec - v, which keeps its precision
+        return _dot((self, other), [TruncSeries(x._p, x._prec - x._v, 0, 1)
+                                    for x in (self, other)])
 
     def __neg__(self):
-        x, w, p = self._x, self._w, self._p
-        if not x or p == 2:
-            # over F_2 every coefficient is its own negative
+        if not self._x:
             return self
-        n = -(-x.bit_length() // (8 * w))
-        # p - c in every slot, then p -> 0 in the slots that held 0
-        return TruncSeries(p, self._prec, self._v,
-                           _reduce(p * _ones(n, w) - x, n, p, w, p), w)
+        return TruncSeries(self._p, self._prec, self._v,
+                           self._p ** (self._prec - self._v) - self._x)
 
     def __sub__(self, other):
         return self + (-other)
@@ -234,31 +160,21 @@ class TruncSeries:
         n = self._prec - v
         if n <= v:
             raise PrecisionError("no room to invert at valuation %d" % v)
-        p = self._p
-        c = list(self._slots())
-        c += [0] * (n - len(c))
-        u = pow(c[0], -1, p)
-        out = [u]
-        for k in range(1, n):
-            s = sum(c[i] * out[k - i] for i in range(1, k + 1)) % p
-            out.append((-u * s) % p)
-        return TruncSeries._make(p, self._prec - 2 * v, -v,
-                                 _pack(out, self._w), self._w)
+        return TruncSeries(self._p, self._prec - 2 * v, -v,
+                           pow(self._x, -1, self._p ** n))
 
 
 # ---------------------------------------------------------------------------
-# matrices with series entries
+# matrices with p-adic entries
 
 def _dot(xs, ys):
-    """sum x_i y_i over series, equal to the chain x_0 y_0 + x_1 y_1 + ...
-    of products and sums, as one multiply-accumulate on the packed ints.
+    """sum x_i y_i, equal to the chain x_0 y_0 + x_1 y_1 + ... of products
+    and sums, as one multiply-accumulate on the units.
 
     The precision is the least of the product precisions; an operand that
-    is zero bounds only that.  The other products, shifted to a common
-    valuation, are summed into one int, which is cut below the precision
-    and reduced once, or before a sum could reach the top bit of a slot.
-    A product whose shorter operand has more than _SPAN slots is summed as
-    pieces of _SPAN slots of that operand, so the slot width never changes.
+    is zero bounds only that.  The products of the other units, each times
+    p^(v - v0) for its valuation v and the least one v0, are summed into
+    one int, reduced once mod p^(prec - v0) and stripped of factors of p.
     Primes are checked in the order the chain would check them."""
     p, prec, v0, prods = xs[0]._p, None, None, []
     for x, y in zip(xs, ys):
@@ -276,46 +192,19 @@ def _dot(xs, ys):
             v = vx + vy
             if v0 is None or v < v0:
                 v0 = v
-            prods.append((v, x._x, y._x))
-    w = x._w
+            prods.append((v, x._x * y._x))
     if v0 is None or v0 >= prec:
-        return TruncSeries(p, prec, prec, 0, w)
-    n, bits = prec - v0, 8 * w
-    mask, top, sq = ~(-1 << bits * n), 1 << bits - 1, (p - 1) ** 2
-    s = bound = 0
-    for v, a, b in prods:
-        if v >= prec:
-            continue
-        na, nb = -(-a.bit_length() // bits), -(-b.bit_length() // bits)
-        m = na if na < nb else nb
-        if m > _SPAN:
-            # _SPAN slots of the shorter operand at a time: each piece is an
-            # ordinary product, visited later in this loop
-            if na > nb:
-                a, b = b, a
-            for j in range(0, m, _SPAN):
-                prods.append((v + j, a >> bits * j & ~(-1 << bits * _SPAN), b))
-            continue
-        if m == 1:
-            # one slot c bounds each slot of the product by c (p - 1), two by
-            # their product: a monic monomial needs no reduction
-            c = a * b
-            cb = c if na == nb else (a if na == 1 else b) * (p - 1)
-        else:
-            c, cb = a * b, sq * m
-        if bound + cb >= top:
-            s, bound = _reduce(s & mask, n, p, w, bound), p - 1
-        s += c << bits * (v - v0)
-        bound += cb
-    s = _reduce(s & mask, n, p, w, bound)
+        return TruncSeries(p, prec, prec, 0)
+    s = 0
+    for v, c in prods:
+        s += c * p ** (v - v0)
+    s %= p ** (prec - v0)
     if not s:
-        return TruncSeries(p, prec, prec, 0, w)
-    if not s & ~(-1 << bits):
-        # drop the leading zero slots
-        k = ((s & -s).bit_length() - 1) // bits
-        s >>= bits * k
-        v0 += k
-    return TruncSeries(p, prec, v0, s, w)
+        return TruncSeries(p, prec, prec, 0)
+    while not s % p:
+        s //= p
+        v0 += 1
+    return TruncSeries(p, prec, v0, s)
 
 
 def mat_mul(a, b):
@@ -327,9 +216,9 @@ def mat_mul(a, b):
 
 
 def mat_det(m):
-    """The determinant, over series or over ints, by one algorithm: 2 x 2 as
+    """The determinant, over numbers or over ints, by one algorithm: 2 x 2 as
     one dot, 3 x 3 as row 0 against the cross product of rows 1 and 2, and
-    larger along the first row.  Over series each sign rides on a factor,
+    larger along the first row.  Over numbers each sign rides on a factor,
     -(a b) = a (-b), precision and all, so the products and precisions are
     those of the chain of products and sums along the first row."""
     n = len(m)
@@ -439,13 +328,12 @@ def stratum_point(space, label, p, prec):
         raise ValueError("%r is not a label of %s: it needs %d entries, each "
                          "elementary divisor at most the complementary divisor "
                          "after it" % (label, space, k + m.twisted))
-    w = _width(p)
-    coords = [TruncSeries(p, prec, prec, 0, w)] * (k * n + m.twisted)
+    coords = [TruncSeries(p, prec, prec, 0)] * (k * n + m.twisted)
     # row i's monomial sits at i (n + 1) + n - k, the scalar's last; t^a is
-    # the zero series from a = prec on
+    # zero from a = prec on
     for i, a in zip([*range(n - k, k * n, n + 1), k * n], e + list(label[k:])):
         if a < prec:
-            coords[i] = TruncSeries(p, prec, a, 1, w)
+            coords[i] = TruncSeries(p, prec, a, 1)
     return LatticePoint(space, tuple(coords))
 
 
@@ -552,9 +440,9 @@ _OPERATORS = {
 
 def _hermite_forms(p, prec, e, degree):
     """The upper-triangular matrices with diagonal t^(e_i) whose (i, j)
-    entry, for each cell (i, j) of degree, runs over the polynomials of
-    degree < degree[i, j] with coefficients in 0 .. p-1; every other entry
-    is 0.  With degree[i, j] = e_i for all i < j these are the Hermite forms
+    entry, for each cell (i, j) of degree, runs over the polynomials in t
+    of degree < degree[i, j] with digits in 0 .. p-1, each the int
+    sum c_i p^i; every other entry is 0.  With degree[i, j] = e_i for all i < j these are the Hermite forms
     of the left cosets g GL_n(o) with diagonal t^e: a column operation
     reduces entry (i, j) mod t^(e_i).  The cells vary lexicographically in
     the order of degree, each polynomial lowest coefficient first."""
@@ -604,7 +492,7 @@ def transition_counts(space, reps, labels, p, prec, inverse=False):
 
     The row labels of x g_i depend on x's rows alone and the valuations of
     its scalar on x's scalar alone, so each is computed once per distinct
-    row block or scalar, keyed by the exact series, and each memo is looked
+    row block or scalar, keyed by the exact numbers, and each memo is looked
     up once per label."""
     m = _model(space)
     if inverse and m.k == 1:
@@ -705,17 +593,6 @@ def integral_table(space, height, p, prec):
 # ---------------------------------------------------------------------------
 # randomized well-definedness and interpolation checks
 
-@functools.cache
-def _digit_table(p, w):
-    """(table, k): table[c] packs the k base-p digits of c, lowest first,
-    into slots of w bytes, for the largest k with p^k <= 4096."""
-    table, k = range(p), 1
-    while len(table) * p <= 4096:
-        table = [d | c << 8 * w for c in table for d in range(p)]
-        k += 1
-    return table, k
-
-
 @functools.lru_cache(maxsize=1024)
 def _unit_residues(p, n, code):
     """The n^2 base-p digits of code, lowest first, if the n x n matrix they
@@ -736,33 +613,22 @@ def random_unimodular(rng, p, prec, n):
     redrawn until their determinant is a unit mod p, which is exactly when
     the matrix is unimodular.  That test depends on the draw alone, so its
     answers are memoized (_unit_residues).  Then one draw below
-    p^((prec-1) n^2) gives entry k the digits of t^1 .. t^(prec-1) from its
-    base-p^(prec-1) digit k, spread into slots a table lookup for each chunk
-    of digits."""
+    p^((prec-1) n^2) gives entry k its residue r plus p times the draw's
+    base-p^(prec-1) digit k."""
     if prec < 1:
         raise ValueError("precision must be >= 1")
     if p < 2 or n < 1:
         raise ValueError("need p >= 2 and n >= 1, got p = %r, n = %r" % (p, n))
-    cells, w = n * n, _width(p)
-    codes, high = p ** cells, p ** ((prec - 1) * cells)
+    cells, high = n * n, p ** (prec - 1)
     flat = None
     while flat is None:
-        flat = _unit_residues(p, n, rng.randrange(codes))
-    # slot i + 1 of d holds base-p digit i of the draw, so entry k, whose
-    # residue fills slot 0, reads d shifted down by k (prec - 1) slots
-    table, k = _digit_table(p, w)
-    base, bits = len(table), 8 * w
-    step, span = bits * k, bits * (prec - 1)
-    draw, d, shift = rng.randrange(high), 0, bits
-    while draw:
-        draw, c = divmod(draw, base)
-        d |= table[c] << shift
-        shift += step
-    mask = ~(-1 << span) << bits
-    # an entry with a nonzero residue has nonzero slot 0: nothing to strip
-    entries = [TruncSeries(p, prec, 0, r | d >> span * i & mask, w) if r
-               else TruncSeries._make(p, prec, 0, d >> span * i & mask, w)
-               for i, r in enumerate(flat)]
+        flat = _unit_residues(p, n, rng.randrange(p ** cells))
+    draw, entries = rng.randrange(high ** cells), []
+    for r in flat:
+        draw, d = divmod(draw, high)
+        # a nonzero residue makes the entry a unit: nothing to strip
+        entries.append(TruncSeries(p, prec, 0, r + p * d) if r
+                       else TruncSeries._make(p, prec, 0, p * d))
     return [entries[i:i + n] for i in range(0, cells, n)]
 
 
