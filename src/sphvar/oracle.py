@@ -1,15 +1,16 @@
 """Brute-force local models: p-adic numbers, stratum labels, coset sums.
 
 Everything here is enumerated over F = Q_p for a prime p, with o = Z_p and
-uniformizer t = p: "t^e" below and in the error texts is p^e.  Each model
-space is one k x n matrix over F (_MODELS), labelled by the valuations of
-its minors; Hecke operators, named by their coweight in _OPERATORS, act
-through lists of left cosets g_i K in Hermite form, all built by one
-enumerator (_hermite_forms).  transition_counts translates each distinct
-row block of its stratum points, and each distinct twisting scalar, once
-per coset: two dicts local to the call, keyed by the exact numbers, hold the
-row labels and scalar valuations of the translates, and each is probed once
-per label.  The enumeration core is independent of the symbolic engine;
+uniformizer t = p: "t^e" below is p^e.  Each model space is one k x n
+matrix over F (_MODELS), labelled by the valuations of its minors; Hecke
+operators, named by their coweight in _OPERATORS, act through lists of left
+cosets g_i K in Hermite form, all built by one enumerator (_hermite_forms).
+transition_counts translates each distinct row block of its stratum points,
+and each distinct twisting scalar, once per coset: two dicts local to the
+call, keyed by label part, the rows by l[:k] and the scalar by l[k:], hold
+the row labels and scalar valuations of the translates.  That is exact
+because stratum_point builds the rows from l[:k] alone and the scalar from
+l[k:] alone.  The enumeration core is independent of the symbolic engine;
 only the Satake comparison at the bottom uses it, and that comparison is the
 point of the module: one flat dict of wanted counts over the whole window,
 compared with the coset counts in one ==, and regrouped by label only when
@@ -135,7 +136,8 @@ class TruncSeries:
 
     def val(self):
         if not self._x:
-            raise PrecisionError("series is 0 mod t^%d" % self._prec)
+            raise PrecisionError("number is 0 mod %d^%d"
+                                 % (self._p, self._prec))
         return self._v
 
     def __add__(self, other):
@@ -179,9 +181,9 @@ def _dot(xs, ys):
     p, prec, v0, prods = xs[0]._p, None, None, []
     for x, y in zip(xs, ys):
         if x._p != y._p:
-            raise ValueError("series over F_%d and F_%d" % (x._p, y._p))
+            raise ValueError("numbers over Q_%d and Q_%d" % (x._p, y._p))
         if x._p != p:
-            raise ValueError("series over F_%d and F_%d" % (p, x._p))
+            raise ValueError("numbers over Q_%d and Q_%d" % (p, x._p))
         vx, vy = x._v, y._v
         pr = x._prec + vy
         if y._prec + vx < pr:
@@ -342,9 +344,9 @@ def _vec_val(entries):
     v = min([e._v for e in entries])
     for e in entries:
         if e._prec == v:
-            raise PrecisionError(("an entry is only known mod t^%d"
+            raise PrecisionError(("an entry is only known mod %d^%d"
                                   if any(e._x for e in entries)
-                                  else "vector is 0 mod t^%d") % v)
+                                  else "vector is 0 mod %d^%d") % (e._p, v))
     return v
 
 
@@ -490,10 +492,11 @@ def transition_counts(space, reps, labels, p, prec, inverse=False):
     space (k > 1), whose labels are invariant on both sides; on a row space
     the counts would depend on the choice of representatives.
 
-    The row labels of x g_i depend on x's rows alone and the valuations of
-    its scalar on x's scalar alone, so each is computed once per distinct
-    row block or scalar, keyed by the exact numbers, and each memo is looked
-    up once per label."""
+    stratum_point builds x's rows from l[:k] alone and its scalar from
+    l[k:] alone, so the memos are keyed by label part: only a label with a
+    new row or scalar part builds x, checks its label and translates that
+    part once per coset.  Since orbit_invariant reads the rows and the
+    scalar apart, that checks every label's representative."""
     m = _model(space)
     if inverse and m.k == 1:
         raise ValueError("inverse cosets act only on a two-sided space, "
@@ -501,23 +504,23 @@ def transition_counts(space, reps, labels, p, prec, inverse=False):
     gs = [mat_inv(g) for g in reps] if inverse else reps
     # one column list and one determinant per coset, shared by every label
     cosets = [_coset(m, g) for g in gs]
-    kn = m.k * m.n
-    # x g's rows depend on x's rows alone, its scalar on x's scalar alone
+    k, n = m.k, m.n
     rows_seen, scalars_seen, out = {}, {}, {}
     for l in map(tuple, labels):
-        x = stratum_point(space, l, p, prec)
-        if orbit_invariant(x) != l:
-            raise RuntimeError("representative of %r has another label" % (l,))
-        rows, scalar = x.coords[:kn], x.coords[kn:]
-        heads = rows_seen.get(rows)
-        if heads is None:
-            heads = rows_seen[rows] = [
-                _row_label(_right_translate(m, x, cols, None).coords, m.k, m.n)
-                for cols, _ in cosets]
-        tails = scalars_seen.get(scalar)
-        if tails is None:
-            tails = scalars_seen[scalar] = [
-                tuple((s * det).val() for s in scalar) for _, det in cosets]
+        heads, tails = rows_seen.get(l[:k]), scalars_seen.get(l[k:])
+        if heads is None or tails is None:
+            x = stratum_point(space, l, p, prec)
+            if orbit_invariant(x) != l:
+                raise RuntimeError("representative of %r has another label"
+                                   % (l,))
+            if heads is None:
+                heads = rows_seen[l[:k]] = [
+                    _row_label(_right_translate(m, x, cols, None).coords, k, n)
+                    for cols, _ in cosets]
+            if tails is None:
+                tails = scalars_seen[l[k:]] = [
+                    tuple((s * det).val() for s in x.coords[k * n:])
+                    for _, det in cosets]
         for head, tail in zip(heads, tails):
             key = (l, head + tail)
             out[key] = out.get(key, 0) + 1

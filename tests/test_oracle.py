@@ -69,7 +69,7 @@ def test_series_val_and_zero():
     assert tp(-2).val() == -2
     z = ts({})
     assert z.is_zero()
-    with pytest.raises(PrecisionError, match="0 mod t\\^12"):
+    with pytest.raises(PrecisionError, match="0 mod 2\\^12"):
         z.val()
 
 
@@ -194,12 +194,12 @@ class _PadicRef:
 
     def val(self):
         if self.is_zero():
-            raise PrecisionError("series is 0 mod t^%d" % self.prec)
+            raise PrecisionError("number is 0 mod %d^%d" % (self.p, self.prec))
         return self._lead()
 
     def _check(self, other):
         if self.p != other.p:
-            raise ValueError("series over F_%d and F_%d" % (self.p, other.p))
+            raise ValueError("numbers over Q_%d and Q_%d" % (self.p, other.p))
 
     def __add__(self, other):
         self._check(other)
@@ -602,7 +602,7 @@ def test_matrix_kernel_reports_mixed_primes_as_the_chain_does():
                  (mat_det, _chain_det, ([[x, y], [y, x]],))]
         for f, chain, args in cases:
             want = _grid(lambda: chain(*args))
-            assert want == ("ValueError", "series over F_%d and F_%d"
+            assert want == ("ValueError", "numbers over Q_%d and Q_%d"
                             % (x.p, y.p))
             assert _grid(lambda: f(*args)) == want
 
@@ -894,7 +894,7 @@ def test_orbit_invariant_examples():
 
 def test_orbit_invariant_precision_guard():
     shallow = TruncSeries.of(2, 2, {})
-    with pytest.raises(PrecisionError, match="only known mod t\\^2"):
+    with pytest.raises(PrecisionError, match="only known mod 2\\^2"):
         orbit_invariant(LatticePoint("A2", (shallow, tp(3))))
     # a valuation below the unknown floor is still decidable
     assert orbit_invariant(LatticePoint("A2", (shallow, tp(1)))) == (1,)
@@ -957,6 +957,24 @@ def test_stratum_point_builds_what_the_monomial_chain_builds(space, p):
             == [_fields(c) for c in _chain_stratum_coords(space, l, p, prec)]
 
 
+@pytest.mark.parametrize("space", SPACES)
+def test_stratum_point_builds_each_label_part_alone(space):
+    # transition_counts keys its memos by l[:k] and l[k:]: labels that
+    # share a row part must get the same rows, and labels that share a
+    # scalar part the same scalar
+    import sphvar.oracle as oracle
+    m = oracle._MODELS[space]
+    k, kn = m.k, m.k * m.n
+    labels = [l for l in _window(4, k + m.twisted)
+              if oracle._divisors(l[:k]) is not None]
+    assert min(min(l) for l in labels) < 0
+    rows, scalars = {}, {}
+    for l in labels:
+        c = stratum_point(space, l, 3, 12).coords
+        assert rows.setdefault(l[:k], c[:kn]) == c[:kn]
+        assert scalars.setdefault(l[k:], c[kn:]) == c[kn:]
+
+
 def test_stratum_labels():
     assert stratum_labels("A2", 2) == [(0,), (1,), (2,)]
     assert stratum_labels("UGL2", 2) == [(0, 0), (0, 1), (0, 2), (1, 0),
@@ -983,9 +1001,9 @@ def test_stratum_labels_match_the_benchmark_copy(benchmark_ops):
 
 
 def test_mismatched_inputs_raise():
-    with pytest.raises(ValueError, match="F_2 and F_3"):
+    with pytest.raises(ValueError, match="Q_2 and Q_3"):
         ts({0: 1}, p=2) + ts({0: 1}, p=3)
-    with pytest.raises(ValueError, match="F_2 and F_3"):
+    with pytest.raises(ValueError, match="Q_2 and Q_3"):
         ts({0: 1}, p=2) * ts({0: 1}, p=3)
     with pytest.raises(ValueError, match="cannot multiply 2x2 by 3x3"):
         mat_mul(mat_id(P, PREC, 2), mat_id(P, PREC, 3))
@@ -1006,6 +1024,28 @@ def test_wrong_representative_is_an_internal_error(monkeypatch):
         integral_table("A2", 1, P, PREC)
     with pytest.raises(RuntimeError, match="representative"):
         transition_counts("A2", [mat_id(P, PREC, 2)], [(0,)], P, PREC)
+
+
+def test_a_wrong_scalar_at_a_later_label_is_an_internal_error(monkeypatch):
+    # the scalar is wrong only for b = 2, which first appears at the ninth
+    # label of the UGL2 window, (-2, 2)
+    import sphvar.oracle as oracle
+    build = oracle.stratum_point
+
+    def wrong_scalar(space, label, p, prec):
+        x = build(space, label, p, prec)
+        if label[1] != 2:
+            return x
+        return LatticePoint(space, x.coords[:-1] + (tp(3, p, prec),))
+
+    monkeypatch.setattr(oracle, "stratum_point", wrong_scalar)
+    height, q = 4, 3
+    prec = 2 * height + 4
+    window = _window(height, 2)
+    assert [l[1] for l in window].index(2) == window.index((-2, 2)) == 8
+    with pytest.raises(RuntimeError, match=r"representative of \(-2, 2\)"):
+        transition_counts("UGL2", coset_reps("GL2", "t1", q, prec), window,
+                          q, prec)
 
 
 def test_representatives_hit_their_labels():
@@ -1286,24 +1326,32 @@ def test_transition_counts_equal_the_naive_count(space, group, op, rank,
         _naive_counts(space, reps, labels, q, prec).items())
 
 
-def test_transition_counts_hash_each_memo_once_per_label(monkeypatch):
-    # on the UGL2 window, 41 labels, 9 distinct rows (0, t^a) and 9 distinct
-    # scalars: one .get per memo and label hashes the 2 + 1 series once,
-    # and each insert hashes its key once more; an `in` then `[]` per label
-    # would hash them twice
-    height, q = 4, 3
-    prec = 2 * height + 4
-    reps = coset_reps("GL2", "t1", q, prec)
-    window = _window(height, 2)
-    points = [stratum_point("UGL2", l, q, prec).coords for l in window]
-    rows, scalars = {c[:2] for c in points}, {c[2:] for c in points}
-    assert (len(window), len(rows), len(scalars)) == (41, 9, 9)
-    calls = []
+def test_transition_counts_build_a_point_only_for_a_new_label_part(
+        monkeypatch):
+    # the memos are keyed by label part, so a label builds and checks its
+    # point only when its row part l[:1] or scalar part l[1:] is new: 13 of
+    # the 41 labels of the UGL2 window, 19 of the 85 of the PPGL3 one; no
+    # series is hashed
+    import sphvar.oracle as oracle
+    builds, hashes = [], []
+    build = oracle.stratum_point
+    monkeypatch.setattr(oracle, "stratum_point",
+                        lambda *a: builds.append(a[1]) or build(*a))
     series_hash = TruncSeries.__hash__
     monkeypatch.setattr(TruncSeries, "__hash__",
-                        lambda s: calls.append(1) or series_hash(s))
-    assert transition_counts("UGL2", reps, window, q, prec)
-    assert len(calls) == 3 * len(window) + 2 * len(rows) + len(scalars)
+                        lambda s: hashes.append(1) or series_hash(s))
+    for space, group, height, labels, points in (("UGL2", "GL2", 4, 41, 13),
+                                                 ("PPGL3", "GL3", 6, 85, 19)):
+        prec = 2 * height + 4
+        reps = coset_reps(group, "t1", 3, prec)
+        window = _window(height, 2)
+        builds.clear()
+        assert transition_counts(space, reps, window, 3, prec)
+        assert (len(window), len(builds)) == (labels, points)
+        assert builds == [l for i, l in enumerate(window)
+                          if l[:1] not in {w[:1] for w in window[:i]}
+                          or l[1:] not in {w[1:] for w in window[:i]}]
+    assert hashes == []
 
 
 @pytest.mark.parametrize("op", ("t1", "central"))
