@@ -691,7 +691,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("run", choices=("run",))
     p.add_argument("name")
     p.add_argument("--q", default="2,3")
-    p.add_argument("--height", type=int, default=None)
+    p.add_argument("--height", type=int, default=None,
+                   help="sets the labels up to min(height, 3) for "
+                        "orbit-invariance, only the working precision for "
+                        "gj-recursion, and the label or window height for "
+                        "the others")
     p.add_argument("--trials", type=int, default=500,
                    help="random translates per tested point")
     p.set_defaults(fn=cmd_oracle)

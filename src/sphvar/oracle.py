@@ -34,7 +34,9 @@ ints; a 3 x 3 determinant is row 0 against the cross product of rows 1 and
 accepted: whether a matrix is unimodular depends only on its residues, so
 all n^2 of them are drawn at once and redrawn until their determinant is a
 unit, a test memoized per draw, and only then are the higher digits of
-every entry drawn at once.
+every entry drawn at once, as ints.  The translate-invariance check keeps
+them as ints and wraps only the translate, which on an integral point is
+exact: a unimodular matrix has a unit in every row and every column.
 """
 from __future__ import annotations
 
@@ -609,15 +611,15 @@ def _unit_residues(p, n, code):
     return None
 
 
-def random_unimodular(rng, p, prec, n):
-    """A uniformly drawn element of GL_n(o) mod t^prec, in two draws once
-    the residues are accepted.  Each attempt draws the n^2 residues at once,
-    below p^(n^2), entry k (row-major) taking base-p digit k; they are
-    redrawn until their determinant is a unit mod p, which is exactly when
-    the matrix is unimodular.  That test depends on the draw alone, so its
-    answers are memoized (_unit_residues).  Then one draw below
-    p^((prec-1) n^2) gives entry k its residue r plus p times the draw's
-    base-p^(prec-1) digit k."""
+def _unimodular_ints(rng, p, prec, n):
+    """The n^2 entries, row-major, of a uniformly drawn element of GL_n(o)
+    mod t^prec, as ints below p^prec, in two draws once the residues are
+    accepted.  Each attempt draws the n^2 residues at once, below p^(n^2),
+    entry k taking base-p digit k; they are redrawn until their determinant
+    is a unit mod p, which is exactly when the matrix is unimodular.  That
+    test depends on the draw alone, so its answers are memoized
+    (_unit_residues).  Then one draw below p^((prec-1) n^2) gives entry k
+    its residue r plus p times the draw's base-p^(prec-1) digit k."""
     if prec < 1:
         raise ValueError("precision must be >= 1")
     if p < 2 or n < 1:
@@ -629,25 +631,61 @@ def random_unimodular(rng, p, prec, n):
     draw, entries = rng.randrange(high ** cells), []
     for r in flat:
         draw, d = divmod(draw, high)
-        # a nonzero residue makes the entry a unit: nothing to strip
-        entries.append(TruncSeries(p, prec, 0, r + p * d) if r
-                       else TruncSeries._make(p, prec, 0, p * d))
-    return [entries[i:i + n] for i in range(0, cells, n)]
+        entries.append(r + p * d)
+    return entries
+
+
+def random_unimodular(rng, p, prec, n):
+    """A uniformly drawn element of GL_n(o) mod t^prec: the entries of
+    _unimodular_ints as numbers, row by row."""
+    entries = [TruncSeries._make(p, prec, 0, e)
+               for e in _unimodular_ints(rng, p, prec, n)]
+    return [entries[i:i + n] for i in range(0, n * n, n)]
+
+
+def _lift(coords):
+    """v = min(0, least valuation of coords), and the coords times p^(-v)
+    as ints."""
+    v = min(0, min(c._v for c in coords))
+    return v, [c._x * c._p ** (c._v - v) for c in coords]
 
 
 def translate_invariance_mismatches(space, label, p, prec, trials, seed=0):
     """orbit_invariant must be constant on random hyperspecial translates:
-    x g for g in GL_n(o), then, when k > 1, h x g for h in GL_k(o)."""
+    x g for g in GL_n(o), then, when k > 1, h x g for h in GL_k(o).
+
+    The translates are taken over ints: x's rows and scalar, each lifted
+    by _lift, against the ints of g, h and det g, mod p^prec, and each
+    coordinate known mod p^(prec + v).  g has a unit in every column, h one
+    in every row and det g is a unit, so on a point with integral rows
+    (every label of stratum_labels) these are the numbers right_translate
+    and left_translate give, precision and all; so are the scalar and, on
+    a row space (k = 1), the rows of any point."""
     rng = random.Random(seed)
-    x = stratum_point(space, label, p, prec)
+    c = stratum_point(space, label, p, prec).coords
     m = _MODELS[space]
-    bad = []
+    k, n = m.k, m.n
+    vr, x = _lift(c[:k * n])
+    rows = [x[r:r + n] for r in range(0, k * n, n)]
+    if m.twisted:
+        vs, (s,) = _lift(c[k * n:])
+    label, mod, bad = tuple(label), p ** prec, []
     for i in range(trials):
-        y = right_translate(x, random_unimodular(rng, p, prec, m.n))
-        if m.k > 1:
-            y = left_translate(y, random_unimodular(rng, p, prec, m.k))
-        got = orbit_invariant(y)
-        if got != tuple(label):
+        g = _unimodular_ints(rng, p, prec, n)
+        cols = [g[j::n] for j in range(n)]
+        y = [[_idot(row, col) for col in cols] for row in rows]
+        if k > 1:
+            h = _unimodular_ints(rng, p, prec, k)
+            ycols = list(zip(*y))
+            y = [[_idot(h[r:r + k], col) for col in ycols]
+                 for r in range(0, k * k, k)]
+        coords = [TruncSeries._make(p, prec + vr, vr, e % mod)
+                  for row in y for e in row]
+        if m.twisted:
+            det = mat_det([g[r:r + n] for r in range(0, n * n, n)])
+            coords.append(TruncSeries._make(p, prec + vs, vs, s * det % mod))
+        got = orbit_invariant(LatticePoint(space, tuple(coords)))
+        if got != label:
             bad.append((i, got))
     return bad
 

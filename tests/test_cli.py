@@ -807,6 +807,23 @@ def test_oracle_output_bytes(capsys, argv, want):
     assert run(capsys, ["oracle", "run"] + argv) == (0, want, "")
 
 
+def test_oracle_help_says_what_height_sets(capsys, monkeypatch):
+    # orbit-invariance caps its labels at height 3, and gj-recursion takes
+    # only its working precision from --height
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main(["oracle", "--help"])
+    assert stop.value.code == 0
+    assert (
+        "  --height HEIGHT  sets the labels up to min(height, 3) for "
+        "orbit-invariance,\n"
+        "                   only the working precision for gj-recursion, "
+        "and the label\n"
+        "                   or window height for the others\n"
+        "  --trials TRIALS  random translates per tested point\n"
+    ) in capsys.readouterr().out
+
+
 def test_oracle_bad_requests(capsys):
     code, _, err = run(capsys, ["oracle", "run", "nope"])
     assert code == 2

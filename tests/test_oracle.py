@@ -1541,6 +1541,127 @@ def test_translates_replay_the_random_stream(space, label, monkeypatch):
     assert {y.space for y in seen} == {space}
 
 
+def _chain_translates(space, label, p, prec, trials, seed):
+    """The translates the check labels, replayed: right_translate by the
+    drawn g, then, when k > 1, left_translate by the drawn h."""
+    import sphvar.oracle as oracle
+    m = oracle._MODELS[space]
+    rng, x = random.Random(seed), stratum_point(space, label, p, prec)
+    out = []
+    for _ in range(trials):
+        y = right_translate(x, random_unimodular(rng, p, prec, m.n))
+        if m.k > 1:
+            y = left_translate(y, random_unimodular(rng, p, prec, m.k))
+        out.append(y)
+    return out
+
+
+# labels with negative entries, beside the integral ones: the int
+# translates of a row space's rows and of a twisted scalar are exact on any
+# point, those of MAT2's rows only on a point with integral rows
+_OFF_INTEGRAL = {"A2": [(-3,), (-1,)], "UGL2": [(-2, -1), (1, -3)],
+                 "PPGL3": [(1, -3), (-2, 0)]}
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 10007))
+@pytest.mark.parametrize("space", SPACES + ("MAT3",))
+def test_int_translates_are_the_chain_translates(space, p, monkeypatch):
+    # every point the check labels is, number for number, what
+    # right_translate and left_translate give for the same draws
+    import sphvar.oracle as oracle
+    monkeypatch.setitem(oracle._MODELS, "MAT3", oracle._Model(3, 3))
+    seen, invariant = [], oracle.orbit_invariant
+    monkeypatch.setattr(oracle, "orbit_invariant",
+                        lambda y: seen.append(y) or invariant(y))
+    prec, trials = 10, 3 if p == 10007 else 8
+    labels = stratum_labels(space, 3) + _OFF_INTEGRAL.get(space, [])
+    assert len(labels) >= 4
+    for seed, label in enumerate(labels):
+        seen.clear()
+        assert translate_invariance_mismatches(space, label, p, prec, trials,
+                                               seed=seed) == []
+        want = _chain_translates(space, label, p, prec, trials, seed)
+        assert [(y.space, [_fields(e) for e in y.coords]) for y in seen] == [
+            (y.space, [_fields(e) for e in y.coords]) for y in want]
+
+
+# the trials of 60, at p = 2 and prec 10, on which a d_1 read off the last
+# coordinate is reported
+_LAST_COORDINATE_REPORTS = {("A2", (1,)): 22, ("UGL2", (1, 2)): 22,
+                            ("PPGL3", (0, 1)): 27, ("MAT2", (1, 3)): 38}
+
+
+def test_translate_check_reports_a_row_label_read_off_the_last_coordinate(
+        monkeypatch):
+    # d_1 must be the least coordinate valuation: a label that reads the
+    # last coordinate's instead is caught on every space
+    import sphvar.oracle as oracle
+    row_label = oracle._row_label
+    monkeypatch.setattr(oracle, "_row_label", lambda c, k, n: (
+        (c[k * n - 1]._v,) + row_label(c, k, n)[1:]))
+    assert {(space, label): len(translate_invariance_mismatches(
+                space, label, 2, 10, 60))
+            for space, label in _LAST_COORDINATE_REPORTS} == \
+        _LAST_COORDINATE_REPORTS
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("space, label", [
+    ("A2", (-3,)), ("UGL2", (-2, -1)), ("PPGL3", (1, -3)), ("MAT2", (-2, -2))])
+def test_translate_check_passes_off_the_integral_points(space, label, p):
+    assert translate_invariance_mismatches(space, label, p, 10, 60) == []
+
+
+@pytest.mark.parametrize("args, match", [
+    (("B7", (1,), 2, 8, 3), "unknown space 'B7'"),
+    (("MAT2", (2, 1), 2, 8, 3), "not a label of MAT2"),
+    (("A2", (1,), 2, 0, 3), "precision must be >= 1"),
+    (("UGL2", (1, 0), 1, 8, 3), "need p >= 2")])
+def test_translate_check_refuses_what_it_cannot_draw_or_label(args, match):
+    with pytest.raises(ValueError, match=match):
+        translate_invariance_mismatches(*args)
+
+
+def _chain_invariance_mismatches(space, label, p, prec, trials, seed=0):
+    """translate_invariance_mismatches on the replayed chain translates."""
+    bad = []
+    for i, y in enumerate(_chain_translates(space, label, p, prec, trials,
+                                            seed)):
+        got = orbit_invariant(y)
+        if got != tuple(label):
+            bad.append((i, got))
+    return bad
+
+
+def test_translate_check_answers_as_the_chain_on_degenerate_labels():
+    # every label with entries in -4..9 at prec 8 (1,204 cases, labels of
+    # no stratum and points that vanish mod p^8 among them): the same
+    # mismatches or the same error, but for the text of one: a MAT2 point
+    # with d_1 < 0 has its whole left translate stated mod p^(8 + d_1),
+    # where the chain knows some coordinates to a higher power, so a
+    # vanishing minor is reported as 0 mod a power 1 or 2 lower
+    import sphvar.oracle as oracle
+    cases, differ = 0, []
+    for space in SPACES:
+        m = oracle._MODELS[space]
+        for label in itertools.product(range(-4, 10), repeat=m.k + m.twisted):
+            for p in (2, 3):
+                cases += 1
+                got, want = (_outcome(lambda: check(space, label, p, 8, 6))
+                             for check in (translate_invariance_mismatches,
+                                           _chain_invariance_mismatches))
+                if got != want:
+                    differ.append((space, label, p, got, want))
+    assert cases == 1204 and len(differ) == 24
+    for space, label, p, got, want in differ:
+        assert space == "MAT2" and label[0] < 0
+        assert got[0] == want[0] == "PrecisionError"
+        lo, hi = (int(e[1].rsplit("^", 1)[1]) for e in (got, want))
+        assert got[1] == "vector is 0 mod %d^%d" % (p, lo)
+        assert want[1] == "vector is 0 mod %d^%d" % (p, hi)
+        assert 1 <= hi - lo <= 2
+
+
 # --- malformed shapes ------------------------------------------------------
 
 def _rect(rows, cols):
