@@ -427,18 +427,6 @@ def pp_shifts(route, satake: dict, kappa: int = KAPPA):
     return out
 
 
-def apply_shifts(shifts, f: dict) -> dict:
-    """Convolve a finitely supported label function with a shift list."""
-    out = {}
-    for shift, coeff in shifts:
-        for l, v in f.items():
-            if not isinstance(v, QLaurent):
-                v = QLaurent.of({0: int(v)})
-            k = tuple(a - b for a, b in zip(l, shift))
-            out[k] = out.get(k, QLaurent.zero()) + coeff * v
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
 # ---------------------------------------------------------------------------
 # graded multiplicity data for a general Levi
 

@@ -19,24 +19,31 @@ they differ.
 Precision policy: callers pass prec = 2 * height + 4 (plus the operator
 degree when convolving repeatedly).  All valuations and elementary divisors
 appearing at a given height are bounded by height + degree, so this leaves
-room for one inversion, which costs twice the valuation.
+room for one inversion by mat_inv, which costs twice the valuation.
 
 A number, a TruncSeries, is p^v times a unit held as one int mod
 p^(prec - v).  Every check reads only labels, coset counts and polynomial
 fits in q, which F_p((t)) would give alike: it has the same residue field,
 and the Hermite representatives, polynomials in t with digits 0 .. p-1,
-serve both.  One multiply-accumulate, _dot, serves every sum, product and
-matrix entry: the products of the units, shifted to their least valuation,
-are summed, reduced once and stripped of factors of p.  A sum is the dot of
-its operands against units.  One determinant routine serves numbers and
-ints; a 3 x 3 determinant is row 0 against the cross product of rows 1 and
-2.  A random unimodular matrix takes two draws once its residues are
+serve both.  One multiply-accumulate, _dot, serves every sum and product of
+numbers: the products of the units, shifted to their least valuation, are
+summed, reduced once and stripped of factors of p.  A sum is the dot of its
+operands against units.  One determinant routine serves numbers and ints; a
+3 x 3 determinant is row 0 against the cross product of rows 1 and 2.
+
+Every translate is taken over ints, by one path: a point, a coset or a
+scalar is lifted to ints times p^v (_lift), multiplied as ints mod p^prec,
+and only the translate is wrapped back into numbers (_wrap) for the one
+label reader, _row_label.  Stratum points are monomials p^a and Hermite
+cosets are int matrices with determinant p^k, so nothing is lost; an
+inverse coset acts by its int adjugate, the wrap valuation lowered by
+v(det).  A random unimodular matrix takes two draws once its residues are
 accepted: whether a matrix is unimodular depends only on its residues, so
 all n^2 of them are drawn at once and redrawn until their determinant is a
 unit, a test memoized per draw, and only then are the higher digits of
 every entry drawn at once, as ints.  The translate-invariance check keeps
-them as ints and wraps only the translate, which on an integral point is
-exact: a unimodular matrix has a unit in every row and every column.
+them as ints, which on an integral point is exact: a unimodular matrix has
+a unit in every row and every column.
 """
 from __future__ import annotations
 
@@ -211,14 +218,6 @@ def _dot(xs, ys):
     return TruncSeries(p, prec, v0, s)
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
-        raise ValueError("cannot multiply %dx%d by %dx%d" % (n, len(a[0]), k, m))
-    cols = list(zip(*b))
-    return [[_dot(row, col) for col in cols] for row in a]
-
-
 def mat_det(m):
     """The determinant, over numbers or over ints, by one algorithm: 2 x 2 as
     one dot, 3 x 3 as row 0 against the cross product of rows 1 and 2, and
@@ -390,41 +389,22 @@ def _minors(k, n):
                  for i in range(2, k + 1))
 
 
-def right_translate(x: LatticePoint, g):
-    m = _model(x.space)
-    return _right_translate(m, x, *_coset(m, g))
+def _lift(coords):
+    """v = min(0, least valuation of coords), and the coords times p^(-v)
+    as ints."""
+    v = min([0] + [c._v for c in coords])
+    return v, [c._x * c._p ** (c._v - v) for c in coords]
 
 
-def _coset(m, g):
-    """What x -> x g reads of g: its columns and, if m is twisted, det g."""
-    cols = list(zip(*g))
-    if len(g) != m.n or len(cols) != m.n:
-        raise ValueError("cannot multiply %dx%d by %dx%d"
-                         % (m.k, m.n, len(g), len(cols)))
-    return cols, mat_det(g) if m.twisted else None
-
-
-def _right_translate(m, x, cols, det):
-    """x g, for g given by what _coset reads of it; with det None, only the
-    rows of x g."""
-    c, n = x.coords, m.n
-    v = tuple(_dot(c[r:r + n], col) for r in range(0, m.k * n, n)
-              for col in cols)
-    if det is not None:
-        v += (c[m.k * n] * det,)
-    return LatticePoint(x.space, v)
-
-
-def left_translate(x: LatticePoint, g):
-    m = _model(x.space)
-    if m.k == 1:
-        raise ValueError("a row space carries no left action")
-    k, n = m.k, m.n
-    if len(g) != k:
-        raise ValueError("cannot multiply %dx%d by %dx%d"
-                         % (len(g), len(g[0]), k, n))
-    rows = mat_mul(g, [list(x.coords[r:r + n]) for r in range(0, k * n, n)])
-    return LatticePoint(x.space, tuple(sum(rows, [])) + x.coords[k * n:])
+def _wrap(p, prec, v, ints):
+    """p^v times each int, as numbers known mod p^(prec + v): the way back
+    from _lift for ints that are known mod p^prec."""
+    mod, out = p ** prec, []
+    # a loop: before Python 3.12 a comprehension is a call of its own, which
+    # costs more than wrapping the one scalar of a twisted translate
+    for e in ints:
+        out.append(TruncSeries._make(p, prec + v, v, e % mod))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +474,11 @@ def transition_counts(space, reps, labels, p, prec, inverse=False):
     space (k > 1), whose labels are invariant on both sides; on a row space
     the counts would depend on the choice of representatives.
 
+    The translates are taken over ints (_lift, _wrap).  A coset g = p^w G
+    has g^{-1} = p^(-w - v(det G)) u^{-1} adj(G), u a unit, which changes
+    no valuation of a minor: it acts by the int adjugate with that shift,
+    and on a scalar by det(adj G) = det(G)^(n-1).
+
     stratum_point builds x's rows from l[:k] alone and its scalar from
     l[k:] alone, so the memos are keyed by label part: only a label with a
     new row or scalar part builds x, checks its label and translates that
@@ -503,10 +488,28 @@ def transition_counts(space, reps, labels, p, prec, inverse=False):
     if inverse and m.k == 1:
         raise ValueError("inverse cosets act only on a two-sided space, "
                          "not on %s" % (space,))
-    gs = [mat_inv(g) for g in reps] if inverse else reps
-    # one column list and one determinant per coset, shared by every label
-    cosets = [_coset(m, g) for g in gs]
     k, n = m.k, m.n
+    # per coset, shared by every label: the int columns of G, or of adj(G),
+    # its shift w and, if needed, one determinant
+    cosets = []
+    for g in reps:
+        cols = list(zip(*g))
+        if len(g) != n or len(cols) != n:
+            raise ValueError("cannot multiply %dx%d by %dx%d"
+                             % (k, n, len(g), len(cols)))
+        w, a = _lift([e for row in g for e in row])
+        a = [a[r:r + n] for r in range(0, n * n, n)]
+        d = mat_det(a) if m.twisted or inverse else None
+        if inverse:
+            w = -w - TruncSeries._make(p, prec, 0, d).val()
+            # column j of adj(G) is row j of the cofactor matrix
+            cols = [[(-1) ** (i + j) * mat_det(
+                        [r[:i] + r[i + 1:] for s, r in enumerate(a) if s != j])
+                     for i in range(n)] for j in range(n)]
+            d = d ** (n - 1)
+        else:
+            cols = list(zip(*a))
+        cosets.append((cols, w, d))
     rows_seen, scalars_seen, out = {}, {}, {}
     for l in map(tuple, labels):
         heads, tails = rows_seen.get(l[:k]), scalars_seen.get(l[k:])
@@ -516,13 +519,19 @@ def transition_counts(space, reps, labels, p, prec, inverse=False):
                 raise RuntimeError("representative of %r has another label"
                                    % (l,))
             if heads is None:
+                vr, xs = _lift(x.coords[:k * n])
+                rows = [xs[r:r + n] for r in range(0, k * n, n)]
                 heads = rows_seen[l[:k]] = [
-                    _row_label(_right_translate(m, x, cols, None).coords, k, n)
-                    for cols, _ in cosets]
+                    _row_label(_wrap(p, prec, vr + w, [
+                        _idot(row, col) for row in rows for col in cols]),
+                        k, n)
+                    for cols, w, _ in cosets]
             if tails is None:
+                vs, ss = _lift(x.coords[k * n:])
                 tails = scalars_seen[l[k:]] = [
-                    tuple((s * det).val() for s in x.coords[k * n:])
-                    for _, det in cosets]
+                    tuple(c.val() for c in _wrap(p, prec, vs + n * w,
+                                                 [s * d for s in ss]))
+                    for _, w, d in cosets]
         for head, tail in zip(heads, tails):
             key = (l, head + tail)
             out[key] = out.get(key, 0) + 1
@@ -643,24 +652,18 @@ def random_unimodular(rng, p, prec, n):
     return [entries[i:i + n] for i in range(0, n * n, n)]
 
 
-def _lift(coords):
-    """v = min(0, least valuation of coords), and the coords times p^(-v)
-    as ints."""
-    v = min(0, min(c._v for c in coords))
-    return v, [c._x * c._p ** (c._v - v) for c in coords]
-
-
 def translate_invariance_mismatches(space, label, p, prec, trials, seed=0):
     """orbit_invariant must be constant on random hyperspecial translates:
     x g for g in GL_n(o), then, when k > 1, h x g for h in GL_k(o).
 
     The translates are taken over ints: x's rows and scalar, each lifted
-    by _lift, against the ints of g, h and det g, mod p^prec, and each
-    coordinate known mod p^(prec + v).  g has a unit in every column, h one
-    in every row and det g is a unit, so on a point with integral rows
-    (every label of stratum_labels) these are the numbers right_translate
-    and left_translate give, precision and all; so are the scalar and, on
-    a row space (k = 1), the rows of any point."""
+    by _lift, against the ints of g, h and det g, mod p^prec, and wrapped
+    by _wrap, each coordinate known mod p^(prec + v).  g has a unit in
+    every column, h one in every row and det g is a unit, so on a point
+    with integral rows (every label of stratum_labels) these are the
+    numbers a chain of TruncSeries products and sums gives, precision and
+    all; so are the scalar and, on a row space (k = 1), the rows of any
+    point."""
     rng = random.Random(seed)
     c = stratum_point(space, label, p, prec).coords
     m = _MODELS[space]
@@ -669,21 +672,20 @@ def translate_invariance_mismatches(space, label, p, prec, trials, seed=0):
     rows = [x[r:r + n] for r in range(0, k * n, n)]
     if m.twisted:
         vs, (s,) = _lift(c[k * n:])
-    label, mod, bad = tuple(label), p ** prec, []
+    label, bad = tuple(label), []
     for i in range(trials):
         g = _unimodular_ints(rng, p, prec, n)
         cols = [g[j::n] for j in range(n)]
-        y = [[_idot(row, col) for col in cols] for row in rows]
+        y = [_idot(row, col) for row in rows for col in cols]
         if k > 1:
             h = _unimodular_ints(rng, p, prec, k)
-            ycols = list(zip(*y))
-            y = [[_idot(h[r:r + k], col) for col in ycols]
-                 for r in range(0, k * k, k)]
-        coords = [TruncSeries._make(p, prec + vr, vr, e % mod)
-                  for row in y for e in row]
+            ycols = [y[j::n] for j in range(n)]
+            y = [_idot(h[r:r + k], col) for r in range(0, k * k, k)
+                 for col in ycols]
+        coords = _wrap(p, prec, vr, y)
         if m.twisted:
-            det = mat_det([g[r:r + n] for r in range(0, n * n, n)])
-            coords.append(TruncSeries._make(p, prec + vs, vs, s * det % mod))
+            # det g^T = det g
+            coords += _wrap(p, prec, vs, [s * mat_det(cols)])
         got = orbit_invariant(LatticePoint(space, tuple(coords)))
         if got != label:
             bad.append((i, got))

@@ -16,7 +16,7 @@ from sphvar.rootdata import ParabolicDatum, root_datum, product_datum
 from sphvar.spherical import ColoredCone, SphericalDatum
 from sphvar.engine import (KAPPA, BasicFunctionTable, BorelRoute, DualRadicalRep,
                            FFixedRep, LFactor, PPRoute, TransportRoute,
-                           apply_shifts, basic_function_borel,
+                           basic_function_borel,
                            basic_function_graded, basic_function_pp,
                            basic_function_smooth, basic_function_transport,
                            dual_radical, f_fixed, growth_certificate,
@@ -711,6 +711,19 @@ def test_pp_shifts_gl3():
     for kappa in (0, 5):
         with pytest.raises(ValueError, match=r"kappa must be \+1 or -1"):
             pp_shifts(route, s, kappa)
+
+
+def apply_shifts(shifts, f: dict) -> dict:
+    """Convolve a finitely supported label function with a shift list: the
+    reading of pp_shifts these tests pin."""
+    out = {}
+    for shift, coeff in shifts:
+        for l, v in f.items():
+            if not isinstance(v, QLaurent):
+                v = QLaurent.of({0: int(v)})
+            k = tuple(a - b for a, b in zip(l, shift))
+            out[k] = out.get(k, QLaurent.zero()) + coeff * v
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def test_apply_shifts_orientation():

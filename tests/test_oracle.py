@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sphvar.oracle as oracle
 from sphvar import catalog
 from sphvar.chars import QLaurent
 from sphvar.engine import PPRoute, minuscule_satake, pp_shifts
@@ -25,14 +26,11 @@ from sphvar.oracle import (
     hecke_operators,
     integral_table,
     interpolates,
-    left_translate,
     mat2_coset_label_counts,
     mat_det,
     mat_inv,
-    mat_mul,
     orbit_invariant,
     random_unimodular,
-    right_translate,
     satake_compatibility_check,
     satake_mismatches,
     stratum_labels,
@@ -415,6 +413,47 @@ def test_one_row_mat_mul():
     m = [[ts({}), ts({0: 1})], [ts({0: 1}), ts({})]]
     w = mat_mul([v], m)[0]
     assert w[0].val() == 1 and w[1].val() == 0
+
+
+# the translates as products of numbers, one _dot per entry: the reference
+# for the oracle's int translates, kept here since the oracle takes every
+# translate over ints
+
+def mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    if len(a[0]) != k:
+        raise ValueError("cannot multiply %dx%d by %dx%d"
+                         % (n, len(a[0]), k, m))
+    cols = list(zip(*b))
+    return [[oracle._dot(row, col) for col in cols] for row in a]
+
+
+def right_translate(x, g):
+    """x g, and the scalar times det g on a twisted space."""
+    m = oracle._MODELS[x.space]
+    cols = list(zip(*g))
+    if len(g) != m.n or len(cols) != m.n:
+        raise ValueError("cannot multiply %dx%d by %dx%d"
+                         % (m.k, m.n, len(g), len(cols)))
+    c, n = x.coords, m.n
+    v = tuple(oracle._dot(c[r:r + n], col) for r in range(0, m.k * n, n)
+              for col in cols)
+    if m.twisted:
+        v += (c[m.k * n] * mat_det(g),)
+    return LatticePoint(x.space, v)
+
+
+def left_translate(x, g):
+    """h x for h in GL_k on a two-sided space; the scalar stays."""
+    m = oracle._MODELS[x.space]
+    if m.k == 1:
+        raise ValueError("a row space carries no left action")
+    k, n = m.k, m.n
+    if len(g) != k:
+        raise ValueError("cannot multiply %dx%d by %dx%d"
+                         % (len(g), len(g[0]), k, n))
+    rows = mat_mul(g, [list(x.coords[r:r + n]) for r in range(0, k * n, n)])
+    return LatticePoint(x.space, tuple(sum(rows, [])) + x.coords[k * n:])
 
 
 # the matrix routines as chains of products and sums, the reference for the
@@ -1368,43 +1407,86 @@ def test_inverse_transition_counts_equal_the_naive_count_on_mat2(op,
         _naive_counts("MAT2", reps, labels, 3, prec, inverse=True).items())
 
 
+@pytest.mark.parametrize("q", (2, 3, 5))
+@pytest.mark.parametrize("space", SPACES)
+def test_int_transition_counts_are_the_chain_counts(space, q):
+    # every operator of the space's group on the labels of a Satake window,
+    # negative entries too, and on MAT2 the inverse cosets as well: the int
+    # counts are one orbit_invariant per label and coset of right_translate,
+    # after mat_inv for an inverse coset.  Coset by coset too: on MAT2 the
+    # left cosets p^-1 G of K t^-1 K give the counts of the right cosets
+    # g^-1, labels being invariant under the transpose, so only one coset
+    # at a time tells adj(G) from G
+    m = oracle._MODELS[space]
+    group, height = "GL%d" % m.n, 5
+    prec = 2 * height + 4
+    labels = [l for l in _window(height, m.k + m.twisted)
+              if oracle._divisors(l[:m.k]) is not None]
+    assert min(min(l) for l in labels) == -height
+    ops = [op for g, op in COWEIGHTS if g == group]
+    for op in ops:
+        reps = coset_reps(group, op, q, prec)
+        for inverse in (False, True) if m.k > 1 else (False,):
+            got = transition_counts(space, reps, labels, q, prec,
+                                    inverse=inverse)
+            assert list(got.items()) == list(_naive_counts(
+                space, reps, labels, q, prec, inverse=inverse).items())
+            for g in reps:
+                assert transition_counts(space, [g], labels, q, prec,
+                                         inverse=inverse) == _naive_counts(
+                    space, [g], labels, q, prec, inverse=inverse)
+
+
 def test_satake_window_translates_each_row_block_once(monkeypatch):
     # 13 distinct rows (0, 0, t^a), a in -6..6, times 13 cosets of GL3 t1
-    # at q = 3; one translate per window label and coset would be 1,105
-    import sphvar.oracle as oracle
+    # at q = 3; one translate per window label and coset would be 1,105.
+    # The 13 distinct scalars t^b are wrapped once per coset too
     calls = []
-    translate = oracle._right_translate
-    monkeypatch.setattr(oracle, "_right_translate",
-                        lambda *a: calls.append(a) or translate(*a))
+    wrap = oracle._wrap
+    monkeypatch.setattr(oracle, "_wrap",
+                        lambda *a: calls.append(len(a[3])) or wrap(*a))
     assert satake_mismatches("t1", "PPGL3", 6, 3) == []
-    assert len(calls) == 169 == 13 * len(coset_reps("GL3", "t1", 3, 16))
+    assert calls.count(3) == 169 == 13 * len(coset_reps("GL3", "t1", 3, 16))
+    assert calls.count(1) == 169 and len(calls) == 338
+
+
+def _truncated(x, prec):
+    """x known only mod p^prec."""
+    return TruncSeries._make(x.p, prec, x._v, x._x)
 
 
 def test_ppgl3_translates_match_the_chain_on_the_satake_window(monkeypatch):
-    # the stratum points are (0, 0, t^a, t^b): two of the three products of
-    # each coordinate have a zero operand, which only bounds the precision
-    import sphvar.oracle as oracle
+    # every row block and scalar transition_counts wraps, in the order it
+    # wraps them, against the chain of products and sums: the same number,
+    # known mod p^(prec + v), v = min(0, least valuation of the part),
+    # where the chain may know a coordinate to a higher power
     height, q = 4, 3
     prec = 2 * height + 4
-    model = oracle._MODELS["PPGL3"]
     reps = coset_reps("GL3", "wedge", q, prec)
     window = [l for l in itertools.product(range(-height, height + 1),
                                            repeat=2)
               if abs(l[0]) + abs(l[1]) <= height]
     assert min(min(l) for l in window) == -height
-    points = [stratum_point("PPGL3", l, q, prec) for l in window]
-    want = [[_chain_mat_mul([list(x.coords[:3])], g)[0]
-             + [x.coords[3] * _chain_det(g)] for g in reps] for x in points]
+    want, rows_seen, scalars_seen = [], set(), set()
+    for l in window:
+        x = stratum_point("PPGL3", l, q, prec).coords
+        if l[0] not in rows_seen:
+            rows_seen.add(l[0])
+            want += [(min(0, l[0]), _chain_mat_mul([list(x[:3])], g)[0])
+                     for g in reps]
+        if l[1] not in scalars_seen:
+            scalars_seen.add(l[1])
+            want += [(min(0, l[1]), [x[3] * _chain_det(g)]) for g in reps]
+    got, wrap = [], oracle._wrap
+    monkeypatch.setattr(oracle, "_wrap",
+                        lambda *a: got.append(wrap(*a)) or got[-1])
     mul = _CountingMul(monkeypatch)
-    dets = [mat_det(g) for g in reps]
-    assert [[mat_mul([x.coords[:3]], g)[0] for g in reps]
-            for x in points] == [[w[:3] for w in row] for row in want]
+    assert transition_counts("PPGL3", reps, window, q, prec)
     assert mul.calls == 0
-    for x, row in zip(points, want):
-        assert [list(oracle._right_translate(model, x, list(zip(*g)),
-                                             det).coords)
-                for g, det in zip(reps, dets)] == row
-        assert [list(right_translate(x, g).coords) for g in reps] == row
+    assert len(got) == len(want) == 2 * 9 * len(reps)
+    for entries, (v, chain) in zip(got, want):
+        assert all(e.prec == prec + v <= c.prec for e, c in zip(entries, chain))
+        assert entries == [_truncated(c, prec + v) for c in chain]
 
 
 # --- convolution -----------------------------------------------------------
@@ -1445,9 +1527,9 @@ def test_gj_recursion_closes():
 
 
 def test_gj_recursion_builds_each_transition_table_once(monkeypatch):
-    # the counts do not depend on F_i: one table for t1, inverting its
-    # p + 1 cosets, and one for the central operator, at every degree
-    import sphvar.oracle as oracle
+    # the counts do not depend on F_i: one table for t1 and one for the
+    # central operator, at every degree; the inverse cosets act by their
+    # int adjugates, and nothing is inverted
     calls = []
     for name in ("transition_counts", "mat_inv"):
         def counted(*args, _fn=getattr(oracle, name), _name=name, **kw):
@@ -1456,7 +1538,7 @@ def test_gj_recursion_builds_each_transition_table_once(monkeypatch):
         monkeypatch.setattr(oracle, name, counted)
     assert gj_recursion_mismatches(3) == []
     assert calls.count("transition_counts") == 2
-    assert calls.count("mat_inv") == (3 + 1) + 1
+    assert calls.count("mat_inv") == 0
 
 
 # --- coset enumeration of the matrix strata --------------------------------
@@ -1670,15 +1752,26 @@ def _rect(rows, cols):
 
 
 def test_right_translate_refuses_a_wide_matrix_on_mat2():
+    # the reference and transition_counts, either way round, refuse alike
     x = stratum_point("MAT2", (0, 1), P, PREC)
     with pytest.raises(ValueError, match="cannot multiply 2x2 by 2x3"):
         right_translate(x, _rect(2, 3))
+    for inverse in (False, True):
+        with pytest.raises(ValueError, match="cannot multiply 2x2 by 2x3"):
+            transition_counts("MAT2", [_rect(2, 3)], [(0, 1)], P, PREC,
+                              inverse=inverse)
 
 
 def test_left_translate_refuses_a_tall_matrix_on_mat2():
     x = stratum_point("MAT2", (0, 1), P, PREC)
     with pytest.raises(ValueError, match="cannot multiply 3x2 by 2x2"):
         left_translate(x, _rect(3, 2))
+    # transition_counts acts on the right only: a tall coset is x times a
+    # 3 x 2 matrix
+    for inverse in (False, True):
+        with pytest.raises(ValueError, match="cannot multiply 2x2 by 3x2"):
+            transition_counts("MAT2", [_rect(3, 2)], [(0, 1)], P, PREC,
+                              inverse=inverse)
 
 
 def test_right_translate_refuses_a_wide_matrix_on_ugl2():
@@ -1686,6 +1779,8 @@ def test_right_translate_refuses_a_wide_matrix_on_ugl2():
     x = stratum_point("UGL2", (0, 1), P, PREC)
     with pytest.raises(ValueError, match="cannot multiply 1x2 by 2x3"):
         right_translate(x, _rect(2, 3))
+    with pytest.raises(ValueError, match="cannot multiply 1x2 by 2x3"):
+        transition_counts("UGL2", [_rect(2, 3)], [(0, 1)], P, PREC)
 
 
 def test_orbit_invariant_refuses_a_long_a2_point():
