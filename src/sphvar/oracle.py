@@ -32,23 +32,28 @@ operands against units.  One determinant routine serves numbers and ints; a
 3 x 3 determinant is row 0 against the cross product of rows 1 and 2.
 
 Every translate is taken over ints, by one path: a point, a coset or a
-scalar is lifted to ints times p^v (_lift), multiplied as ints mod p^prec,
-and only the translate is wrapped back into numbers (_wrap) for the one
-label reader, _row_label.  Stratum points are monomials p^a and Hermite
-cosets are int matrices with determinant p^k, so nothing is lost; an
-inverse coset acts by its int adjugate, the wrap valuation lowered by
-v(det).  A random unimodular matrix takes two draws once its residues are
-accepted: whether a matrix is unimodular depends only on its residues, so
-all n^2 of them are drawn at once and redrawn until their determinant is a
-unit, a test memoized per draw, and only then are the higher digits of
-every entry drawn at once, as ints.  The translate-invariance check keeps
-them as ints, which on an integral point is exact: a unimodular matrix has
-a unit in every row and every column.
+scalar is lifted to ints times p^v (_lift), multiplied as ints known mod
+p^prec, and labelled as ints by the one label reader, _row_label, with _val
+for the scalar: a valuation is v plus the exponent of one gcd with p^prec,
+and no number is built in a translate loop.  Stratum points are monomials
+p^a and Hermite cosets are int matrices with determinant p^k, so nothing is
+lost; an inverse coset acts by its int adjugate, the valuation lowered by
+v(det).  orbit_invariant lifts a point the same way and reads its rows and
+its scalar each at the least precision of their coordinates.
+
+A random unimodular matrix takes two draws once its residues are accepted:
+whether a matrix is unimodular depends only on its residues, so all n^2 of
+them are drawn at once and redrawn until their determinant is a unit, a
+test memoized per draw, and only then are the higher digits of every entry
+drawn at once, as ints.  The translate-invariance check keeps them as ints,
+which on an integral point is exact: a unimodular matrix has a unit in
+every row and every column.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -340,40 +345,55 @@ def stratum_point(space, label, p, prec):
     return LatticePoint(space, tuple(coords))
 
 
-def _vec_val(entries):
-    """The least entry valuation; no zero entry (_v = prec) may reach it."""
-    v = min([e._v for e in entries])
-    for e in entries:
-        if e._prec == v:
-            raise PrecisionError(("an entry is only known mod %d^%d"
-                                  if any(e._x for e in entries)
-                                  else "vector is 0 mod %d^%d") % (e._p, v))
-    return v
-
-
 def orbit_invariant(x: LatticePoint):
     """The stratum label: valuation data separating hyperspecial orbits.
 
     The determinantal divisors (d_1, ..., d_k) of the matrix, d_i the least
     valuation of an i x i minor (d_1 of a row: its least coordinate
-    valuation), then the valuation of the twisting scalar, if any.
+    valuation), then the valuation of the twisting scalar, if any.  The
+    rows and the scalar are each lifted to ints (_lift) and read as known
+    mod p^P, P the least precision of their coordinates.
     """
     m = _model(x.space)
     c, k, n = x.coords, m.k, m.n
     if len(c) != k * n + m.twisted:
         raise ValueError("%d coordinates for a %dx%d %s point"
                          % (len(c), k, n, x.space))
-    label = _row_label(c, k, n)
-    return label + (c[k * n].val(),) if m.twisted else label
+    rows, p = c[:k * n], c[0].p
+    v, ints = _lift(rows)
+    label = _row_label(p, min([e._prec for e in rows]) - v, v, ints, k, n)
+    if m.twisted:
+        v, ints = _lift(c[k * n:])
+        label += (_val(p, c[k * n]._prec - v, v, ints, "number"),)
+    return label
 
 
-def _row_label(c, k, n):
-    """The determinantal divisors of the k x n matrix whose entries are the
-    first k n of the coordinates c, row by row."""
-    label = (_vec_val(c[:k * n]),)
-    for minors in _minors(k, n):
-        label += (_vec_val([mat_det([row(c) for row in minor])
-                            for minor in minors]),)
+def _val(p, prec, v, ints, what="vector"):
+    """The least valuation of p^v times ints, each known mod p^prec: v plus
+    the exponent of gcd(p^prec, *ints), one gcd for the whole block."""
+    mod = p ** prec
+    g = math.gcd(mod, *ints)
+    if g == mod:
+        raise PrecisionError("%s is 0 mod %d^%d" % (what, p, prec + v))
+    while g > 1:
+        g //= p
+        v += 1
+    return v
+
+
+def _row_label(p, prec, v, ints, k, n):
+    """The determinantal divisors of the k x n block p^v ints, row by row,
+    each int known mod p^prec.  d_1 = v + w_1 is _val of the entries; d_i is
+    i v plus the valuation of the int i x i minors, each known mod
+    p^(prec + (i - 1) w_1): an entry moved by p^prec moves a minor by p^prec
+    times an (i - 1)-minor, of valuation at least (i - 1) w_1.  For i = 2
+    that is the precision the chain of products and sums gives."""
+    label = (_val(p, prec, v, ints),)
+    w = label[0] - v
+    for i, minors in enumerate(_minors(k, n), 2):
+        label += (_val(p, prec + (i - 1) * w, i * v,
+                       [mat_det([row(ints) for row in minor])
+                        for minor in minors]),)
     return label
 
 
@@ -394,17 +414,6 @@ def _lift(coords):
     as ints."""
     v = min([0] + [c._v for c in coords])
     return v, [c._x * c._p ** (c._v - v) for c in coords]
-
-
-def _wrap(p, prec, v, ints):
-    """p^v times each int, as numbers known mod p^(prec + v): the way back
-    from _lift for ints that are known mod p^prec."""
-    mod, out = p ** prec, []
-    # a loop: before Python 3.12 a comprehension is a call of its own, which
-    # costs more than wrapping the one scalar of a twisted translate
-    for e in ints:
-        out.append(TruncSeries._make(p, prec + v, v, e % mod))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +483,12 @@ def transition_counts(space, reps, labels, p, prec, inverse=False):
     space (k > 1), whose labels are invariant on both sides; on a row space
     the counts would depend on the choice of representatives.
 
-    The translates are taken over ints (_lift, _wrap).  A coset g = p^w G
-    has g^{-1} = p^(-w - v(det G)) u^{-1} adj(G), u a unit, which changes
-    no valuation of a minor: it acts by the int adjugate with that shift,
-    and on a scalar by det(adj G) = det(G)^(n-1).
+    The translates are taken over ints (_lift) and labelled as ints: the
+    rows by _row_label and the scalar by _val, each int known mod p^prec,
+    so no number is built per coset.  A coset g = p^w G has
+    g^{-1} = p^(-w - v(det G)) u^{-1} adj(G), u a unit, which changes no
+    valuation of a minor: it acts by the int adjugate with that shift, and
+    on a scalar by det(adj G) = det(G)^(n-1).
 
     stratum_point builds x's rows from l[:k] alone and its scalar from
     l[k:] alone, so the memos are keyed by label part: only a label with a
@@ -501,7 +512,7 @@ def transition_counts(space, reps, labels, p, prec, inverse=False):
         a = [a[r:r + n] for r in range(0, n * n, n)]
         d = mat_det(a) if m.twisted or inverse else None
         if inverse:
-            w = -w - TruncSeries._make(p, prec, 0, d).val()
+            w = -w - _val(p, prec, 0, [d], "number")
             # column j of adj(G) is row j of the cofactor matrix
             cols = [[(-1) ** (i + j) * mat_det(
                         [r[:i] + r[i + 1:] for s, r in enumerate(a) if s != j])
@@ -522,15 +533,15 @@ def transition_counts(space, reps, labels, p, prec, inverse=False):
                 vr, xs = _lift(x.coords[:k * n])
                 rows = [xs[r:r + n] for r in range(0, k * n, n)]
                 heads = rows_seen[l[:k]] = [
-                    _row_label(_wrap(p, prec, vr + w, [
-                        _idot(row, col) for row in rows for col in cols]),
+                    _row_label(p, prec, vr + w, [
+                        _idot(row, col) for row in rows for col in cols],
                         k, n)
                     for cols, w, _ in cosets]
             if tails is None:
                 vs, ss = _lift(x.coords[k * n:])
                 tails = scalars_seen[l[k:]] = [
-                    tuple(c.val() for c in _wrap(p, prec, vs + n * w,
-                                                 [s * d for s in ss]))
+                    tuple(_val(p, prec, vs + n * w, [s * d], "number")
+                          for s in ss)
                     for _, w, d in cosets]
         for head, tail in zip(heads, tails):
             key = (l, head + tail)
@@ -555,7 +566,14 @@ def gj_recursion_mismatches(p, height=4, degree=4):
     F_i == indicator of determinant valuation i; returns what breaks.
 
     height sets only the working precision, prec = 2 (height + degree) + 4;
-    the labels checked, and the recursion's length, come from degree."""
+    the labels checked, and the recursion's length, come from degree.
+
+    The recursion cannot see the orientation of the inverse cosets: MAT2
+    labels are invariant under the transpose, so the left cosets
+    p^(-v(det G)) G of the same double coset give every (source, target)
+    pair the same multiplicity as the g^{-1}.  The per-coset comparison of
+    test_int_transition_counts_are_the_chain_counts is the check that
+    does."""
     prec = 2 * (height + degree) + 4
     # every label with k <= degree has a <= degree // 2
     labels = [l for l in stratum_labels("MAT2", degree + degree // 2)
@@ -653,17 +671,19 @@ def random_unimodular(rng, p, prec, n):
 
 
 def translate_invariance_mismatches(space, label, p, prec, trials, seed=0):
-    """orbit_invariant must be constant on random hyperspecial translates:
-    x g for g in GL_n(o), then, when k > 1, h x g for h in GL_k(o).
+    """The stratum label must be constant on random hyperspecial
+    translates: x g for g in GL_n(o), then, when k > 1, h x g for h in
+    GL_k(o).
 
     The translates are taken over ints: x's rows and scalar, each lifted
-    by _lift, against the ints of g, h and det g, mod p^prec, and wrapped
-    by _wrap, each coordinate known mod p^(prec + v).  g has a unit in
-    every column, h one in every row and det g is a unit, so on a point
-    with integral rows (every label of stratum_labels) these are the
-    numbers a chain of TruncSeries products and sums gives, precision and
-    all; so are the scalar and, on a row space (k = 1), the rows of any
-    point."""
+    by _lift, against the ints of g, h and det g, known mod p^prec, and
+    labelled as ints by orbit_invariant's reader (_row_label, _val), with
+    no number built per trial.  g has a unit in every column, h one in
+    every row and det g is a unit, so on a point with integral rows (every
+    label of stratum_labels) the ints are the numbers a chain of TruncSeries
+    products and sums gives, each known mod p^(prec + v); so are the scalar
+    and, on a row space (k = 1), the rows of any point.  For k <= 2 the
+    reader gives the label, or the error, those numbers give."""
     rng = random.Random(seed)
     c = stratum_point(space, label, p, prec).coords
     m = _MODELS[space]
@@ -682,11 +702,10 @@ def translate_invariance_mismatches(space, label, p, prec, trials, seed=0):
             ycols = [y[j::n] for j in range(n)]
             y = [_idot(h[r:r + k], col) for r in range(0, k * k, k)
                  for col in ycols]
-        coords = _wrap(p, prec, vr, y)
+        got = _row_label(p, prec, vr, y, k, n)
         if m.twisted:
             # det g^T = det g
-            coords += _wrap(p, prec, vs, [s * mat_det(cols)])
-        got = orbit_invariant(LatticePoint(space, tuple(coords)))
+            got += (_val(p, prec, vs, [s * mat_det(cols)], "number"),)
         if got != label:
             bad.append((i, got))
     return bad

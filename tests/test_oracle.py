@@ -443,6 +443,90 @@ def right_translate(x, g):
     return LatticePoint(x.space, v)
 
 
+# the label reader over numbers: the reference for the oracle's int reader,
+# kept here since the oracle reads every label off ints; it labels the chain
+# translates, whose coordinates may be known to different powers of p
+
+def _ref_vec_val(entries):
+    """The least entry valuation; no zero entry (_v = prec) may reach it."""
+    v = min([e._v for e in entries])
+    for e in entries:
+        if e._prec == v:
+            raise PrecisionError(("an entry is only known mod %d^%d"
+                                  if any(e._x for e in entries)
+                                  else "vector is 0 mod %d^%d") % (e._p, v))
+    return v
+
+
+def _ref_row_label(c, k, n):
+    """The determinantal divisors of the k x n matrix of the numbers c, row
+    by row: each the least valuation of the mat_det of its i x i minors."""
+    label = (_ref_vec_val(c[:k * n]),)
+    for i in range(2, k + 1):
+        label += (_ref_vec_val([
+            mat_det([[c[r * n + j] for j in cols] for r in rows])
+            for rows in itertools.combinations(range(k), i)
+            for cols in itertools.combinations(range(n), i)]),)
+    return label
+
+
+def ref_orbit_invariant(x):
+    """orbit_invariant read off the numbers of x, each at its own power."""
+    m = oracle._MODELS[x.space]
+    c, k, n = x.coords, m.k, m.n
+    label = _ref_row_label(c, k, n)
+    return label + (c[k * n].val(),) if m.twisted else label
+
+
+def _as_numbers(p, prec, v, ints):
+    """p^v times each int known mod p^prec: numbers known mod p^(prec + v)."""
+    return [TruncSeries._make(p, prec + v, v, e % p ** prec) for e in ints]
+
+
+class _ReadBlocks:
+    """While installed, records each block the int label reader gets from a
+    translate, as (kind, the numbers _as_numbers makes of it): kind (k, n)
+    for a k x n block of rows read by _row_label, and "number" for a scalar
+    read by _val.  What orbit_invariant reads is left out."""
+
+    def __init__(self, monkeypatch):
+        self.blocks, inside = [], []
+        row_label, val = oracle._row_label, oracle._val
+        invariant = oracle.orbit_invariant
+
+        def rows(p, prec, v, ints, k, n):
+            if not inside:
+                self.blocks.append(((k, n), _as_numbers(p, prec, v, ints)))
+            return row_label(p, prec, v, ints, k, n)
+
+        def scalar(p, prec, v, ints, what="vector"):
+            if what == "number" and not inside:
+                self.blocks.append(("number", _as_numbers(p, prec, v, ints)))
+            return val(p, prec, v, ints, what)
+
+        def label(x):
+            inside.append(x)
+            try:
+                return invariant(x)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(oracle, "_row_label", rows)
+        monkeypatch.setattr(oracle, "_val", scalar)
+        monkeypatch.setattr(oracle, "orbit_invariant", label)
+
+    def points(self, space):
+        """The blocks as the points of space they stand for, one per rows
+        block, its scalar appended on a twisted space."""
+        m, out = oracle._MODELS[space], []
+        for kind, numbers in self.blocks:
+            if kind == "number":
+                out[-1] += tuple(numbers)
+            else:
+                assert kind == (m.k, m.n)
+                out.append(tuple(numbers))
+        return out
+
+
 def left_translate(x, g):
     """h x for h in GL_k on a two-sided space; the scalar stays."""
     m = oracle._MODELS[x.space]
@@ -932,9 +1016,13 @@ def test_orbit_invariant_examples():
 
 
 def test_orbit_invariant_precision_guard():
+    # a point is read at the least precision of its coordinates: 2^3 known
+    # mod 2^12 beside a zero known mod 2^2 is a vector that is 0 mod 2^2
     shallow = TruncSeries.of(2, 2, {})
-    with pytest.raises(PrecisionError, match="only known mod 2\\^2"):
+    with pytest.raises(PrecisionError, match="vector is 0 mod 2\\^2"):
         orbit_invariant(LatticePoint("A2", (shallow, tp(3))))
+    with pytest.raises(PrecisionError, match="only known mod 2\\^2"):
+        ref_orbit_invariant(LatticePoint("A2", (shallow, tp(3))))
     # a valuation below the unknown floor is still decidable
     assert orbit_invariant(LatticePoint("A2", (shallow, tp(1)))) == (1,)
     with pytest.raises(PrecisionError, match="vector is 0 mod"):
@@ -1238,7 +1326,7 @@ def test_transition_counts_take_one_determinant_per_coset(monkeypatch):
     for l in labels:
         x = stratum_point("PPGL3", l, 3, 10)
         for g in reps:
-            key = (l, orbit_invariant(right_translate(x, g)))
+            key = (l, ref_orbit_invariant(right_translate(x, g)))
             by_pair[key] = by_pair.get(key, 0) + 1
     calls = []
     det = oracle.mat_det
@@ -1326,13 +1414,13 @@ def test_ppgl3_wedge_counts():
 
 
 def _naive_counts(space, reps, labels, p, prec, inverse=False):
-    """transition_counts as one orbit_invariant per label and coset."""
+    """transition_counts as one reference label per label and coset."""
     gs = [mat_inv(g) for g in reps] if inverse else reps
     out = {}
     for l in labels:
         x = stratum_point(space, l, p, prec)
         for g in gs:
-            key = (tuple(l), orbit_invariant(right_translate(x, g)))
+            key = (tuple(l), ref_orbit_invariant(right_translate(x, g)))
             out[key] = out.get(key, 0) + 1
     return out
 
@@ -1412,7 +1500,7 @@ def test_inverse_transition_counts_equal_the_naive_count_on_mat2(op,
 def test_int_transition_counts_are_the_chain_counts(space, q):
     # every operator of the space's group on the labels of a Satake window,
     # negative entries too, and on MAT2 the inverse cosets as well: the int
-    # counts are one orbit_invariant per label and coset of right_translate,
+    # counts are one reference label per label and coset of right_translate,
     # after mat_inv for an inverse coset.  Coset by coset too: on MAT2 the
     # left cosets p^-1 G of K t^-1 K give the counts of the right cosets
     # g^-1, labels being invariant under the transpose, so only one coset
@@ -1440,14 +1528,13 @@ def test_int_transition_counts_are_the_chain_counts(space, q):
 def test_satake_window_translates_each_row_block_once(monkeypatch):
     # 13 distinct rows (0, 0, t^a), a in -6..6, times 13 cosets of GL3 t1
     # at q = 3; one translate per window label and coset would be 1,105.
-    # The 13 distinct scalars t^b are wrapped once per coset too
-    calls = []
-    wrap = oracle._wrap
-    monkeypatch.setattr(oracle, "_wrap",
-                        lambda *a: calls.append(len(a[3])) or wrap(*a))
+    # The 13 distinct scalars t^b are read once per coset too
+    read = _ReadBlocks(monkeypatch)
     assert satake_mismatches("t1", "PPGL3", 6, 3) == []
-    assert calls.count(3) == 169 == 13 * len(coset_reps("GL3", "t1", 3, 16))
-    assert calls.count(1) == 169 and len(calls) == 338
+    kinds = [(kind, len(numbers)) for kind, numbers in read.blocks]
+    assert kinds.count(((1, 3), 3)) == 169 == 13 * len(
+        coset_reps("GL3", "t1", 3, 16))
+    assert kinds.count(("number", 1)) == 169 and len(kinds) == 338
 
 
 def _truncated(x, prec):
@@ -1456,8 +1543,8 @@ def _truncated(x, prec):
 
 
 def test_ppgl3_translates_match_the_chain_on_the_satake_window(monkeypatch):
-    # every row block and scalar transition_counts wraps, in the order it
-    # wraps them, against the chain of products and sums: the same number,
+    # every row block and scalar transition_counts reads, in the order it
+    # reads them, against the chain of products and sums: the same number,
     # known mod p^(prec + v), v = min(0, least valuation of the part),
     # where the chain may know a coordinate to a higher power
     height, q = 4, 3
@@ -1477,12 +1564,13 @@ def test_ppgl3_translates_match_the_chain_on_the_satake_window(monkeypatch):
         if l[1] not in scalars_seen:
             scalars_seen.add(l[1])
             want += [(min(0, l[1]), [x[3] * _chain_det(g)]) for g in reps]
-    got, wrap = [], oracle._wrap
-    monkeypatch.setattr(oracle, "_wrap",
-                        lambda *a: got.append(wrap(*a)) or got[-1])
+    read = _ReadBlocks(monkeypatch)
     mul = _CountingMul(monkeypatch)
     assert transition_counts("PPGL3", reps, window, q, prec)
     assert mul.calls == 0
+    got = [numbers for _, numbers in read.blocks]
+    assert [kind for kind, _ in read.blocks] == [
+        (1, 3) if len(chain) == 3 else "number" for _, chain in want]
     assert len(got) == len(want) == 2 * 9 * len(reps)
     for entries, (v, chain) in zip(got, want):
         assert all(e.prec == prec + v <= c.prec for e, c in zip(entries, chain))
@@ -1602,9 +1690,7 @@ def test_translates_replay_the_random_stream(space, label, monkeypatch):
     # h in GL_2(o) on the left; each translate is what the check labels
     import sphvar.oracle as oracle
     p, prec, trials, seed = 3, 12, 6, 11
-    seen, invariant = [], oracle.orbit_invariant
-    monkeypatch.setattr(oracle, "orbit_invariant",
-                        lambda y: seen.append(y) or invariant(y))
+    read = _ReadBlocks(monkeypatch)
     assert translate_invariance_mismatches(space, label, p, prec, trials,
                                            seed=seed) == []
     rng, x = random.Random(seed), stratum_point(space, label, p, prec).coords
@@ -1619,8 +1705,7 @@ def test_translates_replay_the_random_stream(space, label, monkeypatch):
             g = random_unimodular(rng, p, prec, 3)
             want.append(tuple(mat_mul([x[:3]], g)[0])
                         + (x[3] * mat_det(g),))
-    assert [y.coords for y in seen] == want
-    assert {y.space for y in seen} == {space}
+    assert read.points(space) == want
 
 
 def _chain_translates(space, label, p, prec, trials, seed):
@@ -1648,23 +1733,22 @@ _OFF_INTEGRAL = {"A2": [(-3,), (-1,)], "UGL2": [(-2, -1), (1, -3)],
 @pytest.mark.parametrize("p", (2, 3, 5, 10007))
 @pytest.mark.parametrize("space", SPACES + ("MAT3",))
 def test_int_translates_are_the_chain_translates(space, p, monkeypatch):
-    # every point the check labels is, number for number, what
-    # right_translate and left_translate give for the same draws
+    # every block the check labels stands for, number for number and
+    # power for power, the point right_translate and left_translate give
+    # for the same draws
     import sphvar.oracle as oracle
     monkeypatch.setitem(oracle._MODELS, "MAT3", oracle._Model(3, 3))
-    seen, invariant = [], oracle.orbit_invariant
-    monkeypatch.setattr(oracle, "orbit_invariant",
-                        lambda y: seen.append(y) or invariant(y))
+    read = _ReadBlocks(monkeypatch)
     prec, trials = 10, 3 if p == 10007 else 8
     labels = stratum_labels(space, 3) + _OFF_INTEGRAL.get(space, [])
     assert len(labels) >= 4
     for seed, label in enumerate(labels):
-        seen.clear()
+        read.blocks.clear()
         assert translate_invariance_mismatches(space, label, p, prec, trials,
                                                seed=seed) == []
         want = _chain_translates(space, label, p, prec, trials, seed)
-        assert [(y.space, [_fields(e) for e in y.coords]) for y in seen] == [
-            (y.space, [_fields(e) for e in y.coords]) for y in want]
+        assert [[_fields(e) for e in y] for y in read.points(space)] == [
+            [_fields(e) for e in y.coords] for y in want]
 
 
 # the trials of 60, at p = 2 and prec 10, on which a d_1 read off the last
@@ -1676,11 +1760,13 @@ _LAST_COORDINATE_REPORTS = {("A2", (1,)): 22, ("UGL2", (1, 2)): 22,
 def test_translate_check_reports_a_row_label_read_off_the_last_coordinate(
         monkeypatch):
     # d_1 must be the least coordinate valuation: a label that reads the
-    # last coordinate's instead is caught on every space
+    # last coordinate's instead, as the number it stands for, is caught on
+    # every space
     import sphvar.oracle as oracle
     row_label = oracle._row_label
-    monkeypatch.setattr(oracle, "_row_label", lambda c, k, n: (
-        (c[k * n - 1]._v,) + row_label(c, k, n)[1:]))
+    monkeypatch.setattr(oracle, "_row_label", lambda p, prec, v, ints, k, n: (
+        (_as_numbers(p, prec, v, ints[-1:])[0]._v,)
+        + row_label(p, prec, v, ints, k, n)[1:]))
     assert {(space, label): len(translate_invariance_mismatches(
                 space, label, 2, 10, 60))
             for space, label in _LAST_COORDINATE_REPORTS} == \
@@ -1709,7 +1795,7 @@ def _chain_invariance_mismatches(space, label, p, prec, trials, seed=0):
     bad = []
     for i, y in enumerate(_chain_translates(space, label, p, prec, trials,
                                             seed)):
-        got = orbit_invariant(y)
+        got = ref_orbit_invariant(y)
         if got != tuple(label):
             bad.append((i, got))
     return bad
@@ -1742,6 +1828,102 @@ def test_translate_check_answers_as_the_chain_on_degenerate_labels():
         assert got[1] == "vector is 0 mod %d^%d" % (p, lo)
         assert want[1] == "vector is 0 mod %d^%d" % (p, hi)
         assert 1 <= hi - lo <= 2
+
+
+# the blocks of the model spaces, MAT3 among them: (k, n, twisted)
+_BLOCK_SHAPES = {"A2": (1, 2, False), "UGL2": (1, 2, True),
+                 "PPGL3": (1, 3, True), "MAT2": (2, 2, False),
+                 "MAT3": (3, 3, False)}
+
+
+@st.composite
+def _int_block(draw):
+    """(p, prec, v, ints, k, n, scalar): a k x n block of ints known mod
+    p^prec, zeros, a common power of p, multiples of p^prec and negative
+    entries among them, sometimes with a row a multiple of the first plus a
+    high power of p, and on a twisted shape a scalar (v, int)."""
+    k, n, twisted = _BLOCK_SHAPES[draw(st.sampled_from(sorted(_BLOCK_SHAPES)))]
+    p = draw(st.sampled_from((2, 3, 5, 10007)))
+    prec, v = draw(st.integers(1, 12)), draw(st.integers(-4, 4))
+    entry = st.one_of(st.just(0), st.builds(
+        lambda a, u: p ** a * u, st.integers(0, prec + 1),
+        st.integers(-p * p, p * p)))
+    ints = draw(st.lists(entry, min_size=k * n, max_size=k * n))
+    if k > 1 and draw(st.booleans()):
+        c, e = draw(st.integers(-p, p)), draw(st.integers(0, prec + 1))
+        r = draw(st.integers(1, k - 1))
+        ints[r * n:r * n + n] = [c * a + p ** e * b for a, b in
+                                 zip(ints[:n], ints[r * n:r * n + n])]
+    common = p ** draw(st.integers(0, 3))
+    ints = [common * e for e in ints]
+    scalar = (draw(st.integers(-4, 4)), draw(entry)) if twisted else None
+    return p, prec, v, ints, k, n, scalar
+
+
+def _power(p, e):
+    """The exponent of p in the int e, None for 0."""
+    if not e:
+        return None
+    a = 0
+    while not e % p:
+        e //= p
+        a += 1
+    return a
+
+
+def _stated_label(p, prec, v, ints, k, n):
+    """The label the reader's contract states, off the exact minors: d_i is
+    i v plus the least valuation of the i x i minors (Leibniz), each known
+    mod p^(prec + (i - 1) w_1), w_1 = d_1 - v; the first vanishing part
+    stated as the error it raises."""
+    label, w = (), 0
+    for i in range(1, k + 1):
+        bound = prec + (i - 1) * w
+        vals = [_power(p, _leibniz([[ints[r * n + j] for j in cols]
+                                    for r in rows]))
+                for rows in itertools.combinations(range(k), i)
+                for cols in itertools.combinations(range(n), i)]
+        least = min([a for a in vals if a is not None] + [bound])
+        if least >= bound:
+            return "PrecisionError", "vector is 0 mod %d^%d" % (p, i * v + bound)
+        label += (i * v + least,)
+        if i == 1:
+            w = least
+    return label
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_int_block())
+def test_int_label_reader_answers_as_the_number_reader(block):
+    # the int reader against the reference over the numbers the block
+    # stands for: on k <= 2 the same label or the same error text; on
+    # MAT3, whose chain knows some minors to a higher power than the int
+    # bound, the same label wherever both answer.  Each answer is also the
+    # one the reader's stated precision gives off the exact minors
+    p, prec, v, ints, k, n, scalar = block
+    numbers = _as_numbers(p, prec, v, ints)
+
+    def int_label():
+        label = oracle._row_label(p, prec, v, ints, k, n)
+        if scalar is None:
+            return label
+        return label + (oracle._val(p, prec, scalar[0], [scalar[1]],
+                                    "number"),)
+
+    def ref_label():
+        label = _ref_row_label(numbers, k, n)
+        if scalar is None:
+            return label
+        return label + (_as_numbers(p, prec, *scalar[:1],
+                                    scalar[1:])[0].val(),)
+
+    got, want = _outcome(int_label), _outcome(ref_label)
+    if k <= 2:
+        assert got == want
+    elif got[0] != "PrecisionError" and want[0] != "PrecisionError":
+        assert got == want
+    assert _outcome(lambda: oracle._row_label(p, prec, v, ints, k, n)) == \
+        _stated_label(p, prec, v, ints, k, n)
 
 
 # --- malformed shapes ------------------------------------------------------
